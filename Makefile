@@ -67,13 +67,13 @@ test-short: ## short-mode tests
 	$(GO) test -short ./...
 
 # Full race-detector run. race-fast covers the concurrency-heavy
-# packages (the server's job store/pool/cache and the parallel routing
-# stages) without the slow experiment reproductions.
+# packages (the server's job store/pool/cache and the parallel global,
+# layer and track stages) without the slow experiment reproductions.
 race: ## full test suite under the race detector
 	$(GO) test -race ./...
 
 race-fast: ## race detector on the concurrency-heavy packages
-	$(GO) test -race -short ./internal/server/ ./internal/core/ ./internal/detail/ ./internal/global/
+	$(GO) test -race -short ./internal/server/ ./internal/core/ ./internal/global/
 
 serve: ## run the routing job server
 	$(GO) run ./cmd/meblserved
@@ -103,16 +103,10 @@ bench-fracture-json: ## regenerate BENCH_fracture.json (write-prep stage)
 bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
 	$(GO) run ./cmd/benchjson -stage eco -runs $(BENCH_RUNS) -out BENCH_eco.json
 
-# One-iteration benchmark smoke: proves the worker-count benchmarks (and
-# their cross-worker routes-hash assertion) still run; takes seconds.
-# The second line reruns Workers 1 and 8 under the race detector — the
-# benchmark shares one reference hash across sub-benchmarks, so this is
-# the speculative scheduler's cross-worker hash-equality gate with the
-# concurrency instrumented, on the golden circuit rather than the
-# harness grids race-fast covers.
-bench-smoke: ## run BenchmarkDetailWorkers once per worker count (+ 1 vs 8 under -race)
-	$(GO) test -run '^$$' -bench BenchmarkDetailWorkers -benchtime 1x ./internal/detail/
-	$(GO) test -race -run '^$$' -bench 'BenchmarkDetailWorkers/(1|8)$$' -benchtime 1x ./internal/detail/
+# One-iteration benchmark smoke: proves the detail-stage benchmark (and
+# its pinned routes-hash assertion) still runs; takes seconds.
+bench-smoke: ## run BenchmarkDetail once
+	$(GO) test -run '^$$' -bench BenchmarkDetail -benchtime 1x ./internal/detail/
 
 # Regenerate the paper's tables on the fast subset (use CIRCUITS=all for
 # the full 14-circuit suite; that takes ~15 minutes).

@@ -2,8 +2,8 @@
 // circuits and writes a machine-readable JSON report. -stage selects
 // the stage:
 //
-//   - detail (default): the detailed-routing stage across worker
-//     counts. BENCH_detail.json at the repository root is the
+//   - detail (default): the detailed-routing stage, one point per
+//     circuit. BENCH_detail.json at the repository root is the
 //     checked-in copy; docs/PERFORMANCE.md documents the regeneration
 //     protocol, including how the seed baselines passed via -baseline
 //     are measured.
@@ -33,7 +33,7 @@
 // Usage:
 //
 //	benchjson [-stage detail|fracture|eco|lint] [-circuits Primary1,S5378,S9234]
-//	          [-workers 1,4] [-runs 5]
+//	          [-runs 5]
 //	          [-baseline Primary1=0.18,S5378=0.63,S9234=0.55] [-baseline-note ...]
 //	          [-out BENCH_detail.json]
 package main
@@ -52,7 +52,6 @@ import (
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 	"stitchroute/internal/fracture"
-	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 )
 
@@ -62,10 +61,8 @@ type report struct {
 	GoVersion string `json:"goVersion"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// NumCPU and GOMAXPROCS are the host provenance: parallelSpeedup is
-	// only meaningful relative to the cores the run actually had. On a
-	// single-CPU host a speculative scheduler cannot go faster than
-	// sequential, and the report says so rather than hiding it.
+	// NumCPU and GOMAXPROCS are the host provenance: a time is only
+	// comparable to one taken on the same cores.
 	NumCPU       int             `json:"numCPU"`
 	GOMAXPROCS   int             `json:"gomaxprocs"`
 	RunsPerPoint int             `json:"runsPerPoint"`
@@ -74,48 +71,25 @@ type report struct {
 	Circuits     []circuitReport `json:"circuits"`
 }
 
+// circuitReport is one circuit's point: the run with the fastest detail
+// stage.
 type circuitReport struct {
-	Circuit    string  `json:"circuit"`
-	Nets       int     `json:"nets"`
-	RoutesHash string  `json:"routesHash"`
-	Points     []point `json:"points"`
-	// ParallelSpeedup is detail time at the first worker count over the
-	// last (typically Workers=1 over the highest count). It scales with
-	// the host's cores (numCPU/gomaxprocs above): on a single-CPU host
-	// speculation adds overhead without parallel execution, so the ratio
-	// is ≤ 1.0 there; see Methodology.
-	ParallelSpeedup float64 `json:"parallelSpeedup"`
-	// SeedDetailSeconds is the externally measured seed-binary baseline
-	// (see BaselineNote); SpeedupVsSeed divides it by the best point's
-	// detail time — on a single-CPU host that is Workers=1, so the seed
-	// comparison never mixes in speculation overhead the seed binary
-	// never paid. Present only when -baseline names this circuit.
-	SeedDetailSeconds float64 `json:"seedDetailSeconds,omitempty"`
-	SpeedupVsSeed     float64 `json:"speedupVsSeed,omitempty"`
-}
-
-type point struct {
-	Workers          int     `json:"workers"`
+	Circuit          string  `json:"circuit"`
+	Nets             int     `json:"nets"`
+	RoutesHash       string  `json:"routesHash"`
 	DetailSeconds    float64 `json:"detailSeconds"`
 	TotalSeconds     float64 `json:"totalSeconds"`
 	DetailConnects   int     `json:"detailConnects"`
 	DetailExpansions int64   `json:"detailExpansions"`
 	FailedNets       int     `json:"failedNets"`
 	// ExpansionsPerSecond is detailExpansions over the best detail wall
-	// time — the throughput figure the scheduler is optimizing.
+	// time.
 	ExpansionsPerSecond float64 `json:"expansionsPerSecond"`
-	// Speculative-scheduler telemetry from the best run at this worker
-	// count (all zero at Workers=1, which routes sequentially).
-	// speculated counts net attempts routed against the frozen snapshot,
-	// committed those accepted by the deterministic commit loop,
-	// conflicts those rejected because an earlier commit touched their
-	// read footprint, replays the re-queued reroutes that followed, and
-	// laneNets the nets that needed the sequential lane (negotiation).
-	Speculated int `json:"speculated,omitempty"`
-	Committed  int `json:"committed,omitempty"`
-	Conflicts  int `json:"conflicts,omitempty"`
-	Replays    int `json:"replays,omitempty"`
-	LaneNets   int `json:"laneNets,omitempty"`
+	// SeedDetailSeconds is the externally measured seed-binary baseline
+	// (see BaselineNote); SpeedupVsSeed divides it by detailSeconds.
+	// Present only when -baseline names this circuit.
+	SeedDetailSeconds float64 `json:"seedDetailSeconds,omitempty"`
+	SpeedupVsSeed     float64 `json:"speedupVsSeed,omitempty"`
 }
 
 // fractureReport is the top-level JSON document for -stage fracture.
@@ -153,18 +127,11 @@ type fracturePoint struct {
 	ShotsPerSecond  float64 `json:"shotsPerSecond"`
 }
 
-const methodology = "Per point: the full stitch-aware router runs -runs times on a freshly " +
-	"generated circuit and the fastest detail-stage wall time is kept (best-of-N). " +
-	"All runs of a circuit must produce byte-identical routed geometry (routesHash) " +
-	"or the report fails — the speculative scheduler routes ready nets concurrently " +
-	"against a frozen grid snapshot and a deterministic commit loop accepts or replays " +
-	"each attempt in net order, so every worker count reproduces the sequential result " +
-	"exactly (the per-point speculated/conflicts/replays/laneNets fields show how much " +
-	"rework that cost). parallelSpeedup compares the first and last worker counts on " +
-	"this binary and is bounded by the host's cores (numCPU/gomaxprocs): on a " +
-	"single-CPU host speculation cannot overlap work, so the ratio is at or below 1.0 " +
-	"there, and the wall-clock win over the seed (speedupVsSeed) comes from the " +
-	"per-worker search arenas and allocation-free scratch instead."
+const methodology = "Per circuit: the full stitch-aware router runs -runs times on a freshly " +
+	"generated circuit and the run with the fastest detail-stage wall time is kept " +
+	"(best-of-N). All runs of a circuit must produce byte-identical routed geometry " +
+	"(routesHash) or the report fails. The detailed router is sequential, so the " +
+	"times depend on single-core speed, not on numCPU."
 
 const fractureMethodology = "Per circuit: the stitch-aware router produces routed geometry once " +
 	"(untimed), then each fracturing mode (rect, lshape) runs -runs times on that geometry " +
@@ -185,7 +152,6 @@ func run() int {
 		stage        = flag.String("stage", "detail", "pipeline stage to measure: detail, fracture, eco, or lint")
 		diffRef      = flag.String("diff-ref", "HEAD", "git ref the lint stage's -diff path is measured against")
 		circuitsFlag = flag.String("circuits", "Primary1,S5378,S9234", "comma-separated benchmark circuits")
-		workersFlag  = flag.String("workers", "1,4", "comma-separated detailed-routing worker counts (detail stage)")
 		runs         = flag.Int("runs", 5, "runs per measured point; fastest is kept")
 		baselineFlag = flag.String("baseline", "", "comma-separated name=seconds seed detail baselines (detail stage)")
 		baselineNote = flag.String("baseline-note", "", "provenance of the -baseline numbers, recorded verbatim")
@@ -209,15 +175,6 @@ func run() int {
 		return 2
 	}
 
-	var workerCounts []int
-	for _, s := range strings.Split(*workersFlag, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || w < 1 {
-			log.Printf("bad -workers entry %q", s)
-			return 2
-		}
-		workerCounts = append(workerCounts, w)
-	}
 	baselines, err := parseBaselines(*baselineFlag)
 	if err != nil {
 		log.Print(err)
@@ -238,20 +195,14 @@ func run() int {
 
 	for _, name := range strings.Split(*circuitsFlag, ",") {
 		name = strings.TrimSpace(name)
-		cr, err := measureCircuit(name, workerCounts, *runs)
+		cr, err := measureCircuit(name, *runs)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
 		if secs, ok := baselines[name]; ok {
 			cr.SeedDetailSeconds = secs
-			bestSecs := cr.Points[0].DetailSeconds
-			for _, p := range cr.Points[1:] {
-				if p.DetailSeconds < bestSecs {
-					bestSecs = p.DetailSeconds
-				}
-			}
-			cr.SpeedupVsSeed = round3(secs / bestSecs)
+			cr.SpeedupVsSeed = round3(secs / cr.DetailSeconds)
 		}
 		rep.Circuits = append(rep.Circuits, *cr)
 		log.Printf("%s done", name)
@@ -372,79 +323,52 @@ func measureFracture(name string, runs int) (*fractureCircuit, error) {
 	return fc, nil
 }
 
-// measureCircuit runs every worker count on the named circuit and checks
-// that all runs routed identical geometry.
-func measureCircuit(name string, workerCounts []int, runs int) (*circuitReport, error) {
+// measureCircuit routes the named circuit runs times, checks that every
+// run routed identical geometry, and keeps the run with the fastest
+// detail stage.
+func measureCircuit(name string, runs int) (*circuitReport, error) {
 	spec, err := bench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	cr := &circuitReport{Circuit: name}
-	// One untimed warm-up route so the first measured point does not pay
-	// for heap growth and page faults, then the worker counts interleave
-	// across run iterations so no count is systematically colder.
-	if _, _, err := routeOnce(spec, workerCounts[0]); err != nil {
+	// One untimed warm-up route so the first measured run does not pay
+	// for heap growth and page faults.
+	if _, err := core.Route(bench.Generate(spec), core.StitchAware()); err != nil {
 		return nil, fmt.Errorf("%s warmup: %w", name, err)
 	}
-	best := make([]*point, len(workerCounts))
+	var best *circuitReport
 	for i := 0; i < runs; i++ {
-		for wi, w := range workerCounts {
-			res, c, err := routeOnce(spec, w)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", name, w, err)
-			}
-			cr.Nets = len(c.Nets)
-			hash, err := nlio.RoutesHash(res.Routes)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d: %w", name, w, err)
-			}
-			if cr.RoutesHash == "" {
-				cr.RoutesHash = hash
-			} else if hash != cr.RoutesHash {
-				return nil, fmt.Errorf("%s workers=%d run %d: routes hash %s differs from %s",
-					name, w, i, hash, cr.RoutesHash)
-			}
-			p := point{
-				Workers:          w,
+		c := bench.Generate(spec)
+		res, err := core.Route(c, core.StitchAware())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		hash, err := nlio.RoutesHash(res.Routes)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		if best != nil && hash != best.RoutesHash {
+			return nil, fmt.Errorf("%s run %d: routes hash %s differs from %s", name, i, hash, best.RoutesHash)
+		}
+		if best == nil || res.Times.Detail.Seconds() < best.DetailSeconds {
+			best = &circuitReport{
+				Circuit:          name,
+				Nets:             len(c.Nets),
+				RoutesHash:       hash,
 				DetailSeconds:    res.Times.Detail.Seconds(),
 				TotalSeconds:     res.Times.Total().Seconds(),
 				DetailConnects:   res.DetailConnects,
 				DetailExpansions: res.DetailExpansions,
 				FailedNets:       res.FailedNets,
-				Speculated:       res.DetailSched.Speculated,
-				Committed:        res.DetailSched.Committed,
-				Conflicts:        res.DetailSched.Conflicts,
-				Replays:          res.DetailSched.Replays,
-				LaneNets:         res.DetailSched.LaneNets,
-			}
-			if best[wi] == nil || p.DetailSeconds < best[wi].DetailSeconds {
-				cp := p
-				best[wi] = &cp
 			}
 		}
 	}
-	for _, b := range best {
-		if b.DetailSeconds > 0 {
-			b.ExpansionsPerSecond = round3(float64(b.DetailExpansions) / b.DetailSeconds)
-		}
-		b.DetailSeconds = round3(b.DetailSeconds)
-		b.TotalSeconds = round3(b.TotalSeconds)
-		cr.Points = append(cr.Points, *b)
+	if best.DetailSeconds > 0 {
+		best.ExpansionsPerSecond = round3(float64(best.DetailExpansions) / best.DetailSeconds)
 	}
-	if n := len(cr.Points); n > 1 {
-		cr.ParallelSpeedup = round3(cr.Points[0].DetailSeconds / cr.Points[n-1].DetailSeconds)
-	}
-	return cr, nil
-}
-
-// routeOnce generates a fresh circuit from spec and routes it with the
-// given detailed-routing worker count.
-func routeOnce(spec bench.Spec, workers int) (*core.Result, *netlist.Circuit, error) {
-	c := bench.Generate(spec)
-	cfg := core.StitchAware()
-	cfg.Detail.Workers = workers
-	res, err := core.Route(c, cfg)
-	return res, c, err
+	best.DetailSeconds = round3(best.DetailSeconds)
+	best.TotalSeconds = round3(best.TotalSeconds)
+	return best, nil
 }
 
 // parseBaselines parses "name=seconds,name=seconds".

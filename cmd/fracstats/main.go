@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	fracstats -circuit S9234 [-workers N] [-stencil] [-json]
+//	fracstats -circuit S9234 [-stencil] [-json]
 package main
 
 import (
@@ -33,24 +33,17 @@ func run() int {
 	var (
 		circuit = flag.String("circuit", "S9234", "benchmark circuit name (see cmd/benchgen -list)")
 		inFile  = flag.String("in", "", "fracture a circuit from an nlio text file instead of a benchmark")
-		workers = flag.Int("workers", 0, "detailed-routing workers (0 = auto: NumCPU; capped at 256)")
 		doSten  = flag.Bool("stencil", false, "also plan a CP stencil from the L-shape shot library")
 		jsonOut = flag.Bool("json", false, "print the statistics as JSON (machine-readable)")
 	)
 	flag.Parse()
-	if *workers < 0 {
-		log.Printf("-workers must be >= 0, got %d", *workers)
-		return 2
-	}
 
 	c, err := loadCircuit(*inFile, *circuit)
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
-	cfg := core.StitchAware()
-	cfg.Detail.Workers = *workers
-	res, err := core.Route(c, cfg)
+	res, err := core.Route(c, core.StitchAware())
 	if err != nil {
 		log.Print(err)
 		return 1

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	meblroute -circuit S9234 [-mode stitch|baseline] [-track graph|ilp|conventional] [-workers N] [-fracture rect|lshape] [-stencil] [-timeout 30s] [-cpuprofile f] [-memprofile f] [-v]
+//	meblroute -circuit S9234 [-mode stitch|baseline] [-track graph|ilp|conventional] [-fracture rect|lshape] [-stencil] [-timeout 30s] [-cpuprofile f] [-memprofile f] [-v]
 package main
 
 import (
@@ -47,7 +47,6 @@ func run() int {
 		doPlace  = flag.Bool("place", false, "run stitch-aware placement refinement before routing")
 		mode     = flag.String("mode", "stitch", "router mode: stitch or baseline")
 		trk      = flag.String("track", "", "override track assignment: conventional, ilp, or graph")
-		workers  = flag.Int("workers", 0, "detailed-routing workers (0 = auto: NumCPU; 1 = sequential; capped at 256); results are identical for every value")
 		verbose  = flag.Bool("v", false, "print per-stage detail")
 		outFile  = flag.String("routes", "", "write the routed geometry to this file (nlio routes format)")
 		jsonOut  = flag.Bool("json", false, "print the result summary as JSON (machine-readable)")
@@ -81,11 +80,6 @@ func run() int {
 		log.Printf("unknown track algorithm %q", *trk)
 		return 2
 	}
-	if *workers < 0 {
-		log.Printf("-workers must be >= 0, got %d", *workers)
-		return 2
-	}
-	cfg.Detail.Workers = *workers
 	var fmode fracture.Mode
 	if *fracMode != "" {
 		var err error

@@ -30,7 +30,7 @@ func main() {
 	log.SetPrefix("meblserved: ")
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker pool size: jobs routed concurrently (0 = NumCPU)")
 		queue       = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		cacheSize   = flag.Int("cache", 64, "result cache entries (negative disables)")
 		retain      = flag.Int("retain", 512, "finished jobs kept before oldest are evicted (negative = unbounded)")

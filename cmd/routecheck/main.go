@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	routecheck [-seeds N] [-grid short|full] [-j workers] [-no-transforms] [-no-determinism] [-par-workers N] [-v]
+//	routecheck [-seeds N] [-grid short|full] [-j workers] [-no-transforms] [-no-determinism] [-v]
 //
 // Typical soak: routecheck -seeds 25. Build with -race for a combined
 // correctness+race soak: go run -race ./cmd/routecheck -seeds 5.
@@ -37,7 +37,6 @@ func main() {
 		noTrans  = flag.Bool("no-transforms", false, "skip the translate/mirror metamorphic checks")
 		noDet    = flag.Bool("no-determinism", false, "skip the byte-identical reroute check")
 		spTol    = flag.Int("sp-tol", harness.DefaultOptions().SPTolerance, "allowed short-polygon drift under transforms")
-		parWork  = flag.Int("par-workers", harness.DefaultOptions().ParallelWorkers, "worker count for the parallel-equivalence reroute (0 disables)")
 		verbose  = flag.Bool("v", false, "print every circuit, not just failures")
 	)
 	flag.Parse()
@@ -52,10 +51,9 @@ func main() {
 		log.Fatalf("unknown grid %q (want short or full)", *gridName)
 	}
 	opt := harness.Options{
-		Determinism:     !*noDet,
-		Transforms:      !*noTrans,
-		SPTolerance:     *spTol,
-		ParallelWorkers: *parWork,
+		Determinism: !*noDet,
+		Transforms:  !*noTrans,
+		SPTolerance: *spTol,
 	}
 
 	type job struct{ spec harness.GenSpec }

@@ -102,10 +102,15 @@ type Result struct {
 	RippedNets, FailedNets int
 	DetailConnects         int
 	DetailExpansions       int64
-	// DetailSched is the speculative scheduler's telemetry (rounds,
-	// speculated/committed/conflicted attempts, replays, per-worker busy
-	// time). All-zero for sequential (Workers<=1) runs.
-	DetailSched detail.SchedStats
+	// DetailSched is always zero. Its type spells out the fields of the
+	// deprecated detail.SchedStats, so it still accepts a
+	// detail.Result.Sched without this package naming that type.
+	//
+	// Deprecated: the only reader is the benchmark in benchmark/.
+	DetailSched struct {
+		Speculated, Committed, Conflicts, Replays int
+		WorkerTime                                []time.Duration
+	}
 
 	Times StageTimes
 
@@ -131,14 +136,6 @@ type ECOState struct {
 	Ripped    []bool
 	FreedPins [][]detail.Cell
 	MatWires  [][]geom.Segment
-}
-
-// NormalizeCfg returns cfg with the fields that do not affect routing
-// output zeroed, so configs can be compared for ECO compatibility (and
-// hashed for caching): Workers only changes scheduling, never routes.
-func NormalizeCfg(cfg Config) Config {
-	cfg.Detail.Workers = 0
-	return cfg
 }
 
 // ErrCancelled is wrapped into the error RouteContext returns when the
@@ -207,12 +204,7 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 
 	// Stage 3: detailed routing (second bottom-up pass).
 	t0 = time.Now()
-	dr := detail.NewRouter(f, cfg.Detail)
-	// The global router's congestion map partitions speculative rounds:
-	// nets over the same congested tiles are not attempted concurrently.
-	// Advisory only — routes are byte-identical with or without it.
-	dr.SetCongestion(gr.Congestion())
-	dres, err := dr.RunContext(ctx, c, res.Plans)
+	dres, err := detail.NewRouter(f, cfg.Detail).RunContext(ctx, c, res.Plans)
 	if err != nil {
 		return nil, cancelErr(err)
 	}
@@ -221,13 +213,12 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 	res.FailedNets = dres.Failed
 	res.DetailConnects = dres.Connects
 	res.DetailExpansions = dres.Expansions
-	res.DetailSched = dres.Sched
 	res.Times.Detail = time.Since(t0)
 
 	res.Report = drc.Check(c, res.Routes)
 	if gt := gr.Trace(); gt != nil {
 		res.ECO = &ECOState{
-			Cfg:       NormalizeCfg(cfg),
+			Cfg:       cfg,
 			Global:    gt,
 			Acts:      dres.Acts,
 			WActs:     dres.WActs,

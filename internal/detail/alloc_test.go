@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"stitchroute/internal/geom"
+	"stitchroute/internal/netlist"
 )
 
 // TestRouteNetSteadyStateAllocs pins the arena discipline with the
@@ -18,23 +19,16 @@ func TestRouteNetSteadyStateAllocs(t *testing.T) {
 	f := fabric()
 	r := NewRouter(f, DefaultConfig(true))
 	net := mkNet(0, geom.Point{X: 2, Y: 2}, geom.Point{X: 40, Y: 30})
-	task := &routeTask{net: net, slot: 0}
-	for _, pin := range net.Pins {
-		if !task.pinCells.has(pin.X, pin.Y) {
-			task.pinCells = append(task.pinCells, pinKey(pin.X, pin.Y))
-		}
-	}
-	sc := r.arena(0)
-	region := f.Bounds()
+	task := newTask(&netlist.Circuit{Fabric: f, Nets: []*netlist.Net{net}}, nil, 0)
 
 	route := func() {
-		if r.routeNet(sc, task, region) != netRouted {
+		if !r.routeNet(task) {
 			t.Fatal("route failed")
 		}
 		// Undo the route so the next iteration searches the same
 		// problem: clear occupancy, then reslice the commit buffers to
 		// keep their capacity.
-		r.clearNet(nil, task)
+		r.clearNet(task)
 		task.wires = task.wires[:0]
 		task.vias = task.vias[:0]
 	}

@@ -1,16 +1,12 @@
 package detail
 
 import (
-	"time"
-
 	"stitchroute/internal/geom"
 )
 
 // retryMargins are the growing search-window margins connect tries before
-// giving up. The first entry doubles as the margin of a net's expected
-// working region when the speculative scheduler partitions a round by
-// congestion (see taskRegion in sched.go).
-var retryMargins = [...]int{8, 24, 64}
+// giving up.
+var retryMargins = []int{8, 24, 64}
 
 // nodeState is one window cell's search state, packed into 16 bytes so a
 // visit or a pop touches a single cache line instead of four parallel
@@ -28,47 +24,15 @@ type nodeState struct {
 	prevMv int8
 }
 
-// searchCtx is a per-worker search arena: all mutable scratch an A* run
-// touches — the per-cell search states, the target marks, the open-list
-// heap — plus the search statistics it accumulates. Concurrent
-// speculation workers each own one arena, so no A* state is ever shared;
-// the Router (the committed occupancy grid included) is read-only during
-// the parallel phase, with every speculative write buffered in the
-// arena's overlay (see sched.go for the determinism argument).
+// searchCtx is the router's search arena: all mutable scratch an A* run
+// and the per-net geometry analysis touch — the per-cell search states,
+// the target marks, the open-list heap — reused across searches so the
+// steady-state search allocates nothing.
 type searchCtx struct {
 	nodes    []nodeState
 	curStamp int32
 	heap     cellHeap
 	rev      []cell // path-reconstruction scratch
-
-	// Write overlay for speculative attempts (setOcc/getOcc in
-	// detail.go). While ovOn, occupancy writes record {index, value}
-	// here instead of mutating the shared grid: ovStamp[i] == ovEpoch
-	// marks cell i as written this attempt, ovVal[i] holds its pending
-	// value, and ovLog lists each written index once, in first-write
-	// order, so the commit loop can both apply and enumerate the write
-	// set without scanning the grid. Bumping ovEpoch clears the overlay
-	// in O(1).
-	ovOn    bool
-	ovEpoch int32
-	ovStamp []int32
-	ovVal   []int32
-	ovLog   []int32
-
-	// Backward-search arena for the bidirectional A* (bidi.go): the
-	// backward frontier's node states, heap, and heuristic tables. The
-	// forward frontier uses the primary fields above; both share
-	// curStamp so one epoch bump invalidates both directions.
-	nodesB []nodeState
-	heapB  cellHeap
-	hxB    []int32
-	hyB    []int32
-
-	// patA/patBest are the pattern fast path's candidate buffers
-	// (fastpath.go): the shape being walked and the cheapest legal one
-	// so far, swapped by slice header so neither is reallocated.
-	patA    []cell
-	patBest []cell
 
 	// mark and mark2 are chip-sized stamped scratch grids for per-net
 	// geometry analysis: components' cell-owner index, commitPath's
@@ -99,19 +63,6 @@ type searchCtx struct {
 	// is two loads instead of four compares.
 	hx []int32
 	hy []int32
-
-	// statistics accumulated by this arena; merged into the Router's
-	// totals only for searches whose results are kept (accepted
-	// speculative attempts and sequential-lane work), so the reported
-	// totals match a Workers=1 run exactly.
-	connects   int
-	expansions int64
-	patterns   int // pattern fast-path hits (subset of connects)
-
-	// busyTime is scheduler telemetry: wall time this arena's worker
-	// spent routing during parallel phases. Reported through
-	// SchedStats.WorkerTime; never read by any routing decision.
-	busyTime time.Duration
 }
 
 // grow ensures the arena covers n window states.
@@ -121,30 +72,6 @@ func (sc *searchCtx) grow(n int) {
 	}
 	sc.nodes = make([]nodeState, n)
 }
-
-// growB ensures the backward-search arena covers n window states.
-func (sc *searchCtx) growB(n int) {
-	if len(sc.nodesB) >= n {
-		return
-	}
-	sc.nodesB = make([]nodeState, n)
-}
-
-// ovBegin activates the write overlay for one speculative attempt on a
-// grid of n occupancy cells, clearing any previous attempt's writes.
-func (sc *searchCtx) ovBegin(n int) {
-	if len(sc.ovStamp) < n {
-		sc.ovStamp = make([]int32, n)
-		sc.ovVal = make([]int32, n)
-	}
-	sc.ovEpoch++
-	sc.ovLog = sc.ovLog[:0]
-	sc.ovOn = true
-}
-
-// ovEnd deactivates the overlay; the recorded writes stay readable in
-// ovLog/ovVal until the next ovBegin.
-func (sc *searchCtx) ovEnd() { sc.ovOn = false }
 
 // stampVal is one cell of a stamped scratch grid: val is meaningful only
 // when stamp matches the grid's current stamp.
@@ -164,54 +91,22 @@ func (sc *searchCtx) growMark(n int) int32 {
 	return sc.mcur
 }
 
-// arena returns the i-th per-worker search arena, allocating it on first
-// use. Callers must fetch arenas before spawning workers; the slice is
-// not goroutine-safe.
-func (r *Router) arena(i int) *searchCtx {
-	for len(r.arenas) <= i {
-		r.arenas = append(r.arenas, &searchCtx{})
-	}
-	return r.arenas[i]
-}
-
 // connect runs the stitch-aware A* (eq. 10) from the source component to
 // the nearest target cell. It retries with growing search windows before
-// giving up. With Config.Pattern it first tries the L/Z pattern fast
-// path for single-cell-to-single-cell connections (fastpath.go); with
-// Config.Bidi the window search is the bidirectional A* (bidi.go).
-//
-// region is the caller's declared search region: a retry window that is
-// not fully contained in it makes connect return escaped=true without
-// searching. Every current caller passes the chip bounds (the
-// speculative scheduler detects collisions by read-set conflict, not by
-// region containment), so nothing escapes; the parameter remains the
-// contract that a bounded caller could rely on.
-func (r *Router) connect(sc *searchCtx, t *routeTask, src, targets []cell, region geom.Rect) (path []cell, ok, escaped bool) {
-	if r.cfg.Pattern && len(src) == 1 && len(targets) == 1 &&
-		region.ContainsRect(extendBBox(cellBBox(src), targets)) {
-		if path, ok := r.patternRoute(sc, t, src[0], targets[0]); ok {
-			return path, true, false
-		}
-	}
+// giving up.
+func (r *Router) connect(t *routeTask, src, targets []cell) ([]cell, bool) {
 	box := extendBBox(cellBBox(src), targets)
-	for _, margin := range retryMargins[:] {
+	for _, margin := range retryMargins {
 		win := box.Expand(margin).Intersect(r.f.Bounds())
-		if !region.ContainsRect(win) {
-			return nil, false, true
-		}
-		if r.cfg.Bidi {
-			if path, ok := r.bidiAstar(sc, t, src, targets, win); ok {
-				return path, true, false
-			}
-		} else if path, ok := r.astar(sc, t, src, targets, win); ok {
-			return path, true, false
+		if path, ok := r.astar(t, src, targets, win); ok {
+			return path, true
 		}
 		// If the window already covers the chip, a retry cannot help.
 		if win == r.f.Bounds() {
 			break
 		}
 	}
-	return nil, false, false
+	return nil, false
 }
 
 // rectDist is the Manhattan gap between two rectangles (0 if they touch).
@@ -265,11 +160,12 @@ const (
 	mvZNeg
 )
 
-// astar searches inside the window using the arena sc. States are cells
-// of the window × all layers. Returns the path from a source cell to the
-// first target reached.
-func (r *Router) astar(sc *searchCtx, t *routeTask, src, targets []cell, win geom.Rect) ([]cell, bool) {
-	sc.connects++
+// astar searches inside the window using the router's arena. States are
+// cells of the window × all layers. Returns the path from a source cell
+// to the first target reached.
+func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell, bool) {
+	r.connects++
+	sc := &r.sc
 	W := win.W()
 	H := win.H()
 	L := r.L
@@ -439,7 +335,6 @@ func (r *Router) astar(sc *searchCtx, t *routeTask, src, targets []cell, win geo
 			break
 		}
 		expansions++
-		sc.expansions++
 		if expansions > cfg.MaxExpansions {
 			break
 		}
@@ -479,6 +374,7 @@ func (r *Router) astar(sc *searchCtx, t *routeTask, src, targets []cell, win geo
 			}
 		}
 	}
+	r.expansions += int64(expansions)
 	if !found {
 		return nil, false
 	}

@@ -21,8 +21,8 @@ package detail
 
 import (
 	"context"
-	"runtime"
 	"sort"
+	"time"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/grid"
@@ -53,51 +53,22 @@ type Config struct {
 	// reroute them (bounded rip-up negotiation). Off by default; the
 	// recorded experiment tables use the paper's plain rip-up.
 	Negotiate bool
-	// Bidi replaces every connection search with the bidirectional A*
-	// (bidi.go): a forward search from the source component and a
-	// backward search from the target run in lockstep and meet in the
-	// middle. Off by default: within cost ties the meeting point can
-	// pick a different optimal path than the unidirectional search, and
-	// the recorded experiment artifacts use the unidirectional router.
-	// Like every search it is deterministic and worker-count-invariant.
-	Bidi bool
-	// Pattern tries the L/Z pattern fast path (fastpath.go) before the
-	// full search when a connection joins two single-cell components —
-	// the 2-pin-net case — mirroring the global router's Config.Pattern.
-	// Off by default for the same artifact-stability reason as Bidi.
-	Pattern bool
-	// Workers bounds the number of concurrent detailed-routing workers.
-	// 0 means "auto" and resolves to runtime.NumCPU (see ResolveWorkers);
-	// 1 forces the plain sequential router. Values above NumCPU are
-	// allowed — extra workers cost only idle goroutines, which the
-	// cross-worker equivalence tests exploit on small hosts — and clamp
-	// at maxWorkers. Every value produces byte-identical routes: workers
-	// route speculatively against a read snapshot of the committed grid,
-	// and a strictly ordered commit loop accepts only attempts whose
-	// read footprint no earlier commit touched (see sched.go and
-	// docs/PERFORMANCE.md for the determinism argument).
-	Workers int
 }
 
-// maxWorkers caps resolved Config.Workers values: beyond a small
-// multiple of any real host's core count extra workers only add
-// goroutine-scheduling overhead to the speculation phase.
-const maxWorkers = 256
+// ResolveWorkers returns 1, the number of threads the detailed router
+// runs on, whatever its argument.
+//
+// Deprecated: the detailed router is sequential. The only caller is the
+// benchmark in benchmark/, which prints the value in its header.
+func ResolveWorkers(int) int { return 1 }
 
-// ResolveWorkers maps a Config.Workers value to the worker count the
-// router actually uses: values <= 0 ("auto") resolve to runtime.NumCPU
-// — deliberately not GOMAXPROCS, so a capped GOMAXPROCS cannot silently
-// degrade "auto" to a single worker — values above maxWorkers clamp,
-// and everything else passes through. meblroute, the facade, and the
-// server all funnel through this one resolution.
-func ResolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.NumCPU()
-	}
-	if w > maxWorkers {
-		return maxWorkers
-	}
-	return w
+// SchedStats is the telemetry of a parallel scheduler the detailed
+// router no longer has. Every field is always zero.
+//
+// Deprecated: the only reader is the benchmark in benchmark/.
+type SchedStats struct {
+	Speculated, Committed, Conflicts, Replays int
+	WorkerTime                                []time.Duration
 }
 
 // DefaultConfig returns the paper's detailed-routing parameters.
@@ -123,11 +94,9 @@ type Result struct {
 	Connects   int   // A* connection searches run
 	Expansions int64 // total A* node expansions
 
-	// Sched is the speculative scheduler's telemetry (sched.go). Purely
-	// observational: it reports how the work was scheduled, never what
-	// was routed — routes are identical for every Workers value. Zero
-	// for sequential runs except PatternRoutes, which counts for every
-	// scheduler.
+	// Sched is always zero.
+	//
+	// Deprecated: the only reader is the benchmark in benchmark/.
 	Sched SchedStats
 
 	// ECO recording (memo.go), indexed like Routes. Acts is each net's
@@ -178,21 +147,12 @@ type Router struct {
 	// so the cached values are bit-identical. Read-only after NewRouter.
 	costZCol []float64
 
-	// arenas holds the per-worker search contexts (scratch + per-worker
-	// statistics); arenas[0] doubles as the sequential router's scratch.
-	arenas []*searchCtx
+	// sc is the search scratch every connection search reuses.
+	sc searchCtx
 
-	// cong is the optional global-router congestion map (SetCongestion):
-	// a speculation-partitioning hint only, never consulted by any
-	// search, so it cannot affect routes.
-	cong *plan.Congestion
-
-	// search statistics accumulated across the run, merged from accepted
-	// speculative attempts and sequential-lane work only, so the totals
-	// always equal what a Workers=1 run reports.
+	// search statistics accumulated across the run.
 	connects   int
 	expansions int64
-	patterns   int // pattern fast-path hits (subset of connects)
 }
 
 // NewRouter allocates the occupancy grid for the fabric.
@@ -246,38 +206,24 @@ func (r *Router) cellFree(x, y, l int, id int32) bool {
 	return o == 0 || o == id+1
 }
 
-// setOcc writes one occupancy cell through the arena's write overlay
-// when a speculative attempt is active (ovBegin), and directly to the
-// shared grid otherwise. Speculation never mutates r.occ: all writes
-// land in the overlay and are applied by commitAttempt only if the
-// deterministic commit loop accepts the attempt.
-//
-// The A* availability check deliberately does NOT read the overlay: a
-// net's own writes are all 0↔id+1 transitions on cells already free to
-// itself, so they are invisible to its own free() predicate, and the
-// shared grid is frozen during the parallel phase. Only the two
-// overlay-exact readers below (getOcc callers: releaseEscapes and
-// recordFreedPins) can observe a speculative write.
-func (r *Router) setOcc(sc *searchCtx, i int, v int32) {
-	if sc != nil && sc.ovOn {
-		if sc.ovStamp[i] != sc.ovEpoch {
-			sc.ovStamp[i] = sc.ovEpoch
-			sc.ovLog = append(sc.ovLog, int32(i))
+// wireFree reports whether every cell the wire covers is free or owned
+// by net id.
+func (r *Router) wireFree(w geom.Segment, id int32) bool {
+	l := w.Layer - 1
+	if w.Orient == geom.Horizontal {
+		for x := w.Span.Lo; x <= w.Span.Hi; x++ {
+			if !r.cellFree(x, w.Fixed, l, id) {
+				return false
+			}
 		}
-		sc.ovVal[i] = v
-		return
+	} else {
+		for y := w.Span.Lo; y <= w.Span.Hi; y++ {
+			if !r.cellFree(w.Fixed, y, l, id) {
+				return false
+			}
+		}
 	}
-	r.occ[i] = v
-}
-
-// getOcc reads one occupancy cell overlay-exactly: the speculative
-// attempt's own pending write if there is one, the shared grid
-// otherwise. See setOcc for when the overlay is active.
-func (r *Router) getOcc(sc *searchCtx, i int) int32 {
-	if sc != nil && sc.ovOn && sc.ovStamp[i] == sc.ovEpoch {
-		return sc.ovVal[i]
-	}
-	return r.occ[i]
+	return true
 }
 
 // Run routes every net. plans must be indexed like c.Nets; nil entries are
@@ -288,31 +234,33 @@ func (r *Router) Run(c *netlist.Circuit, plans []*plan.NetPlan) *Result {
 }
 
 // RunContext is Run with cancellation: ctx is checked at the top of the
-// per-net routing loop (per speculation round when Workers > 1), so a
-// cancelled run returns after at most one more net's (or round's) worth
-// of A* work. On cancellation it returns the partial result (nets not
-// reached are recorded as unrouted) together with ctx's error.
+// per-net routing loop, so a cancelled run returns after at most one
+// more net's worth of A* work. On cancellation it returns the partial
+// result (nets not reached are recorded as unrouted) together with
+// ctx's error.
 func (r *Router) RunContext(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan) (*Result, error) {
 	res, nets, order, record := r.prepare(c, plans)
-	workers := ResolveWorkers(r.cfg.Workers)
-	var ctxErr error
-	if workers > 1 && len(order) > 1 {
-		ctxErr = r.runSpeculative(ctx, order, nets, res, record, workers)
-	} else {
-		ctxErr = r.runSequential(ctx, order, nets, res, record)
+	for oi, t := range order {
+		if err := ctx.Err(); err != nil {
+			// Record the nets not reached as unrouted and stop.
+			for _, rest := range order[oi:] {
+				record(rest, false)
+			}
+			r.finish(res, nets)
+			return res, err
+		}
+		r.routeOne(t, nets, res, record)
 	}
 	r.finish(res, nets)
-	return res, ctxErr
+	return res, nil
 }
 
-// SetCongestion hands the router the global router's congestion map
-// (global.Router.Congestion). It is a pure scheduling hint: the
-// speculative scheduler avoids speculating two nets into the same
-// congested tile neighbourhood in one round, cutting the conflict rate
-// on dense circuits. It never influences any route — equivalence with
-// the sequential router holds with or without it — which is why it is
-// not part of Config (ECO config comparison must not see it).
-func (r *Router) SetCongestion(cg *plan.Congestion) { r.cong = cg }
+// SetCongestion does nothing.
+//
+// Deprecated: the congestion map only partitioned a parallel scheduler
+// the detailed router no longer has. The only caller is the benchmark
+// in benchmark/.
+func (r *Router) SetCongestion(*plan.Congestion) {}
 
 // prepare runs everything that precedes the per-net routing loop: task
 // construction, pin + escape reservation, planned-wire materialization,
@@ -323,20 +271,8 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 	res = &Result{Routes: make([]plan.NetRoute, len(c.Nets))}
 
 	nets = make([]*routeTask, len(c.Nets))
-	for i, n := range c.Nets {
-		var p *plan.NetPlan
-		if plans != nil {
-			p = plans[i]
-		}
-		t := &routeTask{net: n, plan: p, slot: i}
-		// Hoisted from the per-astar-call path: the pin-cell set is a
-		// property of the net, built once instead of once per connect
-		// attempt (read-only afterwards, so safe to share across workers).
-		for _, pin := range n.Pins {
-			if !t.pinCells.has(pin.X, pin.Y) {
-				t.pinCells = append(t.pinCells, pinKey(pin.X, pin.Y))
-			}
-		}
+	for i := range c.Nets {
+		t := newTask(c, plans, i)
 		t.act = make([]uint64, r.awords)
 		t.wact = make([]uint64, r.awords)
 		t.sact = make([]uint64, r.awords)
@@ -344,7 +280,7 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 		// escape directly above (same x,y) — mark those tiles, not the
 		// whole multi-pin bounding box, which for a spread net would
 		// blanket the fabric and defeat the ECO overlap test.
-		for _, pin := range n.Pins {
+		for _, pin := range t.net.Pins {
 			pr := geom.Rect{X0: pin.X, Y0: pin.Y, X1: pin.X, Y1: pin.Y}
 			r.markAct(t.act, pr)
 			r.markAct(t.wact, pr)
@@ -352,12 +288,47 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 		nets[i] = t
 	}
 
-	// Reserve pin cells first so no planned wire or route of another net
-	// can cover a pin and strand it, plus the cell directly above each pin
-	// as a guaranteed via escape (otherwise dense neighbours can entomb a
-	// pin on its own layer). Unused escape cells are released after the
-	// owning net is routed.
-	for _, t := range nets {
+	r.reserveAndMaterialize(nets)
+	// ECO recording: each net's materialization outcome. A conflict
+	// check's verdict depends on other nets' cells, so an edit can flip
+	// it — RunMemo compares these against the edited run's post-prepare
+	// candidates to catch divergence that happens before the routing
+	// loop's clean checks (see the pre-loop seeding in memo.go).
+	res.MatWires = make([][]geom.Segment, len(nets))
+	for i, t := range nets {
+		res.MatWires[i] = append([]geom.Segment(nil), t.wires...)
+	}
+
+	return res, nets, r.netOrder(nets), recorder(res)
+}
+
+// newTask builds the routing task of the circuit's i-th net. The pin-cell
+// set is a property of the net, built once here instead of once per
+// connection search.
+func newTask(c *netlist.Circuit, plans []*plan.NetPlan, i int) *routeTask {
+	n := c.Nets[i]
+	t := &routeTask{net: n, slot: i}
+	if plans != nil {
+		t.plan = plans[i]
+	}
+	for _, pin := range n.Pins {
+		if !t.pinCells.has(pin.X, pin.Y) {
+			t.pinCells = append(t.pinCells, pinKey(pin.X, pin.Y))
+		}
+	}
+	return t
+}
+
+// reserveAndMaterialize reserves the tasks' pin cells first, so no
+// planned wire or route of another net can cover a pin and strand it,
+// plus the cell directly above each pin as a guaranteed via escape
+// (otherwise dense neighbours can entomb a pin on its own layer). Unused
+// escape cells are released after the owning net is routed. It then
+// materializes the tasks' planned wires: track assignment reserved those
+// resources, and detailed routing connects to them. Wires that would
+// cover another net's pin are dropped by the conflict check.
+func (r *Router) reserveAndMaterialize(tasks []*routeTask) {
+	for _, t := range tasks {
 		for _, p := range t.net.Pins {
 			i := r.idx(p.X, p.Y, p.Layer-1)
 			if r.occ[i] == 0 {
@@ -372,24 +343,17 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 			}
 		}
 	}
-	// Materialize planned wires for all nets: track assignment reserved
-	// those resources, and detailed routing connects to them. Wires that
-	// would cover another net's pin are dropped by the conflict check.
-	for _, t := range nets {
+	for _, t := range tasks {
 		r.materialize(t)
 	}
-	// ECO recording: each net's materialization outcome. A conflict
-	// check's verdict depends on other nets' cells, so an edit can flip
-	// it — RunMemo compares these against the edited run's post-prepare
-	// candidates to catch divergence that happens before the routing
-	// loop's clean checks (see the pre-loop seeding in memo.go).
-	res.MatWires = make([][]geom.Segment, len(nets))
-	for i, t := range nets {
-		res.MatWires[i] = append([]geom.Segment(nil), t.wires...)
-	}
+}
 
-	order = make([]*routeTask, len(nets))
-	copy(order, nets)
+// netOrder returns the tasks in routing order: lower hierarchy level
+// first, then (stitch-aware) more bad ends first, then smaller HPWL,
+// then net ID.
+func (r *Router) netOrder(tasks []*routeTask) []*routeTask {
+	order := make([]*routeTask, len(tasks))
+	copy(order, tasks)
 	sort.SliceStable(order, func(a, b int) bool {
 		ta, tb := order[a], order[b]
 		la, lb := ta.level(), tb.level()
@@ -408,8 +372,12 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 		}
 		return ta.net.ID < tb.net.ID
 	})
+	return order
+}
 
-	record = func(t *routeTask, routed bool) {
+// recorder returns the function that writes a task's outcome into res.
+func recorder(res *Result) func(*routeTask, bool) {
+	return func(t *routeTask, routed bool) {
 		res.Routes[t.slot] = plan.NetRoute{
 			NetID:  t.net.ID,
 			Routed: routed,
@@ -417,7 +385,6 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 			Vias:   t.vias,
 		}
 	}
-	return res, nets, order, record
 }
 
 // finish fills the result fields derived after the routing loop. A
@@ -432,7 +399,6 @@ func (r *Router) finish(res *Result, nets []*routeTask) {
 	}
 	res.Connects = r.connects
 	res.Expansions = r.expansions
-	res.Sched.PatternRoutes = r.patterns
 	r.collectECO(res, nets)
 }
 
@@ -452,84 +418,55 @@ func (r *Router) collectECO(res *Result, nets []*routeTask) {
 
 // recordFreedPins notes which of the net's pin cells it does not own
 // after routing: cells another net held at reserve time, or reservations
-// a rip-up's clearNet released and no final wire re-covered. The read
-// must be overlay-exact (getOcc): under speculation a rip-up's release
-// lives only in the overlay.
-func (r *Router) recordFreedPins(sc *searchCtx, t *routeTask) {
+// a rip-up's clearNet released and no final wire re-covered.
+func (r *Router) recordFreedPins(t *routeTask) {
 	id := int32(t.net.ID) + 1
 	for _, p := range t.net.Pins {
-		if r.getOcc(sc, r.idx(p.X, p.Y, p.Layer-1)) != id {
+		if r.occ[r.idx(p.X, p.Y, p.Layer-1)] != id {
 			t.freedPins = append(t.freedPins, Cell{X: p.X, Y: p.Y, L: p.Layer - 1})
 		}
 	}
 }
 
-// runSequential is the Workers=1 net loop: every net runs the full
-// sequential body in stitch-aware order.
-func (r *Router) runSequential(ctx context.Context, order, nets []*routeTask, res *Result, record func(*routeTask, bool)) error {
-	sc := r.arena(0)
-	for oi, t := range order {
-		if err := ctx.Err(); err != nil {
-			// Record the nets not reached as unrouted and stop.
-			for _, rest := range order[oi:] {
-				record(rest, false)
-			}
-			return err
-		}
-		r.routeOne(sc, t, nets, res, record)
-	}
-	return nil
-}
-
-// routeBody is the search-only part of the per-net loop body: first
-// attempt, then rip-up and direct reroute on failure. It is shared
-// verbatim between the sequential lane (overlay off, writes hit the
-// grid) and a speculative attempt (overlay on, writes buffered) — the
-// determinism argument needs both paths to run the same code against
-// the same reads.
-func (r *Router) routeBody(sc *searchCtx, t *routeTask) (ok, ripped bool) {
-	if r.routeNet(sc, t, r.f.Bounds()) == netRouted {
-		r.trimNet(sc, t)
-		return true, false
-	}
-	// Rip up the planned geometry and route the net directly.
-	r.clearNet(sc, t)
-	t.wires = nil
-	t.vias = nil
-	if r.routeNet(sc, t, r.f.Bounds()) == netRouted {
-		r.trimNet(sc, t)
-		return true, true
-	}
-	r.clearNet(sc, t)
-	t.wires = nil
-	t.vias = nil
-	return false, true
-}
-
-// routeOne is the full sequential loop body for one net: routeBody,
-// optional negotiation, escape release, and result recording. Its
-// arena's statistics delta is folded into the Router totals —
-// sequential work always counts.
-func (r *Router) routeOne(sc *searchCtx, t *routeTask, nets []*routeTask, res *Result, record func(*routeTask, bool)) {
-	c0, e0, p0 := sc.connects, sc.expansions, sc.patterns
-	ok, ripped := r.routeBody(sc, t)
-	if ripped {
+// routeOne is the per-net loop body: connect the net through its planned
+// geometry; on failure rip that geometry up and route the net directly;
+// then the optional negotiation, escape release, and result recording.
+// nets are the tasks negotiation may evict.
+func (r *Router) routeOne(t *routeTask, nets []*routeTask, res *Result, record func(*routeTask, bool)) {
+	ok := r.routeOrDrop(t)
+	if !ok {
 		res.Ripped++
 		t.ripped = true
+		ok = r.routeOrDrop(t)
 	}
 	if !ok && r.cfg.Negotiate {
 		var affected []*routeTask
-		ok, affected = r.negotiate(sc, t, nets)
+		ok, affected = r.negotiate(t, nets)
 		for _, v := range affected {
 			record(v, len(v.wires) > 0)
 		}
 	}
-	r.releaseEscapes(sc, t)
-	r.recordFreedPins(sc, t)
+	r.releaseEscapes(t)
+	r.recordFreedPins(t)
 	record(t, ok)
-	r.connects += sc.connects - c0
-	r.expansions += sc.expansions - e0
-	r.patterns += sc.patterns - p0
+}
+
+// routeOrDrop connects every component of the net and trims the result.
+// On failure it rips up all of the net's geometry instead.
+func (r *Router) routeOrDrop(t *routeTask) bool {
+	if r.routeNet(t) {
+		r.trimNet(t)
+		return true
+	}
+	r.dropNet(t)
+	return false
+}
+
+// dropNet clears the net's geometry from the grid and forgets it.
+func (r *Router) dropNet(t *routeTask) {
+	r.clearNet(t)
+	t.wires = nil
+	t.vias = nil
 }
 
 // routeTask is the per-net routing state.
@@ -564,12 +501,8 @@ type routeTask struct {
 }
 
 // releaseEscapes frees reserved pin-escape cells the routed net did not
-// end up covering with metal, returning them to the routing pool. Both
-// the ownership read and the release must go through the overlay
-// (getOcc/setOcc): under speculation a rip-up may already have cleared
-// the cell in the overlay, and the release itself must stay buffered
-// until commit.
-func (r *Router) releaseEscapes(sc *searchCtx, t *routeTask) {
+// end up covering with metal, returning them to the routing pool.
+func (r *Router) releaseEscapes(t *routeTask) {
 	if len(t.escapes) == 0 {
 		return
 	}
@@ -578,8 +511,8 @@ func (r *Router) releaseEscapes(sc *searchCtx, t *routeTask) {
 		forEachCell(w, func(c cell) { covered[c] = true })
 	}
 	for _, c := range t.escapes {
-		if !covered[c] && r.getOcc(sc, r.idx(c.x, c.y, c.l)) == int32(t.net.ID)+1 {
-			r.setOcc(sc, r.idx(c.x, c.y, c.l), 0)
+		if i := r.idx(c.x, c.y, c.l); !covered[c] && r.occ[i] == int32(t.net.ID)+1 {
+			r.occ[i] = 0
 		}
 	}
 	t.escapes = nil
@@ -615,29 +548,12 @@ func (r *Router) materialize(t *routeTask) {
 		// ECO act: the conflict check below reads every candidate cell,
 		// so rejected candidates are part of the footprint too.
 		r.markAct(t.act, w.Bounds())
-		// Check conflicts cell by cell; drop the wire if any cell is taken.
-		l := w.Layer - 1
-		if w.Orient == geom.Horizontal {
-			for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-				if !r.cellFree(x, w.Fixed, l, id) {
-					return
-				}
-			}
-			r.markAct(t.wact, w.Bounds())
-			for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-				r.occ[r.idx(x, w.Fixed, l)] = id + 1
-			}
-		} else {
-			for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-				if !r.cellFree(w.Fixed, y, l, id) {
-					return
-				}
-			}
-			r.markAct(t.wact, w.Bounds())
-			for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-				r.occ[r.idx(w.Fixed, y, l)] = id + 1
-			}
+		// Drop the wire if any of its cells is taken.
+		if !r.wireFree(w, id) {
+			return
 		}
+		r.markAct(t.wact, w.Bounds())
+		r.fillWire(w, id+1)
 		t.wires = append(t.wires, w)
 	}
 
@@ -704,20 +620,10 @@ func clipSegment(w geom.Segment, f *grid.Fabric) geom.Segment {
 	return w
 }
 
-// clearNet removes all of the net's geometry from the occupancy grid
-// (buffered in the overlay under speculation; see setOcc).
-func (r *Router) clearNet(sc *searchCtx, t *routeTask) {
+// clearNet removes all of the net's geometry from the occupancy grid.
+func (r *Router) clearNet(t *routeTask) {
 	for _, w := range t.wires {
-		l := w.Layer - 1
-		if w.Orient == geom.Horizontal {
-			for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-				r.setOcc(sc, r.idx(x, w.Fixed, l), 0)
-			}
-		} else {
-			for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-				r.setOcc(sc, r.idx(w.Fixed, y, l), 0)
-			}
-		}
+		r.fillWire(w, 0)
 	}
 }
 
@@ -730,12 +636,13 @@ type cell struct {
 // connected components; vias connect adjacent layers. It runs once per
 // connection search, so the cell-sharing analysis uses the arena's
 // stamped scratch grid instead of maps.
-func (r *Router) components(sc *searchCtx, t *routeTask) [][]cell {
+func (r *Router) components(t *routeTask) [][]cell {
 	// Items are the net's wires (in order) followed by its pins; an item's
 	// cells enumerate in the same order the old slice materialization
 	// produced, so the union sequence — and therefore the component
 	// grouping — is unchanged. Everything lives in the arena: no per-call
 	// slices, no per-item slices.
+	sc := &r.sc
 	nw := len(t.wires)
 	nItems := nw + len(t.net.Pins)
 	if cap(sc.parent) < nItems {
@@ -853,7 +760,7 @@ func (r *Router) components(sc *searchCtx, t *routeTask) [][]cell {
 	// Emit groups in ascending root order, cells in item order — the same
 	// ordering the sorted-map formulation produced. The group headers and
 	// the cells alias the arena; routeNet consumes them before the next
-	// components call on this arena.
+	// components call.
 	out := sc.comps[:0]
 	for i := range cnt {
 		if cnt[i] > 0 {
@@ -865,28 +772,14 @@ func (r *Router) components(sc *searchCtx, t *routeTask) [][]cell {
 	return out
 }
 
-// routeStatus is the outcome of one routeNet attempt.
-type routeStatus int8
-
-const (
-	// netRouted: every component connected.
-	netRouted routeStatus = iota
-	// netFailed: an A* search found no path (rip-up territory).
-	netFailed
-	// netEscaped: a retry window left the caller's declared region, so
-	// the attempt was abandoned before searching outside it. Only batch
-	// attempts can see this; the net re-routes in the sequential lane.
-	netEscaped
-)
-
-// routeNet connects all components of the net, keeping every search
-// window inside region. Partial geometry stays recorded on failure (the
-// caller rips it or rolls it back).
-func (r *Router) routeNet(sc *searchCtx, t *routeTask, region geom.Rect) routeStatus {
+// routeNet connects all components of the net and reports whether it
+// succeeded. Partial geometry stays recorded on failure (the caller rips
+// it up).
+func (r *Router) routeNet(t *routeTask) bool {
 	for {
-		comps := r.components(sc, t)
+		comps := r.components(t)
 		if len(comps) <= 1 {
-			return netRouted
+			return true
 		}
 		// Connect the first component to the nearest other component
 		// (tight target boxes keep the A* heuristic sharp).
@@ -898,14 +791,11 @@ func (r *Router) routeNet(sc *searchCtx, t *routeTask, region geom.Rect) routeSt
 				best, bestD = ci, d
 			}
 		}
-		path, ok, escaped := r.connect(sc, t, src, comps[best], region)
-		if escaped {
-			return netEscaped
-		}
+		path, ok := r.connect(t, src, comps[best])
 		if !ok {
-			return netFailed
+			return false
 		}
-		r.commitPath(sc, t, path)
+		r.commitPath(t, path)
 	}
 }
 
@@ -913,15 +803,16 @@ func (r *Router) routeNet(sc *searchCtx, t *routeTask, region geom.Rect) routeSt
 // path touches ends up covered by metal: straight runs become wires, and
 // cells a via stack merely passes through get single-cell pads, so the
 // occupancy grid and the geometric connectivity stay exact.
-func (r *Router) commitPath(sc *searchCtx, t *routeTask, path []cell) {
+func (r *Router) commitPath(t *routeTask, path []cell) {
 	id := int32(t.net.ID)
+	sc := &r.sc
 	stamp := sc.growMark(r.X * r.Y * r.L)
 	metal := sc.mark
 	addWire := func(w geom.Segment) {
 		//lint:ignore hotalloc the committed wire list is the route's output, not scratch: it outlives the search, so it cannot live in the per-search arena
 		t.wires = append(t.wires, w)
 		r.markAct(t.wact, w.Bounds())
-		r.markWire(sc, w, id)
+		r.fillWire(w, id+1)
 		forEachCell(w, func(c cell) { metal[r.idx(c.x, c.y, c.l)].stamp = stamp })
 	}
 	for i := 0; i+1 < len(path); {
@@ -968,15 +859,17 @@ func sign(v int) int {
 	return 0
 }
 
-func (r *Router) markWire(sc *searchCtx, w geom.Segment, id int32) {
+// fillWire sets every occupancy cell the wire covers to v: a net ID + 1
+// to occupy the wire, 0 to free it.
+func (r *Router) fillWire(w geom.Segment, v int32) {
 	l := w.Layer - 1
 	if w.Orient == geom.Horizontal {
 		for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-			r.setOcc(sc, r.idx(x, w.Fixed, l), id+1)
+			r.occ[r.idx(x, w.Fixed, l)] = v
 		}
 	} else {
 		for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-			r.setOcc(sc, r.idx(w.Fixed, y, l), id+1)
+			r.occ[r.idx(w.Fixed, y, l)] = v
 		}
 	}
 }

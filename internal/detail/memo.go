@@ -196,21 +196,9 @@ var DebugMemo map[string]int
 // fail for a clean net; it is a cheap O(route cells) guard that turns a
 // reasoning bug into a live reroute instead of a corrupted grid.
 func (r *Router) canReplay(t *routeTask, pr plan.NetRoute) bool {
-	id := int32(t.net.ID)
 	for _, w := range pr.Wires {
-		l := w.Layer - 1
-		if w.Orient == geom.Horizontal {
-			for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-				if !r.cellFree(x, w.Fixed, l, id) {
-					return false
-				}
-			}
-		} else {
-			for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-				if !r.cellFree(w.Fixed, y, l, id) {
-					return false
-				}
-			}
+		if !r.wireFree(w, int32(t.net.ID)) {
+			return false
 		}
 	}
 	return true
@@ -224,11 +212,11 @@ func (r *Router) canReplay(t *routeTask, pr plan.NetRoute) bool {
 // release unused escapes exactly like the real path does.
 func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, pw []uint64, freed []Cell) {
 	id := int32(t.net.ID)
-	r.clearNet(nil, t)
+	r.clearNet(t)
 	t.wires = append([]geom.Segment(nil), pr.Wires...)
 	t.vias = append([]plan.Via(nil), pr.Vias...)
 	for _, w := range t.wires {
-		r.markWire(nil, w, id)
+		r.fillWire(w, id+1)
 	}
 	for _, p := range t.net.Pins {
 		c := Cell{X: p.X, Y: p.Y, L: p.Layer - 1}
@@ -256,16 +244,14 @@ func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, pw []uint64, freed []
 			r.occ[i] = 0
 		}
 	}
-	r.releaseEscapes(nil, t)
+	r.releaseEscapes(t)
 	t.freedPins = append(t.freedPins[:0], freed...)
 	orBits(t.wact, pw)
 }
 
 // RunMemo is RunContext against a previous run's recording; see the
-// package comment above for the replay rule and its soundness. The run
-// is strictly sequential (the stitch-aware order), matching what every
-// Workers value produces. The second return is the number of nets
-// replayed without a search.
+// package comment above for the replay rule and its soundness. The
+// second return is the number of nets replayed without a search.
 func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, m *Memo) (*Result, int, error) {
 	res, nets, order, record := r.prepare(c, plans)
 
@@ -310,7 +296,6 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		}
 	}
 
-	sc := r.arena(0)
 	reused := 0
 	for oi, t := range order {
 		if err := ctx.Err(); err != nil {
@@ -358,14 +343,14 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		}
 		if DebugMemo != nil {
 			t0 := timeNow()
-			r.routeOne(sc, t, nets, res, record)
+			r.routeOne(t, nets, res, record)
 			key := "live-ms-routed"
 			if !pr.Routed {
 				key = "live-ms-failed"
 			}
 			DebugMemo[key] += int(timeNow().Sub(t0).Milliseconds())
 		} else {
-			r.routeOne(sc, t, nets, res, record)
+			r.routeOne(t, nets, res, record)
 		}
 		// Divergence: dirty nets grow the region unconditionally (their
 		// commit timing may have moved); a key-stable net that ended in

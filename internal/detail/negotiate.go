@@ -19,7 +19,7 @@ const maxVictims = 3
 // small nets inside its region, then rerouting them. It returns whether t
 // ended up routed, plus every victim whose geometry changed (the caller
 // refreshes their result entries).
-func (r *Router) negotiate(sc *searchCtx, t *routeTask, tasks []*routeTask) (bool, []*routeTask) {
+func (r *Router) negotiate(t *routeTask, tasks []*routeTask) (bool, []*routeTask) {
 	region := t.pinBBox().Expand(8).Intersect(r.f.Bounds())
 
 	// Collect candidate victims: routed nets with geometry in the region,
@@ -64,38 +64,17 @@ func (r *Router) negotiate(sc *searchCtx, t *routeTask, tasks []*routeTask) (boo
 		affected = append(affected, v.task)
 	}
 
-	// Evict, place the failed net, reroute the victims. Negotiation runs
-	// only on the sequential lane (the scheduler never speculates it —
-	// it mutates other nets' tasks), so sc's overlay is off and these
-	// writes hit the grid directly.
+	// Evict, place the failed net, reroute the victims.
 	for _, v := range victims {
-		r.clearNet(sc, v.task)
-		v.task.wires = nil
-		v.task.vias = nil
+		r.dropNet(v.task)
 	}
-	restore := func() {
-		for _, v := range victims {
-			if len(v.task.wires) == 0 {
-				if r.routeNet(sc, v.task, r.f.Bounds()) == netRouted {
-					r.trimNet(sc, v.task)
-				} else {
-					r.clearNet(sc, v.task)
-					v.task.wires = nil
-					v.task.vias = nil
-				}
-			}
+	ok := r.routeOrDrop(t)
+	for _, v := range victims {
+		if len(v.task.wires) == 0 {
+			r.routeOrDrop(v.task)
 		}
 	}
-	if r.routeNet(sc, t, r.f.Bounds()) != netRouted {
-		r.clearNet(sc, t)
-		t.wires = nil
-		t.vias = nil
-		restore()
-		return false, affected
-	}
-	r.trimNet(sc, t)
-	restore()
-	return true, affected
+	return ok, affected
 }
 
 func (t *routeTask) pinBBox() geom.Rect {

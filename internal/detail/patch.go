@@ -2,7 +2,6 @@ package detail
 
 import (
 	"context"
-	"sort"
 
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
@@ -38,16 +37,7 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 	nets := make([]*routeTask, len(c.Nets))
 	var dirtyTasks []*routeTask
 	for i, n := range c.Nets {
-		var np *plan.NetPlan
-		if plans != nil {
-			np = plans[i]
-		}
-		t := &routeTask{net: n, plan: np, slot: i}
-		for _, pin := range n.Pins {
-			if !t.pinCells.has(pin.X, pin.Y) {
-				t.pinCells = append(t.pinCells, pinKey(pin.X, pin.Y))
-			}
-		}
+		t := newTask(c, plans, i)
 		nets[i] = t
 		if p.Dirty[n.ID] {
 			dirtyTasks = append(dirtyTasks, t)
@@ -68,7 +58,7 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 		}
 		kr := p.Keep[id]
 		for _, w := range kr.Wires {
-			r.markWire(nil, w, int32(id))
+			r.fillWire(w, int32(id)+1)
 		}
 		freed := p.FreedPins[id]
 		for _, pin := range t.net.Pins {
@@ -95,55 +85,10 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 	// Dirty nets go through the normal cold prepare: pin + escape
 	// reservation, then candidate materialization, both against the
 	// grafted grid.
-	for _, t := range dirtyTasks {
-		for _, pin := range t.net.Pins {
-			i := r.idx(pin.X, pin.Y, pin.Layer-1)
-			if r.occ[i] == 0 {
-				r.occ[i] = int32(t.net.ID) + 1
-			}
-			if pin.Layer < r.L {
-				up := r.idx(pin.X, pin.Y, pin.Layer)
-				if r.occ[up] == 0 {
-					r.occ[up] = int32(t.net.ID) + 1
-					t.escapes = append(t.escapes, cell{pin.X, pin.Y, pin.Layer})
-				}
-			}
-		}
-	}
-	for _, t := range dirtyTasks {
-		r.materialize(t)
-	}
+	r.reserveAndMaterialize(dirtyTasks)
 
-	order := make([]*routeTask, len(dirtyTasks))
-	copy(order, dirtyTasks)
-	sort.SliceStable(order, func(a, b int) bool {
-		ta, tb := order[a], order[b]
-		la, lb := ta.level(), tb.level()
-		if la != lb {
-			return la < lb
-		}
-		if r.cfg.OrderByBadEnds {
-			ba, bb := ta.badEnds(), tb.badEnds()
-			if ba != bb {
-				return ba > bb
-			}
-		}
-		ha, hb := ta.net.HPWL(), tb.net.HPWL()
-		if ha != hb {
-			return ha < hb
-		}
-		return ta.net.ID < tb.net.ID
-	})
-
-	record := func(t *routeTask, routed bool) {
-		res.Routes[t.slot] = plan.NetRoute{
-			NetID:  t.net.ID,
-			Routed: routed,
-			Wires:  t.wires,
-			Vias:   t.vias,
-		}
-	}
-	sc := r.arena(0)
+	order := r.netOrder(dirtyTasks)
+	record := recorder(res)
 	for oi, t := range order {
 		if err := ctx.Err(); err != nil {
 			for _, rest := range order[oi:] {
@@ -154,7 +99,7 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 		}
 		// Negotiation victims are restricted to the dirty set: a graft
 		// must not disturb kept geometry.
-		r.routeOne(sc, t, dirtyTasks, res, record)
+		r.routeOne(t, dirtyTasks, res, record)
 	}
 	r.finish(res, nets)
 	return res, len(nets) - len(dirtyTasks), nil

@@ -10,11 +10,12 @@ import (
 // tails carry no current. An end cell can be trimmed when it is not a pin,
 // not under a via, and not shared with another wire of the net. Trimming
 // never disconnects the net because only leaf cells are removed.
-func (r *Router) trimNet(sc *searchCtx, t *routeTask) {
+func (r *Router) trimNet(t *routeTask) {
 	id := int32(t.net.ID)
 
 	// Coverage counts per cell over the net's wires (stamped scratch
 	// grids replace per-call maps — trimming runs once per routed net).
+	sc := &r.sc
 	stamp := sc.growMark(r.X * r.Y * r.L)
 	cover := sc.mark
 	coverAt := func(c cell) int32 {
@@ -43,7 +44,7 @@ func (r *Router) trimNet(sc *searchCtx, t *routeTask) {
 		mark(v.X, v.Y, v.Layer)
 	}
 
-	free := func(c cell) { r.setOcc(sc, r.idx(c.x, c.y, c.l), 0) }
+	free := func(c cell) { r.occ[r.idx(c.x, c.y, c.l)] = 0 }
 
 	changed := true
 	for changed {
@@ -90,10 +91,7 @@ func (r *Router) trimNet(sc *searchCtx, t *routeTask) {
 	// Re-mark remaining cells (freeing above may have cleared shared cells
 	// that surviving wires still cover).
 	for _, w := range t.wires {
-		r.markWire(sc, w, id)
-	}
-	for _, v := range t.vias {
-		_ = v // vias occupy no routing cell beyond their wires
+		r.fillWire(w, id+1)
 	}
 }
 

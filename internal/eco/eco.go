@@ -50,7 +50,7 @@ func cancelErr(err error) error {
 // pattern routing because the global trace cannot cover its reads.
 func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 	return parent != nil && parent.ECO != nil && parent.ECO.Global != nil &&
-		parent.ECO.Cfg == core.NormalizeCfg(cfg) &&
+		parent.ECO.Cfg == cfg &&
 		!cfg.Detail.Negotiate && !cfg.Global.Pattern &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
@@ -164,7 +164,7 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 	res.Report = drc.Check(edited, res.Routes)
 	if gt := gr.Trace(); gt != nil {
 		res.ECO = &core.ECOState{
-			Cfg:       core.NormalizeCfg(cfg),
+			Cfg:       cfg,
 			Global:    gt,
 			Acts:      dres.Acts,
 			WActs:     dres.WActs,

@@ -173,7 +173,7 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 	// freed pins) but no replay recording: chaining a strict Reroute off
 	// it falls back to a cold route.
 	res.ECO = &core.ECOState{
-		Cfg:       core.NormalizeCfg(cfg),
+		Cfg:       cfg,
 		FreedPins: dres.FreedPins,
 	}
 	return &Result{Result: res, Edited: edited, Stats: st}, nil

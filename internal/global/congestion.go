@@ -2,9 +2,8 @@ package global
 
 import "stitchroute/internal/plan"
 
-// Congestion exports the post-routing per-tile utilization map for the
-// detailed router's speculative scheduler (see plan.Congestion). A
-// tile's level is the worst demand/capacity ratio over the resources
+// Congestion exports the post-routing per-tile utilization map (see
+// plan.Congestion). A tile's level is the worst demand/capacity ratio over the resources
 // that touch it: its right and top boundary edges and its line-end
 // budget. Zero-capacity resources count as fully utilized only when
 // they carry demand.

@@ -159,21 +159,6 @@ func ShortGrid() []GenSpec {
 	}
 }
 
-// CongestedGrid returns the high-congestion parameter grid: small
-// fabrics packed with far more nets per track than ShortGrid, with wide
-// pin spreads so nets' working regions overlap heavily. It exists to
-// exercise the speculative scheduler's conflict/replay machinery — on
-// these circuits concurrent attempts routinely touch the same tiles, so
-// cross-worker equivalence tests run the replay path, not just the
-// all-commit fast path.
-func CongestedGrid() []GenSpec {
-	return []GenSpec{
-		{Name: "congested-dense", XTracks: 60, YTracks: 45, Layers: 3, Nets: 80, Spread: 20},
-		{Name: "congested-narrow", XTracks: 70, YTracks: 50, Layers: 3, StitchPitch: 10, SUREps: 2, Nets: 90, Spread: 30},
-		{Name: "congested-tall", XTracks: 50, YTracks: 80, Layers: 4, Nets: 110, Spread: 35, MaxDegree: 10},
-	}
-}
-
 // FullGrid returns the soak parameter grid: ShortGrid plus larger
 // fabrics, a wide-stripe fabric, a 6-layer stack, and a high-degree
 // workload. cmd/routecheck crosses it with many seeds.

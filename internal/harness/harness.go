@@ -114,17 +114,11 @@ type Options struct {
 	// few counts; drift beyond the tolerance indicates the pipeline
 	// reacts to something other than the stitch geometry.
 	SPTolerance int
-	// ParallelWorkers, when > 1, reroutes the circuit with the detailed
-	// router forced to that many workers and requires byte-identical
-	// geometry — the parallel-vs-sequential equivalence property the
-	// batch scheduler guarantees (internal/detail/sched.go,
-	// docs/PERFORMANCE.md). 0 disables the check.
-	ParallelWorkers int
 }
 
 // DefaultOptions enables the whole battery.
 func DefaultOptions() Options {
-	return Options{Determinism: true, Transforms: true, SPTolerance: 2, ParallelWorkers: 8}
+	return Options{Determinism: true, Transforms: true, SPTolerance: 2}
 }
 
 // Outcome is the verdict of Verify for one circuit: both configs'
@@ -183,20 +177,6 @@ func Verify(name string, fresh func() *netlist.Circuit, opt Options) (*Outcome, 
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"nondeterministic: rerouting produced different geometry (%s vs %s)",
 				stitch.RoutesHash[:12], again.RoutesHash[:12]))
-		}
-	}
-
-	if opt.ParallelWorkers > 1 {
-		pcfg := core.StitchAware()
-		pcfg.Detail.Workers = opt.ParallelWorkers
-		_, par, err := RouteAndCheck(fresh(), pcfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %d-worker route: %w", name, opt.ParallelWorkers, err)
-		}
-		if par.RoutesHash != stitch.RoutesHash {
-			o.Violations = append(o.Violations, fmt.Sprintf(
-				"parallel detailed routing diverged: Workers=%d produced different geometry (%s vs %s)",
-				opt.ParallelWorkers, stitch.RoutesHash[:12], par.RoutesHash[:12]))
 		}
 	}
 

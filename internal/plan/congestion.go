@@ -1,15 +1,9 @@
 package plan
 
 // Congestion is a per-tile utilization snapshot exported by the global
-// router and consumed by the detailed router's speculative scheduler as
-// a partitioning hint: nets whose expected working regions overlap a
-// congested tile are not speculated in the same round, because their
-// searches are likely to contend for the same tracks and one of the two
-// attempts would be thrown away. It is advisory only — it never changes
-// what any net's route looks like, only which round the scheduler
-// attempts it in — so it rides outside the detail Config (an ECO replay
-// compares configs for reuse safety and must not see it; see
-// detail.Router.SetCongestion).
+// router (global.Router.Congestion). No routing stage reads it; the
+// benchmark in benchmark/ still hands it to detail.Router.SetCongestion,
+// which ignores it.
 type Congestion struct {
 	// TW, TH are the tile grid dimensions.
 	TW, TH int

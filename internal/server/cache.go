@@ -23,11 +23,6 @@ func cacheKey(c *netlist.Circuit, cfg core.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// The detailed-routing worker count only trades CPU for wall time:
-	// the batch scheduler guarantees byte-identical geometry for every
-	// value (internal/detail/sched.go), a property the harness asserts.
-	// Normalize it out so jobs differing only in workers share a result.
-	cfg.Detail.Workers = 0
 	// Config is plain value data (bools, ints, floats, enums), so the
 	// %+v rendering is a deterministic fingerprint.
 	h := sha256.Sum256([]byte(fmt.Sprintf("%s|cfg=%+v", ch, cfg)))

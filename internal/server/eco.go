@@ -119,7 +119,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		req: JobRequest{
 			Mode:    parent.req.Mode,
 			Track:   parent.req.Track,
-			Workers: parent.req.Workers,
 			NoCache: req.NoCache,
 		},
 		circuit:   edited,

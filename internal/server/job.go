@@ -51,11 +51,6 @@ type JobRequest struct {
 	// Timeout bounds the routing run, as a Go duration string ("30s").
 	// Empty means the server's default job timeout.
 	Timeout string `json:"timeout,omitempty"`
-	// Workers sets the detailed-routing worker count (0 = GOMAXPROCS,
-	// 1 = sequential). The routed geometry is identical for every value —
-	// workers only trade CPU for wall time — so it does not participate in
-	// the result-cache key.
-	Workers int `json:"workers,omitempty"`
 	// NoCache skips the result-cache lookup (the result is still stored).
 	NoCache bool `json:"noCache,omitempty"`
 	// Fracture runs write-prep fracturing on the routed geometry: "rect"
@@ -225,7 +220,6 @@ type JobView struct {
 	Mode      string     `json:"mode"`
 	Track     string     `json:"track,omitempty"`
 	Place     bool       `json:"place,omitempty"`
-	Workers   int        `json:"workers,omitempty"`
 	Timeout   string     `json:"timeout,omitempty"`
 	CacheHit  bool       `json:"cacheHit"`
 	Error     string     `json:"error,omitempty"`
@@ -250,7 +244,6 @@ func (j *Job) view() JobView {
 		Mode:     j.req.Mode,
 		Track:    j.req.Track,
 		Place:    j.req.Place,
-		Workers:  j.req.Workers,
 		CacheHit: j.cacheHit,
 		Error:    j.errMsg,
 		Created:  j.created,

@@ -10,27 +10,13 @@ import (
 	"stitchroute/internal/core"
 )
 
-// metrics accumulates per-stage routing time and detailed-routing
-// scheduler telemetry across completed jobs. Job-state counts, queue
-// depth, and cache counters are read from their owning structures at
-// render time rather than double-booked here.
+// metrics accumulates per-stage routing time across completed jobs.
+// Job-state counts, queue depth, and cache counters are read from their
+// owning structures at render time rather than double-booked here.
 type metrics struct {
 	mu           sync.Mutex
 	stageSeconds map[string]float64
 	jobsRouted   int64 // jobs that ran to completion on a worker
-
-	// Speculative-scheduler telemetry, summed over completed runs
-	// (see detail.SchedStats). All-zero while every job ran
-	// sequentially (Workers <= 1).
-	detailRounds     int64
-	detailSpeculated int64
-	detailCommitted  int64
-	detailConflicts  int64
-	detailReplays    int64
-	detailLaneNets   int64
-	detailCongSkips  int64
-	detailPatterns   int64
-	detailBusySec    float64 // summed per-worker busy time
 }
 
 func newMetrics() *metrics {
@@ -39,8 +25,7 @@ func newMetrics() *metrics {
 	}}
 }
 
-// addRun books one completed routing run: its stage times and its
-// detailed-routing scheduler telemetry.
+// addRun books one completed routing run's stage times.
 func (m *metrics) addRun(res *core.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -50,19 +35,6 @@ func (m *metrics) addRun(res *core.Result) {
 	m.stageSeconds["track"] += t.Track.Seconds()
 	m.stageSeconds["detail"] += t.Detail.Seconds()
 	m.jobsRouted++
-
-	sd := res.DetailSched
-	m.detailRounds += int64(sd.Rounds)
-	m.detailSpeculated += int64(sd.Speculated)
-	m.detailCommitted += int64(sd.Committed)
-	m.detailConflicts += int64(sd.Conflicts)
-	m.detailReplays += int64(sd.Replays)
-	m.detailLaneNets += int64(sd.LaneNets)
-	m.detailCongSkips += int64(sd.CongestionSkips)
-	m.detailPatterns += int64(sd.PatternRoutes)
-	for _, d := range sd.WorkerTime {
-		m.detailBusySec += d.Seconds()
-	}
 }
 
 // writeMetrics renders the full metrics page: expvar-style "name value"
@@ -108,15 +80,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		totalSec += sec
 		fmt.Fprintf(w, "stage_seconds_%s %.6f\n", name, sec)
 	}
-	fmt.Fprintf(w, "detail_rounds %d\n", s.metrics.detailRounds)
-	fmt.Fprintf(w, "detail_speculated %d\n", s.metrics.detailSpeculated)
-	fmt.Fprintf(w, "detail_committed %d\n", s.metrics.detailCommitted)
-	fmt.Fprintf(w, "detail_conflicts %d\n", s.metrics.detailConflicts)
-	fmt.Fprintf(w, "detail_replays %d\n", s.metrics.detailReplays)
-	fmt.Fprintf(w, "detail_lane_nets %d\n", s.metrics.detailLaneNets)
-	fmt.Fprintf(w, "detail_congestion_skips %d\n", s.metrics.detailCongSkips)
-	fmt.Fprintf(w, "detail_pattern_routes %d\n", s.metrics.detailPatterns)
-	fmt.Fprintf(w, "detail_worker_busy_seconds %.6f\n", s.metrics.detailBusySec)
 	s.metrics.mu.Unlock()
 	fmt.Fprintf(w, "route_seconds_total %.6f\n", totalSec)
 }

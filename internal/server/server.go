@@ -24,13 +24,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
-	"stitchroute/internal/detail"
 	"stitchroute/internal/fracture"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
@@ -50,9 +50,8 @@ type routeFunc func(ctx context.Context, c *netlist.Circuit, cfg core.Config) (*
 
 // Config configures a Server. The zero value gets sensible defaults.
 type Config struct {
-	// Workers is the worker-pool size; 0 means NumCPU — the same "auto"
-	// rule detail.ResolveWorkers applies to per-job routing workers, so
-	// the two pools agree on what a machine-sized default means.
+	// Workers is the worker-pool size, the number of jobs routed
+	// concurrently; 0 means runtime.NumCPU.
 	Workers int
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503. 0 means 64.
@@ -99,7 +98,7 @@ type Server struct {
 // New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
-		cfg.Workers = detail.ResolveWorkers(0)
+		cfg.Workers = runtime.NumCPU()
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -233,10 +232,6 @@ func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
 	default:
 		return nil, badRequest("unknown track algorithm %q (want \"conventional\", \"ilp\", or \"graph\")", req.Track)
 	}
-	if req.Workers < 0 {
-		return nil, badRequest("workers must be >= 0, got %d", req.Workers)
-	}
-	cfg.Detail.Workers = req.Workers
 	var fmode fracture.Mode
 	if req.Fracture != "" {
 		var err error

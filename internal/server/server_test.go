@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,38 +316,26 @@ func TestCacheHitOnResubmission(t *testing.T) {
 	}
 }
 
+// TestWorkersField pins that jobs no longer carry a detailed-routing
+// worker count: the detailed router is sequential, and the request
+// decoder rejects the old field as unknown.
 func TestWorkersField(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2})
-
-	// A negative worker count is rejected up front.
-	resp, data := ts.do(t, "POST", "/v1/jobs", JobRequest{Circuit: tinyCircuit("w"), Workers: -1})
+	body := fmt.Sprintf(`{"circuit":%q,"workers":2}`, tinyCircuit("w"))
+	resp, err := ts.hts.Client().Post(ts.hts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("workers=-1 = %d, want 400: %s", resp.StatusCode, data)
+		t.Fatalf("job with workers = %d, want 400: %s", resp.StatusCode, data)
 	}
-
-	// The worker count is echoed in the job view and the routed geometry
-	// is identical across counts (the scheduler's equivalence guarantee).
-	seq := ts.submit(t, JobRequest{Circuit: tinyCircuit("w"), Workers: 1}, http.StatusAccepted)
-	if seq.Workers != 1 {
-		t.Errorf("job view workers = %d, want 1", seq.Workers)
-	}
-	ts.waitState(t, seq.ID, StateDone)
-
-	// A resubmission differing only in workers is a cache hit: the count
-	// is normalized out of the cache key because it cannot change the
-	// result, only the wall time.
-	par := ts.submit(t, JobRequest{Circuit: tinyCircuit("w"), Workers: 8}, http.StatusOK)
-	if par.State != StateDone || !par.CacheHit {
-		t.Fatalf("workers=8 resubmission state=%q cacheHit=%v, want done from cache", par.State, par.CacheHit)
-	}
-
-	// Forcing a fresh 8-worker route still produces identical geometry.
-	fresh := ts.submit(t, JobRequest{Circuit: tinyCircuit("w"), Workers: 8, NoCache: true}, http.StatusAccepted)
-	ts.waitState(t, fresh.ID, StateDone)
-	_, r1 := ts.do(t, "GET", "/v1/jobs/"+seq.ID+"/routes", nil)
-	_, r2 := ts.do(t, "GET", "/v1/jobs/"+fresh.ID+"/routes", nil)
-	if !bytes.Equal(r1, r2) {
-		t.Error("workers=8 job routed different geometry than workers=1")
+	if !strings.Contains(string(data), `unknown field \"workers\"`) {
+		t.Errorf("error does not name the unknown field: %s", data)
 	}
 }
 
@@ -650,6 +639,16 @@ func TestBenchmarksHealthzMetrics(t *testing.T) {
 	}
 	if got := metricValue(t, string(data), "workers"); got != "1" {
 		t.Errorf("workers metric = %s, want 1", got)
+	}
+}
+
+// TestDefaultPoolSize pins the zero-config pool size: one job worker per
+// CPU, reported on /metrics.
+func TestDefaultPoolSize(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	_, data := ts.do(t, "GET", "/metrics", nil)
+	if got, want := metricValue(t, string(data), "workers"), fmt.Sprint(runtime.NumCPU()); got != want {
+		t.Errorf("workers metric = %s, want %s (runtime.NumCPU)", got, want)
 	}
 }
 

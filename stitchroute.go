@@ -87,11 +87,6 @@ func StitchAware() Config { return core.StitchAware() }
 func Baseline() Config { return core.Baseline() }
 
 // Route runs the two-pass bottom-up multilevel routing flow.
-//
-// cfg.Detail.Workers sets the detailed-routing worker count (0 =
-// GOMAXPROCS, 1 = sequential); the routed geometry is byte-identical for
-// every value — see docs/PERFORMANCE.md for how and for what parallelism
-// buys.
 func Route(c *Circuit, cfg Config) (*Result, error) { return core.Route(c, cfg) }
 
 // RouteContext is Route with cancellation and deadlines: the run aborts
