@@ -104,9 +104,11 @@ bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
 	$(GO) run ./cmd/benchjson -stage eco -runs $(BENCH_RUNS) -out BENCH_eco.json
 
 # One-iteration benchmark smoke: proves the detail-stage benchmark (and
-# its pinned routes-hash assertion) still runs; takes seconds.
-bench-smoke: ## run BenchmarkDetail once
+# its pinned routes-hash assertion) and the global maze pass still run,
+# the latter with its allocation counts; takes seconds.
+bench-smoke: ## run BenchmarkDetail and BenchmarkGlobalMaze once
 	$(GO) test -run '^$$' -bench BenchmarkDetail -benchtime 1x ./internal/detail/
+	$(GO) test -run '^$$' -bench BenchmarkGlobalMaze -benchtime 1x -benchmem ./internal/global/
 
 # Regenerate the paper's tables on the fast subset (use CIRCUITS=all for
 # the full 14-circuit suite; that takes ~15 minutes).

@@ -1,13 +1,13 @@
 // Package hotalloc defines a flow-sensitive analyzer that finds heap
-// allocations on the detailed router's per-net search hot path.
+// allocations on the routers' per-net search hot paths.
 //
 // PR 4 moved every per-search allocation into per-worker searchCtx
 // arenas so the steady-state A* loop performs zero heap allocations. That
 // invariant is easy to erode: a make hidden behind a helper call, an
 // append to a fresh slice, a closure created inside the expansion loop.
 // This analyzer rebuilds the per-net call graph from its roots (routeNet
-// by default), classifies which functions execute inside the per-net
-// search loop, and flags allocations there:
+// and the global router's astar by default), classifies which functions
+// execute inside the per-net search loop, and flags allocations there:
 //
 //   - make/new calls and slice/map composite literals
 //   - append growth of slices that are not arena-backed
@@ -33,21 +33,22 @@ import (
 	"stitchroute/internal/analysis/cfg"
 )
 
-// Roots names the functions whose call trees form the per-net hot path.
-var Roots = map[string]bool{"routeNet": true}
+// Roots names the functions whose call trees form the per-net hot path:
+// the detailed router's per-net search and the global router's tile A*.
+var Roots = map[string]bool{"routeNet": true, "astar": true}
 
 // ArenaTypes names the arena struct types: allocations that grow them
 // are the sanctioned way to allocate, and slices derived from their
 // fields are reusable scratch.
-var ArenaTypes = map[string]bool{"searchCtx": true, "cellHeap": true}
+var ArenaTypes = map[string]bool{"searchCtx": true, "cellHeap": true, "searchArena": true, "fHeap": true}
 
 // Analyzer flags heap allocations on the per-net search hot path.
 var Analyzer = &analysis.Analyzer{
 	Name:    "hotalloc",
-	Version: 1,
+	Version: 2,
 	Doc: "flag make/new/append-growth/closure/boxing allocations reachable inside the per-net search loops\n\n" +
-		"The PR 4 arenas make the steady-state search allocation-free; this analyzer walks the call graph from routeNet and keeps it that way.",
-	Packages: []string{"internal/detail", "internal/fracture", "internal/stencil", "internal/eco"},
+		"The search arenas make the steady-state searches allocation-free; this analyzer walks the call graph from routeNet and the global astar and keeps it that way.",
+	Packages: []string{"internal/detail", "internal/global", "internal/fracture", "internal/stencil", "internal/eco"},
 	Run:      run,
 }
 

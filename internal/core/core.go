@@ -130,9 +130,9 @@ type ECOState struct {
 	Cfg    Config
 	Global *global.Trace
 	// Indexed like Routes/Plans (the parent circuit's net slots). The
-	// footprints are detail's actTile bucket bitsets.
-	Acts      [][]uint64
-	WActs     [][]uint64
+	// footprints are detail's actTile bucket bitsets, packed.
+	Acts      Footprints
+	WActs     Footprints
 	Ripped    []bool
 	FreedPins [][]detail.Cell
 	MatWires  [][]geom.Segment
@@ -220,8 +220,8 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 		res.ECO = &ECOState{
 			Cfg:       cfg,
 			Global:    gt,
-			Acts:      dres.Acts,
-			WActs:     dres.WActs,
+			Acts:      PackFootprints(dres.Acts),
+			WActs:     PackFootprints(dres.WActs),
 			Ripped:    dres.NetRipped,
 			FreedPins: dres.FreedPins,
 			MatWires:  dres.MatWires,

@@ -36,9 +36,9 @@ type searchCtx struct {
 
 	// mark and mark2 are chip-sized stamped scratch grids for per-net
 	// geometry analysis: components' cell-owner index, commitPath's
-	// metal-coverage set, and trimNet's coverage counts (mark) and
-	// anchors (mark2). Each use bumps mcur, so no clearing is needed and
-	// uses cannot observe one another.
+	// and releaseEscapes' metal-coverage sets, and trimNet's coverage
+	// counts (mark) and anchors (mark2). Each use bumps mcur, so no
+	// clearing is needed and uses cannot observe one another.
 	mark  []stampVal
 	mark2 []stampVal
 	mcur  int32
@@ -65,12 +65,15 @@ type searchCtx struct {
 	hy []int32
 }
 
-// grow ensures the arena covers n window states.
-func (sc *searchCtx) grow(n int) {
+// grow ensures the arena covers n window states, limit being the
+// chip's state count. It grows geometrically, capped at limit, so a
+// run of ever-larger windows reallocates a logarithmic number of times
+// instead of once per new maximum.
+func (sc *searchCtx) grow(n, limit int) {
 	if len(sc.nodes) >= n {
 		return
 	}
-	sc.nodes = make([]nodeState, n)
+	sc.nodes = make([]nodeState, min(max(n, 2*len(sc.nodes)), limit))
 }
 
 // stampVal is one cell of a stamped scratch grid: val is meaningful only
@@ -169,7 +172,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	W := win.W()
 	H := win.H()
 	L := r.L
-	sc.grow(W * H * L)
+	sc.grow(W*H*L, r.X*r.Y*L)
 	sc.curStamp++
 	if sc.curStamp > 0x7fff {
 		// The 16-bit node stamps would wrap: clear the arena and restart

@@ -506,12 +506,13 @@ func (r *Router) releaseEscapes(t *routeTask) {
 	if len(t.escapes) == 0 {
 		return
 	}
-	covered := map[cell]bool{}
+	stamp := r.sc.growMark(r.X * r.Y * r.L)
+	covered := r.sc.mark
 	for _, w := range t.wires {
-		forEachCell(w, func(c cell) { covered[c] = true })
+		forEachCell(w, func(c cell) { covered[r.idx(c.x, c.y, c.l)].stamp = stamp })
 	}
 	for _, c := range t.escapes {
-		if i := r.idx(c.x, c.y, c.l); !covered[c] && r.occ[i] == int32(t.net.ID)+1 {
+		if i := r.idx(c.x, c.y, c.l); covered[i].stamp != stamp && r.occ[i] == int32(t.net.ID)+1 {
 			r.occ[i] = 0
 		}
 	}

@@ -54,8 +54,8 @@ func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 		!cfg.Detail.Negotiate && !cfg.Global.Pattern &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
-		len(parent.ECO.Acts) == len(pc.Nets) &&
-		len(parent.ECO.WActs) == len(pc.Nets) &&
+		parent.ECO.Acts.Len() == len(pc.Nets) &&
+		parent.ECO.WActs.Len() == len(pc.Nets) &&
 		len(parent.ECO.Ripped) == len(pc.Nets) &&
 		len(parent.ECO.FreedPins) == len(pc.Nets) &&
 		len(parent.ECO.MatWires) == len(pc.Nets)
@@ -166,8 +166,8 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 		res.ECO = &core.ECOState{
 			Cfg:       cfg,
 			Global:    gt,
-			Acts:      dres.Acts,
-			WActs:     dres.WActs,
+			Acts:      core.PackFootprints(dres.Acts),
+			WActs:     core.PackFootprints(dres.WActs),
 			Ripped:    dres.NetRipped,
 			FreedPins: dres.FreedPins,
 			MatWires:  dres.MatWires,
@@ -176,8 +176,8 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 	return &Result{Result: res, Edited: edited, Stats: st}, nil
 }
 
-// buildDetailMemo rekeys the parent recording by net ID and computes the
-// detail-stage dirty set and its seed rects.
+// buildDetailMemo rekeys the parent recording by net ID, unpacking its
+// footprints, and computes the detail-stage dirty set and its seed rects.
 func buildDetailMemo(parent *core.Result, pc, edited *netlist.Circuit, plans []*plan.NetPlan, dirty map[int]bool) *detail.Memo {
 	m := &detail.Memo{
 		Dirty:     make(map[int]bool, len(dirty)),
@@ -194,8 +194,8 @@ func buildDetailMemo(parent *core.Result, pc, edited *netlist.Circuit, plans []*
 	pPlan := make(map[int]*plan.NetPlan, len(pc.Nets))
 	for i, n := range pc.Nets {
 		id := n.ID
-		m.Acts[id] = parent.ECO.Acts[i]
-		m.WActs[id] = parent.ECO.WActs[i]
+		m.Acts[id] = parent.ECO.Acts.Unpack(i)
+		m.WActs[id] = parent.ECO.WActs.Unpack(i)
 		m.Routes[id] = parent.Routes[i]
 		m.Ripped[id] = parent.ECO.Ripped[i]
 		m.FreedPins[id] = parent.ECO.FreedPins[i]

@@ -87,6 +87,9 @@ type Router struct {
 	// net's searches mark popped tiles into.
 	trace *Trace
 	rec   []uint64
+
+	// arena is the A* scratch every search reuses (see astar).
+	arena searchArena
 }
 
 // NewRouter builds the routing graph for the fabric.
@@ -272,20 +275,56 @@ func (r *Router) commit(np *plan.NetPlan) {
 	}
 }
 
+// tileState is one A* state's search record. dist and prev are
+// meaningful only when stamp equals the arena's current stamp; an
+// unstamped state reads as +Inf with no predecessor, exactly what a
+// freshly filled array gives, so the search never clears the arena.
+type tileState struct {
+	dist  float64
+	prev  int32
+	stamp uint32
+}
+
+// searchArena is the router's global A* scratch: the per-state records,
+// the open list, the sorted source states and the path buffer, reused
+// across searches so a steady-state search allocates nothing.
+type searchArena struct {
+	states []tileState
+	cur    uint32
+	heap   fHeap
+	srcs   []int
+	path   []plan.TilePoint
+}
+
+// begin sizes the arena to n states and starts a fresh stamp epoch.
+func (a *searchArena) begin(n int) {
+	if len(a.states) < n {
+		a.states = make([]tileState, n)
+	}
+	if a.cur == math.MaxUint32 {
+		// The stamps would wrap: clear the arena and restart the epoch.
+		// The reset point depends only on how many searches this arena
+		// has run, which is deterministic, and a cleared arena is
+		// indistinguishable from a fresh one.
+		clear(a.states)
+		a.cur = 0
+	}
+	a.cur++
+	a.heap.reset()
+}
+
 // astar searches from the source tile set to the target, minimizing
 // Ψ(P) plus the wirelength term. The state includes the arrival direction
 // so the vertex cost can be charged exactly where vertical runs start and
-// end (line ends).
+// end (line ends). The returned path aliases the arena's path buffer:
+// callers consume it before the next search (RouteNet copies it into
+// the tree and the edge list immediately).
 func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) []plan.TilePoint {
 	tw, th := r.tw, r.th
-	n := tw * th
 	const nd = 3
-	dist := make([]float64, n*nd)
-	prev := make([]int32, n*nd)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
+	a := &r.arena
+	a.begin(tw * th * nd)
+	states, cur := a.states, a.cur
 	h := func(v int) float64 {
 		tx, ty := v%tw, v/tw
 		return r.cfg.WLWeight * float64(abs(tx-target.TX)+abs(ty-target.TY))
@@ -294,23 +333,24 @@ func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) [
 	// insertion order, so iterating the source map directly would leak its
 	// random order into tie-breaks and make routing nondeterministic run
 	// to run (the correctness harness caught exactly that).
-	srcs := make([]int, 0, len(sources))
+	srcs := a.srcs[:0]
 	for s := range sources {
 		srcs = append(srcs, s.TY*tw+s.TX)
 	}
 	sort.Ints(srcs)
-	pq := newFHeap()
+	a.srcs = srcs
+	pq := &a.heap
 	for _, v := range srcs {
-		st := v*nd + dirNone
-		dist[st] = 0
-		pq.push(st, h(v))
+		states[v*nd+dirNone] = tileState{dist: 0, prev: -1, stamp: cur}
+		pq.push(v*nd+dirNone, h(v))
 	}
 	goal := target.TY*tw + target.TX
 	var goalState = -1
 	for pq.len() > 0 {
 		st, f := pq.pop()
 		v, d := st/nd, st%nd
-		if f-h(v) > dist[st]+1e-12 {
+		dist := states[st].dist // popped states are always stamped
+		if f-h(v) > dist+1e-12 {
 			continue
 		}
 		if r.rec != nil {
@@ -361,9 +401,13 @@ func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) [
 				c += r.endCost(v)
 			}
 			nst := m.nv*nd + m.ndir
-			if nd2 := dist[st] + c; nd2 < dist[nst]-1e-12 {
-				dist[nst] = nd2
-				prev[nst] = int32(st)
+			ns := &states[nst]
+			old := math.Inf(1)
+			if ns.stamp == cur {
+				old = ns.dist
+			}
+			if nd2 := dist + c; nd2 < old-1e-12 {
+				*ns = tileState{dist: nd2, prev: int32(st), stamp: cur}
 				pq.push(nst, nd2+h(m.nv))
 			}
 		}
@@ -372,14 +416,15 @@ func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) [
 		// Grid graphs are connected; this cannot happen, but never loop.
 		return nil
 	}
-	var path []plan.TilePoint
-	for st := goalState; st != -1; st = int(prev[st]) {
+	path := a.path[:0]
+	for st := goalState; st != -1; st = int(states[st].prev) {
 		v := st / nd
 		tp := plan.TilePoint{TX: v % tw, TY: v / tw}
 		if len(path) == 0 || path[len(path)-1] != tp {
 			path = append(path, tp)
 		}
 	}
+	a.path = path
 	// Reverse to source->target order (direction is irrelevant to callers,
 	// but keep it tidy).
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {

@@ -1,13 +1,17 @@
 package global
 
 // fHeap is a binary min-heap of (state, priority float64) used by the
-// global A* search.
+// global A* search. The router's searchArena owns one and reuses it
+// across searches via reset.
 type fHeap struct {
 	states []int
 	prio   []float64
 }
 
-func newFHeap() *fHeap { return &fHeap{} }
+func (h *fHeap) reset() {
+	h.states = h.states[:0]
+	h.prio = h.prio[:0]
+}
 
 func (h *fHeap) len() int { return len(h.states) }
 

@@ -10,7 +10,7 @@ func TestFHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for iter := 0; iter < 50; iter++ {
 		n := 1 + rng.Intn(200)
-		h := newFHeap()
+		h := &fHeap{}
 		want := make([]float64, n)
 		for i := 0; i < n; i++ {
 			p := rng.Float64() * 100
@@ -31,7 +31,7 @@ func TestFHeapOrdering(t *testing.T) {
 }
 
 func TestFHeapInterleaved(t *testing.T) {
-	h := newFHeap()
+	h := &fHeap{}
 	h.push(1, 5)
 	h.push(2, 1)
 	if s, p := h.pop(); s != 2 || p != 1 {

@@ -26,13 +26,21 @@ type Net struct {
 	Pins []Pin
 }
 
-// BBox returns the pin bounding box of the net.
+// BBox returns the pin bounding box of the net. It panics on a net with
+// no pins. It allocates nothing: HPWL calls it inside sort comparators.
 func (n *Net) BBox() geom.Rect {
-	pts := make([]geom.Point, len(n.Pins))
-	for i, p := range n.Pins {
-		pts[i] = p.Point
+	if len(n.Pins) == 0 {
+		panic("netlist: BBox of a net with no pins")
 	}
-	return geom.BoundingRect(pts)
+	p0 := n.Pins[0].Point
+	r := geom.Rect{X0: p0.X, Y0: p0.Y, X1: p0.X, Y1: p0.Y}
+	for _, p := range n.Pins[1:] {
+		r.X0 = min(r.X0, p.X)
+		r.X1 = max(r.X1, p.X)
+		r.Y0 = min(r.Y0, p.Y)
+		r.Y1 = max(r.Y1, p.Y)
+	}
+	return r
 }
 
 // HPWL returns the half-perimeter wirelength of the net's pin bounding box,

@@ -75,6 +75,27 @@ func TestBBoxHPWL(t *testing.T) {
 	}
 }
 
+// TestBBoxHPWLAllocs pins BBox and HPWL at zero allocations: HPWL runs
+// inside the routers' net-ordering sort comparators.
+func TestBBoxHPWLAllocs(t *testing.T) {
+	n := circuit().Nets[1]
+	var sink int
+	if avg := testing.AllocsPerRun(100, func() { sink += n.BBox().X1 + n.HPWL() }); avg != 0 {
+		t.Errorf("BBox+HPWL: %.2f allocs/run, want 0", avg)
+	}
+}
+
+// TestBBoxEmptyPanics keeps the empty-net contract: a net without pins
+// has no bounding box.
+func TestBBoxEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("BBox of a pinless net did not panic")
+		}
+	}()
+	(&Net{}).BBox()
+}
+
 func TestNumPins(t *testing.T) {
 	if got := circuit().NumPins(); got != 5 {
 		t.Errorf("NumPins = %d, want 5", got)

@@ -260,6 +260,9 @@ func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
 		if err != nil {
 			return nil, badRequest("bad circuit: %v", err)
 		}
+		// The job keeps a copy of the request for its lifetime; drop the
+		// upload text, which nothing reads past this parse.
+		req.Circuit = ""
 	}
 	if req.Place {
 		c, _ = place.Refine(c)

@@ -166,6 +166,55 @@ func TestSubmitPollRoutesSVG(t *testing.T) {
 	}
 }
 
+// TestUploadTextNotRetained checks that a finished upload job keeps the
+// parsed circuit but not the upload text, and that dropping the text
+// changes neither the job's view nor its routes: they match a direct
+// route of the same circuit, and resubmitting the text still hits the
+// cache.
+func TestUploadTextNotRetained(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1})
+	text := tinyCircuit("upload")
+	v := ts.submit(t, JobRequest{Circuit: text, Track: "graph"}, http.StatusAccepted)
+	done := ts.waitState(t, v.ID, StateDone)
+
+	ts.mu.Lock()
+	j := ts.jobs[v.ID]
+	ts.mu.Unlock()
+	j.mu.Lock()
+	kept := j.req.Circuit
+	j.mu.Unlock()
+	if kept != "" {
+		t.Errorf("finished job retains %d bytes of upload text", len(kept))
+	}
+	if done.Circuit != "upload" || done.Nets != 3 || done.Pins != 6 || done.Mode != "stitch" || done.Track != "graph" {
+		t.Errorf("view = %+v, want circuit upload, 3 nets, 6 pins, mode stitch, track graph", done)
+	}
+
+	c, err := nlio.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.StitchAware()
+	cfg.TrackAlgo = j.cfg.TrackAlgo
+	res, err := core.Route(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := nlio.WriteRoutes(&want, res.Routes); err != nil {
+		t.Fatal(err)
+	}
+	resp, got := ts.do(t, "GET", "/v1/jobs/"+v.ID+"/routes", nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("GET routes = %d, %d bytes; want 200 and the direct route's %d bytes", resp.StatusCode, len(got), want.Len())
+	}
+
+	hit := ts.submit(t, JobRequest{Circuit: text, Track: "graph"}, http.StatusOK)
+	if !hit.CacheHit {
+		t.Error("resubmitting the upload text missed the cache")
+	}
+}
+
 func TestConcurrentSubmissions(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 4})
 	const n = 8
