@@ -104,11 +104,13 @@ bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
 	$(GO) run ./cmd/benchjson -stage eco -runs $(BENCH_RUNS) -out BENCH_eco.json
 
 # One-iteration benchmark smoke: proves the detail-stage benchmark (and
-# its pinned routes-hash assertion) and the global maze pass still run,
-# the latter with its allocation counts; takes seconds.
-bench-smoke: ## run BenchmarkDetail and BenchmarkGlobalMaze once
+# its pinned routes-hash assertion), the global maze pass and the
+# full-chip DRC pass still run, the latter two with their allocation
+# counts; takes seconds.
+bench-smoke: ## run BenchmarkDetail, BenchmarkGlobalMaze and BenchmarkCheck once
 	$(GO) test -run '^$$' -bench BenchmarkDetail -benchtime 1x ./internal/detail/
 	$(GO) test -run '^$$' -bench BenchmarkGlobalMaze -benchtime 1x -benchmem ./internal/global/
+	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime 1x -benchmem ./internal/drc/
 
 # Regenerate the paper's tables on the fast subset (use CIRCUITS=all for
 # the full 14-circuit suite; that takes ~15 minutes).

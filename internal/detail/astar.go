@@ -2,6 +2,7 @@ package detail
 
 import (
 	"stitchroute/internal/geom"
+	"stitchroute/internal/netlist"
 )
 
 // retryMargins are the growing search-window margins connect tries before
@@ -34,13 +35,16 @@ type searchCtx struct {
 	heap     cellHeap
 	rev      []cell // path-reconstruction scratch
 
-	// mark and mark2 are chip-sized stamped scratch grids for per-net
-	// geometry analysis: components' cell-owner index, commitPath's
-	// and releaseEscapes' metal-coverage sets, and trimNet's coverage
-	// counts (mark) and anchors (mark2). Each use bumps mcur, so no
-	// clearing is needed and uses cannot observe one another.
+	// mark and mark2 are stamped scratch grids for per-net geometry
+	// analysis: components' cell-owner index, commitPath's and
+	// releaseEscapes' metal-coverage sets, and trimNet's coverage counts
+	// (mark) and anchors (mark2, which needs only the stamps). Each use
+	// indexes them within mwin, the bounding box of the cells it
+	// touches, on every layer, and bumps mcur, so no clearing is needed
+	// and uses cannot observe one another.
 	mark  []stampVal
-	mark2 []stampVal
+	mark2 []int32
+	mwin  markWin
 	mcur  int32
 	// parent is union-find scratch for components.
 	parent []int32
@@ -83,15 +87,60 @@ type stampVal struct {
 	val   int32
 }
 
-// growMark sizes the stamped scratch grids to n chip cells and starts a
-// fresh stamp epoch, returning it.
-func (sc *searchCtx) growMark(n int) int32 {
-	if len(sc.mark) < n {
+// markWin is the box the stamped scratch grids currently index: columns
+// x0..x0+w-1 and rows y0..y0+h-1, on every layer.
+type markWin struct {
+	x0, y0, w, h int
+}
+
+// idx returns the grid index of a cell inside the window.
+func (m *markWin) idx(x, y, l int) int { return (l*m.h+(y-m.y0))*m.w + (x - m.x0) }
+
+// contains reports whether column x, row y lies inside the window.
+func (m *markWin) contains(x, y int) bool {
+	return x >= m.x0 && x < m.x0+m.w && y >= m.y0 && y < m.y0+m.h
+}
+
+// emptyBox is the empty rectangle a bounding box grows from.
+var emptyBox = geom.Rect{X0: 1, Y0: 1}
+
+// growMark points the stamped scratch grids at box on every layer of
+// the router and starts a fresh stamp epoch, returning it.
+func (r *Router) growMark(box geom.Rect) int32 {
+	return r.sc.growMark(box, r.L, r.X*r.Y*r.L)
+}
+
+// growMark points the stamped scratch grids at box on layers layers,
+// grows them geometrically, capped at limit (the chip's cell count), as
+// grow does, and starts a fresh stamp epoch, returning it.
+func (sc *searchCtx) growMark(box geom.Rect, layers, limit int) int32 {
+	sc.mwin = markWin{x0: box.X0, y0: box.Y0}
+	if !box.Empty() {
+		sc.mwin.w, sc.mwin.h = box.W(), box.H()
+	}
+	if n := sc.mwin.w * sc.mwin.h * layers; len(sc.mark) < n {
+		n = min(max(n, 2*len(sc.mark)), limit)
 		sc.mark = make([]stampVal, n)
-		sc.mark2 = make([]stampVal, n)
+		sc.mark2 = make([]int32, n)
 	}
 	sc.mcur++
 	return sc.mcur
+}
+
+// wiresBBox grows b to cover every wire.
+func wiresBBox(b geom.Rect, wires []geom.Segment) geom.Rect {
+	for _, w := range wires {
+		b = b.Union(w.Bounds())
+	}
+	return b
+}
+
+// pinsBBox grows b to cover every pin.
+func pinsBBox(b geom.Rect, pins []netlist.Pin) geom.Rect {
+	for _, p := range pins {
+		b = b.Union(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y})
+	}
+	return b
 }
 
 // connect runs the stitch-aware A* (eq. 10) from the source component to

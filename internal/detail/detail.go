@@ -387,10 +387,16 @@ func recorder(res *Result) func(*routeTask, bool) {
 	}
 }
 
-// finish fills the result fields derived after the routing loop. A
+// finish fills the result fields derived after the routing loop.
+func (r *Router) finish(res *Result, nets []*routeTask) {
+	r.tally(res)
+	r.collectECO(res, nets)
+}
+
+// tally fills the failure count and the search statistics. A
 // negotiation can change earlier nets' status; count failures from the
 // final record.
-func (r *Router) finish(res *Result, nets []*routeTask) {
+func (r *Router) tally(res *Result) {
 	res.Failed = 0
 	for i := range res.Routes {
 		if !res.Routes[i].Routed {
@@ -399,7 +405,6 @@ func (r *Router) finish(res *Result, nets []*routeTask) {
 	}
 	res.Connects = r.connects
 	res.Expansions = r.expansions
-	r.collectECO(res, nets)
 }
 
 // collectECO copies the per-task ECO recording into the result.
@@ -506,13 +511,16 @@ func (r *Router) releaseEscapes(t *routeTask) {
 	if len(t.escapes) == 0 {
 		return
 	}
-	stamp := r.sc.growMark(r.X * r.Y * r.L)
-	covered := r.sc.mark
+	stamp := r.growMark(wiresBBox(emptyBox, t.wires))
+	covered, mw := r.sc.mark, &r.sc.mwin
 	for _, w := range t.wires {
-		forEachCell(w, func(c cell) { covered[r.idx(c.x, c.y, c.l)].stamp = stamp })
+		forEachCell(w, func(c cell) { covered[mw.idx(c.x, c.y, c.l)].stamp = stamp })
 	}
 	for _, c := range t.escapes {
-		if i := r.idx(c.x, c.y, c.l); covered[i].stamp != stamp && r.occ[i] == int32(t.net.ID)+1 {
+		if mw.contains(c.x, c.y) && covered[mw.idx(c.x, c.y, c.l)].stamp == stamp {
+			continue
+		}
+		if i := r.idx(c.x, c.y, c.l); r.occ[i] == int32(t.net.ID)+1 {
 			r.occ[i] = 0
 		}
 	}
@@ -663,11 +671,12 @@ func (r *Router) components(t *routeTask) [][]cell {
 	union := func(a, b int) { parent[find(a)] = int32(find(b)) }
 
 	// Pass 1: union items sharing a chip cell. owner[gi] holds the first
-	// item that covered chip cell gi this epoch.
-	stamp := sc.growMark(r.X * r.Y * r.L)
-	owner := sc.mark
+	// item that covered chip cell gi this epoch; the grid spans the
+	// items' bounding box.
+	stamp := r.growMark(pinsBBox(wiresBBox(emptyBox, t.wires), t.net.Pins))
+	owner, mw := sc.mark, &sc.mwin
 	visit := func(i int, c cell) {
-		gi := r.idx(c.x, c.y, c.l)
+		gi := mw.idx(c.x, c.y, c.l)
 		if owner[gi].stamp == stamp {
 			union(i, int(owner[gi].val))
 		} else {
@@ -691,11 +700,11 @@ func (r *Router) components(t *routeTask) [][]cell {
 		visit(nw+pi, cell{p.X, p.Y, p.Layer - 1})
 	}
 	for _, v := range t.vias {
-		if v.Layer < 1 || v.Layer >= r.L {
-			continue // no cell on one side; the map version missed too
+		if v.Layer < 1 || v.Layer >= r.L || !mw.contains(v.X, v.Y) {
+			continue // no cell on one side, or no item covers it
 		}
-		a := owner[r.idx(v.X, v.Y, v.Layer-1)]
-		b := owner[r.idx(v.X, v.Y, v.Layer)]
+		a := owner[mw.idx(v.X, v.Y, v.Layer-1)]
+		b := owner[mw.idx(v.X, v.Y, v.Layer)]
 		if a.stamp == stamp && b.stamp == stamp {
 			union(int(a.val), int(b.val))
 		}
@@ -806,15 +815,18 @@ func (r *Router) routeNet(t *routeTask) bool {
 // occupancy grid and the geometric connectivity stay exact.
 func (r *Router) commitPath(t *routeTask, path []cell) {
 	id := int32(t.net.ID)
+	if len(path) == 0 {
+		return
+	}
 	sc := &r.sc
-	stamp := sc.growMark(r.X * r.Y * r.L)
-	metal := sc.mark
+	stamp := r.growMark(cellBBox(path))
+	metal, mw := sc.mark, &sc.mwin
 	addWire := func(w geom.Segment) {
 		//lint:ignore hotalloc the committed wire list is the route's output, not scratch: it outlives the search, so it cannot live in the per-search arena
 		t.wires = append(t.wires, w)
 		r.markAct(t.wact, w.Bounds())
 		r.fillWire(w, id+1)
-		forEachCell(w, func(c cell) { metal[r.idx(c.x, c.y, c.l)].stamp = stamp })
+		forEachCell(w, func(c cell) { metal[mw.idx(c.x, c.y, c.l)].stamp = stamp })
 	}
 	for i := 0; i+1 < len(path); {
 		a, b := path[i], path[i+1]
@@ -844,7 +856,7 @@ func (r *Router) commitPath(t *routeTask, path []cell) {
 	}
 	// Pad cells traversed without metal (via endpoints, lone terminals).
 	for _, c := range path {
-		if metal[r.idx(c.x, c.y, c.l)].stamp != stamp {
+		if metal[mw.idx(c.x, c.y, c.l)].stamp != stamp {
 			addWire(geom.HSeg(c.l+1, c.y, c.x, c.x))
 		}
 	}

@@ -1,6 +1,7 @@
 package detail
 
 import (
+	"reflect"
 	"testing"
 
 	"stitchroute/internal/geom"
@@ -294,6 +295,35 @@ func TestMergedWires(t *testing.T) {
 	}
 	if !found {
 		t.Error("touching wires not merged")
+	}
+
+	// Interleaved tracks: groups come out in first-appearance order
+	// (V x=3, then H y=7, then H y=5), each group's spans ascending;
+	// empty wires are dropped and do not place a group.
+	wires = []geom.Segment{
+		{Orient: geom.Horizontal, Layer: 1, Fixed: 1, Span: geom.Interval{Lo: 4, Hi: 3}},
+		geom.VSeg(2, 3, 10, 12),
+		geom.HSeg(1, 7, 30, 40),
+		geom.HSeg(1, 5, 8, 9),
+		geom.VSeg(2, 3, 0, 4),
+		geom.HSeg(1, 7, 0, 2),
+		geom.HSeg(1, 5, 0, 7),
+		geom.HSeg(1, 7, 3, 5),
+		geom.HSeg(1, 1, 0, 0),
+	}
+	want := []geom.Segment{
+		geom.VSeg(2, 3, 0, 4),
+		geom.VSeg(2, 3, 10, 12),
+		geom.HSeg(1, 7, 0, 5),
+		geom.HSeg(1, 7, 30, 40),
+		geom.HSeg(1, 5, 0, 9),
+		geom.HSeg(1, 1, 0, 0),
+	}
+	if got := MergedWires(wires); !reflect.DeepEqual(got, want) {
+		t.Errorf("MergedWires = %v, want %v", got, want)
+	}
+	if got := MergedWires(wires[:1]); got != nil {
+		t.Errorf("MergedWires of only empty wires = %v, want nil", got)
 	}
 }
 

@@ -5,6 +5,8 @@ package detail_test
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"stitchroute/internal/bench"
@@ -12,6 +14,7 @@ import (
 	"stitchroute/internal/detail"
 	"stitchroute/internal/harness"
 	"stitchroute/internal/nlio"
+	"stitchroute/internal/plan"
 )
 
 // TestParallelCancellation checks the cancellation contract: a
@@ -76,4 +79,61 @@ func BenchmarkDetail(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(expansions)/b.Elapsed().Seconds(), "expansions/s")
+}
+
+// TestRunPatchReadOnly runs one Patch twice on fresh routers: the
+// results must be identical and the Patch must be left as it was,
+// including a slot beyond Keep, which is routed live without being
+// marked dirty in the caller's Patch.
+func TestRunPatchReadOnly(t *testing.T) {
+	spec := harness.ShortGrid()[0]
+	spec.Seed = 5
+	c := harness.Generate(spec)
+	cfg := detail.DefaultConfig(true)
+	parent := detail.NewRouter(c.Fabric, cfg).Run(c, nil)
+
+	n := len(c.Nets)
+	p := &detail.Patch{
+		Dirty:     make([]bool, n),
+		Keep:      append([]plan.NetRoute(nil), parent.Routes[:n-1]...),
+		FreedPins: append([][]detail.Cell(nil), parent.FreedPins[:n-1]...),
+	}
+	for i := 0; i < n; i += 5 {
+		p.Dirty[i] = true
+	}
+	before := clonePatch(p)
+
+	var results [2]*detail.Result
+	for k := range results {
+		res, grafted, err := detail.NewRouter(c.Fabric, cfg).RunPatch(context.Background(), c, nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := n - (n+4)/5 - 1; grafted != want {
+			t.Fatalf("grafted %d nets, want %d", grafted, want)
+		}
+		results[k] = res
+		if !reflect.DeepEqual(p, before) {
+			t.Fatalf("run %d changed its Patch", k)
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatal("two runs of one Patch differ")
+	}
+}
+
+func clonePatch(p *detail.Patch) *detail.Patch {
+	q := &detail.Patch{
+		Dirty:     slices.Clone(p.Dirty),
+		Keep:      slices.Clone(p.Keep),
+		FreedPins: slices.Clone(p.FreedPins),
+	}
+	for i := range q.Keep {
+		q.Keep[i].Wires = slices.Clone(q.Keep[i].Wires)
+		q.Keep[i].Vias = slices.Clone(q.Keep[i].Vias)
+	}
+	for i := range q.FreedPins {
+		q.FreedPins[i] = slices.Clone(q.FreedPins[i])
+	}
+	return q
 }

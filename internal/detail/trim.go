@@ -1,6 +1,8 @@
 package detail
 
 import (
+	"slices"
+
 	"stitchroute/internal/geom"
 	"stitchroute/internal/plan"
 )
@@ -14,19 +16,24 @@ func (r *Router) trimNet(t *routeTask) {
 	id := int32(t.net.ID)
 
 	// Coverage counts per cell over the net's wires (stamped scratch
-	// grids replace per-call maps — trimming runs once per routed net).
+	// grids over the box of the net's wires, pins and vias replace
+	// per-call maps — trimming runs once per routed net).
 	sc := &r.sc
-	stamp := sc.growMark(r.X * r.Y * r.L)
-	cover := sc.mark
+	box := pinsBBox(wiresBBox(emptyBox, t.wires), t.net.Pins)
+	for _, v := range t.vias {
+		box = box.Union(geom.Rect{X0: v.X, Y0: v.Y, X1: v.X, Y1: v.Y})
+	}
+	stamp := r.growMark(box)
+	cover, mw := sc.mark, &sc.mwin
 	coverAt := func(c cell) int32 {
-		if s := cover[r.idx(c.x, c.y, c.l)]; s.stamp == stamp {
+		if s := cover[mw.idx(c.x, c.y, c.l)]; s.stamp == stamp {
 			return s.val
 		}
 		return 0
 	}
 	for _, w := range t.wires {
 		forEachCell(w, func(c cell) {
-			i := r.idx(c.x, c.y, c.l)
+			i := mw.idx(c.x, c.y, c.l)
 			if cover[i].stamp != stamp {
 				cover[i] = stampVal{stamp: stamp, val: 0}
 			}
@@ -34,8 +41,8 @@ func (r *Router) trimNet(t *routeTask) {
 		})
 	}
 	anchor := sc.mark2
-	mark := func(x, y, l int) { anchor[r.idx(x, y, l)].stamp = stamp }
-	isAnchor := func(c cell) bool { return anchor[r.idx(c.x, c.y, c.l)].stamp == stamp }
+	mark := func(x, y, l int) { anchor[mw.idx(x, y, l)] = stamp }
+	isAnchor := func(c cell) bool { return anchor[mw.idx(c.x, c.y, c.l)] == stamp }
 	for _, p := range t.net.Pins {
 		mark(p.X, p.Y, p.Layer-1)
 	}
@@ -59,7 +66,7 @@ func (r *Router) trimNet(t *routeTask) {
 				if w.Span.Empty() || isAnchor(lo) || coverAt(lo) > 1 {
 					break
 				}
-				cover[r.idx(lo.x, lo.y, lo.l)].val--
+				cover[mw.idx(lo.x, lo.y, lo.l)].val--
 				free(lo)
 				w.Span.Lo++
 				changed = true
@@ -72,7 +79,7 @@ func (r *Router) trimNet(t *routeTask) {
 				if isAnchor(hi) || coverAt(hi) > 1 {
 					break
 				}
-				cover[r.idx(hi.x, hi.y, hi.l)].val--
+				cover[mw.idx(hi.x, hi.y, hi.l)].val--
 				free(hi)
 				w.Span.Hi--
 				changed = true
@@ -122,8 +129,9 @@ func forEachCell(w geom.Segment, fn func(cell)) {
 // route's wires after merging overlaps per layer/track.
 func Wirelength(routes []plan.NetRoute) int64 {
 	var total int64
+	var m WireMerger
 	for i := range routes {
-		for _, w := range MergedWires(routes[i].Wires) {
+		for _, w := range m.Merge(routes[i].Wires) {
 			total += int64(w.Span.Len() - 1)
 		}
 	}
@@ -131,55 +139,102 @@ func Wirelength(routes []plan.NetRoute) int64 {
 }
 
 // MergedWires merges a net's collinear overlapping/touching wires into
-// maximal segments — the polygons the DRC inspects.
+// maximal segments — the polygons the DRC inspects. Groups of wires on
+// one (orientation, layer, track) come out in the order each group first
+// appears in wires, and each group's merged spans in ascending order.
 func MergedWires(wires []geom.Segment) []geom.Segment {
-	type key struct {
-		orient geom.Orientation
-		layer  int
-		fixed  int
+	var m WireMerger
+	return m.Merge(wires)
+}
+
+// WireMerger is reusable scratch for MergedWires' merge; its zero value
+// is ready to use. A caller that merges many nets keeps one and so
+// allocates only while the scratch grows.
+type WireMerger struct {
+	items  []mergeItem
+	groups []mergeGroup
+	spans  []geom.Segment
+	out    []geom.Segment
+}
+
+// mergeItem is a non-empty wire and its position in the input.
+type mergeItem struct {
+	w   geom.Segment
+	pos int
+}
+
+// mergeGroup is one (orientation, layer, track) group: the input
+// position of its first wire and its merged spans, spans[lo:hi].
+type mergeGroup struct {
+	first, lo, hi int
+}
+
+// Merge returns the merged form of wires, exactly as MergedWires does
+// (nil when no wire is non-empty). The result aliases the scratch and
+// is valid until the next call.
+//
+// Sorting the wires by (orientation, layer, track, span start) puts each
+// group's wires next to each other with ascending starts, which is all
+// the interval merge needs; its output does not depend on how wires with
+// equal starts are ordered. The groups are then emitted by their first
+// input position.
+func (m *WireMerger) Merge(wires []geom.Segment) []geom.Segment {
+	items := m.items[:0]
+	for i, w := range wires {
+		if !w.Span.Empty() {
+			items = append(items, mergeItem{w: w, pos: i})
+		}
 	}
-	groups := map[key][]geom.Interval{}
-	var keys []key
-	for _, w := range wires {
-		if w.Span.Empty() {
-			continue
+	m.items = items
+	slices.SortFunc(items, cmpMergeItem)
+
+	groups := m.groups[:0]
+	spans := m.spans[:0]
+	for i := 0; i < len(items); {
+		g := mergeGroup{first: items[i].pos, lo: len(spans)}
+		cur := items[i].w
+		j := i + 1
+		for ; j < len(items) && sameTrack(items[j].w, cur); j++ {
+			w := items[j].w
+			g.first = min(g.first, items[j].pos)
+			if w.Span.Lo <= cur.Span.Hi+1 {
+				cur.Span.Hi = max(cur.Span.Hi, w.Span.Hi)
+				continue
+			}
+			spans = append(spans, cur)
+			cur = w
 		}
-		k := key{w.Orient, w.Layer, w.Fixed}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], w.Span)
+		spans = append(spans, cur)
+		g.hi = len(spans)
+		groups = append(groups, g)
+		i = j
 	}
-	var out []geom.Segment
-	for _, k := range keys {
-		for _, span := range mergeIntervals(groups[k]) {
-			out = append(out, geom.Segment{Orient: k.orient, Layer: k.layer, Fixed: k.fixed, Span: span})
-		}
+	m.groups, m.spans = groups, spans
+	slices.SortFunc(groups, func(a, b mergeGroup) int { return a.first - b.first })
+
+	out := m.out[:0]
+	for _, g := range groups {
+		out = append(out, spans[g.lo:g.hi]...)
+	}
+	m.out = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
 
-// mergeIntervals merges overlapping or cell-adjacent closed intervals.
-func mergeIntervals(ivs []geom.Interval) []geom.Interval {
-	if len(ivs) == 0 {
-		return nil
+func sameTrack(a, b geom.Segment) bool {
+	return a.Orient == b.Orient && a.Layer == b.Layer && a.Fixed == b.Fixed
+}
+
+func cmpMergeItem(a, b mergeItem) int {
+	switch {
+	case a.w.Orient != b.w.Orient:
+		return int(a.w.Orient) - int(b.w.Orient)
+	case a.w.Layer != b.w.Layer:
+		return a.w.Layer - b.w.Layer
+	case a.w.Fixed != b.w.Fixed:
+		return a.w.Fixed - b.w.Fixed
 	}
-	sorted := append([]geom.Interval(nil), ivs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Lo < sorted[j-1].Lo; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	out := []geom.Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Lo <= last.Hi+1 {
-			if iv.Hi > last.Hi {
-				last.Hi = iv.Hi
-			}
-		} else {
-			out = append(out, iv)
-		}
-	}
-	return out
+	return a.w.Span.Lo - b.w.Span.Lo
 }

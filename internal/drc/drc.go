@@ -59,10 +59,12 @@ func (r Report) Routability() float64 {
 	return 100 * float64(r.RoutedNets) / float64(r.TotalNets)
 }
 
-// Check inspects every routed net of the circuit.
+// Check inspects every routed net of the circuit. One scratch serves
+// the whole call, so the per-net checks allocate only while it grows.
 func Check(c *netlist.Circuit, routes []plan.NetRoute) Report {
 	rep := Report{TotalNets: len(c.Nets)}
 	f := c.Fabric
+	var sc checkScratch
 	for i := range routes {
 		rt := &routes[i]
 		if rt.Routed {
@@ -72,31 +74,31 @@ func Check(c *netlist.Circuit, routes []plan.NetRoute) Report {
 		if i < len(c.Nets) {
 			pins = c.Nets[i].Pins
 		}
-		checkNet(f, rt, pins, &rep)
+		checkNet(f, rt, pins, &rep, &sc)
 	}
+	rep.SPSites = sc.sites
 	return rep
 }
 
-func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report) {
-	merged := detail.MergedWires(rt.Wires)
+// checkScratch is Check's per-call scratch: the wire merger and the
+// short-polygon sites, which become the report's SPSites.
+type checkScratch struct {
+	merge detail.WireMerger
+	sites []geom.Point
+}
+
+func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report, sc *checkScratch) {
+	merged := sc.merge.Merge(rt.Wires)
 	for _, w := range merged {
 		rep.Wirelength += int64(w.Span.Len() - 1)
 	}
 
-	pinAt := make(map[geom.Point]bool, len(pins))
-	for _, p := range pins {
-		pinAt[p.Point] = true
-	}
-
 	// Via constraint.
 	rep.Vias += len(rt.Vias)
-	viaAt := make(map[[3]int]bool, len(rt.Vias)*2)
 	for _, v := range rt.Vias {
-		viaAt[[3]int{v.X, v.Y, v.Layer}] = true
-		viaAt[[3]int{v.X, v.Y, v.Layer + 1}] = true
 		if f.IsStitchCol(v.X) {
 			rep.ViaViolations++
-			if !pinAt[geom.Point{X: v.X, Y: v.Y}] {
+			if !hasPinAt(pins, v.X, v.Y) {
 				rep.ViaViolationsOffPin++
 			}
 		}
@@ -127,14 +129,35 @@ func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report
 				continue
 			}
 			// Landing via at the end, touching this wire's layer.
-			if viaAt[[3]int{end, w.Fixed, w.Layer}] {
+			if hasViaAt(rt.Vias, end, w.Fixed, w.Layer) {
 				rep.ShortPolygons++
-				if len(rep.SPSites) < maxSPSites {
-					rep.SPSites = append(rep.SPSites, geom.Point{X: end, Y: w.Fixed})
+				if len(sc.sites) < maxSPSites {
+					sc.sites = append(sc.sites, geom.Point{X: end, Y: w.Fixed})
 				}
 			}
 		}
 	}
+}
+
+// hasPinAt reports whether some pin sits at (x, y), on any layer.
+func hasPinAt(pins []netlist.Pin, x, y int) bool {
+	for _, p := range pins {
+		if p.X == x && p.Y == y {
+			return true
+		}
+	}
+	return false
+}
+
+// hasViaAt reports whether some via touches layer l at (x, y): a via on
+// layer v joins layers v and v+1.
+func hasViaAt(vias []plan.Via, x, y, l int) bool {
+	for _, v := range vias {
+		if v.X == x && v.Y == y && (v.Layer == l || v.Layer+1 == l) {
+			return true
+		}
+	}
+	return false
 }
 
 // CheckShorts counts track cells covered by wires of two or more

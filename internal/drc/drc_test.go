@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"reflect"
 	"testing"
 
 	"stitchroute/internal/geom"
@@ -27,7 +28,7 @@ func TestCleanRoute(t *testing.T) {
 		NetID: 0, Routed: true,
 		Wires: []geom.Segment{geom.HSeg(1, 5, 2, 12)},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ShortPolygons != 0 || rep.ViaViolations != 0 || rep.VertRouteViolations != 0 {
 		t.Errorf("clean route flagged: %+v", rep)
 	}
@@ -48,7 +49,7 @@ func TestShortPolygonDetected(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 14, 20)},
 		Vias:  []plan.Via{{X: 14, Y: 5, Layer: 1}},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ShortPolygons != 1 {
 		t.Errorf("short polygons = %d, want 1", rep.ShortPolygons)
 	}
@@ -60,7 +61,7 @@ func TestNoViaNoShortPolygon(t *testing.T) {
 		NetID: 0, Routed: true,
 		Wires: []geom.Segment{geom.HSeg(1, 5, 14, 20)},
 	}}
-	if rep := Check(c, routes); rep.ShortPolygons != 0 {
+	if rep := checkRef(t, c, routes); rep.ShortPolygons != 0 {
 		t.Errorf("short polygon without landing via: %d", rep.ShortPolygons)
 	}
 }
@@ -73,7 +74,7 @@ func TestEndOutsideSURNoShortPolygon(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 12, 20)},
 		Vias:  []plan.Via{{X: 12, Y: 5, Layer: 1}},
 	}}
-	if rep := Check(c, routes); rep.ShortPolygons != 0 {
+	if rep := checkRef(t, c, routes); rep.ShortPolygons != 0 {
 		t.Errorf("SP outside SUR: %d", rep.ShortPolygons)
 	}
 }
@@ -87,7 +88,7 @@ func TestUncutWireNoShortPolygon(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 16, 20)}, // starts right of stitch 15
 		Vias:  []plan.Via{{X: 16, Y: 5, Layer: 1}},
 	}}
-	if rep := Check(c, routes); rep.ShortPolygons != 0 {
+	if rep := checkRef(t, c, routes); rep.ShortPolygons != 0 {
 		t.Errorf("SP on uncut wire: %d", rep.ShortPolygons)
 	}
 }
@@ -101,7 +102,7 @@ func TestWireEndingOnStitchNotCut(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 15, 25)},
 		Vias:  []plan.Via{{X: 15, Y: 5, Layer: 1}},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ShortPolygons != 0 {
 		t.Errorf("SP for wire ending on stitch: %d", rep.ShortPolygons)
 	}
@@ -118,7 +119,7 @@ func TestViaViolationOffPin(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 2, 20)},
 		Vias:  []plan.Via{{X: 30, Y: 5, Layer: 1}}, // stitch col, not a pin
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ViaViolations != 1 || rep.ViaViolationsOffPin != 1 {
 		t.Errorf("VV = %d offpin %d", rep.ViaViolations, rep.ViaViolationsOffPin)
 	}
@@ -130,7 +131,7 @@ func TestVerticalRoutingViolation(t *testing.T) {
 		NetID: 0, Routed: true,
 		Wires: []geom.Segment{geom.VSeg(2, 15, 2, 9)},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.VertRouteViolations != 1 {
 		t.Errorf("vertical routing violations = %d, want 1", rep.VertRouteViolations)
 	}
@@ -143,7 +144,7 @@ func TestSinglePadOnStitchNotVertViolation(t *testing.T) {
 		NetID: 0, Routed: true,
 		Wires: []geom.Segment{geom.VSeg(2, 15, 2, 2), geom.HSeg(1, 2, 15, 16)},
 	}}
-	if rep := Check(c, routes); rep.VertRouteViolations != 0 {
+	if rep := checkRef(t, c, routes); rep.VertRouteViolations != 0 {
 		t.Errorf("pad flagged as vertical violation: %d", rep.VertRouteViolations)
 	}
 }
@@ -157,7 +158,7 @@ func TestBothEndsShortPolygons(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(3, 5, 14, 31)},
 		Vias:  []plan.Via{{X: 14, Y: 5, Layer: 2}, {X: 31, Y: 5, Layer: 2}},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ShortPolygons != 2 {
 		t.Errorf("short polygons = %d, want 2", rep.ShortPolygons)
 	}
@@ -172,7 +173,7 @@ func TestRoutabilityCounting(t *testing.T) {
 		{NetID: 0, Routed: true, Wires: []geom.Segment{geom.HSeg(1, 5, 2, 9)}},
 		{NetID: 1, Routed: false},
 	}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.Routability() != 50 {
 		t.Errorf("routability = %v, want 50", rep.Routability())
 	}
@@ -190,9 +191,29 @@ func TestSplitWiresMergedBeforeCheck(t *testing.T) {
 		},
 		Vias: []plan.Via{{X: 14, Y: 5, Layer: 1}},
 	}}
-	rep := Check(c, routes)
+	rep := checkRef(t, c, routes)
 	if rep.ShortPolygons != 1 {
 		t.Errorf("short polygons = %d, want 1 (wires not merged?)", rep.ShortPolygons)
+	}
+
+	// Interleaved pieces of two tracks: the merged polygons, and so the
+	// short-polygon sites, come out in the order each track first
+	// appears (y=9 before y=5), not in track order.
+	c = circuit(pinNet(0, geom.Point{X: 14, Y: 5}, geom.Point{X: 14, Y: 9}))
+	routes = []plan.NetRoute{{
+		NetID: 0, Routed: true,
+		Wires: []geom.Segment{
+			geom.HSeg(1, 9, 16, 20),
+			geom.HSeg(1, 5, 14, 15),
+			geom.HSeg(1, 9, 14, 15),
+			geom.HSeg(1, 5, 16, 20),
+		},
+		Vias: []plan.Via{{X: 14, Y: 5, Layer: 1}, {X: 14, Y: 9, Layer: 1}},
+	}}
+	rep = checkRef(t, c, routes)
+	want := []geom.Point{{X: 14, Y: 9}, {X: 14, Y: 5}}
+	if !reflect.DeepEqual(rep.SPSites, want) {
+		t.Errorf("SPSites = %v, want %v (first-appearance track order)", rep.SPSites, want)
 	}
 }
 
@@ -262,7 +283,7 @@ func TestViaCount(t *testing.T) {
 		Wires: []geom.Segment{geom.HSeg(1, 5, 2, 9), geom.VSeg(2, 9, 5, 8)},
 		Vias:  []plan.Via{{X: 9, Y: 5, Layer: 1}, {X: 9, Y: 8, Layer: 1}},
 	}}
-	if rep := Check(c, routes); rep.Vias != 2 {
+	if rep := checkRef(t, c, routes); rep.Vias != 2 {
 		t.Errorf("vias = %d, want 2", rep.Vias)
 	}
 }

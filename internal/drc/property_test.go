@@ -77,7 +77,7 @@ func TestShortPolygonCountMatchesBruteForce(t *testing.T) {
 				{Point: geom.Point{X: 2, Y: 2}, Layer: 1},
 			}},
 		}}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		want := bruteShortPolygons(f, &rt)
 		if rep.ShortPolygons != want {
 			t.Fatalf("iter %d: Check found %d SPs, brute force %d (wires %v vias %v)",
@@ -110,7 +110,7 @@ func TestWirelengthMatchesCellCount(t *testing.T) {
 				{Point: geom.Point{X: 2, Y: 2}, Layer: 1},
 			}},
 		}}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.Wirelength != total {
 			t.Fatalf("iter %d: WL %d, want %d", iter, rep.Wirelength, total)
 		}
@@ -144,7 +144,7 @@ func TestAdversarialViolations(t *testing.T) {
 			Wires: []geom.Segment{geom.HSeg(1, 2, 2, 8)},
 			Vias:  []plan.Via{{X: 30, Y: 10, Layer: 1}},
 		}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.ViaViolations != 1 || rep.ViaViolationsOffPin != 1 {
 			t.Errorf("via at (30,10) off-pin: VV=%d offPin=%d, want 1/1", rep.ViaViolations, rep.ViaViolationsOffPin)
 		}
@@ -156,7 +156,7 @@ func TestAdversarialViolations(t *testing.T) {
 			Wires: []geom.Segment{geom.HSeg(1, 10, 30, 35)},
 			Vias:  []plan.Via{{X: 30, Y: 10, Layer: 1}},
 		}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.ViaViolations != 1 || rep.ViaViolationsOffPin != 0 {
 			t.Errorf("via at pin on stitch: VV=%d offPin=%d, want 1/0", rep.ViaViolations, rep.ViaViolationsOffPin)
 		}
@@ -167,7 +167,7 @@ func TestAdversarialViolations(t *testing.T) {
 		rt := plan.NetRoute{Routed: true,
 			Wires: []geom.Segment{geom.VSeg(2, 30, 5, 9)},
 		}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.VertRouteViolations != 1 {
 			t.Errorf("vertical run along x=30: VertRouteViolations=%d, want 1", rep.VertRouteViolations)
 		}
@@ -180,7 +180,7 @@ func TestAdversarialViolations(t *testing.T) {
 		rt := plan.NetRoute{Routed: true,
 			Wires: []geom.Segment{geom.VSeg(2, 30, 5, 5)},
 		}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.VertRouteViolations != 0 {
 			t.Errorf("unit vertical cell on x=30: VertRouteViolations=%d, want 0", rep.VertRouteViolations)
 		}
@@ -194,7 +194,7 @@ func TestAdversarialViolations(t *testing.T) {
 			Wires: []geom.Segment{geom.HSeg(1, 10, 14, 40)},
 			Vias:  []plan.Via{{X: 14, Y: 10, Layer: 1}},
 		}
-		rep := Check(c, []plan.NetRoute{rt})
+		rep := checkRef(t, c, []plan.NetRoute{rt})
 		if rep.ShortPolygons != 1 {
 			t.Errorf("SP=%d, want 1", rep.ShortPolygons)
 		}
@@ -208,7 +208,7 @@ func TestAdversarialViolations(t *testing.T) {
 		rt := plan.NetRoute{Routed: true,
 			Wires: []geom.Segment{geom.HSeg(1, 10, 14, 40)},
 		}
-		if rep := Check(c, []plan.NetRoute{rt}); rep.ShortPolygons != 0 {
+		if rep := checkRef(t, c, []plan.NetRoute{rt}); rep.ShortPolygons != 0 {
 			t.Errorf("no landing via: SP=%d, want 0", rep.ShortPolygons)
 		}
 	})
@@ -221,7 +221,7 @@ func TestAdversarialViolations(t *testing.T) {
 			Wires: []geom.Segment{geom.HSeg(1, 10, 13, 40)},
 			Vias:  []plan.Via{{X: 13, Y: 10, Layer: 1}},
 		}
-		if rep := Check(c, []plan.NetRoute{rt}); rep.ShortPolygons != 0 {
+		if rep := checkRef(t, c, []plan.NetRoute{rt}); rep.ShortPolygons != 0 {
 			t.Errorf("end outside SUR: SP=%d, want 0", rep.ShortPolygons)
 		}
 	})

@@ -4,14 +4,17 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"stitchroute/internal/core"
+	"stitchroute/internal/detail"
 	"stitchroute/internal/eco"
 	"stitchroute/internal/harness"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
+	"stitchroute/internal/plan"
 )
 
 func genCircuit(t *testing.T, seed int64) *netlist.Circuit {
@@ -261,4 +264,59 @@ func TestRerouteCancelled(t *testing.T) {
 	if !errors.Is(err, core.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
+}
+
+// TestPatchLeavesParentUnchanged: patches share the parent's kept routes
+// and freed-pin records instead of copying them, so two patches from
+// one parent, and a patch chained off the first, must leave every
+// parent's routes and freed pins exactly as they were.
+func TestPatchLeavesParentUnchanged(t *testing.T) {
+	cfg := core.StitchAware()
+	c := genCircuit(t, 21)
+	parent, err := core.Route(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, freed := cloneRoutes(parent.Routes), cloneCells(parent.ECO.FreedPins)
+
+	np := freshPins(c)
+	s1 := &eco.Script{Edits: []eco.Edit{{Op: eco.OpMovePin, ID: 4, Pin: 0, X: np[0].X, Y: np[0].Y}}}
+	s2 := &eco.Script{Edits: []eco.Edit{{Op: eco.OpDelete, ID: 9}, {Op: eco.OpAdd, ID: 900, Pins: np}}}
+	p1, err := eco.ReroutePatch(parent, c, s1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.Stats.DetailReused == 0 {
+		t.Fatal("patch grafted no nets")
+	}
+	p1Routes, p1Freed := cloneRoutes(p1.Routes), cloneCells(p1.ECO.FreedPins)
+	if _, err := eco.ReroutePatch(parent, c, s2, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eco.ReroutePatch(p1.Result, p1.Edited, s2, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parent.Routes, routes) || !reflect.DeepEqual(parent.ECO.FreedPins, freed) {
+		t.Error("patching changed the parent's routes or freed pins")
+	}
+	if !reflect.DeepEqual(p1.Routes, p1Routes) || !reflect.DeepEqual(p1.ECO.FreedPins, p1Freed) {
+		t.Error("a chained patch changed its parent patch's routes or freed pins")
+	}
+}
+
+func cloneRoutes(rs []plan.NetRoute) []plan.NetRoute {
+	out := slices.Clone(rs)
+	for i := range out {
+		out[i].Wires = slices.Clone(out[i].Wires)
+		out[i].Vias = slices.Clone(out[i].Vias)
+	}
+	return out
+}
+
+func cloneCells(cs [][]detail.Cell) [][]detail.Cell {
+	out := slices.Clone(cs)
+	for i := range out {
+		out[i] = slices.Clone(out[i])
+	}
+	return out
 }

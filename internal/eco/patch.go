@@ -74,7 +74,12 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		margin = PatchMargin
 	}
 	var region []geom.Rect
-	addRect := func(rc geom.Rect) { region = append(region, rc.Expand(margin)) }
+	box := geom.Rect{X0: 1, Y0: 1} // region's bounding box; starts empty
+	addRect := func(rc geom.Rect) {
+		rc = rc.Expand(margin)
+		box = box.Union(rc)
+		region = append(region, rc)
+	}
 	for i, n := range pc.Nets {
 		if !editedIDs[n.ID] {
 			continue
@@ -95,6 +100,9 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		}
 	}
 	intersects := func(rc geom.Rect) bool {
+		if !box.Overlaps(rc) {
+			return false
+		}
 		for _, rg := range region {
 			if rg.Overlaps(rc) {
 				return true
@@ -105,41 +113,44 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 
 	// Rip up the edited nets plus every kept net whose committed route
 	// crosses the region. Parent-failed nets have no route to cross it;
-	// they are retried only when edited (their pins moved).
-	dirty := make(map[int]bool, len(editedIDs))
-	keep := make(map[int]plan.NetRoute, len(pc.Nets))
-	freed := make(map[int][]detail.Cell, len(pc.Nets))
-	pPlan := make(map[int]*plan.NetPlan, len(pc.Nets))
-	for i, n := range pc.Nets {
-		id := n.ID
-		pPlan[id] = parent.Plans[i]
+	// they are retried only when edited (their pins moved). The patch
+	// is indexed by the edited circuit's slots. Apply keeps unedited
+	// nets in their parent order, so one forward walk over the parent's
+	// slots finds each one's parent slot.
+	n := len(edited.Nets)
+	patch := &detail.Patch{
+		Dirty:     make([]bool, n),
+		Keep:      make([]plan.NetRoute, n),
+		FreedPins: make([][]detail.Cell, n),
+	}
+	plans := make([]*plan.NetPlan, n)
+	pi := 0
+	for i, net := range edited.Nets {
+		id := net.ID
 		if editedIDs[id] {
-			dirty[id] = true
+			// Edited nets have no plan and route from pins alone.
+			patch.Dirty[i] = true
 			continue
 		}
+		for pc.Nets[pi].ID != id {
+			pi++
+		}
+		// Kept and ripped-neighbour nets reuse their parent plan (their
+		// pins are unchanged, so the plan is still valid guidance).
+		plans[i] = parent.Plans[pi]
 		hit := false
-		for _, w := range parent.Routes[i].Wires {
+		for _, w := range parent.Routes[pi].Wires {
 			if intersects(w.Bounds()) {
 				hit = true
 				break
 			}
 		}
 		if hit {
-			dirty[id] = true
+			patch.Dirty[i] = true
 			continue
 		}
-		keep[id] = parent.Routes[i]
-		freed[id] = parent.ECO.FreedPins[i]
-	}
-
-	// Plans: kept and ripped-neighbour nets reuse their parent plan
-	// (their pins are unchanged, so the plan is still valid guidance);
-	// edited nets have none and route from pins alone.
-	plans := make([]*plan.NetPlan, len(edited.Nets))
-	for i, n := range edited.Nets {
-		if !editedIDs[n.ID] {
-			plans[i] = pPlan[n.ID]
-		}
+		patch.Keep[i] = parent.Routes[pi]
+		patch.FreedPins[i] = parent.ECO.FreedPins[pi]
 	}
 
 	res := &core.Result{Plans: plans}
@@ -147,9 +158,7 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 
 	t0 := time.Now()
 	dr := detail.NewRouter(edited.Fabric, cfg.Detail)
-	dres, grafted, err := dr.RunPatch(ctx, edited, plans, &detail.Patch{
-		Dirty: dirty, Keep: keep, FreedPins: freed,
-	})
+	dres, grafted, err := dr.RunPatch(ctx, edited, plans, patch)
 	if err != nil {
 		return nil, cancelErr(err)
 	}
