@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint stitchvet lint-fix lint-audit lint-bench lint-fixtures test test-short race race-fast serve bench bench-json bench-fracture-json bench-eco-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
+.PHONY: all build vet lint stitchvet lint-audit lint-bench lint-fixtures test test-short race race-fast serve bench bench-json bench-fracture-json bench-eco-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
 
 all: build vet test ## build + vet + full tests
 
@@ -14,15 +14,12 @@ vet: ## go vet over the whole repo
 	$(GO) vet ./...
 
 # Static-analysis gate. stitchvet is the repo's own go/analysis-style
-# linter (cmd/stitchvet, see docs/LINTING.md): four syntactic analyzers
-# (mapiterorder, ctxflow, lockdiscipline, floateq), three flow-sensitive
-# ones built on the CFG + dataflow engine (nondeterm, hotalloc,
-# leakcheck), and five interprocedural ones built on the whole-module
-# call graph (lockorder, narrowconv, errflow, confine, racecheck). It
-# exits nonzero on any unsuppressed diagnostic. Runs against the on-disk
-# findings cache in .stitchvet-cache: an unchanged tree replays instantly.
-# staticcheck runs too when installed (CI installs a pinned version; the
-# offline dev container may not have it).
+# linter (cmd/stitchvet, see docs/LINTING.md): three syntactic analyzers
+# (ctxflow, lockdiscipline, floateq) and three flow-sensitive ones built
+# on the CFG + dataflow engine (nondeterm, hotalloc, leakcheck). It
+# exits nonzero on any unsuppressed diagnostic. staticcheck runs too when
+# installed (CI installs a pinned version; the offline dev container may
+# not have it).
 lint: vet stitchvet ## vet + stitchvet + staticcheck (if installed)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -30,33 +27,24 @@ lint: vet stitchvet ## vet + stitchvet + staticcheck (if installed)
 		echo "lint: staticcheck not installed; skipped (CI runs it pinned)"; \
 	fi
 
-stitchvet: ## build and run the repo's invariant linter (cached)
+stitchvet: ## build and run the repo's invariant linter
 	$(GO) build -o bin/stitchvet ./cmd/stitchvet
-	./bin/stitchvet -cache .stitchvet-cache ./...
-
-# Applies every suggested fix carried by an unsuppressed finding
-# (atomic per-file edits + gofmt), then the driver re-analyzes; the
-# second plain run proves the tree converged to clean.
-lint-fix: ## apply stitchvet suggested fixes, then verify a clean re-run
-	$(GO) build -o bin/stitchvet ./cmd/stitchvet
-	./bin/stitchvet -fix ./...
 	./bin/stitchvet ./...
 
 lint-audit: ## check every //lint:ignore directive for name, reason, and staleness
 	$(GO) build -o bin/stitchvet ./cmd/stitchvet
 	./bin/stitchvet -audit
 
-# Regenerate the checked-in incremental-lint benchmark report: cold
-# analysis vs best-of-N warm cache replay vs -diff against HEAD, with the
-# warm>=5x, diff-only-changed, and byte-identical-findings gates wired in
-# as hard failures (see docs/LINTING.md).
-lint-bench: ## regenerate BENCH_lint.json (incremental analysis driver)
+# Regenerate the checked-in lint benchmark report: the best of
+# BENCH_RUNS full stitchvet runs over the module (see docs/LINTING.md).
+lint-bench: ## regenerate BENCH_lint.json (stitchvet over the module)
 	$(GO) run ./cmd/benchjson -stage lint -runs $(BENCH_RUNS) -out BENCH_lint.json
 
-# The analyzers' own regression suite: fixture expectations for all
-# twelve analyzers, the CFG builder's structural tests, the dataflow
-# lattice and call-summary unit tests, the call-graph tests, and the
-# driver's suppression/JSON/SARIF/fix/audit/cache/diff semantics.
+# The analyzers' own regression suite: fixture expectations for all six
+# analyzers, the historical-catch test (every real bug stitchvet caught,
+# re-created and run through the driver), the CFG builder's structural
+# tests, the dataflow lattice and summary tests, the loader and fixture
+# harness tests, and the driver's suppression/JSON/audit semantics.
 lint-fixtures: ## test the analyzers themselves (fixtures, CFG, dataflow)
 	$(GO) test ./internal/analysis/...
 
@@ -66,14 +54,16 @@ test: ## full test suite
 test-short: ## short-mode tests
 	$(GO) test -short ./...
 
-# Full race-detector run. race-fast covers the concurrency-heavy
-# packages (the server's job store/pool/cache and the parallel global,
-# layer and track stages) without the slow experiment reproductions.
+# Full race-detector run. race-fast runs short mode under -race for every
+# internal package that starts goroutines: server (job store, pool,
+# cache), core (the layer and track panels, solved in parallel) and
+# experiments (the per-circuit fan-out). global starts none, and neither
+# do its tests.
 race: ## full test suite under the race detector
 	$(GO) test -race ./...
 
-race-fast: ## race detector on the concurrency-heavy packages
-	$(GO) test -race -short ./internal/server/ ./internal/core/ ./internal/global/
+race-fast: ## race detector on the packages that start goroutines
+	$(GO) test -race -short ./internal/server/ ./internal/core/ ./internal/experiments/
 
 serve: ## run the routing job server
 	$(GO) run ./cmd/meblserved
@@ -166,9 +156,9 @@ SOAK_SEEDS ?= 25
 soak: ## multi-seed end-to-end correctness soak
 	$(GO) run ./cmd/routecheck -seeds $(SOAK_SEEDS)
 
-clean: ## remove generated figures, coverage, lint binaries, and lint cache
+clean: ## remove generated figures, coverage, and lint binaries
 	rm -f fig15.svg fig16a.svg fig16b.svg cover.out
-	rm -rf bin .stitchvet-cache
+	rm -rf bin
 
 help: ## list targets with their descriptions
 	@awk -F':.*## ' '/^[a-zA-Z_-]+:.*## / {printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)

@@ -1,186 +1,72 @@
 package main
 
 import (
-	"bytes"
-	"fmt"
+	"io"
 	"log"
-	"os"
 	"runtime"
 	"time"
 
 	"stitchroute/internal/analysis/driver"
+	"stitchroute/internal/analysis/load"
 	"stitchroute/internal/analysis/registry"
 )
 
-// lintReport is the top-level JSON document for -stage lint: the
-// incremental analysis driver's performance contract, measured in-process
-// over the whole module with a fresh cache.
+// lintReport is the top-level JSON document for -stage lint: a full
+// stitchvet run over the module, timed in-process.
 type lintReport struct {
-	Generated    string `json:"generated"`
-	GoVersion    string `json:"goVersion"`
-	GOOS         string `json:"goos"`
-	GOARCH       string `json:"goarch"`
-	NumCPU       int    `json:"numCPU"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	RunsPerPoint int    `json:"runsPerPoint"`
-	Methodology  string `json:"methodology"`
-
-	// Analyzers is the registry's name@version list and Fingerprint the
-	// cache key derived from it (the same one CI keys its cache on).
-	Analyzers   []string `json:"analyzers"`
-	Fingerprint string   `json:"fingerprint"`
-
-	// Packages is the first-party package count the cold run analyzed;
-	// Findings the unsuppressed diagnostic count (identical on every
-	// path, and expected to be 0 on a clean tree).
-	Packages int `json:"packages"`
-	Findings int `json:"findings"`
-
+	Generated    string   `json:"generated"`
+	GoVersion    string   `json:"goVersion"`
+	NumCPU       int      `json:"numCPU"`
+	GOMAXPROCS   int      `json:"gomaxprocs"`
+	RunsPerPoint int      `json:"runsPerPoint"`
+	Methodology  string   `json:"methodology"`
+	Analyzers    []string `json:"analyzers"`
+	// Packages is the first-party package count the run analyzed;
+	// Findings the unsuppressed diagnostic count (0 on a clean tree).
+	Packages    int     `json:"packages"`
+	Findings    int     `json:"findings"`
 	ColdSeconds float64 `json:"coldSeconds"`
-	// WarmSeconds is the best-of-N whole-run replay: no go list, no
-	// type-checking, findings served from one tree-hash entry.
-	WarmSeconds float64 `json:"warmSeconds"`
-	WarmSpeedup float64 `json:"warmSpeedup"`
-
-	// Diff describes the -diff path against DiffRef: only the packages
-	// with .go changes since the ref re-analyze (diffAnalyzed ==
-	// diffChangedPackages is a hard gate), the rest replay from
-	// per-package cache entries.
-	DiffRef             string  `json:"diffRef"`
-	DiffSeconds         float64 `json:"diffSeconds"`
-	DiffChangedPackages int     `json:"diffChangedPackages"`
-	DiffAnalyzed        int     `json:"diffAnalyzed"`
-
-	// Gates are the pass/fail contract benchjson enforces before writing
-	// the report; a false value here never reaches a checked-in file
-	// because the run exits nonzero instead.
-	WarmReplayed  bool `json:"warmReplayed"`
-	ByteIdentical bool `json:"byteIdentical"`
 }
 
-const lintMethodology = "From the module root with a fresh cache directory: one cold stitchvet run " +
-	"over ./... (go list + type-check + all analyzers, cache populated), then -runs warm " +
-	"runs keeping the fastest (each must replay the whole invocation from the tree-hash " +
-	"entry without listing a package), then one -diff run against diffRef (only packages " +
-	"with .go changes since the ref may re-analyze; the rest replay from per-package " +
-	"entries). The run fails unless the warm path replayed, the diff path analyzed " +
-	"exactly the changed packages, cold/warm/diff emitted byte-identical findings, and " +
-	"warm was at least 5x faster than cold — the numbers can never describe divergent " +
-	"or non-incremental runs."
+const lintMethodology = "From the module root: -runs full stitchvet runs over ./... (go list " +
+	"-export, parse, type-check, every analyzer), keeping the fastest. stitchvet keeps no " +
+	"findings cache, so every run is cold; Go's build cache is warm after the first."
 
-// runLint measures the incremental analysis driver (-stage lint) and
-// enforces its contract: warm replay, diff minimality, byte-identical
-// findings, and the warm >= 5x cold floor.
-func runLint(runs int, diffRef, out string) int {
-	cacheDir, err := os.MkdirTemp("", "stitchvet-bench-")
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	defer os.RemoveAll(cacheDir)
-
+// runLint times stitchvet over the whole module (-stage lint).
+func runLint(runs int, out string) int {
 	analyzers := registry.All()
 	rep := lintReport{
 		Generated:    time.Now().UTC().Format(time.RFC3339),
 		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
 		NumCPU:       runtime.NumCPU(),
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		RunsPerPoint: runs,
 		Methodology:  lintMethodology,
-		Fingerprint:  registry.Fingerprint(),
-		DiffRef:      diffRef,
 	}
 	for _, a := range analyzers {
-		rep.Analyzers = append(rep.Analyzers, fmt.Sprintf("%s@%d", a.Name, a.Version))
+		rep.Analyzers = append(rep.Analyzers, a.Name)
 	}
 	patterns := []string{"./..."}
-
-	timeRun := func(opts driver.Options) (float64, int, *driver.Stats, []byte, error) {
-		var buf bytes.Buffer
-		stats := &driver.Stats{}
-		opts.Stats = stats
-		start := time.Now()
-		n, err := driver.Run(analyzers, patterns, &buf, opts)
-		return time.Since(start).Seconds(), n, stats, buf.Bytes(), err
-	}
-
-	coldSecs, coldN, coldStats, coldOut, err := timeRun(driver.Options{CacheDir: cacheDir})
+	_, metas, err := load.List(patterns...)
 	if err != nil {
-		log.Printf("cold run: %v", err)
+		log.Print(err)
 		return 1
 	}
-	if coldStats.RunReplayed || coldStats.Packages == 0 {
-		log.Printf("cold run took a cache path on a fresh cache (stats %+v)", *coldStats)
-		return 1
-	}
-	rep.Packages = coldStats.Packages
-	rep.Findings = coldN
-	rep.ColdSeconds = coldSecs
+	rep.Packages = len(metas)
 
-	rep.WarmReplayed = true
-	rep.ByteIdentical = true
 	for i := 0; i < runs; i++ {
-		secs, n, stats, warmOut, err := timeRun(driver.Options{CacheDir: cacheDir})
+		start := time.Now()
+		n, err := driver.Run(analyzers, patterns, io.Discard, driver.Options{})
+		secs := time.Since(start).Seconds()
 		if err != nil {
-			log.Printf("warm run %d: %v", i, err)
+			log.Printf("run %d: %v", i, err)
 			return 1
 		}
-		if !stats.RunReplayed {
-			log.Printf("warm run %d did not replay (stats %+v)", i, *stats)
-			rep.WarmReplayed = false
+		rep.Findings = n
+		if i == 0 || secs < rep.ColdSeconds {
+			rep.ColdSeconds = secs
 		}
-		if n != coldN || !bytes.Equal(warmOut, coldOut) {
-			log.Printf("warm run %d findings differ from cold (%d vs %d)", i, n, coldN)
-			rep.ByteIdentical = false
-		}
-		if i == 0 || secs < rep.WarmSeconds {
-			rep.WarmSeconds = secs
-		}
-	}
-
-	diffSecs, diffN, diffStats, diffOut, err := timeRun(driver.Options{CacheDir: cacheDir, Diff: diffRef})
-	if err != nil {
-		log.Printf("diff run: %v", err)
-		return 1
-	}
-	rep.DiffSeconds = diffSecs
-	rep.DiffChangedPackages = diffStats.ChangedPackages
-	rep.DiffAnalyzed = diffStats.Analyzed
-	if diffN != coldN || !bytes.Equal(diffOut, coldOut) {
-		log.Printf("diff run findings differ from cold (%d vs %d)", diffN, coldN)
-		rep.ByteIdentical = false
-	}
-
-	if rep.WarmSeconds > 0 {
-		rep.WarmSpeedup = round3(rep.ColdSeconds / rep.WarmSeconds)
 	}
 	rep.ColdSeconds = round3(rep.ColdSeconds)
-	rep.WarmSeconds = round3(rep.WarmSeconds)
-	rep.DiffSeconds = round3(rep.DiffSeconds)
-
-	failed := false
-	if !rep.WarmReplayed {
-		log.Print("GATE: warm runs must replay the whole invocation from the cache")
-		failed = true
-	}
-	if !rep.ByteIdentical {
-		log.Print("GATE: cold, warm, and diff findings must be byte-identical")
-		failed = true
-	}
-	if rep.WarmSpeedup < 5 {
-		log.Printf("GATE: warm speedup %.3fx is below the 5x floor (cold %.3fs, warm %.3fs)",
-			rep.WarmSpeedup, rep.ColdSeconds, rep.WarmSeconds)
-		failed = true
-	}
-	if rep.DiffAnalyzed != rep.DiffChangedPackages {
-		log.Printf("GATE: -diff analyzed %d package(s) but %d changed since %s; diff must analyze exactly the changed set",
-			rep.DiffAnalyzed, rep.DiffChangedPackages, diffRef)
-		failed = true
-	}
-	if failed {
-		return 1
-	}
 	return writeReport(&rep, out)
 }

@@ -16,13 +16,10 @@
 //     reroute of the edited circuit — ms/edit, ECO-vs-cold speedup,
 //     and the hash-equality gate (the replay route hash must match the
 //     cold rehash). BENCH_eco.json is the checked-in copy.
-//   - lint: the incremental stitchvet driver over the whole module with
-//     a fresh cache — cold analysis, best-of-N warm replay, and a -diff
-//     run against -diff-ref. The run fails unless warm replayed without
-//     listing a package, warm was at least 5x faster than cold, -diff
-//     analyzed exactly the changed packages, and all three paths
-//     produced byte-identical findings. BENCH_lint.json is the
-//     checked-in copy. Run it from the module root.
+//   - lint: a full stitchvet run over the whole module, best of -runs,
+//     with the analyzer set, package count and findings.
+//     BENCH_lint.json is the checked-in copy. Run it from the module
+//     root.
 //
 // Every measured point runs -runs times and keeps the fastest wall
 // time (best-of-N absorbs scheduler noise on shared machines). The
@@ -150,7 +147,6 @@ func main() {
 func run() int {
 	var (
 		stage        = flag.String("stage", "detail", "pipeline stage to measure: detail, fracture, eco, or lint")
-		diffRef      = flag.String("diff-ref", "HEAD", "git ref the lint stage's -diff path is measured against")
 		circuitsFlag = flag.String("circuits", "Primary1,S5378,S9234", "comma-separated benchmark circuits")
 		runs         = flag.Int("runs", 5, "runs per measured point; fastest is kept")
 		baselineFlag = flag.String("baseline", "", "comma-separated name=seconds seed detail baselines (detail stage)")
@@ -169,7 +165,7 @@ func run() int {
 	case "eco":
 		return runECO(*circuitsFlag, *runs, *out)
 	case "lint":
-		return runLint(*runs, *diffRef, *out)
+		return runLint(*runs, *out)
 	default:
 		log.Printf("unknown -stage %q (want detail, fracture, eco, or lint)", *stage)
 		return 2

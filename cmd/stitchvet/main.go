@@ -4,26 +4,15 @@
 //
 // Usage:
 //
-//	stitchvet [-only name,name] [-cache dir] [-diff ref] [-jobs n] [-json|-sarif] [-fix] [-audit] [-v] [packages...]
+//	stitchvet [-only name,name] [-json] [-audit] [-v] [packages...]
 //
 // Packages default to ./.... Exit status is 1 if any unsuppressed
 // diagnostic is reported, 2 on driver errors. With -json, diagnostics
 // are emitted one JSON object per line (including suppressed ones,
-// marked as such); with -sarif a single SARIF 2.1.0 document is emitted
-// for CI annotation; the schemas are documented in docs/LINTING.md,
-// along with what each analyzer guards and how to suppress a false
-// positive with //lint:ignore.
-//
-// -cache dir enables the on-disk findings cache: a warm re-run with no
-// source changes replays findings without loading or type-checking a
-// single package, and -diff ref re-analyzes only the packages with .go
-// changes since the git ref, serving the rest from the cache. Findings
-// are byte-identical across cold, warm, and diff paths. -jobs bounds
-// per-package analysis parallelism (default GOMAXPROCS).
-//
-// -fix applies each finding's suggested fix (where the analyzer attached
-// one), formats the touched files, and re-analyzes: the exit status
-// reflects what is left AFTER the fixes.
+// marked as such); the schema is documented in docs/LINTING.md, along
+// with what each analyzer guards and how to suppress a false positive
+// with //lint:ignore. Packages are analyzed in parallel, up to
+// GOMAXPROCS at a time.
 //
 // -audit walks the tree and fails on any //lint:ignore directive that
 // has no reason text or names an unknown analyzer, then runs a fresh
@@ -47,16 +36,10 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON object per diagnostic line (see docs/LINTING.md)")
-	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 document (for CI annotation)")
-	fix := flag.Bool("fix", false, "apply suggested fixes, gofmt the touched files, and re-analyze")
 	audit := flag.Bool("audit", false, "audit //lint:ignore directives (missing reasons, unknown analyzers, stale suppressions), then exit")
-	fingerprint := flag.Bool("fingerprint", false, "print the analyzer-set cache fingerprint and exit (CI keys its cache on it)")
-	cacheDir := flag.String("cache", "", "findings cache directory (enables warm replay and -diff)")
-	diffRef := flag.String("diff", "", "git ref: re-analyze only packages changed since it (requires -cache)")
-	jobs := flag.Int("jobs", 0, "max packages analyzed in parallel (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print each package as it is checked")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: stitchvet [-only name,name] [-cache dir] [-diff ref] [-jobs n] [-json|-sarif] [-fix] [-audit] [-v] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: stitchvet [-only name,name] [-json] [-audit] [-v] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -67,10 +50,6 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%-16s %s\n", a.Name, firstLine(a.Doc))
 		}
-		return
-	}
-	if *fingerprint {
-		fmt.Println(registry.Fingerprint())
 		return
 	}
 
@@ -101,15 +80,7 @@ func main() {
 		return
 	}
 
-	opts := driver.Options{
-		Verbose:  *verbose,
-		JSON:     *jsonOut,
-		SARIF:    *sarifOut,
-		Fix:      *fix,
-		CacheDir: *cacheDir,
-		Diff:     *diffRef,
-		Jobs:     *jobs,
-	}
+	opts := driver.Options{Verbose: *verbose, JSON: *jsonOut}
 	if *only != "" {
 		opts.Only = strings.Split(*only, ",")
 	}

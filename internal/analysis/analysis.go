@@ -17,9 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"stitchroute/internal/analysis/callgraph"
-	"stitchroute/internal/analysis/load"
 )
 
 // Analyzer describes one static check.
@@ -33,29 +30,15 @@ type Analyzer struct {
 	// summary, the rest explains the invariant it enforces.
 	Doc string
 
-	// Version is bumped whenever the analyzer's behaviour changes in a
-	// way that can alter its diagnostics. It feeds the driver's cache
-	// fingerprint: a stale on-disk finding set keyed under an old
-	// version can never be replayed for a newer analyzer.
-	Version int
-
 	// Packages optionally restricts which packages the driver runs
-	// this analyzer on (for module analyzers: which packages it
-	// *reports* in — summaries are still computed module-wide). Each
-	// entry is matched as a full import path or a path suffix
-	// (e.g. "internal/server"). Empty means every package. Test
-	// harnesses ignore this field and run the analyzer directly.
+	// this analyzer on. Each entry is matched as a full import path or
+	// a path suffix (e.g. "internal/server"). Empty means every
+	// package. Test harnesses ignore this field and run the analyzer
+	// directly.
 	Packages []string
 
-	// Run applies the check to one package. Nil for analyzers that are
-	// interprocedural only.
+	// Run applies the check to one package.
 	Run func(*Pass) (interface{}, error)
-
-	// RunModule, when non-nil, applies the check once to the whole
-	// module with the call graph available. The driver prefers
-	// RunModule over Run when both are set, so an analyzer can carry
-	// an intra-package fallback for fixture harnesses.
-	RunModule func(*ModulePass) error
 }
 
 // Matches reports whether the analyzer's package filter admits the given
@@ -92,64 +75,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // Diagnostic is one finding: a position in the package's file set and a
-// human-readable message, optionally carrying machine-applicable fixes.
+// human-readable message.
 type Diagnostic struct {
 	Pos     token.Pos
-	End     token.Pos // optional
 	Message string
-
-	// SuggestedFixes lists concrete edits that resolve the finding.
-	// Every fix must be semantics-preserving on its own; the driver's
-	// -fix mode applies the first fix of each unsuppressed diagnostic,
-	// formats the result, and re-analyzes to verify the finding is
-	// gone.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained resolution for a diagnostic.
-type SuggestedFix struct {
-	// Message describes the fix, e.g. "make the error discard explicit".
-	Message string
-	// TextEdits are applied together. They must not overlap.
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. Pos == End
-// inserts.
-type TextEdit struct {
-	Pos, End token.Pos
-	NewText  []byte
-}
-
-// ModulePass carries the whole loaded module — every first-party package
-// plus the static call graph over them — to an interprocedural analyzer.
-// All packages share one token.FileSet, so positions from any package
-// resolve through Fset.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Packages []*load.Package
-	Graph    *callgraph.Graph
-
-	// Filter, when true (the driver sets it), makes Match honor the
-	// analyzer's Packages list. Test harnesses leave it false so
-	// fixtures under arbitrary paths are still checked.
-	Filter bool
-
-	// Report publishes a diagnostic; analyzers should normally call
-	// Reportf.
-	Report func(Diagnostic)
-}
-
-// Reportf reports a diagnostic at pos with a formatted message.
-func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	mp.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Match reports whether diagnostics should be raised in the given
-// package (summaries are computed everywhere regardless).
-func (mp *ModulePass) Match(pkgPath string) bool {
-	return !mp.Filter || mp.Analyzer.Matches(pkgPath)
 }
 
 // TypeOf returns the type of expression e, or nil if unknown. It mirrors

@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"stitchroute/internal/analysis"
-	"stitchroute/internal/analysis/callgraph"
 	"stitchroute/internal/analysis/load"
 )
 
@@ -35,7 +34,7 @@ type expectation struct {
 
 // parseWants extracts the `// want ...` expectations from a package's
 // comments.
-func parseWants(pkg *load.Package, t *testing.T) []*expectation {
+func parseWants(pkg *load.Package, t testing.TB) []*expectation {
 	var wants []*expectation
 	for _, f := range pkg.Files {
 		for _, group := range f.Comments {
@@ -122,51 +121,9 @@ func Run(t *testing.T, testdataDir string, a *analysis.Analyzer, pkgNames ...str
 	}
 }
 
-// RunModule loads the fixture packages named by go-list patterns
-// (relative to the test's directory, typically "./testdata/mod/..."
-// spelled out per package since wildcards skip testdata), builds the
-// whole-module call graph over them, applies the module analyzer with
-// package filtering disabled, and enforces the `want` expectations
-// gathered from every fixture package. This is the harness for
-// interprocedural analyzers: expectations in package a may be triggered
-// by facts that flowed out of packages b and c.
-func RunModule(t *testing.T, a *analysis.Analyzer, patterns ...string) {
-	t.Helper()
-	if a.RunModule == nil {
-		t.Fatalf("analyzer %s has no RunModule", a.Name)
-	}
-	pkgs, err := load.Packages(patterns...)
-	if err != nil {
-		t.Fatalf("loading fixture packages %v: %v", patterns, err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatalf("no packages matched %v", patterns)
-	}
-	var wants []*expectation
-	for _, pkg := range pkgs {
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("fixture %s does not type-check: %v", pkg.PkgPath, pkg.TypeErrors[0])
-		}
-		wants = append(wants, parseWants(pkg, t)...)
-	}
-
-	var diags []analysis.Diagnostic
-	mp := &analysis.ModulePass{
-		Analyzer: a,
-		Fset:     pkgs[0].Fset,
-		Packages: pkgs,
-		Graph:    callgraph.Build(pkgs),
-		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.RunModule(mp); err != nil {
-		t.Fatalf("module analyzer %s: %v", a.Name, err)
-	}
-	checkWants(t, mp.Fset, diags, wants)
-}
-
 // checkWants enforces the one-to-one matching between diagnostics and
 // expectations.
-func checkWants(t *testing.T, fset *token.FileSet, diags []analysis.Diagnostic, wants []*expectation) {
+func checkWants(t testing.TB, fset *token.FileSet, diags []analysis.Diagnostic, wants []*expectation) {
 	t.Helper()
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)

@@ -28,8 +28,7 @@ import (
 
 // Analyzer flags severed context propagation in ctx-taking functions.
 var Analyzer = &analysis.Analyzer{
-	Name:    "ctxflow",
-	Version: 1,
+	Name: "ctxflow",
 	Doc: "flag ctx-taking functions that detach from their context\n\n" +
 		"Functions that accept a context.Context must thread it: calling context.Background()/TODO(), or calling Foo when FooContext exists, silently breaks cancellation of long reroutes.",
 	Run: run,

@@ -20,22 +20,9 @@ type FuncSummary struct {
 	FromParams uint64
 }
 
-// Summaries resolves functions to their summaries. Two keyings coexist:
-// object identity for intra-package summaries (ComputeSummaries), and a
-// canonical string ID for module-wide summaries — the loader type-checks
-// each package separately, so one function is a different *types.Func at
-// home and at cross-package call sites, and only a stable ID unifies
-// them (callgraph.FuncID supplies it).
+// Summaries resolves a package's functions to their summaries.
 type Summaries struct {
 	funcs map[*types.Func]*FuncSummary
-	byID  map[string]*FuncSummary
-	idOf  func(*types.Func) string
-}
-
-// NewModuleSummaries returns an empty ID-keyed summary set; idOf maps
-// any *types.Func (local or imported) to its canonical identity.
-func NewModuleSummaries(idOf func(*types.Func) string) *Summaries {
-	return &Summaries{byID: make(map[string]*FuncSummary), idOf: idOf}
 }
 
 // Lookup returns the summary for fn, or nil.
@@ -43,29 +30,7 @@ func (s *Summaries) Lookup(fn *types.Func) *FuncSummary {
 	if s == nil {
 		return nil
 	}
-	if sum, ok := s.funcs[fn]; ok {
-		return sum
-	}
-	if s.byID != nil && s.idOf != nil {
-		if id := s.idOf(fn); id != "" {
-			return s.byID[id]
-		}
-	}
-	return nil
-}
-
-// SetID records (or replaces) the summary under a canonical function ID.
-func (s *Summaries) SetID(id string, sum *FuncSummary) { s.byID[id] = sum }
-
-// GetID returns the summary stored under id, or nil.
-func (s *Summaries) GetID(id string) *FuncSummary { return s.byID[id] }
-
-// Summarize computes one function's taint summary against conf (whose
-// Summaries field resolves the callees already summarized). It is the
-// building block module-wide summary computation iterates in bottom-up
-// call-graph order.
-func Summarize(decl *ast.FuncDecl, g *cfg.Graph, conf TaintConfig) *FuncSummary {
-	return summarizeFunc(decl, g, conf)
+	return s.funcs[fn]
 }
 
 // ComputeSummaries analyzes every function declaration in files to a

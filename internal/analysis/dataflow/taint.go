@@ -305,8 +305,7 @@ func (c *TaintConfig) evalCall(f Fact, call *ast.CallExpr) Taint {
 			}
 		}
 	}
-	// Function summary: intra-package by object identity, module-wide
-	// by canonical ID.
+	// Function summary of a same-package callee.
 	if c.Summaries != nil {
 		if fn := c.calleeFunc(call); fn != nil {
 			if sum := c.Summaries.Lookup(fn); sum != nil {

@@ -12,33 +12,9 @@
 // mandatory: a bare directive is itself reported as a diagnostic, so every
 // suppression in the tree documents why the invariant is safe to waive.
 //
-// The driver runs two kinds of analyzers. Per-package analyzers
-// (Analyzer.Run) see one type-checked package at a time. Module analyzers
-// (Analyzer.RunModule) run once over the whole load with the
-// interprocedural call graph (internal/analysis/callgraph) attached, so
-// their facts flow across package boundaries; when an analyzer defines
-// both, the driver prefers the module form.
-//
-// # Incremental analysis
-//
-// With Options.CacheDir set, findings are cached on disk (see cache.go)
-// under content-addressed keys, giving three progressively cheaper paths:
-//
-//   - cold: go list, parse + type-check every package (in parallel,
-//     scheduled in import-DAG waves), run everything, populate the cache;
-//   - warm: an unchanged tree replays the previous run's diagnostics from
-//     a single cache entry keyed by the hash of every buildable source
-//     file — no go list, no parsing, no type-checking;
-//   - partial: per-package entries serve unchanged packages, only
-//     changed ones are re-analyzed; whole-module findings replay as long
-//     as no package key moved.
-//
-// Options.Diff additionally pins "changed" to a git ref: packages with
-// edits since the ref are re-analyzed even on a cache hit, everything
-// else must come from the cache. Because every key is a content hash,
-// findings are byte-identical whichever path produced them; -fix mode
-// bypasses the cache entirely (suggested fixes do not survive
-// serialization).
+// Packages are loaded, type-checked and analyzed in parallel, up to
+// GOMAXPROCS at a time; the output is sorted, so it does not depend on
+// the schedule.
 package driver
 
 import (
@@ -55,22 +31,19 @@ import (
 	"sync/atomic"
 
 	"stitchroute/internal/analysis"
-	"stitchroute/internal/analysis/callgraph"
 	"stitchroute/internal/analysis/load"
 )
 
 // Diagnostic is a driver-level finding: an analyzer diagnostic bound to
 // its position and analyzer name. Suppressed marks diagnostics waived by
-// a //lint:ignore directive; they are retained (and emitted in JSON and
-// SARIF modes) so suppressions stay auditable, but do not count toward
-// the exit code.
+// a //lint:ignore directive; they are retained (and emitted in JSON
+// mode) so suppressions stay auditable, but do not count toward the exit
+// code.
 type Diagnostic struct {
 	Analyzer   string
 	Pos        token.Position
 	Message    string
 	Suppressed bool
-
-	fixes []analysis.SuggestedFix
 }
 
 // Options configures a Run.
@@ -78,53 +51,11 @@ type Options struct {
 	// Only, when non-empty, restricts the run to analyzers with these
 	// names. Unknown names are an error that lists the valid set.
 	Only []string
-	// Verbose adds per-package progress and cache-path lines to Out.
+	// Verbose writes a progress line per checked package to Run's out.
 	Verbose bool
 	// JSON switches output to one JSON object per line (the schema is
 	// documented in docs/LINTING.md), including suppressed diagnostics.
 	JSON bool
-	// SARIF switches output to a single SARIF 2.1.0 document, the
-	// interchange format CI renders as inline annotations. Includes
-	// suppressed diagnostics, marked with an inSource suppression.
-	SARIF bool
-	// Fix applies each unsuppressed diagnostic's first suggested fix,
-	// formats the touched files, then re-analyzes to verify the
-	// findings are gone. The returned count is post-fix. Fix bypasses
-	// the cache.
-	Fix bool
-
-	// CacheDir enables the on-disk findings cache rooted there
-	// (relative paths resolve against the module root). Empty disables
-	// caching.
-	CacheDir string
-	// Diff, when set to a git ref, re-analyzes only the packages with
-	// .go changes since that ref and serves every other package from
-	// the cache. Requires CacheDir.
-	Diff string
-	// Jobs bounds per-package analysis parallelism; 0 means GOMAXPROCS.
-	Jobs int
-	// Stats, when non-nil, is filled with counters describing which
-	// path the run took (cache replay, packages analyzed vs. served).
-	Stats *Stats
-}
-
-// Stats describes how much work one Run actually did; benchjson gates the
-// incremental driver's contract on these counters.
-type Stats struct {
-	// Packages is the number of first-party packages in scope (0 when
-	// the whole run was replayed without listing packages).
-	Packages int
-	// Analyzed counts packages whose per-package analyzers ran fresh.
-	Analyzed int
-	// CachedPackages counts packages served from per-package entries.
-	CachedPackages int
-	// ChangedPackages counts packages the -diff ref marked changed.
-	ChangedPackages int
-	// ModuleFromCache reports whether whole-module findings replayed.
-	ModuleFromCache bool
-	// RunReplayed reports whether the entire run replayed from one
-	// tree-hash entry (warm path: no go list, no type-checking).
-	RunReplayed bool
 }
 
 // jsonDiagnostic is the wire form of one diagnostic in -json mode.
@@ -193,12 +124,6 @@ func (d *directive) matches(diag Diagnostic) bool {
 	return d.analyzers == nil || d.analyzers[diag.Analyzer]
 }
 
-// packageMatch reports whether the analyzer's package filter admits the
-// given import path.
-func packageMatch(a *analysis.Analyzer, pkgPath string) bool {
-	return a.Matches(pkgPath)
-}
-
 // selectAnalyzers applies -only filtering. Unknown names produce an
 // error that lists the valid analyzer set, so `stitchvet -only=typo`
 // exits 2 instead of silently checking nothing.
@@ -234,366 +159,112 @@ func selectAnalyzers(analyzers []*analysis.Analyzer, only []string) ([]*analysis
 	return filtered, nil
 }
 
-// result is one full analysis pass over the load.
-type result struct {
-	diags []Diagnostic
-	fset  *token.FileSet
-	dirs  []*directive // every parsed suppression, with usage marks
-}
-
-// topoWaves groups the metas by first-party import depth: wave 0 holds
-// packages with no in-scope dependencies, wave n packages whose deepest
-// in-scope dependency chain has length n. Packages within a wave are
-// independent of each other, so each wave loads and analyzes in parallel
-// while still walking the import DAG bottom-up.
-func topoWaves(metas []*load.Meta) [][]*load.Meta {
-	byPath := make(map[string]*load.Meta, len(metas))
-	for _, m := range metas {
-		byPath[m.PkgPath] = m
-	}
-	depth := make(map[string]int, len(metas))
-	var depthOf func(m *load.Meta) int
-	depthOf = func(m *load.Meta) int {
-		if d, ok := depth[m.PkgPath]; ok {
-			return d
-		}
-		depth[m.PkgPath] = 0 // cycle guard; Go forbids import cycles
-		d := 0
-		for _, imp := range m.Imports {
-			if dm, ok := byPath[imp]; ok {
-				if dd := depthOf(dm) + 1; dd > d {
-					d = dd
-				}
-			}
-		}
-		depth[m.PkgPath] = d
-		return d
-	}
-	maxDepth := 0
-	for _, m := range metas {
-		if d := depthOf(m); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	waves := make([][]*load.Meta, maxDepth+1)
-	for _, m := range metas {
-		d := depth[m.PkgPath]
-		waves[d] = append(waves[d], m)
-	}
-	return waves
-}
-
-// analyze loads patterns and applies every analyzer — per-package ones
-// package by package (parallel within each import-DAG wave), module ones
-// once over the whole load with the call graph built — consulting the
-// findings cache when opts.CacheDir is set. trackUsage forces a fully
-// fresh run and records which suppression directives matched anything,
-// for the stale-suppression audit.
-func analyze(analyzers []*analysis.Analyzer, patterns []string, opts Options, out io.Writer, trackUsage bool) (*result, error) {
-	stats := opts.Stats
-	if stats == nil {
-		stats = &Stats{}
-	}
-	*stats = Stats{}
-
-	var c *cache
-	if opts.CacheDir != "" && !opts.Fix && !trackUsage {
-		var err error
-		if c, err = openCache(opts.CacheDir, analyzers); err != nil {
-			fmt.Fprintf(out, "stitchvet: cache disabled: %v\n", err)
-			c = nil
-		}
-	}
-	if opts.Diff != "" && c == nil {
-		return nil, fmt.Errorf("-diff requires the findings cache (set a cache directory)")
-	}
-
-	// Warm path: an unchanged source tree replays the whole previous run
-	// from one entry. -diff skips this so its package-level contract
-	// (changed packages re-analyze) stays observable.
-	var runEntry string
-	if c != nil && opts.Diff == "" {
-		th, err := c.treeHash()
-		if err != nil {
-			fmt.Fprintf(out, "stitchvet: cache disabled: %v\n", err)
-			c = nil
-		} else {
-			runEntry = c.runKey(th, patterns)
-			if diags, ok := c.get(runEntry); ok {
-				stats.RunReplayed = true
-				if opts.Verbose {
-					fmt.Fprintf(out, "stitchvet: replayed full run from cache (%d diagnostics)\n", len(diags))
-				}
-				return &result{diags: diags, fset: token.NewFileSet()}, nil
-			}
-		}
-	}
-
-	metas, exports, err := load.List(patterns...)
+// analyze loads the packages matching patterns and applies every analyzer
+// to every package its Packages scope admits, loading and analyzing up to
+// GOMAXPROCS packages at a time. It returns the sorted diagnostics and
+// every parsed directive; a directive records whether any diagnostic
+// matched it, for the stale-suppression audit.
+func analyze(analyzers []*analysis.Analyzer, patterns []string, opts Options, out io.Writer) ([]Diagnostic, []*directive, error) {
+	loader, metas, err := load.List(patterns...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(metas) == 0 {
-		return &result{fset: token.NewFileSet()}, nil
-	}
-	stats.Packages = len(metas)
-
-	var keys map[string]string
-	if c != nil {
-		if keys, err = c.pkgKeys(metas); err != nil {
-			fmt.Fprintf(out, "stitchvet: cache disabled: %v\n", err)
-			c, runEntry = nil, ""
-			if opts.Diff != "" {
-				return nil, fmt.Errorf("-diff requires the findings cache: %v", err)
-			}
-		}
-	}
-
-	// -diff: packages with .go edits since the ref re-analyze even on a
-	// cache hit; everything else is expected to replay.
-	var changed map[string]bool
-	if opts.Diff != "" {
-		files, err := gitDiffFiles(c.root, opts.Diff)
+	diags := make([][]Diagnostic, len(metas))
+	dirs := make([][]*directive, len(metas))
+	errs := make([]error, len(metas))
+	var mu sync.Mutex // serializes progress lines
+	forEach(len(metas), func(i int) {
+		pkg, err := loader.Load(metas[i])
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			return
 		}
-		changed = changedPackages(c.root, files, metas)
-		stats.ChangedPackages = len(changed)
-		if opts.Verbose {
-			fmt.Fprintf(out, "stitchvet: %d package(s) changed since %s\n", len(changed), opts.Diff)
-		}
-	}
-
-	var perPkgAnalyzers, moduleAnalyzers []*analysis.Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			moduleAnalyzers = append(moduleAnalyzers, a)
-		} else if a.Run != nil {
-			perPkgAnalyzers = append(perPkgAnalyzers, a)
-		}
-	}
-
-	// Per-package plan: serve what the cache can, analyze the rest.
-	pkgDiags := make(map[string][]Diagnostic, len(metas))
-	var needAnalysis []*load.Meta
-	for _, m := range metas {
-		if c != nil && !changed[m.PkgPath] {
-			if diags, ok := c.get(pkgEntry(m.PkgPath, keys[m.PkgPath])); ok {
-				pkgDiags[m.PkgPath] = diags
-				stats.CachedPackages++
-				continue
-			}
-		}
-		needAnalysis = append(needAnalysis, m)
-	}
-	stats.Analyzed = len(needAnalysis)
-
-	// Whole-module findings replay as long as no package key moved.
-	var moduleDiags []Diagnostic
-	moduleCached := false
-	var modEntry string
-	if len(moduleAnalyzers) > 0 && c != nil {
-		modEntry = c.moduleEntry(metas, keys)
-		if diags, ok := c.get(modEntry); ok {
-			moduleDiags, moduleCached = diags, true
-			stats.ModuleFromCache = true
-		}
-	}
-	needModule := len(moduleAnalyzers) > 0 && !moduleCached
-
-	// A module miss needs every package loaded (the call graph spans the
-	// module); otherwise only the packages being analyzed load.
-	toLoad := needAnalysis
-	if needModule {
-		toLoad = metas
-	}
-	analyzeSet := make(map[string]bool, len(needAnalysis))
-	for _, m := range needAnalysis {
-		analyzeSet[m.PkgPath] = true
-	}
-
-	loader := load.NewLoader(exports)
-	res := &result{fset: loader.Fset()}
-
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-
-	var (
-		mu      sync.Mutex
-		allDirs []*directive
-		loaded  = make(map[string]*load.Package, len(toLoad))
-	)
-
-	// processPkg runs one loaded package's per-package work: directive
-	// parsing, the per-package analyzers (when the package is not served
-	// from cache), suppression against its own files' directives, and
-	// cache population.
-	processPkg := func(pkg *load.Package) error {
-		if len(pkg.TypeErrors) > 0 {
-			// A package that does not type-check cannot be reliably
-			// analyzed; surface the build breakage.
-			return fmt.Errorf("package %s does not type-check: %v", pkg.PkgPath, pkg.TypeErrors[0])
-		}
-		fresh := analyzeSet[pkg.PkgPath]
-		var local []Diagnostic
-		var dirs []*directive
-		for _, f := range pkg.Files {
-			// Malformed-directive findings belong to the package entry;
-			// when the package replays from cache they are already in it.
-			report := func(Diagnostic) {}
-			if fresh {
-				report = func(d Diagnostic) { local = append(local, d) }
-			}
-			dirs = append(dirs, parseDirectives(pkg.Fset, f, report)...)
-		}
-		if fresh {
-			for _, a := range perPkgAnalyzers {
-				if !packageMatch(a, pkg.PkgPath) {
-					continue
-				}
-				pass := &analysis.Pass{
-					Analyzer:  a,
-					Fset:      pkg.Fset,
-					Files:     pkg.Files,
-					Pkg:       pkg.Types,
-					TypesInfo: pkg.TypesInfo,
-				}
-				name := a.Name
-				pass.Report = func(d analysis.Diagnostic) {
-					local = append(local, Diagnostic{
-						Analyzer: name,
-						Pos:      pkg.Fset.Position(d.Pos),
-						Message:  d.Message,
-						fixes:    d.SuggestedFixes,
-					})
-				}
-				if _, err := a.Run(pass); err != nil {
-					return fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.PkgPath, err)
-				}
-			}
-			for i := range local {
-				for _, dir := range dirs {
-					if dir.matches(local[i]) {
-						local[i].Suppressed = true
-						dir.used = true
-					}
-				}
-			}
-			sortDiags(local)
-			if c != nil {
-				c.put(pkgEntry(pkg.PkgPath, keys[pkg.PkgPath]), local)
-			}
-		}
-		mu.Lock()
-		allDirs = append(allDirs, dirs...)
-		if fresh {
-			pkgDiags[pkg.PkgPath] = local
-		}
-		loaded[pkg.PkgPath] = pkg
-		if opts.Verbose && fresh {
+		diags[i], dirs[i], errs[i] = analyzePackage(analyzers, pkg)
+		if opts.Verbose && errs[i] == nil {
+			mu.Lock()
 			fmt.Fprintf(out, "stitchvet: checked %s\n", pkg.PkgPath)
+			mu.Unlock()
 		}
-		mu.Unlock()
-		return nil
+	})
+	var allDiags []Diagnostic
+	var allDirs []*directive
+	for i := range metas {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
+		}
+		allDiags = append(allDiags, diags[i]...)
+		allDirs = append(allDirs, dirs[i]...)
 	}
+	sortDiags(allDiags)
+	return allDiags, allDirs, nil
+}
 
-	for _, wave := range topoWaves(toLoad) {
-		pkgs, err := loader.Load(wave)
-		if err != nil {
-			return nil, err
+// analyzePackage runs the analyzers whose scope admits pkg and marks the
+// findings its own //lint:ignore directives suppress.
+func analyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package) ([]Diagnostic, []*directive, error) {
+	if len(pkg.TypeErrors) > 0 {
+		// A package that does not type-check cannot be reliably
+		// analyzed; surface the build breakage.
+		return nil, nil, fmt.Errorf("package %s does not type-check: %v", pkg.PkgPath, pkg.TypeErrors[0])
+	}
+	var diags []Diagnostic
+	var dirs []*directive
+	for _, f := range pkg.Files {
+		dirs = append(dirs, parseDirectives(pkg.Fset, f, func(d Diagnostic) { diags = append(diags, d) })...)
+	}
+	for _, a := range analyzers {
+		if !a.Matches(pkg.PkgPath) {
+			continue
 		}
-		workers := jobs
-		if workers > len(pkgs) {
-			workers = len(pkgs)
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.TypesInfo,
 		}
-		errs := make([]error, len(pkgs))
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1) - 1)
-					if i >= len(pkgs) {
-						return
-					}
-					errs[i] = processPkg(pkgs[i])
+		name := a.Name
+		pass.Report = func(d analysis.Diagnostic) {
+			diags = append(diags, Diagnostic{Analyzer: name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
+		}
+		if _, err := a.Run(pass); err != nil {
+			return nil, nil, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.PkgPath, err)
+		}
+	}
+	for i := range diags {
+		for _, dir := range dirs {
+			if dir.matches(diags[i]) {
+				diags[i].Suppressed = true
+				dir.used = true
+			}
+		}
+	}
+	return diags, dirs, nil
+}
+
+// forEach calls f(0) … f(n-1) on up to GOMAXPROCS goroutines and waits
+// for all of them.
+func forEach(n int, f func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+				f(i)
 			}
-		}
+		}()
 	}
-
-	if needModule {
-		// The module pass wants the packages in deterministic order.
-		pkgs := make([]*load.Package, 0, len(metas))
-		for _, m := range metas {
-			if p, ok := loaded[m.PkgPath]; ok {
-				pkgs = append(pkgs, p)
-			}
-		}
-		graph := callgraph.Build(pkgs)
-		for _, a := range moduleAnalyzers {
-			mp := &analysis.ModulePass{
-				Analyzer: a,
-				Fset:     loader.Fset(),
-				Packages: pkgs,
-				Graph:    graph,
-				Filter:   true,
-			}
-			name := a.Name
-			mp.Report = func(d analysis.Diagnostic) {
-				diag := Diagnostic{
-					Analyzer: name,
-					Pos:      loader.Fset().Position(d.Pos),
-					Message:  d.Message,
-					fixes:    d.SuggestedFixes,
-				}
-				for _, dir := range allDirs {
-					if dir.matches(diag) {
-						diag.Suppressed = true
-						dir.used = true
-					}
-				}
-				moduleDiags = append(moduleDiags, diag)
-			}
-			if err := a.RunModule(mp); err != nil {
-				return nil, fmt.Errorf("module analyzer %s: %v", a.Name, err)
-			}
-		}
-		sortDiags(moduleDiags)
-		if c != nil && modEntry != "" {
-			c.put(modEntry, moduleDiags)
-		}
-		if opts.Verbose {
-			fmt.Fprintf(out, "stitchvet: module analysis over %d packages (%d call-graph nodes)\n", len(pkgs), len(graph.Nodes))
-		}
-	} else if len(moduleAnalyzers) > 0 && opts.Verbose {
-		fmt.Fprintf(out, "stitchvet: module findings replayed from cache\n")
-	}
-
-	for _, m := range metas {
-		res.diags = append(res.diags, pkgDiags[m.PkgPath]...)
-	}
-	res.diags = append(res.diags, moduleDiags...)
-	sortDiags(res.diags)
-	res.dirs = allDirs
-
-	if c != nil && runEntry != "" {
-		c.put(runEntry, res.diags)
-	}
-	if opts.Verbose && c != nil {
-		fmt.Fprintf(out, "stitchvet: %d/%d package(s) from cache\n", stats.CachedPackages, stats.Packages)
-	}
-	return res, nil
+	wg.Wait()
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -618,42 +289,21 @@ func sortDiags(diags []Diagnostic) {
 // Run loads the packages matching patterns, applies the analyzers, and
 // writes file:line:col-prefixed diagnostics to out. It returns the number
 // of diagnostics after suppression; the caller turns a nonzero count into
-// a nonzero exit. With opts.Fix, suggested fixes are applied first and
-// the emitted diagnostics (and count) describe the post-fix state.
+// a nonzero exit.
 func Run(analyzers []*analysis.Analyzer, patterns []string, out io.Writer, opts Options) (int, error) {
 	analyzers, err := selectAnalyzers(analyzers, opts.Only)
 	if err != nil {
 		return 0, err
 	}
-
-	res, err := analyze(analyzers, patterns, opts, out, false)
+	diags, _, err := analyze(analyzers, patterns, opts, out)
 	if err != nil {
 		return 0, err
 	}
 
-	if opts.Fix {
-		edits, files, err := applyFixes(res)
-		if err != nil {
-			return 0, err
-		}
-		if edits > 0 {
-			fmt.Fprintf(out, "stitchvet: applied %d fix(es) in %d file(s); re-analyzing\n", edits, files)
-			// Verification pass: the fixes must leave a clean (or at
-			// least strictly reduced) tree, freshly parsed and
-			// type-checked.
-			reopts := opts
-			reopts.Verbose = false
-			res, err = analyze(analyzers, patterns, reopts, out, false)
-			if err != nil {
-				return 0, fmt.Errorf("re-analysis after -fix: %v", err)
-			}
-		}
-	}
-
 	cwd, _ := filepath.Abs(".")
 	unsuppressed := 0
-	for i := range res.diags {
-		d := &res.diags[i]
+	for i := range diags {
+		d := &diags[i]
 		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			d.Pos.Filename = rel
 		}
@@ -662,14 +312,8 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, out io.Writer, opts 
 		}
 	}
 
-	if opts.SARIF {
-		if err := writeSARIF(out, analyzers, res.diags); err != nil {
-			return unsuppressed, err
-		}
-		return unsuppressed, nil
-	}
 	enc := json.NewEncoder(out)
-	for _, d := range res.diags {
+	for _, d := range diags {
 		if opts.JSON {
 			if err := enc.Encode(jsonDiagnostic{
 				File:       d.Pos.Filename,
@@ -688,20 +332,20 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, out io.Writer, opts 
 	return unsuppressed, nil
 }
 
-// StaleIgnores runs a fully fresh analysis (the cache is bypassed) and
-// reports every //lint:ignore directive that no diagnostic matched: the
-// finding it once waived no longer fires, so the directive is dead weight
-// that would silently swallow a future, different finding on its line.
+// StaleIgnores runs the analysis and reports every //lint:ignore
+// directive that no diagnostic matched: the finding it once waived no
+// longer fires, so the directive is dead weight that would silently
+// swallow a future, different finding on its line.
 // Malformed directives are excluded — they are already findings in their
 // own right. The analyzer set should be the full registry; a narrowed set
 // would mark other analyzers' directives stale.
 func StaleIgnores(analyzers []*analysis.Analyzer, patterns []string, out io.Writer) (int, error) {
-	res, err := analyze(analyzers, patterns, Options{}, io.Discard, true)
+	_, dirs, err := analyze(analyzers, patterns, Options{}, io.Discard)
 	if err != nil {
 		return 0, err
 	}
 	var stale []*directive
-	for _, d := range res.dirs {
+	for _, d := range dirs {
 		if !d.used {
 			stale = append(stale, d)
 		}

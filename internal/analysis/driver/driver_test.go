@@ -3,15 +3,11 @@ package driver
 import (
 	"bytes"
 	"encoding/json"
-	"go/format"
-	"os"
 	"strings"
 	"testing"
 
 	"stitchroute/internal/analysis"
-	"stitchroute/internal/analysis/errflow"
 	"stitchroute/internal/analysis/floateq"
-	"stitchroute/internal/analysis/racecheck"
 )
 
 // TestSuppression runs the real driver (go list + type-check + analyzer +
@@ -105,12 +101,12 @@ func TestPackageMatch(t *testing.T) {
 		{"stitchroute/internal/server", false},
 	}
 	for _, c := range cases {
-		if got := packageMatch(a, c.path); got != c.want {
-			t.Errorf("packageMatch(%q) = %v, want %v", c.path, got, c.want)
+		if got := a.Matches(c.path); got != c.want {
+			t.Errorf("Matches(%q) = %v, want %v", c.path, got, c.want)
 		}
 	}
 	open := &analysis.Analyzer{}
-	if !packageMatch(open, "anything/at/all") {
+	if !open.Matches("anything/at/all") {
 		t.Error("empty filter must match every package")
 	}
 }
@@ -122,101 +118,6 @@ func TestOnlyListsValidNames(t *testing.T) {
 	_, err := Run([]*analysis.Analyzer{floateq.Analyzer}, []string{"./testdata/ignoredemo"}, &out, Options{Only: []string{"nosuch"}})
 	if err == nil || !strings.Contains(err.Error(), "valid analyzers: floateq") {
 		t.Fatalf("error must list the valid analyzer names, got %v", err)
-	}
-}
-
-// TestFixRoundTrip applies errflow's suggested fixes to the fixdemo
-// fixture and checks the three-way contract: the rewritten file matches
-// the golden output, is gofmt-clean, and re-analyzes to zero findings.
-func TestFixRoundTrip(t *testing.T) {
-	const fixture = "testdata/mod/fixdemo/fixdemo.go"
-	orig, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := os.WriteFile(fixture, orig, 0o644); err != nil {
-			t.Errorf("restoring fixture: %v", err)
-		}
-	})
-
-	var out bytes.Buffer
-	n, err := Run([]*analysis.Analyzer{errflow.Analyzer}, []string{"./testdata/mod/fixdemo"}, &out, Options{Fix: true})
-	if err != nil {
-		t.Fatalf("driver.Run -fix: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("want 0 findings after -fix, got %d:\n%s", n, out.String())
-	}
-	if !strings.Contains(out.String(), "applied 3 fix(es) in 1 file(s)") {
-		t.Errorf("missing apply summary:\n%s", out.String())
-	}
-
-	got, err := os.ReadFile(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile("testdata/fixdemo.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, golden) {
-		t.Errorf("fixed file does not match golden.\n--- got ---\n%s\n--- want ---\n%s", got, golden)
-	}
-	formatted, err := format.Source(got)
-	if err != nil {
-		t.Fatalf("fixed file does not parse: %v", err)
-	}
-	if !bytes.Equal(formatted, got) {
-		t.Errorf("fixed file is not gofmt-clean.\n--- on disk ---\n%s\n--- gofmt ---\n%s", got, formatted)
-	}
-}
-
-// TestSARIFOutput checks the CI interchange document: a single SARIF
-// 2.1.0 log where suppressed findings survive with an inSource marker.
-func TestSARIFOutput(t *testing.T) {
-	var out bytes.Buffer
-	n, err := Run([]*analysis.Analyzer{floateq.Analyzer}, []string{"./testdata/ignoredemo"}, &out, Options{SARIF: true})
-	if err != nil {
-		t.Fatalf("driver.Run -sarif: %v", err)
-	}
-	if n != 4 {
-		t.Errorf("got %d unsuppressed diagnostics, want 4", n)
-	}
-	var log sarifLog
-	if err := json.Unmarshal(out.Bytes(), &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "stitchvet" {
-		t.Errorf("tool name = %q", run.Tool.Driver.Name)
-	}
-	ruleIDs := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	if !ruleIDs["floateq"] || !ruleIDs["stitchvet"] {
-		t.Errorf("rules missing floateq/stitchvet: %v", ruleIDs)
-	}
-	var active, suppressed int
-	for _, r := range run.Results {
-		if len(r.Locations) != 1 || r.Locations[0].PhysicalLocation.Region.StartLine == 0 {
-			t.Errorf("result without a location: %+v", r)
-		}
-		if len(r.Suppressions) > 0 {
-			suppressed++
-		} else {
-			active++
-		}
-	}
-	if active != 4 || suppressed != 3 {
-		t.Errorf("got %d active + %d suppressed results, want 4 + 3", active, suppressed)
 	}
 }
 
@@ -245,131 +146,6 @@ func TestAuditIgnores(t *testing.T) {
 		if strings.Contains(got, absent) {
 			t.Errorf("healthy directive flagged: %q in\n%s", absent, got)
 		}
-	}
-}
-
-// incrAnalyzers is the analyzer set the incremental-driver tests run: one
-// per-package analyzer with real findings on the fixtures and one
-// whole-module analyzer (no goroutines in the fixtures, so it stays
-// silent) to exercise the module cache entry alongside the package ones.
-func incrAnalyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{floateq.Analyzer, racecheck.Analyzer}
-}
-
-var incrPatterns = []string{"./testdata/ignoredemo", "./testdata/mod/fixdemo"}
-
-// TestCacheWarmReplay is the warm-path contract: a cold run populates the
-// cache, and an immediately repeated run replays the whole invocation —
-// byte-identical output, same count — without listing a single package.
-func TestCacheWarmReplay(t *testing.T) {
-	cacheDir := t.TempDir()
-
-	var cold bytes.Buffer
-	var coldStats Stats
-	nCold, err := Run(incrAnalyzers(), incrPatterns, &cold, Options{CacheDir: cacheDir, Stats: &coldStats})
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if coldStats.RunReplayed {
-		t.Error("cold run claims replay")
-	}
-	if coldStats.Packages != 2 || coldStats.Analyzed != 2 || coldStats.CachedPackages != 0 {
-		t.Errorf("cold stats = %+v, want 2 packages, 2 analyzed, 0 cached", coldStats)
-	}
-	if nCold == 0 {
-		t.Fatal("fixture produced no findings; the byte-equality check below would be vacuous")
-	}
-
-	var warm bytes.Buffer
-	var warmStats Stats
-	nWarm, err := Run(incrAnalyzers(), incrPatterns, &warm, Options{CacheDir: cacheDir, Stats: &warmStats})
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if !warmStats.RunReplayed {
-		t.Errorf("warm run did not replay: %+v", warmStats)
-	}
-	if warmStats.Packages != 0 {
-		t.Errorf("warm run listed %d packages; replay must skip go list", warmStats.Packages)
-	}
-	if nWarm != nCold {
-		t.Errorf("warm count %d != cold count %d", nWarm, nCold)
-	}
-	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
-		t.Errorf("warm output differs from cold.\n--- cold ---\n%s\n--- warm ---\n%s", cold.String(), warm.String())
-	}
-}
-
-// TestDiffOnlyChanged pins the -diff contract: with a synthetic git
-// change set touching one fixture package, only that package re-analyzes;
-// the other is served from per-package cache entries, the module findings
-// replay, and the output stays byte-identical to the cold run.
-func TestDiffOnlyChanged(t *testing.T) {
-	cacheDir := t.TempDir()
-
-	var cold bytes.Buffer
-	nCold, err := Run(incrAnalyzers(), incrPatterns, &cold, Options{CacheDir: cacheDir})
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-
-	orig := gitDiffFiles
-	defer func() { gitDiffFiles = orig }()
-	gitDiffFiles = func(root, ref string) ([]string, error) {
-		if ref != "fakeref" {
-			t.Errorf("gitDiffFiles called with ref %q, want fakeref", ref)
-		}
-		return []string{
-			"internal/analysis/driver/testdata/ignoredemo/a.go",
-			"docs/LINTING.md", // non-.go changes never force re-analysis
-		}, nil
-	}
-
-	var diff bytes.Buffer
-	var st Stats
-	n, err := Run(incrAnalyzers(), incrPatterns, &diff, Options{CacheDir: cacheDir, Diff: "fakeref", Stats: &st})
-	if err != nil {
-		t.Fatalf("diff run: %v", err)
-	}
-	if st.RunReplayed {
-		t.Error("-diff must not take the whole-run replay path")
-	}
-	if st.ChangedPackages != 1 {
-		t.Errorf("ChangedPackages = %d, want 1", st.ChangedPackages)
-	}
-	if st.Analyzed != 1 || st.CachedPackages != 1 {
-		t.Errorf("stats = %+v, want 1 analyzed + 1 cached", st)
-	}
-	if !st.ModuleFromCache {
-		t.Error("unchanged package keys must replay the module findings")
-	}
-	if n != nCold || !bytes.Equal(cold.Bytes(), diff.Bytes()) {
-		t.Errorf("diff output differs from cold (%d vs %d findings).\n--- cold ---\n%s\n--- diff ---\n%s",
-			nCold, n, cold.String(), diff.String())
-	}
-}
-
-// TestDiffRequiresCache: -diff without a cache directory is a driver
-// error, not a silent full run.
-func TestDiffRequiresCache(t *testing.T) {
-	var out bytes.Buffer
-	_, err := Run(incrAnalyzers(), incrPatterns, &out, Options{Diff: "HEAD"})
-	if err == nil || !strings.Contains(err.Error(), "-diff requires the findings cache") {
-		t.Fatalf("want -diff-requires-cache error, got %v", err)
-	}
-}
-
-// TestFingerprintInvalidates: bumping an analyzer's Version moves every
-// cache key, so behaviour changes start cold by construction.
-func TestFingerprintInvalidates(t *testing.T) {
-	mk := func(v int) *analysis.Analyzer {
-		return &analysis.Analyzer{Name: "probe", Version: v}
-	}
-	if fingerprint([]*analysis.Analyzer{mk(1)}) == fingerprint([]*analysis.Analyzer{mk(2)}) {
-		t.Error("fingerprint ignores Analyzer.Version")
-	}
-	if fingerprint([]*analysis.Analyzer{mk(1)}) != fingerprint([]*analysis.Analyzer{mk(1)}) {
-		t.Error("fingerprint is not deterministic")
 	}
 }
 

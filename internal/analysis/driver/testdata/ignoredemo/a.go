@@ -21,7 +21,7 @@ func wildcard(a, b float64) bool {
 }
 
 func wrongAnalyzer(a, b float64) bool {
-	//lint:ignore mapiterorder directive names another analyzer, so floateq still fires
+	//lint:ignore nondeterm directive names another analyzer, so floateq still fires
 	return a == b
 }
 

@@ -26,8 +26,7 @@ import (
 
 // Analyzer flags exact floating-point equality comparisons.
 var Analyzer = &analysis.Analyzer{
-	Name:    "floateq",
-	Version: 1,
+	Name: "floateq",
 	Doc: "flag ==/!= on floating-point expressions\n\n" +
 		"Float cost comparisons must use an epsilon or compare the underlying integers; exact equality is evaluation-order-dependent.",
 	Run: run,

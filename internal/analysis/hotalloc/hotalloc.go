@@ -45,8 +45,7 @@ var ArenaTypes = map[string]bool{"searchCtx": true, "cellHeap": true, "searchAre
 
 // Analyzer flags heap allocations on the per-net search hot path.
 var Analyzer = &analysis.Analyzer{
-	Name:    "hotalloc",
-	Version: 3,
+	Name: "hotalloc",
 	Doc: "flag make/new/append-growth/closure/boxing allocations reachable inside the per-net search loops\n\n" +
 		"The search arenas make the steady-state searches allocation-free; this analyzer walks the call graph from routeNet, the global astar and the DRC's checkNet and keeps it that way.",
 	Packages: []string{"internal/detail", "internal/global", "internal/fracture", "internal/stencil", "internal/eco", "internal/drc"},

@@ -28,8 +28,7 @@ import (
 // Analyzer flags goroutines whose spawner has no joining path and whose
 // body never blocks on a channel.
 var Analyzer = &analysis.Analyzer{
-	Name:    "leakcheck",
-	Version: 1,
+	Name: "leakcheck",
 	Doc: "flag goroutines with no joining path: no spawner-side Wait/receive/select after the spawn, no self-terminating body, no package WaitGroup-field discipline\n\n" +
 		"Leaked goroutines outlive cancellation and shutdown; the worker-pool discipline requires every spawn to have a reaper.",
 	Run: run,

@@ -8,12 +8,11 @@
 // itself and type-checks them with the standard library's gc-export-data
 // importer. The result is full types.Info at a fraction of the machinery.
 //
-// Loading is split in two so the incremental driver can schedule work:
-// List enumerates package metadata (files, first-party imports, export
-// data) without touching any source, and a Loader parses + type-checks
-// arbitrary subsets of the listed packages — in parallel, since the
-// shared token.FileSet and the gc export-data reader are the only shared
-// state and both are guarded.
+// Loading is split in two so the driver can schedule the work: List runs
+// go list once, and Loader.Load parses and type-checks one listed
+// package. Load is safe to call from several goroutines: the shared
+// token.FileSet and the gc export-data reader are the only shared state,
+// and both are guarded.
 package load
 
 import (
@@ -29,11 +28,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Package is one parsed and type-checked package.
@@ -52,19 +49,13 @@ type Package struct {
 	TypeErrors []error
 }
 
-// Meta is one listed (but not yet loaded) first-party package: enough
-// metadata for the driver to hash its inputs and order the import DAG
-// without parsing a single source file.
+// Meta is one listed (but not yet loaded) first-party package.
 type Meta struct {
 	PkgPath string
-	Name    string
 	Dir     string
 	// GoFiles are the package's compiled sources as absolute paths
 	// (GoFiles + CgoFiles from go list, in list order).
 	GoFiles []string
-	// Imports holds the import paths of first-party dependencies only;
-	// standard-library imports are covered by the toolchain version.
-	Imports []string
 }
 
 // listedPackage mirrors the subset of `go list -json` output we consume.
@@ -75,16 +66,13 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	DepOnly    bool
-	Standard   bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,CgoFiles,Imports,DepOnly,Standard,Incomplete,Error"}
+		"-json=ImportPath,Name,Dir,Export,GoFiles,CgoFiles,DepOnly,Error"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -137,24 +125,19 @@ func (i *exportImporter) Import(path string) (*types.Package, error) {
 	return i.base.Import(path)
 }
 
-// List enumerates the first-party packages matching the go-list patterns
-// without loading them, returning the metas sorted by import path plus
-// the export-data map covering every dependency (the input LoadMetas
-// needs to resolve imports).
-func List(patterns ...string) ([]*Meta, map[string]string, error) {
+// List enumerates the packages matching the go-list patterns without
+// loading them. It returns the metas sorted by import path and a Loader
+// that resolves their imports from the export data go list built.
+func List(patterns ...string) (*Loader, []*Meta, error) {
 	listed, err := goList("", patterns)
 	if err != nil {
 		return nil, nil, err
 	}
 	exports := make(map[string]string)
-	firstParty := make(map[string]bool)
-	var targets []*listedPackage
+	var metas []*Meta
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard {
-			firstParty[p.ImportPath] = true
 		}
 		if p.DepOnly || p.Name == "" {
 			continue
@@ -162,97 +145,39 @@ func List(patterns ...string) ([]*Meta, map[string]string, error) {
 		if p.Error != nil {
 			return nil, nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 		}
-		targets = append(targets, p)
-	}
-	sort.Slice(targets, func(a, b int) bool { return targets[a].ImportPath < targets[b].ImportPath })
-
-	var metas []*Meta
-	for _, t := range targets {
-		m := &Meta{PkgPath: t.ImportPath, Name: t.Name, Dir: t.Dir}
-		for _, f := range append(append([]string(nil), t.GoFiles...), t.CgoFiles...) {
+		m := &Meta{PkgPath: p.ImportPath, Dir: p.Dir}
+		for _, f := range append(append([]string(nil), p.GoFiles...), p.CgoFiles...) {
 			if !filepath.IsAbs(f) {
-				f = filepath.Join(t.Dir, f)
+				f = filepath.Join(p.Dir, f)
 			}
 			m.GoFiles = append(m.GoFiles, f)
 		}
-		for _, imp := range t.Imports {
-			if firstParty[imp] {
-				m.Imports = append(m.Imports, imp)
-			}
-		}
-		sort.Strings(m.Imports)
 		metas = append(metas, m)
 	}
-	return metas, exports, nil
+	sort.Slice(metas, func(a, b int) bool { return metas[a].PkgPath < metas[b].PkgPath })
+	fset := token.NewFileSet()
+	return &Loader{fset: fset, imp: newExportImporter(fset, exports)}, metas, nil
 }
 
-// Loader parses and type-checks listed packages on demand. All packages
-// loaded through one Loader share a single FileSet (so positions from any
-// of them resolve uniformly) and one export-data importer (so each
-// dependency's export data is read once, however many Load calls happen).
+// Loader parses and type-checks listed packages. All packages loaded
+// through one Loader share a single FileSet and one export-data importer,
+// so each dependency's export data is read once.
 type Loader struct {
 	fset *token.FileSet
 	imp  *exportImporter
 }
 
-// NewLoader returns a Loader resolving imports from the export-data map
-// produced by List.
-func NewLoader(exports map[string]string) *Loader {
-	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: newExportImporter(fset, exports)}
-}
-
-// Fset returns the FileSet shared by every package this Loader loads.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Load parses and type-checks the given listed packages in parallel
-// (bounded by GOMAXPROCS). The result order matches the input order.
-func (l *Loader) Load(metas []*Meta) ([]*Package, error) {
-	fset, imp := l.fset, l.imp
-	out := make([]*Package, len(metas))
-	errs := make([]error, len(metas))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(metas) {
-		workers = len(metas)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= len(metas) {
-					return
-				}
-				m := metas[i]
-				out[i], errs[i] = check(fset, imp, m.PkgPath, m.Dir, m.GoFiles)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+// Load parses and type-checks one listed package.
+func (l *Loader) Load(m *Meta) (*Package, error) {
+	var asts []*ast.File
+	for _, name := range m.GoFiles {
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
+		asts = append(asts, f)
 	}
-	return out, nil
-}
-
-// Packages loads every package matching the go-list patterns (typically
-// "./..."), parsed with comments and fully type-checked. Packages are
-// returned sorted by import path so drivers are deterministic.
-func Packages(patterns ...string) ([]*Package, error) {
-	metas, exports, err := List(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return NewLoader(exports).Load(metas)
+	return checkParsed(l.fset, l.imp, m.PkgPath, m.Dir, asts)
 }
 
 // Dir loads the single package rooted at dir (every non-test .go file in
@@ -313,21 +238,6 @@ func Dir(dir string) (*Package, error) {
 	}
 	imp := newExportImporter(fset, exports)
 	return checkParsed(fset, imp, filepath.Base(dir), dir, asts)
-}
-
-func check(fset *token.FileSet, imp types.Importer, pkgPath, dir string, fileNames []string) (*Package, error) {
-	var asts []*ast.File
-	for _, name := range fileNames {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		asts = append(asts, f)
-	}
-	return checkParsed(fset, imp, pkgPath, dir, asts)
 }
 
 func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath, dir string, asts []*ast.File) (*Package, error) {

@@ -36,8 +36,7 @@ import (
 // Analyzer flags blocking or channel operations inside mutex critical
 // sections.
 var Analyzer = &analysis.Analyzer{
-	Name:    "lockdiscipline",
-	Version: 1,
+	Name: "lockdiscipline",
 	Doc: "flag channel operations, blocking calls, and HTTP writes while a sync.Mutex/RWMutex is held\n\n" +
 		"Critical sections must be small and non-blocking; channel sends/closes under a lock must be deliberate and documented (the PR 1 submit/Shutdown race class).",
 	Run: run,

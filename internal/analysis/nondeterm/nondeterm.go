@@ -2,11 +2,11 @@
 // nondeterministic values through assignment chains and helper calls and
 // flags them when they reach routing state.
 //
-// The syntactic analyzers from the first stitchvet generation (notably
-// mapiterorder) only recognize a source and a sink in the same statement
-// or loop body. This analyzer runs a taint analysis over each function's
-// control-flow graph instead, so the c18208f bug class is caught even
-// when the nondeterministic value travels through any number of local
+// A syntactic check only recognizes a source and a sink in the same
+// statement or loop body. This analyzer runs a taint analysis over each
+// function's control-flow graph instead, so the c18208f bug class (the
+// global A* seeding its heap in map order) is caught even when the
+// nondeterministic value travels through any number of local
 // assignments or package-local helper calls before it lands in a heap,
 // a cost field, or output geometry.
 //
@@ -41,45 +41,29 @@ import (
 	"strings"
 
 	"stitchroute/internal/analysis"
-	"stitchroute/internal/analysis/callgraph"
 	"stitchroute/internal/analysis/cfg"
 	"stitchroute/internal/analysis/dataflow"
-	"stitchroute/internal/analysis/load"
 )
 
-// Analyzer flags nondeterministic values flowing into routing state.
-// Under the driver it runs in module mode: taint summaries are computed
-// bottom-up over the whole-module call graph, so a wall-clock read two
-// cross-package hops away still taints the value at the sink. The
-// per-package Run remains as the fixture-harness fallback with
-// intra-package summaries only.
+// Analyzer flags nondeterministic values flowing into routing state. Taint
+// flows through helper calls via intra-package summaries.
 var Analyzer = &analysis.Analyzer{
-	Name:    "nondeterm",
-	Version: 1,
+	Name: "nondeterm",
 	Doc: "track nondeterministic values (wall clock, global RNG, map order, select order, pointer text) through dataflow into routing state\n\n" +
-		"Byte-identical reroutes are a hard invariant; this analyzer follows taint through assignment chains and helper calls — across package boundaries via call-graph summaries — which the syntactic checks cannot.",
+		"Byte-identical reroutes are a hard invariant; this analyzer follows taint through assignment chains and package-local helper calls, which a syntactic check cannot.",
 	Packages: []string{
 		"internal/global", "internal/detail", "internal/core",
 		"internal/steiner", "internal/track", "internal/plan",
 		"internal/fracture", "internal/stencil", "internal/eco",
 	},
-	Run:       run,
-	RunModule: runModule,
-}
-
-// unit bundles what the checks need from either pass flavor.
-type unit struct {
-	fset    *token.FileSet
-	info    *types.Info
-	reportf func(token.Pos, string, ...interface{})
+	Run: run,
 }
 
 // telemetryName matches field names that hold timing or statistics:
 // legitimate homes for wall-clock values.
 var telemetryName = regexp.MustCompile(`(?i)(time|elapsed|duration|seed|stamp|start|wall|bench|stat)`)
 
-// taintConf builds the package-specific taint configuration; the caller
-// decides which summary set (intra-package or module-wide) to attach.
+// taintConf builds the package-specific taint configuration.
 func taintConf(info *types.Info, files []*ast.File) dataflow.TaintConfig {
 	return dataflow.TaintConfig{
 		Info:       info,
@@ -98,56 +82,29 @@ func taintConf(info *types.Info, files []*ast.File) dataflow.TaintConfig {
 func run(pass *analysis.Pass) (interface{}, error) {
 	conf := taintConf(pass.TypesInfo, pass.Files)
 	conf.Summaries = dataflow.ComputeSummaries(pass.Files, conf)
-	u := &unit{fset: pass.Fset, info: pass.TypesInfo, reportf: pass.Reportf}
-	checkFiles(u, conf, pass.Files)
-	return nil, nil
-}
-
-// runModule is the interprocedural mode: one summary per function in the
-// whole module, computed bottom-up over the call graph, then the same
-// per-function sink checks — now able to see that a value returned by a
-// helper two packages away carries wall-clock or RNG taint.
-func runModule(mp *analysis.ModulePass) error {
-	sums := callgraph.ModuleTaintSummaries(mp.Graph, func(pkg *load.Package) dataflow.TaintConfig {
-		return taintConf(pkg.TypesInfo, pkg.Files)
-	})
-	for _, pkg := range mp.Packages {
-		if !mp.Match(pkg.PkgPath) {
-			continue
-		}
-		conf := taintConf(pkg.TypesInfo, pkg.Files)
-		conf.Summaries = sums
-		u := &unit{fset: mp.Fset, info: pkg.TypesInfo, reportf: mp.Reportf}
-		checkFiles(u, conf, pkg.Files)
-	}
-	return nil
-}
-
-// checkFiles runs the per-function taint solve + sink checks over every
-// declaration in files.
-func checkFiles(u *unit, conf dataflow.TaintConfig, files []*ast.File) {
-	for _, file := range files {
+	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkBody(u, conf, fd.Body)
+			checkBody(pass, conf, fd.Body)
 			// Function literals get their own graphs: their bodies are
 			// not part of the enclosing CFG. Captured variables start
 			// clean (conservatively under-tainted; sources inside the
 			// literal are still tracked).
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if fl, ok := n.(*ast.FuncLit); ok {
-					checkBody(u, conf, fl.Body)
+					checkBody(pass, conf, fl.Body)
 				}
 				return true
 			})
 		}
 	}
+	return nil, nil
 }
 
-func checkBody(u *unit, conf dataflow.TaintConfig, body *ast.BlockStmt) {
+func checkBody(pass *analysis.Pass, conf dataflow.TaintConfig, body *ast.BlockStmt) {
 	p := dataflow.Problem[dataflow.Fact]{
 		Graph:    cfg.New(body),
 		Entry:    dataflow.Fact{},
@@ -158,7 +115,7 @@ func checkBody(u *unit, conf dataflow.TaintConfig, body *ast.BlockStmt) {
 	}
 	sol := dataflow.Solve(p)
 	dataflow.ForEachNode(p, sol, func(n ast.Node, before dataflow.Fact) {
-		checkNode(u, conf, n, before)
+		checkNode(pass, conf, n, before)
 	})
 }
 
@@ -166,7 +123,7 @@ func checkBody(u *unit, conf dataflow.TaintConfig, body *ast.BlockStmt) {
 // range bodies are skipped: their statements live in other blocks (range)
 // or other graphs (literals) and must not be double-visited with the
 // wrong fact.
-func checkNode(u *unit, conf dataflow.TaintConfig, node ast.Node, before dataflow.Fact) {
+func checkNode(pass *analysis.Pass, conf dataflow.TaintConfig, node ast.Node, before dataflow.Fact) {
 	var rangeBody *ast.BlockStmt
 	if rng, ok := node.(*ast.RangeStmt); ok {
 		rangeBody = rng.Body
@@ -183,13 +140,13 @@ func checkNode(u *unit, conf dataflow.TaintConfig, node ast.Node, before dataflo
 		}
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			checkAssignSinks(u, conf, n, before)
+			checkAssignSinks(pass, conf, n, before)
 		case *ast.SendStmt:
 			if t := conf.EvalExpr(before, n.Value); t.Kind != 0 {
-				report(u, n.Pos(), "value sent on channel", t)
+				report(pass, n.Pos(), "value sent on channel", t)
 			}
 		case *ast.CallExpr:
-			checkPushSink(u, conf, n, before)
+			checkPushSink(pass, conf, n, before)
 		}
 		return true
 	})
@@ -198,7 +155,7 @@ func checkNode(u *unit, conf dataflow.TaintConfig, node ast.Node, before dataflo
 // checkAssignSinks flags tainted values written into persistent state:
 // struct fields, slice/array elements, and pointer targets. Plain local
 // variables are propagation, not sinks.
-func checkAssignSinks(u *unit, conf dataflow.TaintConfig, n *ast.AssignStmt, before dataflow.Fact) {
+func checkAssignSinks(pass *analysis.Pass, conf dataflow.TaintConfig, n *ast.AssignStmt, before dataflow.Fact) {
 	rhs := make([]dataflow.Taint, len(n.Lhs))
 	switch {
 	case len(n.Rhs) == len(n.Lhs):
@@ -241,21 +198,21 @@ func checkAssignSinks(u *unit, conf dataflow.TaintConfig, n *ast.AssignStmt, bef
 					}
 				}
 			}
-			report(u, n.Pos(), "element of "+types.ExprString(target.X), t)
+			report(pass, n.Pos(), "element of "+types.ExprString(target.X), t)
 		case *ast.SelectorExpr:
 			if telemetryField(conf.Info, target) {
 				continue
 			}
-			report(u, n.Pos(), "field "+types.ExprString(target), t)
+			report(pass, n.Pos(), "field "+types.ExprString(target), t)
 		case *ast.StarExpr:
-			report(u, n.Pos(), "target of "+types.ExprString(target), t)
+			report(pass, n.Pos(), "target of "+types.ExprString(target), t)
 		}
 	}
 }
 
 // checkPushSink flags tainted heap-push arguments: the pop order (and
 // every tie-break downstream) then differs between runs.
-func checkPushSink(u *unit, conf dataflow.TaintConfig, call *ast.CallExpr, before dataflow.Fact) {
+func checkPushSink(pass *analysis.Pass, conf dataflow.TaintConfig, call *ast.CallExpr, before dataflow.Fact) {
 	name := ""
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -268,13 +225,13 @@ func checkPushSink(u *unit, conf dataflow.TaintConfig, call *ast.CallExpr, befor
 	}
 	for _, a := range call.Args {
 		if t := conf.EvalExpr(before, a); t.Kind != 0 {
-			report(u, call.Pos(), "heap push argument", t)
+			report(pass, call.Pos(), "heap push argument", t)
 			return
 		}
 	}
 }
 
-func report(u *unit, pos token.Pos, sink string, t dataflow.Taint) {
+func report(pass *analysis.Pass, pos token.Pos, sink string, t dataflow.Taint) {
 	kind := "nondeterministic"
 	switch {
 	case t.Kind&dataflow.Value != 0:
@@ -288,10 +245,10 @@ func report(u *unit, pos token.Pos, sink string, t dataflow.Taint) {
 	}
 	where := ""
 	if t.Pos.IsValid() {
-		p := u.fset.Position(t.Pos)
+		p := pass.Fset.Position(t.Pos)
 		where = " at line " + itoa(p.Line)
 	}
-	u.reportf(pos, "%s value reaches %s: tainted by %s%s; reroutes stop being byte-identical", kind, sink, src, where)
+	pass.Reportf(pos, "%s value reaches %s: tainted by %s%s; reroutes stop being byte-identical", kind, sink, src, where)
 }
 
 func itoa(n int) string {

@@ -10,22 +10,3 @@ import (
 func TestAnalyzer(t *testing.T) {
 	analyzertest.Run(t, "../testdata", nondeterm.Analyzer, "nondeterm")
 }
-
-// TestModule exercises the interprocedural mode: the wall-clock source
-// sits two cross-package hops from the sink (sink → mid → tick), beyond
-// what intra-package summaries can reach.
-func TestModule(t *testing.T) {
-	analyzertest.RunModule(t, nondeterm.Analyzer,
-		"./testdata/mod/tick",
-		"./testdata/mod/mid",
-		"./testdata/mod/sink",
-	)
-}
-
-// TestModuleDevirtualized: the taint source hides behind an interface
-// with a single in-module implementation. The finding exists only
-// because the call graph devirtualizes the call — an unresolved
-// interface call would sever the chain.
-func TestModuleDevirtualized(t *testing.T) {
-	analyzertest.RunModule(t, nondeterm.Analyzer, "./testdata/mod/ifacehop")
-}

@@ -1,47 +1,27 @@
 // Package registry holds the canonical stitchvet analyzer set, shared by
-// cmd/stitchvet and cmd/benchjson so the CLI, the lint benchmark, and the
-// cache fingerprint all agree on what "all analyzers" means.
+// cmd/stitchvet and cmd/benchjson so the CLI and the lint benchmark agree
+// on what "all analyzers" means.
 package registry
 
 import (
 	"stitchroute/internal/analysis"
-	"stitchroute/internal/analysis/confine"
 	"stitchroute/internal/analysis/ctxflow"
-	"stitchroute/internal/analysis/driver"
-	"stitchroute/internal/analysis/errflow"
 	"stitchroute/internal/analysis/floateq"
 	"stitchroute/internal/analysis/hotalloc"
 	"stitchroute/internal/analysis/leakcheck"
 	"stitchroute/internal/analysis/lockdiscipline"
-	"stitchroute/internal/analysis/lockorder"
-	"stitchroute/internal/analysis/mapiterorder"
-	"stitchroute/internal/analysis/narrowconv"
 	"stitchroute/internal/analysis/nondeterm"
-	"stitchroute/internal/analysis/racecheck"
 )
 
 // All returns the full analyzer set in alphabetical order. The slice is
 // freshly allocated; callers may filter it freely.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		confine.Analyzer,
 		ctxflow.Analyzer,
-		errflow.Analyzer,
 		floateq.Analyzer,
 		hotalloc.Analyzer,
 		leakcheck.Analyzer,
 		lockdiscipline.Analyzer,
-		lockorder.Analyzer,
-		mapiterorder.Analyzer,
-		narrowconv.Analyzer,
 		nondeterm.Analyzer,
-		racecheck.Analyzer,
 	}
-}
-
-// Fingerprint hashes the full analyzer set's names and versions together
-// with the toolchain; CI keys its cross-run findings cache on it so a new
-// or re-versioned analyzer starts from a cold cache.
-func Fingerprint() string {
-	return driver.Fingerprint(All())
 }

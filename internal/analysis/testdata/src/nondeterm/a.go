@@ -1,8 +1,8 @@
-// Fixture for the nondeterm analyzer. The headline cases are the ones
-// the syntactic analyzers provably miss: a nondeterministic value that
-// travels through one or more assignments (or a helper call) before
-// reaching routing state. mapiterorder only looks inside the literal
-// range body, so seedHeapViaLocal below is invisible to it.
+// Fixture for the nondeterm analyzer. The headline cases are the ones a
+// syntactic check provably misses: a nondeterministic value that travels
+// through one or more assignments (or a helper call) before reaching
+// routing state. A check that only looks inside the literal range body
+// cannot see seedHeapViaLocal below.
 package nondeterm
 
 import (
@@ -44,7 +44,7 @@ func helperChain(n *node) {
 	n.cost = jitter() // want `run-dependent value reaches field n\.cost`
 }
 
-// seedHeapViaLocal is the must-flag case mapiterorder cannot see: the
+// seedHeapViaLocal is the must-flag case a syntactic check cannot see: the
 // map-ordered value is stashed in a local inside the range body, and the
 // heap push happens after the loop. Flow-sensitivity or nothing.
 func seedHeapViaLocal(sources map[int]int, h *intHeap) {

@@ -104,33 +104,33 @@ func Table3(circuits []string) ([]Table3Row, error) {
 }
 
 // forEachCircuit runs fn over the circuits with bounded parallelism,
-// preserving order via the index. The first error wins.
+// preserving order via the index. If several calls fail, the error of
+// the earliest circuit in the list is returned, whatever order they
+// finished in.
 func forEachCircuit(circuits []string, fn func(i int, name string) error) error {
 	par := runtime.GOMAXPROCS(0)
 	if par > 4 {
 		par = 4 // whole-circuit runs are memory-hungry; cap the fan-out
 	}
 	sem := make(chan struct{}, par)
+	errs := make([]error, len(circuits))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	for i, name := range circuits {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := fn(i, name); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
+			errs[i] = fn(i, name)
 		}(i, name)
 	}
 	wg.Wait()
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func runOne(name string, cfg core.Config) (*core.Result, error) {
