@@ -94,13 +94,15 @@ bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
 	$(GO) run ./cmd/benchjson -stage eco -runs $(BENCH_RUNS) -out BENCH_eco.json
 
 # One-iteration benchmark smoke: proves the detail-stage benchmark (and
-# its pinned routes-hash assertion), the global maze pass and the
-# full-chip DRC pass still run, the latter two with their allocation
-# counts; takes seconds.
-bench-smoke: ## run BenchmarkDetail, BenchmarkGlobalMaze and BenchmarkCheck once
+# its pinned routes-hash assertion), the global maze pass, the full-chip
+# DRC pass and the write-prep stages (with their pinned shot and plan
+# hashes) still run, the last three with their allocation counts; takes
+# seconds.
+bench-smoke: ## run BenchmarkDetail, BenchmarkGlobalMaze, BenchmarkCheck and BenchmarkWritePrep once
 	$(GO) test -run '^$$' -bench BenchmarkDetail -benchtime 1x ./internal/detail/
 	$(GO) test -run '^$$' -bench BenchmarkGlobalMaze -benchtime 1x -benchmem ./internal/global/
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime 1x -benchmem ./internal/drc/
+	$(GO) test -run '^$$' -bench BenchmarkWritePrep -benchtime 1x -benchmem ./internal/harness/
 
 # Regenerate the paper's tables on the fast subset (use CIRCUITS=all for
 # the full 14-circuit suite; that takes ~15 minutes).

@@ -34,21 +34,21 @@ import (
 )
 
 // Roots names the functions whose call trees form the per-net hot path:
-// the detailed router's per-net search, the global router's tile A* and
-// the DRC's per-net check.
-var Roots = map[string]bool{"routeNet": true, "astar": true, "checkNet": true}
+// the detailed router's per-net search, the global router's tile A*,
+// the DRC's per-net check and the branch-and-bound solver's search.
+var Roots = map[string]bool{"routeNet": true, "astar": true, "checkNet": true, "dfs": true}
 
 // ArenaTypes names the arena struct types: allocations that grow them
 // are the sanctioned way to allocate, and slices derived from their
 // fields are reusable scratch.
-var ArenaTypes = map[string]bool{"searchCtx": true, "cellHeap": true, "searchArena": true, "fHeap": true, "checkScratch": true}
+var ArenaTypes = map[string]bool{"searchCtx": true, "cellHeap": true, "searchArena": true, "fHeap": true, "checkScratch": true, "solver": true}
 
 // Analyzer flags heap allocations on the per-net search hot path.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "flag make/new/append-growth/closure/boxing allocations reachable inside the per-net search loops\n\n" +
-		"The search arenas make the steady-state searches allocation-free; this analyzer walks the call graph from routeNet, the global astar and the DRC's checkNet and keeps it that way.",
-	Packages: []string{"internal/detail", "internal/global", "internal/fracture", "internal/stencil", "internal/eco", "internal/drc"},
+		"The search arenas make the steady-state searches allocation-free; this analyzer walks the call graph from routeNet, the global astar, the DRC's checkNet and the branch-and-bound dfs and keeps it that way.",
+	Packages: []string{"internal/detail", "internal/global", "internal/fracture", "internal/stencil", "internal/eco", "internal/drc", "internal/ilp"},
 	Run:      run,
 }
 

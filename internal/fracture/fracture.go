@@ -30,9 +30,11 @@
 package fracture
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/plan"
@@ -199,31 +201,56 @@ func Fracture(routes []plan.NetRoute, layers int, mode Mode, opts Options) *Resu
 func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mode Mode, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	res := &Result{Mode: mode}
+	// Sweep every layer into one rectangle list, then pair each layer's
+	// range, then emit into a shot list sized exactly once.
+	type layerRange struct{ layer, lo, hi int }
+	var (
+		cv     coverage
+		rects  []geom.Rect
+		ranges []layerRange
+	)
 	for l := 1; l <= layers; l++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fracture: %w", err)
 		}
-		rows := layerRows(routes, l)
-		if len(rows) == 0 {
-			continue
+		if rows := cv.layerRows(routes, l); len(rows) > 0 {
+			lo := len(rects)
+			rects = sweep(rects, rows)
+			ranges = append(ranges, layerRange{l, lo, len(rects)})
 		}
-		rects := sweep(rows)
-		ls := LayerStats{Layer: l, Rects: len(rects)}
-		for _, r := range rects {
-			ls.Area += int64(r.Area())
-		}
-
-		var shots []Shot
-		if mode == ModeLShape {
-			pairing, err := matchLPairs(ctx, rects, opts, res)
-			if err != nil {
+	}
+	pairing := make([]int, len(rects))
+	for i := range pairing {
+		pairing[i] = -1
+	}
+	if mode == ModeLShape {
+		var m matcher
+		for _, lr := range ranges {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("fracture: %w", err)
+			}
+			if err := m.matchLPairs(ctx, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi], opts, res); err != nil {
 				return nil, err
 			}
-			shots = emitShots(l, rects, pairing)
-		} else {
-			shots = emitShots(l, rects, nil)
 		}
-		for _, s := range shots {
+	}
+	matched := 0
+	for _, p := range pairing {
+		if p >= 0 {
+			matched++
+		}
+	}
+	// Each L shot merges two matched rectangles.
+	res.Shots = make([]Shot, 0, len(rects)-matched/2)
+
+	for _, lr := range ranges {
+		ls := LayerStats{Layer: lr.layer, Rects: lr.hi - lr.lo}
+		for _, r := range rects[lr.lo:lr.hi] {
+			ls.Area += int64(r.Area())
+		}
+		base := len(res.Shots)
+		res.Shots = emitShots(res.Shots, lr.layer, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi])
+		for _, s := range res.Shots[base:] {
 			if s.IsL() {
 				ls.LShots++
 			}
@@ -231,9 +258,8 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 				ls.Slivers++
 			}
 		}
-		ls.Shots = len(shots)
+		ls.Shots = len(res.Shots) - base
 
-		res.Shots = append(res.Shots, shots...)
 		res.Layers = append(res.Layers, ls)
 		res.RectShots += ls.Rects
 		res.ShotCount += ls.Shots
@@ -244,36 +270,45 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 	return res, nil
 }
 
-// emitShots converts the sweep rectangles and the pairing (pairing[i] = j
-// means rects i and j merge into one L shot; -1 or nil pairing = single)
-// into the canonical shot list, ordered by (A.Y0, A.X0, A.Y1, A.X1).
-func emitShots(layer int, rects []geom.Rect, pairing []int) []Shot {
-	shots := make([]Shot, 0, len(rects))
+// emitShots appends the shots of the sweep rectangles and the pairing
+// (pairing[i] = j means rects i and j merge into one L shot; -1 = single)
+// to dst. A shot's A is the lower-indexed rectangle, so the shots come
+// out in rects order, (A.Y0, A.X0) ascending: the canonical order, with
+// no sort.
+func emitShots(dst []Shot, layer int, rects []geom.Rect, pairing []int) []Shot {
 	for i, r := range rects {
-		if pairing != nil && pairing[i] >= 0 {
+		if pairing[i] >= 0 {
 			j := pairing[i]
 			if j < i {
 				continue // emitted with its partner
 			}
-			shots = append(shots, Shot{Layer: layer, A: r, B: rects[j]})
+			dst = append(dst, Shot{Layer: layer, A: r, B: rects[j]})
 			continue
 		}
-		shots = append(shots, Shot{Layer: layer, A: r, B: noRect})
+		dst = append(dst, Shot{Layer: layer, A: r, B: noRect})
 	}
-	sort.Slice(shots, func(i, j int) bool {
-		a, b := shots[i], shots[j]
-		if a.A.Y0 != b.A.Y0 {
-			return a.A.Y0 < b.A.Y0
+	return dst
+}
+
+// eachInputRect calls fn with every raw rectangle of the routed geometry
+// on one layer: each wire as a one-track-wide rectangle and each via as
+// a 1×1 pad on both layers it joins. Wires with an empty span (Lo > Hi)
+// cover no cell and are skipped.
+func eachInputRect(routes []plan.NetRoute, layer int, fn func(geom.Rect)) {
+	for i := range routes {
+		for _, w := range routes[i].Wires {
+			if w.Layer != layer || w.Span.Empty() {
+				continue
+			}
+			a, b := w.Ends()
+			fn(geom.Rect{X0: a.X, Y0: a.Y, X1: b.X, Y1: b.Y})
 		}
-		if a.A.X0 != b.A.X0 {
-			return a.A.X0 < b.A.X0
+		for _, v := range routes[i].Vias {
+			if v.Layer == layer || v.Layer+1 == layer {
+				fn(geom.Rect{X0: v.X, Y0: v.Y, X1: v.X, Y1: v.Y})
+			}
 		}
-		if a.A.Y1 != b.A.Y1 {
-			return a.A.Y1 < b.A.Y1
-		}
-		return a.A.X1 < b.A.X1
-	})
-	return shots
+	}
 }
 
 // InputRects returns the raw, possibly overlapping rectangles of the
@@ -283,21 +318,7 @@ func emitShots(layer int, rects []geom.Rect, pairing []int) []Shot {
 // differential gate can render the unfractured reference.
 func InputRects(routes []plan.NetRoute, layer int) []geom.Rect {
 	var out []geom.Rect
-	for i := range routes {
-		for _, w := range routes[i].Wires {
-			if w.Layer != layer {
-				continue
-			}
-			a, b := w.Ends()
-			out = append(out, geom.NewRect(a, b))
-		}
-		for _, v := range routes[i].Vias {
-			if v.Layer == layer || v.Layer+1 == layer {
-				p := geom.Point{X: v.X, Y: v.Y}
-				out = append(out, geom.NewRect(p, p))
-			}
-		}
-	}
+	eachInputRect(routes, layer, func(r geom.Rect) { out = append(out, r) })
 	return out
 }
 
@@ -317,90 +338,129 @@ func ShotRects(dst []geom.Rect, shots []Shot, layer int) []geom.Rect {
 	return dst
 }
 
-// layerRows builds the exact cell coverage of one layer as maximal
-// horizontal runs: rows[k] is row ys[k]'s sorted, disjoint, non-adjacent
-// interval list. Wires contribute their one-track-wide footprint and
-// vias a 1×1 pad on both layers they join.
-func layerRows(routes []plan.NetRoute, layer int) []row {
-	raw := map[int][]geom.Interval{}
-	add := func(y int, iv geom.Interval) { raw[y] = append(raw[y], iv) }
-	for i := range routes {
-		for _, w := range routes[i].Wires {
-			if w.Layer != layer {
-				continue
-			}
-			if w.Orient == geom.Horizontal {
-				add(w.Fixed, w.Span)
-			} else {
-				for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-					add(y, geom.Interval{Lo: w.Fixed, Hi: w.Fixed})
-				}
-			}
-		}
-		for _, v := range routes[i].Vias {
-			if v.Layer == layer || v.Layer+1 == layer {
-				add(v.Y, geom.Interval{Lo: v.X, Hi: v.X})
-			}
-		}
-	}
-	ys := make([]int, 0, len(raw))
-	for y := range raw {
-		ys = append(ys, y)
-	}
-	sort.Ints(ys)
-	rows := make([]row, 0, len(ys))
-	for _, y := range ys {
-		rows = append(rows, row{y: y, runs: mergeRuns(raw[y])})
-	}
-	return rows
-}
-
 // row is one grid row's coverage: sorted maximal runs.
 type row struct {
 	y    int
 	runs []geom.Interval
 }
 
-// mergeRuns sorts the intervals and merges overlapping or cell-adjacent
-// ones in place, returning the maximal-run list.
-func mergeRuns(ivs []geom.Interval) []geom.Interval {
-	if len(ivs) == 0 {
-		return ivs
+// coverage rasterizes one layer at a time into a row-major bitset over
+// the bounding box of the layer's geometry; its buffers are reused
+// across layers.
+type coverage struct {
+	bits []uint64
+	runs []geom.Interval
+	rows []row
+}
+
+// layerRows builds the exact cell coverage of one layer as maximal
+// horizontal runs, ascending by row; each row's runs are sorted,
+// disjoint and non-adjacent. Rows without coverage are omitted. The
+// result aliases the coverage buffers and is valid until the next call.
+func (cv *coverage) layerRows(routes []plan.NetRoute, layer int) []row {
+	box := geom.Rect{X0: 0, Y0: 0, X1: -1, Y1: -1}
+	eachInputRect(routes, layer, func(r geom.Rect) { box = box.Union(r) })
+	if box.Empty() {
+		return nil
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
+	stride := (box.W() + 63) >> 6
+	cv.bits = grow(cv.bits, stride*box.H())
+	clear(cv.bits)
+	eachInputRect(routes, layer, func(r geom.Rect) {
+		for y := r.Y0; y <= r.Y1; y++ {
+			off := (y - box.Y0) * stride
+			setRange(cv.bits[off:off+stride], r.X0-box.X0, r.X1-box.X0)
 		}
-		return ivs[i].Hi < ivs[j].Hi
 	})
-	out := 0
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Lo <= ivs[out].Hi+1 {
-			if ivs[i].Hi > ivs[out].Hi {
-				ivs[out].Hi = ivs[i].Hi
-			}
-			continue
+
+	cv.runs, cv.rows = cv.runs[:0], cv.rows[:0]
+	for y := box.Y0; y <= box.Y1; y++ {
+		off := (y - box.Y0) * stride
+		start := len(cv.runs)
+		cv.runs = appendRuns(cv.runs, cv.bits[off:off+stride], box.X0)
+		// If a later append moves the buffer, this row keeps the old
+		// array, which still holds its runs.
+		if len(cv.runs) > start {
+			cv.rows = append(cv.rows, row{y: y, runs: cv.runs[start:len(cv.runs):len(cv.runs)]})
 		}
-		out++
-		ivs[out] = ivs[i]
 	}
-	return ivs[:out+1]
+	return cv.rows
+}
+
+// setRange sets bits lo..hi (inclusive) of a bitset row.
+func setRange(row []uint64, lo, hi int) {
+	wlo, whi := lo>>6, hi>>6
+	first := ^uint64(0) << (lo & 63)
+	last := ^uint64(0) >> (63 - hi&63)
+	if wlo == whi {
+		row[wlo] |= first & last
+		return
+	}
+	row[wlo] |= first
+	for w := wlo + 1; w < whi; w++ {
+		row[w] = ^uint64(0)
+	}
+	row[whi] |= last
+}
+
+// appendRuns appends the maximal runs of set bits in a bitset row to
+// dst, as intervals offset by x0, in ascending order.
+func appendRuns(dst []geom.Interval, row []uint64, x0 int) []geom.Interval {
+	n := len(row)
+	for wi, pos := 0, 0; ; {
+		// Next set bit at or after pos.
+		w := row[wi] &^ (uint64(1)<<(pos&63) - 1)
+		for w == 0 {
+			if wi++; wi == n {
+				return dst
+			}
+			w = row[wi]
+		}
+		start := wi<<6 | bits.TrailingZeros64(w)
+		// Next clear bit after start; the row may end inside the run.
+		z := ^row[wi] &^ (uint64(1)<<(start&63) - 1)
+		for z == 0 {
+			if wi++; wi == n {
+				break
+			}
+			z = ^row[wi]
+		}
+		end := n << 6
+		if wi < n {
+			end = wi<<6 | bits.TrailingZeros64(z)
+		}
+		dst = append(dst, geom.Interval{Lo: x0 + start, Hi: x0 + end - 1})
+		if wi == n {
+			return dst
+		}
+		pos = end
+	}
 }
 
 // sweep decomposes the row coverage into maximal-height rectangles: a
 // run that repeats with the identical span on the next row extends the
 // open rectangle; any other transition closes it. The result is sorted
-// by (Y0, X0) and is exactly the rectangle-only shot list.
-func sweep(rows []row) []geom.Rect {
+// by (Y0, X0) and is exactly the rectangle-only shot list; sweep appends
+// it to dst.
+func sweep(dst []geom.Rect, rows []row) []geom.Rect {
 	type open struct {
 		span geom.Interval
 		y0   int
 	}
-	var rects []geom.Rect
+	rects := dst
+	base := len(dst)
+	closeRect := func(a open, y1 int) {
+		// Double when full: append's gentler growth for large slices
+		// would allocate about five times the final list over a chip.
+		if len(rects) == cap(rects) {
+			rects = slices.Grow(rects, max(len(rects), 1024))
+		}
+		rects = append(rects, geom.Rect{X0: a.span.Lo, Y0: a.y0, X1: a.span.Hi, Y1: y1})
+	}
 	var active []open
 	closeAll := func(y1 int) {
 		for _, a := range active {
-			rects = append(rects, geom.Rect{X0: a.span.Lo, Y0: a.y0, X1: a.span.Hi, Y1: y1})
+			closeRect(a, y1)
 		}
 		active = active[:0]
 	}
@@ -416,7 +476,7 @@ func sweep(rows []row) []geom.Rect {
 		ai := 0
 		for _, run := range r.runs {
 			for ai < len(active) && active[ai].span.Lo < run.Lo {
-				rects = append(rects, geom.Rect{X0: active[ai].span.Lo, Y0: active[ai].y0, X1: active[ai].span.Hi, Y1: prevY})
+				closeRect(active[ai], prevY)
 				ai++
 			}
 			if ai < len(active) && active[ai].span == run {
@@ -427,17 +487,19 @@ func sweep(rows []row) []geom.Rect {
 			}
 		}
 		for ; ai < len(active); ai++ {
-			rects = append(rects, geom.Rect{X0: active[ai].span.Lo, Y0: active[ai].y0, X1: active[ai].span.Hi, Y1: prevY})
+			closeRect(active[ai], prevY)
 		}
 		active, next = next, active
 		prevY = r.y
 	}
 	closeAll(prevY)
-	sort.Slice(rects, func(i, j int) bool {
-		if rects[i].Y0 != rects[j].Y0 {
-			return rects[i].Y0 < rects[j].Y0
+	// Distinct rectangles of one decomposition never share a top-left
+	// corner, so this order is total.
+	slices.SortFunc(rects[base:], func(a, b geom.Rect) int {
+		if a.Y0 != b.Y0 {
+			return cmp.Compare(a.Y0, b.Y0)
 		}
-		return rects[i].X0 < rects[j].X0
+		return cmp.Compare(a.X0, b.X0)
 	})
 	return rects
 }

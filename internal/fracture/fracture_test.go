@@ -243,12 +243,21 @@ func TestOddComponentBnB(t *testing.T) {
 		{2, 4},
 		{3, 0},
 	}
-	nodes := []int{0, 1, 2, 3, 4}
-	pairing := []int{-1, -1, -1, -1, -1}
+	m := &matcher{
+		pairing: []int{-1, -1, -1, -1, -1},
+		nodes:   []int{0, 1, 2, 3, 4},
+		pos:     make([]int, 5),
+		adjOff:  []int{0},
+	}
+	for _, nb := range adj {
+		m.adj = append(m.adj, nb...)
+		m.adjOff = append(m.adjOff, len(m.adj))
+	}
 	res := &Result{}
-	if err := matchBnB(context.Background(), nodes, adj, pairing, res); err != nil {
+	if err := m.matchBnB(context.Background(), res); err != nil {
 		t.Fatal(err)
 	}
+	pairing := m.pairing
 	pairs := 0
 	for v, u := range pairing {
 		if u >= 0 {
@@ -284,4 +293,38 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("ParseMode(bogus) succeeded")
 	}
+}
+
+// TestEmptySpanWireSkipped: a hand-built wire with Span.Lo > Span.Hi
+// covers no cell. Fracture must not emit an inverted shot for it, and
+// InputRects must not report it as the normalized span.
+func TestEmptySpanWireSkipped(t *testing.T) {
+	empty := []geom.Segment{
+		{Orient: geom.Horizontal, Layer: 1, Fixed: 3, Span: geom.Interval{Lo: 5, Hi: 2}},
+		{Orient: geom.Vertical, Layer: 1, Fixed: 8, Span: geom.Interval{Lo: 9, Hi: 1}},
+	}
+	for _, mode := range []Mode{ModeRect, ModeLShape} {
+		res := Fracture(routesFromWires(empty), 1, mode, Options{})
+		if res.ShotCount != 0 || len(res.Shots) != 0 || res.Area != 0 {
+			t.Fatalf("%s: empty-span wires fractured into %+v", mode, res.Shots)
+		}
+	}
+	if rs := InputRects(routesFromWires(empty), 1); len(rs) != 0 {
+		t.Fatalf("InputRects reported empty-span wires as %v", rs)
+	}
+
+	// Beside real geometry the empty wire changes nothing.
+	real := geom.HSeg(1, 3, 0, 9)
+	routes := routesFromWires(append([]geom.Segment{real}, empty...))
+	res := Fracture(routes, 1, ModeLShape, Options{})
+	want := Shot{Layer: 1, A: geom.Rect{X0: 0, Y0: 3, X1: 9, Y1: 3}, B: noRect}
+	if len(res.Shots) != 1 || res.Shots[0] != want {
+		t.Fatalf("shots = %+v, want [%+v]", res.Shots, want)
+	}
+	for _, s := range res.Shots {
+		if s.Area() <= 0 {
+			t.Fatalf("shot %+v has area %d", s, s.Area())
+		}
+	}
+	checkExact(t, routes, res, 1)
 }

@@ -9,6 +9,7 @@ import (
 	"stitchroute/internal/fracture"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
+	"stitchroute/internal/stencil"
 )
 
 // FractureMetrics is the per-benchmark write-prep snapshot committed to
@@ -24,14 +25,31 @@ type FractureMetrics struct {
 	Area       int64   `json:"area"`
 	Reduction  float64 `json:"reduction"`
 	ShotsHash  string  `json:"shotsHash"` // canonical hash of the lshape shot list
+	// RectShotsHash is the canonical hash of the rect-mode shot list.
+	RectShotsHash string `json:"rectShotsHash"`
+	// The default-options stencil plan over the lshape shots.
+	PlanHash   string  `json:"planHash"`
+	CPTime     float64 `json:"cpTime"`
+	CPFlashes  int     `json:"cpFlashes"`
+	Candidates int     `json:"candidates"`
 }
 
-// CollectFracture fractures the routed geometry in both modes and
-// extracts the golden write-prep metrics.
+// CollectFracture fractures the routed geometry in both modes, plans a
+// stencil over the lshape shots and extracts the golden write-prep
+// metrics.
 func CollectFracture(c *netlist.Circuit, routes []plan.NetRoute) (FractureMetrics, error) {
 	rect := fracture.Fracture(routes, c.Fabric.Layers, fracture.ModeRect, fracture.Options{})
 	ls := fracture.Fracture(routes, c.Fabric.Layers, fracture.ModeLShape, fracture.Options{})
 	hash, err := fracture.ShotsHash(ls.Shots)
+	if err != nil {
+		return FractureMetrics{}, err
+	}
+	rectHash, err := fracture.ShotsHash(rect.Shots)
+	if err != nil {
+		return FractureMetrics{}, err
+	}
+	pl := stencil.Build(ls.Shots, stencil.Options{})
+	planHash, err := stencil.PlanHash(pl)
 	if err != nil {
 		return FractureMetrics{}, err
 	}
@@ -44,6 +62,12 @@ func CollectFracture(c *netlist.Circuit, routes []plan.NetRoute) (FractureMetric
 		Area:       ls.Area,
 		Reduction:  math.Round(ls.LShapeReduction()*1000) / 1000,
 		ShotsHash:  hash,
+
+		RectShotsHash: rectHash,
+		PlanHash:      planHash,
+		CPTime:        pl.CPTime,
+		CPFlashes:     pl.CPFlashes,
+		Candidates:    pl.Candidates,
 	}, nil
 }
 
@@ -74,6 +98,21 @@ func CompareFracture(got, want FractureMetrics) []string {
 	}
 	if got.ShotsHash != want.ShotsHash {
 		fail("shot hash %.12s, want %.12s (shot list changed)", got.ShotsHash, want.ShotsHash)
+	}
+	if got.RectShotsHash != want.RectShotsHash {
+		fail("rect shot hash %.12s, want %.12s (rect shot list changed)", got.RectShotsHash, want.RectShotsHash)
+	}
+	if got.PlanHash != want.PlanHash {
+		fail("stencil plan hash %.12s, want %.12s (plan changed)", got.PlanHash, want.PlanHash)
+	}
+	if math.Abs(got.CPTime-want.CPTime) > 1e-9 {
+		fail("stencil CP time %v, want %v", got.CPTime, want.CPTime)
+	}
+	if got.CPFlashes != want.CPFlashes {
+		fail("stencil CP flashes %d, want %d", got.CPFlashes, want.CPFlashes)
+	}
+	if got.Candidates != want.Candidates {
+		fail("stencil candidates %d, want %d", got.Candidates, want.Candidates)
 	}
 	if got.LShapeShot >= got.RectShots {
 		fail("L-shape fracturing (%d shots) does not beat the rectangle baseline (%d)",

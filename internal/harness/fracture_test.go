@@ -10,6 +10,7 @@ import (
 	"stitchroute/internal/geom"
 	"stitchroute/internal/plan"
 	"stitchroute/internal/raster"
+	"stitchroute/internal/stencil"
 )
 
 func fractureGoldenPath() string {
@@ -202,5 +203,50 @@ func TestFractureDeterminism(t *testing.T) {
 	}
 	if h1 != h2 {
 		t.Errorf("fracture reruns differ: %s vs %s", h1[:12], h2[:12])
+	}
+}
+
+// BenchmarkWritePrep times the write-prep stages on routed S9234: L-shape
+// fracture, the canonical shot hash and stencil planning. Each iteration
+// must reproduce the golden shot and plan hashes, so a faster write-prep
+// that changes its output fails here. Run with -benchmem for the allocation
+// counts.
+func BenchmarkWritePrep(b *testing.B) {
+	goldens, err := ReadFractureGolden(fractureGoldenPath())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var want FractureMetrics
+	for _, g := range goldens {
+		if g.Circuit == "S9234" {
+			want = g
+		}
+	}
+	if want.ShotsHash == "" {
+		b.Fatal("no S9234 entry in the fracture golden")
+	}
+	c := benchCircuit(b, "S9234")()
+	res, err := core.Route(c, core.StitchAware())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fr := fracture.Fracture(res.Routes, c.Fabric.Layers, fracture.ModeLShape, fracture.Options{})
+		hash, err := fracture.ShotsHash(fr.Shots)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hash != want.ShotsHash {
+			b.Fatalf("shots hash %.12s, golden %.12s", hash, want.ShotsHash)
+		}
+		planHash, err := stencil.PlanHash(stencil.Build(fr.Shots, stencil.Options{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if planHash != want.PlanHash {
+			b.Fatalf("stencil plan hash %.12s, golden %.12s", planHash, want.PlanHash)
+		}
 	}
 }

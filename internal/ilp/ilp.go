@@ -27,7 +27,9 @@ type Candidate struct {
 type Problem interface {
 	NumVars() int
 	// Candidates appends the feasible candidates for variable v to dst
-	// and returns it. The solver sorts them by cost.
+	// and returns it. The solver sorts them by cost. dst already holds
+	// the candidates of the shallower variables, so implementations must
+	// only append to it.
 	Candidates(v int, dst []Candidate) []Candidate
 	Apply(v int, value int)
 	Undo(v int, value int)
@@ -104,7 +106,9 @@ type solver struct {
 	found    bool
 	current  []int
 	bestVals []int
-	scratch  []Candidate
+	// stack holds the sorted candidates of every depth on the current
+	// DFS path, each depth's as one contiguous range above its parent's.
+	stack []Candidate
 }
 
 // checkEvery is how often (in expanded nodes) the deadline and context
@@ -144,14 +148,14 @@ func (s *solver) dfs(v int, cost float64) {
 			}
 		}
 	}
-	cands := s.p.Candidates(v, s.scratch[:0])
-	sortCandidates(cands)
-	// Keep scratch capacity for reuse, but the recursive calls below also
-	// use it, so copy first.
-	local := make([]Candidate, len(cands))
-	copy(local, cands)
-	s.scratch = cands
-	for _, c := range local {
+	base := len(s.stack)
+	s.stack = s.p.Candidates(v, s.stack)
+	end := len(s.stack)
+	sortCandidates(s.stack[base:end])
+	// Deeper calls append above end and truncate back on return, so this
+	// depth's range survives; re-read s.stack since they may move it.
+	for i := base; i < end; i++ {
+		c := s.stack[i]
 		if cost+c.Cost >= s.best {
 			break // sorted: no later candidate can be better
 		}
@@ -160,6 +164,7 @@ func (s *solver) dfs(v int, cost float64) {
 		s.dfs(v+1, cost+c.Cost)
 		s.p.Undo(v, c.Value)
 	}
+	s.stack = s.stack[:base]
 }
 
 func sortCandidates(cs []Candidate) {

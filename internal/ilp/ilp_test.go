@@ -189,3 +189,19 @@ func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 		t.Errorf("Solve %+v and SolveContext(Background) %+v diverge", a, b)
 	}
 }
+
+// TestSolveAllocs pins the allocation-free steady state of the DFS: a
+// solve allocates its setup (solver state, the value vectors, a few
+// growths of the candidate stack) a bounded number of times, never once
+// per node.
+func TestSolveAllocs(t *testing.T) {
+	p := wideProblem(9)
+	var nodes int
+	allocs := testing.AllocsPerRun(5, func() { nodes = Solve(p, 0).Nodes })
+	if nodes < 1000 {
+		t.Fatalf("search expanded only %d nodes; the instance no longer exercises the DFS", nodes)
+	}
+	if allocs > 16 {
+		t.Errorf("Solve allocated %.0f times over %d nodes, want <= 16", allocs, nodes)
+	}
+}

@@ -28,13 +28,13 @@
 package stencil
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"stitchroute/internal/fracture"
 	"stitchroute/internal/geom"
@@ -111,8 +111,6 @@ type Character struct {
 	// Saving is Count × (Flashes × TVSB − TCP): the write-time saved by
 	// promoting the pattern to a CP character.
 	Saving float64 `json:"saving"`
-
-	shots []fracture.Shot // normalized to the bbox origin, layer 0
 }
 
 // Placement is one packed character on the stencil plate.
@@ -174,7 +172,7 @@ func Build(shots []fracture.Shot, opts Options) *Plan {
 func BuildContext(ctx context.Context, shots []fracture.Shot, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
 	clusters := clusterShots(shots, opts.Aperture)
-	cands, classOf := characterCandidates(clusters, opts)
+	cands := characterCandidates(clusters, opts)
 	plan := &Plan{
 		Candidates:       len(cands),
 		Clusters:         len(clusters),
@@ -199,17 +197,13 @@ func BuildContext(ctx context.Context, shots []fracture.Shot, opts Options) (*Pl
 		plan.Dropped = len(selected) - len(packed)
 		plan.SharedBlank = shared
 
-		onStencil := make(map[string]bool, len(packed))
+		// Each packed character prints as one CP flash per cluster of its
+		// pattern, and Count is that cluster count.
 		for _, pl := range packed {
-			onStencil[pl.Char.Hash] = true
 			plan.Saving += pl.Char.Saving
+			plan.CPFlashes += pl.Char.Count
 		}
 		plan.CPTime = plan.VSBTime - plan.Saving
-		for _, cl := range classOf {
-			if onStencil[cl] {
-				plan.CPFlashes++
-			}
-		}
 	}
 	return plan, nil
 }
@@ -226,7 +220,7 @@ func flashes(s fracture.Shot) float64 {
 // cluster is one aperture window: a run of canonically-ordered shots on
 // one layer whose combined bbox fits the aperture.
 type cluster struct {
-	shots []fracture.Shot
+	shots []fracture.Shot // a subslice of the canonical shot list
 	bbox  geom.Rect
 }
 
@@ -234,24 +228,24 @@ type cluster struct {
 // consecutive shots join the open cluster while the union bbox still
 // fits Aperture²; any overflow closes it. Greedy on a canonical order is
 // what keeps the clustering — and hence the whole plan — deterministic.
+// Clusters are contiguous runs of the list, so each one is a subslice
+// of shots.
 func clusterShots(shots []fracture.Shot, aperture int) []cluster {
 	var out []cluster
-	var cur *cluster
-	for _, s := range shots {
+	for i, s := range shots {
 		b := s.A
 		if s.IsL() {
 			b = b.Union(s.B)
 		}
-		if cur != nil && s.Layer == cur.shots[0].Layer {
-			u := cur.bbox.Union(b)
-			if u.W() <= aperture && u.H() <= aperture {
-				cur.shots = append(cur.shots, s)
+		if n := len(out); n > 0 && s.Layer == out[n-1].shots[0].Layer {
+			cur := &out[n-1]
+			if u := cur.bbox.Union(b); u.W() <= aperture && u.H() <= aperture {
+				cur.shots = cur.shots[:len(cur.shots)+1] // now ends at shots[i]
 				cur.bbox = u
 				continue
 			}
 		}
-		out = append(out, cluster{shots: []fracture.Shot{s}, bbox: b})
-		cur = &out[len(out)-1]
+		out = append(out, cluster{shots: shots[i : i+1], bbox: b})
 	}
 	// A pattern that alone exceeds the aperture can never be a character.
 	kept := out[:0]
@@ -263,101 +257,76 @@ func clusterShots(shots []fracture.Shot, aperture int) []cluster {
 	return kept
 }
 
-// patternKey serializes the cluster's shots translated to the bbox
-// origin, layer-agnostic — clusters printing the same ink in the same
-// arrangement collapse to one key regardless of position or layer.
-func patternKey(c cluster) string {
-	h := sha256.New()
-	bw := bufio.NewWriter(h)
-	writeNormalized(bw, c)
-	bw.Flush()
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func writeNormalized(w io.Writer, c cluster) {
+// appendPattern appends the cluster's shots translated to the bbox
+// origin, layer-agnostic, to dst: clusters printing the same ink in the
+// same arrangement serialize identically regardless of position or
+// layer.
+func appendPattern(dst []byte, c cluster) []byte {
 	dx, dy := -c.bbox.X0, -c.bbox.Y0
 	for _, s := range c.shots {
-		a := shiftRect(s.A, dx, dy)
+		n := fracture.Shot{A: shiftRect(s.A, dx, dy), B: s.B}
 		if s.IsL() {
-			b := shiftRect(s.B, dx, dy)
-			fmt.Fprintf(w, "L %d %d %d %d %d %d %d %d\n",
-				a.X0, a.Y0, a.X1, a.Y1, b.X0, b.Y0, b.X1, b.Y1)
-		} else {
-			fmt.Fprintf(w, "R %d %d %d %d\n", a.X0, a.Y0, a.X1, a.Y1)
+			n.B = shiftRect(s.B, dx, dy)
 		}
+		dst = fracture.AppendShot(dst, n, false)
 	}
+	return dst
 }
 
 func shiftRect(r geom.Rect, dx, dy int) geom.Rect {
 	return geom.Rect{X0: r.X0 + dx, Y0: r.Y0 + dy, X1: r.X1 + dx, Y1: r.Y1 + dy}
 }
 
-// normalizedShots returns the cluster's shots translated to the bbox
-// origin with the layer cleared.
-func normalizedShots(c cluster) []fracture.Shot {
-	dx, dy := -c.bbox.X0, -c.bbox.Y0
-	out := make([]fracture.Shot, len(c.shots))
-	for i, s := range c.shots {
-		out[i] = fracture.Shot{A: shiftRect(s.A, dx, dy), B: s.B}
-		if s.IsL() {
-			out[i].B = shiftRect(s.B, dx, dy)
+// characterCandidates groups the clusters by the SHA-256 of their
+// pattern and returns the profitable repeated patterns (count ≥ 2,
+// positive saving) sorted by saving descending, then hash. That order
+// is total, so the grouping order does not reach the output.
+func characterCandidates(clusters []cluster, opts Options) []Character {
+	type class struct {
+		key   [32]byte
+		c     cluster // first cluster with the pattern
+		count int
+	}
+	classes := make([]class, 0, len(clusters))
+	byKey := make(map[[32]byte]int, len(clusters))
+	var buf []byte
+	for _, c := range clusters {
+		buf = appendPattern(buf[:0], c)
+		key := sha256.Sum256(buf)
+		i, ok := byKey[key]
+		if !ok {
+			i = len(classes)
+			byKey[key] = i
+			classes = append(classes, class{key: key, c: c})
 		}
+		classes[i].count++
 	}
-	return out
-}
-
-// characterCandidates groups the clusters by pattern key and returns the
-// profitable repeated patterns (count ≥ 2, positive saving) sorted by
-// saving descending, plus each cluster's pattern key for the flash
-// accounting. Map iteration is confined to key collection; every output
-// ordering is sorted.
-func characterCandidates(clusters []cluster, opts Options) ([]Character, []string) {
-	classOf := make([]string, len(clusters))
-	byKey := map[string]*Character{}
-	for i, c := range clusters {
-		key := patternKey(c)
-		classOf[i] = key
-		ch := byKey[key]
-		if ch == nil {
-			fl := 0
-			for _, s := range c.shots {
-				fl += int(flashes(s))
-			}
-			ch = &Character{
-				Hash:    key,
-				W:       c.bbox.W(),
-				H:       c.bbox.H(),
-				Flashes: fl,
-				shots:   normalizedShots(c),
-			}
-			byKey[key] = ch
-		}
-		ch.Count++
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var cands []Character
-	for _, k := range keys {
-		ch := *byKey[k]
-		ch.Saving = float64(ch.Count) * (float64(ch.Flashes)*opts.TVSB - opts.TCP)
-		if ch.Count >= 2 && ch.Saving > 0 {
-			cands = append(cands, ch)
+	for _, cl := range classes {
+		fl := 0
+		for _, s := range cl.c.shots {
+			fl += int(flashes(s))
+		}
+		saving := float64(cl.count) * (float64(fl)*opts.TVSB - opts.TCP)
+		if cl.count >= 2 && saving > 0 {
+			cands = append(cands, Character{
+				Hash:    hex.EncodeToString(cl.key[:]),
+				W:       cl.c.bbox.W(),
+				H:       cl.c.bbox.H(),
+				Count:   cl.count,
+				Flashes: fl,
+				Saving:  saving,
+			})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Saving > cands[j].Saving {
-			return true
+	slices.SortFunc(cands, func(a, b Character) int {
+		if c := cmp.Compare(b.Saving, a.Saving); c != 0 {
+			return c
 		}
-		if cands[i].Saving < cands[j].Saving {
-			return false
-		}
-		return cands[i].Hash < cands[j].Hash
+		return strings.Compare(a.Hash, b.Hash)
 	})
 	if len(cands) > opts.MaxCandidates {
 		cands = cands[:opts.MaxCandidates]
 	}
-	return cands, classOf
+	return cands
 }
