@@ -1,6 +1,9 @@
 // Command meblroute routes one benchmark circuit with the stitch-aware
 // framework (or the conventional baseline) and prints the Table III-style
 // summary row: routability, via violations, short polygons, and CPU time.
+// It runs the same job as a meblserved submission: the mode, track,
+// write-prep and ECO options resolve through internal/server, and -json
+// prints the server's job summary.
 //
 // Usage:
 //
@@ -13,10 +16,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
@@ -27,69 +32,81 @@ import (
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 	"stitchroute/internal/place"
-	"stitchroute/internal/stencil"
-	"stitchroute/internal/track"
+	"stitchroute/internal/server"
 	"stitchroute/internal/viz"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("meblroute: ")
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// report is the -json document: the circuit, the server's job summary
+// (inline, so its keys sit at the top level), and the write-prep and ECO
+// blocks when they ran.
+type report struct {
+	Circuit string `json:"circuit"`
+	Nets    int    `json:"nets"`
+	Pins    int    `json:"pins"`
+	*server.Summary
+	WritePrep *server.WritePrep `json:"writePrep,omitempty"`
+	ECO       *server.ECOView   `json:"eco,omitempty"`
 }
 
 // run holds the whole CLI body so deferred profile writers flush before
 // the process exits with a nonzero status.
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	log := log.New(stderr, "meblroute: ", 0)
+	fs := flag.NewFlagSet("meblroute", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		circuit  = flag.String("circuit", "S9234", "benchmark circuit name (see cmd/benchgen -list)")
-		inFile   = flag.String("in", "", "route a circuit from an nlio text file instead of a benchmark")
-		doPlace  = flag.Bool("place", false, "run stitch-aware placement refinement before routing")
-		mode     = flag.String("mode", "stitch", "router mode: stitch or baseline")
-		trk      = flag.String("track", "", "override track assignment: conventional, ilp, or graph")
-		verbose  = flag.Bool("v", false, "print per-stage detail")
-		outFile  = flag.String("routes", "", "write the routed geometry to this file (nlio routes format)")
-		jsonOut  = flag.Bool("json", false, "print the result summary as JSON (machine-readable)")
-		svgOut   = flag.String("svg", "", "write the routed layout as SVG to this file")
-		checkIn  = flag.String("check", "", "skip routing: DRC-check this routes file against the circuit")
-		ecoFile  = flag.String("eco", "", "after routing, apply this JSON edit script ({\"edits\":[...]}) and reroute incrementally")
-		ecoMode  = flag.String("eco-mode", "replay", "ECO engine: replay (byte-equal to a cold reroute) or patch (graft, fastest)")
-		fracMode = flag.String("fracture", "", "run write-prep fracturing on the routed geometry: rect or lshape")
-		doSten   = flag.Bool("stencil", false, "plan a CP stencil from the fractured shots (requires -fracture)")
-		timeout  = flag.Duration("timeout", 0, "abort routing after this long (0 = no limit)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		circuit  = fs.String("circuit", "S9234", "benchmark circuit name (see cmd/benchgen -list)")
+		inFile   = fs.String("in", "", "route a circuit from an nlio text file instead of a benchmark")
+		doPlace  = fs.Bool("place", false, "run stitch-aware placement refinement before routing")
+		mode     = fs.String("mode", "stitch", "router mode: stitch or baseline")
+		trk      = fs.String("track", "", "override track assignment: conventional, ilp, or graph")
+		verbose  = fs.Bool("v", false, "print per-stage detail")
+		outFile  = fs.String("routes", "", "write the routed geometry to this file (nlio routes format)")
+		jsonOut  = fs.Bool("json", false, "print the result summary as JSON (machine-readable)")
+		svgOut   = fs.String("svg", "", "write the routed layout as SVG to this file")
+		checkIn  = fs.String("check", "", "skip routing: DRC-check this routes file against the circuit")
+		ecoFile  = fs.String("eco", "", "after routing, apply this JSON edit script ({\"edits\":[...]}) and reroute incrementally")
+		ecoMode  = fs.String("eco-mode", "replay", "ECO engine: replay (byte-equal to a cold reroute) or patch (graft, fastest)")
+		fracMode = fs.String("fracture", "", "run write-prep fracturing on the routed geometry: rect or lshape")
+		doSten   = fs.Bool("stencil", false, "plan a CP stencil from the fractured shots (requires -fracture)")
+		timeout  = fs.Duration("timeout", 0, "abort routing after this long (0 = no limit)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
-	cfg := core.StitchAware()
-	if *mode == "baseline" {
-		cfg = core.Baseline()
-	} else if *mode != "stitch" {
-		log.Printf("unknown mode %q", *mode)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	switch *trk {
-	case "":
-	case "conventional":
-		cfg.TrackAlgo = track.Conventional
-	case "ilp":
-		cfg.TrackAlgo = track.ILPBased
-	case "graph":
-		cfg.TrackAlgo = track.GraphBased
-	default:
-		log.Printf("unknown track algorithm %q", *trk)
+	req := server.JobRequest{Mode: *mode, Track: *trk, Place: *doPlace, Fracture: *fracMode, Stencil: *doSten}
+	cfg, fmode, err := req.Config()
+	if err != nil {
+		log.Print(err)
 		return 2
 	}
-	var fmode fracture.Mode
-	if *fracMode != "" {
-		var err error
-		if fmode, err = fracture.ParseMode(*fracMode); err != nil {
+	var engine server.ECOEngine
+	var script *eco.Script
+	if *ecoFile != "" {
+		if engine, err = server.ECOEngineFor(*ecoMode); err != nil {
 			log.Print(err)
 			return 2
 		}
-	} else if *doSten {
-		log.Print("-stencil requires -fracture")
-		return 2
+		f, err := os.Open(*ecoFile)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		script, err = eco.ParseScript(f)
+		f.Close()
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
 	}
 
 	if *cpuProf != "" {
@@ -145,9 +162,9 @@ func run() int {
 	}
 	// In -json mode stdout carries only the JSON document; status lines
 	// go to stderr so the output stays machine-readable.
-	status := os.Stdout
+	status := stdout
 	if *jsonOut {
-		status = os.Stderr
+		status = stderr
 	}
 	if *doPlace {
 		var st place.Stats
@@ -173,15 +190,15 @@ func run() int {
 			return 1
 		}
 		rep := drc.Check(c, routes)
-		fmt.Printf("Rout. %.2f%%  #VV %d (off-pin %d)  #SP %d  vert-violations %d  WL %d  vias %d\n",
+		fmt.Fprintf(stdout, "Rout. %.2f%%  #VV %d (off-pin %d)  #SP %d  vert-violations %d  WL %d  vias %d\n",
 			rep.Routability(), rep.ViaViolations, rep.ViaViolationsOffPin,
 			rep.ShortPolygons, rep.VertRouteViolations, rep.Wirelength, rep.Vias)
 		if shorts := drc.CheckShorts(routes); shorts > 0 {
-			fmt.Printf("cross-net shorts: %d\n", shorts)
+			fmt.Fprintf(stdout, "cross-net shorts: %d\n", shorts)
 			return 1
 		}
 		if bad := drc.CheckConnectivity(c, routes); bad > 0 {
-			fmt.Printf("disconnected routed nets: %d\n", bad)
+			fmt.Fprintf(stdout, "disconnected routed nets: %d\n", bad)
 			return 1
 		}
 		if rep.VertRouteViolations > 0 || rep.ViaViolationsOffPin > 0 {
@@ -205,147 +222,76 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	rep := res.Report
-	var ecoRes *eco.Result
-	if *ecoFile != "" {
-		f, err := os.Open(*ecoFile)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		script, err := eco.ParseScript(f)
-		f.Close()
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
+	var ev *server.ECOView
+	if engine != nil {
 		coldTime := res.Times.Total()
-		switch *ecoMode {
-		case "replay":
-			ecoRes, err = eco.RerouteContext(ctx, res, c, script, cfg)
-		case "patch":
-			ecoRes, err = eco.ReroutePatchContext(ctx, res, c, script, cfg)
-		default:
-			log.Printf("unknown -eco-mode %q (want replay or patch)", *ecoMode)
-			return 2
-		}
+		t0 := time.Now()
+		er, err := engine(ctx, res, c, script, cfg)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
+		ecoTime := time.Since(t0)
+		ev = &server.ECOView{Mode: *ecoMode, EditedNets: er.Stats.EditedNets}
+		ev.Record(er.Stats, ecoTime)
 		fmt.Fprintf(status, "eco (%s): %d edits, %d/%d nets rerouted, %.1fms vs %.1fms cold (%.1fx)\n",
-			*ecoMode, len(script.Edits), ecoRes.Stats.DetailRouted, len(ecoRes.Edited.Nets),
-			float64(ecoRes.Times.Total().Microseconds())/1000,
+			*ecoMode, len(script.Edits), er.Stats.DetailRouted, len(er.Edited.Nets),
+			float64(ecoTime.Microseconds())/1000,
 			float64(coldTime.Microseconds())/1000,
-			float64(coldTime)/float64(ecoRes.Times.Total()))
+			float64(coldTime)/float64(ecoTime))
 		// Downstream output (-json, -routes, -svg, -fracture) describes
 		// the edited circuit's routing.
-		c = ecoRes.Edited
-		res = ecoRes.Result
-		rep = res.Report
+		c = er.Edited
+		res = er.Result
 	}
-	var fres *fracture.Result
-	var splan *stencil.Plan
+	rep := res.Report
+	var wp *server.WritePrep
 	if *fracMode != "" {
-		fres = fracture.Fracture(res.Routes, c.Fabric.Layers, fmode, fracture.Options{})
-		if *doSten {
-			splan = stencil.Build(fres.Shots, stencil.Options{})
+		if wp, err = server.BuildWritePrep(ctx, res, c.Fabric.Layers, fmode, *doSten); err != nil {
+			log.Print(err)
+			return 1
 		}
 	}
 	if *jsonOut {
-		summary := map[string]any{
-			"circuit":             c.Name,
-			"nets":                len(c.Nets),
-			"pins":                c.NumPins(),
-			"routability":         rep.Routability(),
-			"routedNets":          rep.RoutedNets,
-			"viaViolations":       rep.ViaViolations,
-			"viaViolationsOffPin": rep.ViaViolationsOffPin,
-			"vertRouteViolations": rep.VertRouteViolations,
-			"shortPolygons":       rep.ShortPolygons,
-			"wirelength":          rep.Wirelength,
-			"tvof":                res.TVOF,
-			"mvof":                res.MVOF,
-			"badEnds":             res.TrackStats.BadEnds,
-			"rippedNets":          res.RippedNets,
-			"failedNets":          res.FailedNets,
-			"detailConnects":      res.DetailConnects,
-			"detailExpansions":    res.DetailExpansions,
-			"detailSeconds":       res.Times.Detail.Seconds(),
-			"cpuSeconds":          res.Times.Total().Seconds(),
-		}
-		if ecoRes != nil {
-			summary["eco"] = map[string]any{
-				"mode":         *ecoMode,
-				"editedNets":   ecoRes.Stats.EditedNets,
-				"fallback":     ecoRes.Stats.Fallback,
-				"detailReused": ecoRes.Stats.DetailReused,
-				"detailRouted": ecoRes.Stats.DetailRouted,
-				"globalReused": ecoRes.Stats.GlobalReused,
-				"ecoSeconds":   ecoRes.Times.Total().Seconds(),
-			}
-		}
-		if fres != nil {
-			hash, err := fracture.ShotsHash(fres.Shots)
-			if err != nil {
-				log.Print(err)
-				return 1
-			}
-			summary["fracture"] = map[string]any{
-				"mode":      fres.Mode.String(),
-				"shots":     fres.ShotCount,
-				"rectShots": fres.RectShots,
-				"lShots":    fres.LShots,
-				"slivers":   fres.Slivers,
-				"area":      fres.Area,
-				"reduction": fres.LShapeReduction(),
-				"shotsHash": hash,
-			}
-		}
-		if splan != nil {
-			summary["stencil"] = map[string]any{
-				"characters": len(splan.Placements),
-				"candidates": splan.Candidates,
-				"cpFlashes":  splan.CPFlashes,
-				"vsbTime":    splan.VSBTime,
-				"cpTime":     splan.CPTime,
-				"saving":     splan.Saving,
-				"reduction":  splan.Reduction(),
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(summary); err != nil {
+		err := enc.Encode(report{
+			Circuit: c.Name, Nets: len(c.Nets), Pins: c.NumPins(),
+			Summary: server.Summarize(res), WritePrep: wp, ECO: ev,
+		})
+		if err != nil {
 			log.Print(err)
 			return 1
 		}
 	} else {
-		fmt.Printf("Rout. %.2f%%  #VV %d  #SP %d  WL %d  CPU %.2fs\n",
+		fmt.Fprintf(stdout, "Rout. %.2f%%  #VV %d  #SP %d  WL %d  CPU %.2fs\n",
 			rep.Routability(), rep.ViaViolations, rep.ShortPolygons, rep.Wirelength,
 			res.Times.Total().Seconds())
-		if fres != nil {
-			fmt.Printf("fracture (%s): %d shots", fres.Mode, fres.ShotCount)
-			if fres.Mode == fracture.ModeLShape {
-				fmt.Printf(" (%d rect baseline, %.1f%% saved)", fres.RectShots, 100*fres.LShapeReduction())
+		if wp != nil {
+			fmt.Fprintf(stdout, "fracture (%s): %d shots", wp.Mode, wp.Shots)
+			if fmode == fracture.ModeLShape {
+				fmt.Fprintf(stdout, " (%d rect baseline, %.1f%% saved)", wp.RectShots, 100*wp.Reduction)
 			}
-			fmt.Printf(", %d slivers\n", fres.Slivers)
-		}
-		if splan != nil {
-			fmt.Printf("stencil: %d characters, %d CP flashes, write time %.1f -> %.1f (%.1f%% saved)\n",
-				len(splan.Placements), splan.CPFlashes, splan.VSBTime, splan.CPTime,
-				100*splan.Reduction())
+			fmt.Fprintf(stdout, ", %d slivers\n", wp.Slivers)
+			if s := wp.Stencil; s != nil {
+				fmt.Fprintf(stdout, "stencil: %d characters, %d CP flashes, write time %.1f -> %.1f (%.1f%% saved)\n",
+					s.Characters, s.CPFlashes, s.VSBTime, s.CPTime, 100*s.Reduction)
+			}
 		}
 		if *verbose {
-			fmt.Printf("  global:  %8.2fs  WL %d  TVOF %d  MVOF %d  edge-overflow %d\n",
-				res.Times.Global.Seconds(), res.GlobalWL, res.TVOF, res.MVOF, res.EdgeOverflow)
-			fmt.Printf("  layer:   %8.2fs\n", res.Times.Layer.Seconds())
-			fmt.Printf("  track:   %8.2fs  bad-ends %d  ripped %d  doglegs %d\n",
-				res.Times.Track.Seconds(), res.TrackStats.BadEnds, res.TrackStats.Ripped, res.TrackStats.Doglegs)
-			fmt.Printf("  detail:  %8.2fs  ripped-nets %d  failed %d  searches %d  expansions %d\n",
-				res.Times.Detail.Seconds(), res.RippedNets, res.FailedNets,
-				res.DetailConnects, res.DetailExpansions)
-			fmt.Printf("  checks:  vert-violations %d  off-pin VV %d\n",
-				rep.VertRouteViolations, rep.ViaViolationsOffPin)
+			detail := map[string]string{
+				"global": fmt.Sprintf("  WL %d  TVOF %d  MVOF %d  edge-overflow %d",
+					res.GlobalWL, res.TVOF, res.MVOF, res.EdgeOverflow),
+				"track": fmt.Sprintf("  bad-ends %d  ripped %d  doglegs %d",
+					res.TrackStats.BadEnds, res.TrackStats.Ripped, res.TrackStats.Doglegs),
+				"detail": fmt.Sprintf("  ripped-nets %d  failed %d  searches %d  expansions %d",
+					res.RippedNets, res.FailedNets, res.DetailConnects, res.DetailExpansions),
+				"drc": fmt.Sprintf("  vert-violations %d  off-pin VV %d",
+					rep.VertRouteViolations, rep.ViaViolationsOffPin),
+			}
+			for _, st := range res.Times.Stages() {
+				fmt.Fprintf(stdout, "  %-8s %8.2fs%s\n", st.Name+":", st.Time.Seconds(), detail[st.Name])
+			}
 		}
 	}
 	if *svgOut != "" {

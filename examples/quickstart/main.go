@@ -30,8 +30,12 @@ func main() {
 		rep.ViaViolations, rep.ViaViolationsOffPin)
 	fmt.Printf("vertical-routing violations %d\n", rep.VertRouteViolations)
 	fmt.Printf("wirelength    %d tracks\n", rep.Wirelength)
-	fmt.Printf("CPU           %.2fs (global %.2fs, layer %.2fs, track %.2fs, detail %.2fs)\n",
-		result.Times.Total().Seconds(), result.Times.Global.Seconds(),
-		result.Times.Layer.Seconds(), result.Times.Track.Seconds(),
-		result.Times.Detail.Seconds())
+	fmt.Printf("CPU           %.2fs (", result.Times.Total().Seconds())
+	for i, st := range result.Times.Stages() {
+		if i > 0 {
+			fmt.Print(", ")
+		}
+		fmt.Printf("%s %.2fs", st.Name, st.Time.Seconds())
+	}
+	fmt.Println(")")
 }

@@ -75,13 +75,35 @@ func Baseline() Config {
 // passes after the first bottom-up global pass.
 const defaultRefinePasses = 4
 
-// StageTimes records the CPU spent per routing stage.
+// StageTimes records the wall time spent per pipeline stage.
 type StageTimes struct {
-	Global, Layer, Track, Detail time.Duration
+	Global, Layer, Track, Detail, DRC time.Duration
+}
+
+// Stage is one pipeline stage's name and wall time.
+type Stage struct {
+	Name string
+	Time time.Duration
+}
+
+// Stages lists the stage times in pipeline order, under the names every
+// surface reports them by (the server's stageSeconds and /metrics, and
+// meblroute -v).
+func (s StageTimes) Stages() []Stage {
+	return []Stage{
+		{"global", s.Global}, {"layer", s.Layer}, {"track", s.Track},
+		{"detail", s.Detail}, {"drc", s.DRC},
+	}
 }
 
 // Total returns the summed stage time.
-func (s StageTimes) Total() time.Duration { return s.Global + s.Layer + s.Track + s.Detail }
+func (s StageTimes) Total() time.Duration {
+	var t time.Duration
+	for _, st := range s.Stages() {
+		t += st.Time
+	}
+	return t
+}
 
 // Result is the complete routing outcome.
 type Result struct {
@@ -117,8 +139,8 @@ type Result struct {
 	// ECO is the recording the incremental engine (internal/eco) replays
 	// against when this result is used as the parent of a delta reroute.
 	// It is attached to every complete run (the recording is
-	// observation-only and cheap); nil when the run was cancelled or the
-	// global config disables tracing (pattern routing).
+	// observation-only and cheap); a patch result carries only its
+	// freed pins, so a replay off it falls back to a cold route.
 	ECO *ECOState
 }
 
@@ -164,18 +186,45 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return RoutePasses(ctx, c, cfg, Passes{})
+}
+
+// GlobalPass runs the first bottom-up global pass on a fresh router.
+type GlobalPass func(ctx context.Context, gr *global.Router, c *netlist.Circuit) ([]*plan.NetPlan, error)
+
+// DetailPass runs detailed routing of the assigned plans on a fresh
+// router.
+type DetailPass func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error)
+
+// Passes are the two searches a pipeline run may swap out; a nil pass
+// runs cold. The incremental engine (internal/eco) swaps in its
+// memoized replays. Everything else in a run belongs to the pipeline.
+type Passes struct {
+	Global GlobalPass
+	Detail DetailPass
+}
+
+// RoutePasses runs the pipeline on c with the given passes: global
+// routing and refinement, layer and track assignment, then detailed
+// routing and the DRC check (RouteDetail). It owns the stage order, the
+// cancellation checks between stages, the stage timing and the ECO
+// recording; a cancelled run returns an error wrapping ErrCancelled.
+func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(err)
 	}
-	f := c.Fabric
+	if p.Global == nil {
+		p.Global = func(ctx context.Context, gr *global.Router, c *netlist.Circuit) ([]*plan.NetPlan, error) {
+			return gr.RouteAllContext(ctx, c)
+		}
+	}
 	res := &Result{}
 
-	// Stage 1: global routing (first bottom-up pass).
+	// Stage 1: global routing (first bottom-up pass), then refinement.
 	t0 := time.Now()
-	gr := global.NewRouter(f, cfg.Global)
+	gr := global.NewRouter(c.Fabric, cfg.Global)
 	var err error
-	res.Plans, err = gr.RouteAllContext(ctx, c)
-	if err != nil {
+	if res.Plans, err = p.Global(ctx, gr, c); err != nil {
 		return nil, cancelErr(err)
 	}
 	if err := gr.RefineContext(ctx, c, res.Plans, cfg.RefinePasses); err != nil {
@@ -198,13 +247,39 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 	t0 = time.Now()
 	res.TrackStats, res.RowRipped = AssignTracks(c, res.Plans, cfg.TrackAlgo)
 	res.Times.Track = time.Since(t0)
+
+	// Stage 3: detailed routing (second bottom-up pass), then DRC.
+	dres, err := res.RouteDetail(ctx, c, cfg.Detail, p.Detail)
+	if err != nil {
+		return nil, err
+	}
+	res.ECO = &ECOState{
+		Cfg:       cfg,
+		Global:    gr.Trace(),
+		Acts:      PackFootprints(dres.Acts),
+		WActs:     PackFootprints(dres.WActs),
+		Ripped:    dres.NetRipped,
+		FreedPins: dres.FreedPins,
+		MatWires:  dres.MatWires,
+	}
+	return res, nil
+}
+
+// RouteDetail runs the pipeline's last two stages on res.Plans: detailed
+// routing through pass (a cold RunContext when nil), copied into res,
+// then the DRC check of the routes against c. It times both stages and
+// returns the detail result for the caller's ECO recording.
+func (res *Result) RouteDetail(ctx context.Context, c *netlist.Circuit, cfg detail.Config, pass DetailPass) (*detail.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(err)
 	}
-
-	// Stage 3: detailed routing (second bottom-up pass).
-	t0 = time.Now()
-	dres, err := detail.NewRouter(f, cfg.Detail).RunContext(ctx, c, res.Plans)
+	if pass == nil {
+		pass = func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
+			return dr.RunContext(ctx, c, plans)
+		}
+	}
+	t0 := time.Now()
+	dres, err := pass(ctx, detail.NewRouter(c.Fabric, cfg), c, res.Plans)
 	if err != nil {
 		return nil, cancelErr(err)
 	}
@@ -215,19 +290,10 @@ func RouteContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*Result,
 	res.DetailExpansions = dres.Expansions
 	res.Times.Detail = time.Since(t0)
 
+	t0 = time.Now()
 	res.Report = drc.Check(c, res.Routes)
-	if gt := gr.Trace(); gt != nil {
-		res.ECO = &ECOState{
-			Cfg:       cfg,
-			Global:    gt,
-			Acts:      PackFootprints(dres.Acts),
-			WActs:     PackFootprints(dres.WActs),
-			Ripped:    dres.NetRipped,
-			FreedPins: dres.FreedPins,
-			MatWires:  dres.MatWires,
-		}
-	}
-	return res, nil
+	res.Times.DRC = time.Since(t0)
+	return dres, nil
 }
 
 // layersByDir returns the 1-based layer numbers with the given preferred

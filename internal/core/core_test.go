@@ -124,23 +124,6 @@ func TestInvalidCircuitRejected(t *testing.T) {
 	}
 }
 
-func TestStageTimesPopulated(t *testing.T) {
-	f := grid.New(60, 60, 3)
-	c := &netlist.Circuit{Name: "t", Fabric: f, Nets: []*netlist.Net{
-		{ID: 0, Name: "a", Pins: []netlist.Pin{
-			{Point: geom.Point{X: 2, Y: 2}, Layer: 1},
-			{Point: geom.Point{X: 50, Y: 50}, Layer: 1},
-		}},
-	}}
-	res, err := Route(c, StitchAware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Times.Total() <= 0 {
-		t.Error("no stage times recorded")
-	}
-}
-
 func TestRouteDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full routing in -short mode")

@@ -2,12 +2,9 @@ package eco
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
-	"stitchroute/internal/drc"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/global"
 	"stitchroute/internal/netlist"
@@ -18,8 +15,8 @@ import (
 // replayed versus recomputed.
 type Stats struct {
 	// Fallback is true when the reroute could not use the parent's
-	// recording (missing ECO state, different config, negotiation or
-	// pattern routing enabled) and ran a plain cold route instead.
+	// recording (missing ECO state, different config, negotiation
+	// enabled) and ran a plain cold route instead.
 	Fallback bool
 	// EditedNets is the number of distinct net IDs the script touched.
 	EditedNets int
@@ -38,20 +35,13 @@ type Result struct {
 	Stats  Stats
 }
 
-// cancelErr mirrors core's cancellation wrapping so callers can use
-// errors.Is(err, core.ErrCancelled) uniformly.
-func cancelErr(err error) error {
-	return fmt.Errorf("eco: %w: %w", core.ErrCancelled, err)
-}
-
 // canMemo reports whether the parent result carries a usable recording
 // for this config. Negotiation is excluded because a negotiating net
-// re-records other nets' routes without refreshing their rip-up state;
-// pattern routing because the global trace cannot cover its reads.
+// re-records other nets' routes without refreshing their rip-up state.
 func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 	return parent != nil && parent.ECO != nil && parent.ECO.Global != nil &&
 		parent.ECO.Cfg == cfg &&
-		!cfg.Detail.Negotiate && !cfg.Global.Pattern &&
+		!cfg.Detail.Negotiate &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
 		parent.ECO.Acts.Len() == len(pc.Nets) &&
@@ -88,92 +78,51 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 	dirty := s.DirtyIDs()
 
 	if !canMemo(parent, pc, cfg) {
-		cold, err := core.RouteContext(ctx, edited, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Result: cold, Edited: edited,
-			Stats: Stats{Fallback: true, EditedNets: len(dirty), GlobalRouted: len(edited.Nets), DetailRouted: len(edited.Nets)}}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(err)
+		return coldReroute(ctx, edited, cfg, len(dirty))
 	}
 
-	f := edited.Fabric
-	res := &core.Result{}
+	// Global: memoized first pass, live refinement. After the memoized
+	// pass the demand and history state equal a cold run's exactly, so
+	// running refinement verbatim keeps the output identical (on
+	// converged circuits it early-exits immediately). Layer and track
+	// assignment are recomputed in full: they are pure deterministic
+	// functions of the circuit and the plans, and on the measured goldens
+	// they cost ~1% of a cold route. Detail replays against the parent
+	// recording; its dirty set is the edited nets plus every net whose
+	// fully assigned plan changed (layer/track cascades stay inside shared
+	// panels, and the plan comparison catches exactly them), and parent
+	// failures replay or re-search on their own footprints (see
+	// detail.Memo).
 	st := Stats{EditedNets: len(dirty)}
-
-	// Stage 1: global routing — memoized first pass, live refinement.
-	// After the memoized pass the demand and history state equal a cold
-	// run's exactly, so running refinement verbatim keeps the output
-	// identical (on converged circuits it early-exits immediately).
-	t0 := time.Now()
-	gr := global.NewRouter(f, cfg.Global)
-	plans, gReused, err := gr.RouteAllMemo(ctx, edited, parent.ECO.Global, dirty)
+	res, err := core.RoutePasses(ctx, edited, cfg, core.Passes{
+		Global: func(ctx context.Context, gr *global.Router, c *netlist.Circuit) ([]*plan.NetPlan, error) {
+			plans, reused, err := gr.RouteAllMemo(ctx, c, parent.ECO.Global, dirty)
+			st.GlobalReused, st.GlobalRouted = reused, len(c.Nets)-reused
+			return plans, err
+		},
+		Detail: func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
+			memo := buildDetailMemo(parent, pc, c, plans, dirty)
+			dres, reused, err := dr.RunMemo(ctx, c, plans, memo)
+			st.DetailReused, st.DetailRouted = reused, len(c.Nets)-reused
+			return dres, err
+		},
+	})
 	if err != nil {
-		return nil, cancelErr(err)
-	}
-	if err := gr.RefineContext(ctx, edited, plans, cfg.RefinePasses); err != nil {
-		return nil, cancelErr(err)
-	}
-	res.Plans = plans
-	res.TVOF, res.MVOF = gr.Overflow()
-	res.GlobalWL = gr.Wirelength()
-	res.EdgeOverflow = gr.EdgeOverflow()
-	res.Times.Global = time.Since(t0)
-	st.GlobalReused = gReused
-	st.GlobalRouted = len(edited.Nets) - gReused
-
-	// Stage 2: layer and track assignment, recomputed in full — they are
-	// pure deterministic functions of the circuit and the plans, and on
-	// the measured goldens they cost ~1% of a cold route.
-	t0 = time.Now()
-	core.AssignLayers(edited, plans, cfg.LayerAlgo)
-	res.Times.Layer = time.Since(t0)
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(err)
-	}
-	t0 = time.Now()
-	res.TrackStats, res.RowRipped = core.AssignTracks(edited, plans, cfg.TrackAlgo)
-	res.Times.Track = time.Since(t0)
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(err)
-	}
-
-	// Stage 3: detailed routing against the parent recording. The detail
-	// dirty set is the edited nets plus every net whose fully assigned
-	// plan changed (layer/track cascades stay inside shared panels, and
-	// the plan comparison catches exactly them); parent failures replay
-	// or re-search on their own footprints (see detail.Memo).
-	t0 = time.Now()
-	memo := buildDetailMemo(parent, pc, edited, plans, dirty)
-	dr := detail.NewRouter(f, cfg.Detail)
-	dres, dReused, err := dr.RunMemo(ctx, edited, plans, memo)
-	if err != nil {
-		return nil, cancelErr(err)
-	}
-	res.Routes = dres.Routes
-	res.RippedNets = dres.Ripped
-	res.FailedNets = dres.Failed
-	res.DetailConnects = dres.Connects
-	res.DetailExpansions = dres.Expansions
-	res.Times.Detail = time.Since(t0)
-	st.DetailReused = dReused
-	st.DetailRouted = len(edited.Nets) - dReused
-
-	res.Report = drc.Check(edited, res.Routes)
-	if gt := gr.Trace(); gt != nil {
-		res.ECO = &core.ECOState{
-			Cfg:       cfg,
-			Global:    gt,
-			Acts:      core.PackFootprints(dres.Acts),
-			WActs:     core.PackFootprints(dres.WActs),
-			Ripped:    dres.NetRipped,
-			FreedPins: dres.FreedPins,
-			MatWires:  dres.MatWires,
-		}
+		return nil, err
 	}
 	return &Result{Result: res, Edited: edited, Stats: st}, nil
+}
+
+// coldReroute is the fallback of both engines when the parent result
+// cannot seed them: a plain cold route of the edited circuit.
+func coldReroute(ctx context.Context, edited *netlist.Circuit, cfg core.Config, editedNets int) (*Result, error) {
+	cold, err := core.RouteContext(ctx, edited, cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := len(edited.Nets)
+	return &Result{Result: cold, Edited: edited,
+		Stats: Stats{Fallback: true, EditedNets: editedNets, GlobalRouted: n, DetailRouted: n}}, nil
 }
 
 // buildDetailMemo rekeys the parent recording by net ID, unpacking its

@@ -2,11 +2,9 @@ package eco
 
 import (
 	"context"
-	"time"
 
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
-	"stitchroute/internal/drc"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
@@ -55,15 +53,7 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 	editedIDs := s.DirtyIDs()
 
 	if !canPatch(parent, pc) {
-		cold, err := core.RouteContext(ctx, edited, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Result: cold, Edited: edited,
-			Stats: Stats{Fallback: true, EditedNets: len(editedIDs), GlobalRouted: len(edited.Nets), DetailRouted: len(edited.Nets)}}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, cancelErr(err)
+		return coldReroute(ctx, edited, cfg, len(editedIDs))
 	}
 
 	// Dirty region: the edited nets' committed geometry and old pin
@@ -153,31 +143,25 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		patch.FreedPins[i] = parent.ECO.FreedPins[pi]
 	}
 
-	res := &core.Result{Plans: plans}
-	st := Stats{EditedNets: len(editedIDs), GlobalReused: len(edited.Nets)}
-
-	t0 := time.Now()
-	dr := detail.NewRouter(edited.Fabric, cfg.Detail)
-	dres, grafted, err := dr.RunPatch(ctx, edited, plans, patch)
-	if err != nil {
-		return nil, cancelErr(err)
-	}
-	res.Routes = dres.Routes
-	res.RippedNets = dres.Ripped
-	res.FailedNets = dres.Failed
-	res.DetailConnects = dres.Connects
-	res.DetailExpansions = dres.Expansions
-	res.Times.Detail = time.Since(t0)
-	st.DetailReused = grafted
-	st.DetailRouted = len(edited.Nets) - grafted
-
 	// Global-stage metrics describe the carried-over plans.
-	res.TVOF, res.MVOF = parent.TVOF, parent.MVOF
-	res.GlobalWL = parent.GlobalWL
-	res.EdgeOverflow = parent.EdgeOverflow
-	res.TrackStats = parent.TrackStats
-
-	res.Report = drc.Check(edited, res.Routes)
+	res := &core.Result{
+		Plans:        plans,
+		TVOF:         parent.TVOF,
+		MVOF:         parent.MVOF,
+		GlobalWL:     parent.GlobalWL,
+		EdgeOverflow: parent.EdgeOverflow,
+		TrackStats:   parent.TrackStats,
+	}
+	st := Stats{EditedNets: len(editedIDs), GlobalReused: len(edited.Nets)}
+	dres, err := res.RouteDetail(ctx, edited, cfg.Detail,
+		func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
+			dres, grafted, err := dr.RunPatch(ctx, c, plans, patch)
+			st.DetailReused, st.DetailRouted = grafted, len(c.Nets)-grafted
+			return dres, err
+		})
+	if err != nil {
+		return nil, err
+	}
 	// A patch result carries enough state for further patches (routes +
 	// freed pins) but no replay recording: chaining a strict Reroute off
 	// it falls back to a cold route.

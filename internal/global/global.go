@@ -45,11 +45,6 @@ type Config struct {
 	// Steiner decomposes multipin nets along a rectilinear Steiner tree
 	// topology (trunk sharing) instead of a plain spanning tree.
 	Steiner bool
-	// Pattern enables L-shaped pattern routing before the maze search —
-	// a substantial accelerator on lightly congested chips. Off by
-	// default: the maze search can beat an L once congestion builds, and
-	// the recorded experiment numbers use pure maze routing.
-	Pattern bool
 }
 
 // StitchAware returns the full stitch-aware configuration.
@@ -216,13 +211,7 @@ func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan {
 		if inTree[target] {
 			continue
 		}
-		var path []plan.TilePoint
-		if r.cfg.Pattern {
-			path = r.patternRoute(inTree, target)
-		}
-		if path == nil {
-			path = r.astar(inTree, target)
-		}
+		path := r.astar(inTree, target)
 		for _, tp := range path {
 			if !inTree[tp] {
 				inTree[tp] = true
@@ -455,13 +444,8 @@ func (r *Router) RouteAllContext(ctx context.Context, c *netlist.Circuit) ([]*pl
 	for i, n := range c.Nets {
 		byID[n.ID] = i
 	}
-	// Record the ECO trace (trace.go) unless pattern routing is on —
-	// patternRoute reads edge costs without popping, so the popped-tile
-	// read-set would under-approximate its reads.
-	record := !r.cfg.Pattern
-	if record {
-		r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make(map[int]*NetTrace, len(c.Nets))}
-	}
+	// Record the ECO trace (trace.go).
+	r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make(map[int]*NetTrace, len(c.Nets))}
 	words := (r.tw*r.th + 63) / 64
 	for i, e := range mlevel.Schedule(c) {
 		if i%ctxCheckStride == 0 {
@@ -469,14 +453,10 @@ func (r *Router) RouteAllContext(ctx context.Context, c *netlist.Circuit) ([]*pl
 				return plans, err
 			}
 		}
-		if record {
-			r.rec = make([]uint64, words)
-		}
+		r.rec = make([]uint64, words)
 		np := r.RouteNet(e.Net)
-		if record {
-			r.trace.Nets[e.Net.ID] = &NetTrace{ReadSet: r.rec, Edges: plan.CopyEdges(np.Edges)}
-			r.rec = nil
-		}
+		r.trace.Nets[e.Net.ID] = &NetTrace{ReadSet: r.rec, Edges: plan.CopyEdges(np.Edges)}
+		r.rec = nil
 		plans[byID[e.Net.ID]] = np
 	}
 	return plans, nil

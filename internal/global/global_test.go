@@ -206,54 +206,3 @@ func TestSteinerDecompositionSavesWirelength(t *testing.T) {
 		t.Errorf("steiner decomposition increased WL: %d vs %d", with, without)
 	}
 }
-
-func TestPatternRouteMatchesAStarWhenClean(t *testing.T) {
-	// On an empty chip the pattern router must produce a route of the
-	// same wirelength as the maze search.
-	mk := func(pattern bool) int {
-		f := grid.New(150, 150, 3)
-		cfg := StitchAware()
-		cfg.Pattern = pattern
-		r := NewRouter(f, cfg)
-		r.RouteNet(net(0, geom.Point{X: 3, Y: 3}, geom.Point{X: 140, Y: 120}))
-		return r.Wirelength()
-	}
-	if a, b := mk(true), mk(false); a != b {
-		t.Errorf("pattern WL %d != maze WL %d on empty chip", a, b)
-	}
-}
-
-func TestPatternRouteFallsBackWhenCongested(t *testing.T) {
-	f := grid.New(90, 90, 3)
-	cfg := StitchAware()
-	cfg.Pattern = true
-	r := NewRouter(f, cfg)
-	// Saturate the vertical edges of column 2 between rows 0 and 1.
-	for i := int32(0); i < r.vCap[0*r.tw+2]; i++ {
-		r.vDem[0*r.tw+2]++
-	}
-	// A net that would L through that edge must still route (via A*).
-	np := r.RouteNet(net(0, geom.Point{X: 33, Y: 3}, geom.Point{X: 33, Y: 50}))
-	if len(np.Edges) == 0 {
-		t.Fatal("net not routed")
-	}
-	// The saturated edge must not be used.
-	for _, e := range np.Edges {
-		if !e.Horizontal() && e.A.TX == 2 && e.A.TY == 0 {
-			t.Error("pattern route used a saturated edge")
-		}
-	}
-}
-
-func TestPatternRouteStraightLine(t *testing.T) {
-	f := grid.New(150, 90, 3)
-	cfg := StitchAware()
-	cfg.Pattern = true
-	r := NewRouter(f, cfg)
-	np := r.RouteNet(net(0, geom.Point{X: 3, Y: 40}, geom.Point{X: 140, Y: 40}))
-	for _, e := range np.Edges {
-		if !e.Horizontal() {
-			t.Errorf("straight net used vertical edge %v", e)
-		}
-	}
-}

@@ -42,9 +42,8 @@ type Trace struct {
 	Nets   map[int]*NetTrace
 }
 
-// Trace returns the record of the last RouteAll pass, or nil when
-// recording was off (pattern routing reads edge costs outside the
-// search, so its reads are not covered by popped tiles).
+// Trace returns the record of the last RouteAll pass, or nil before
+// the first one.
 func (r *Router) Trace() *Trace { return r.trace }
 
 // markEdges sets the dirty bit of both endpoints of every edge.
@@ -99,7 +98,7 @@ func (r *Router) replayNet(net *netlist.Net, nt *NetTrace) *plan.NetPlan {
 // *timing* differs even when the route does not). The second return is
 // the number of nets replayed without a search.
 func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Trace, dirty map[int]bool) ([]*plan.NetPlan, int, error) {
-	if prev == nil || prev.TW != r.tw || prev.TH != r.th || r.cfg.Pattern {
+	if prev == nil || prev.TW != r.tw || prev.TH != r.th {
 		plans, err := r.RouteAllContext(ctx, c)
 		return plans, 0, err
 	}

@@ -1,7 +1,5 @@
 package plan
 
-import "stitchroute/internal/geom"
-
 // Deep-copy and equality helpers for the incremental ECO engine
 // (internal/eco). ECO replays recorded per-net state from a committed
 // routing result; the copies keep the parent result immutable, and the
@@ -104,16 +102,4 @@ func (r NetRoute) Equal(o NetRoute) bool {
 		}
 	}
 	return true
-}
-
-// CopyRoute returns an independent copy of a detailed route.
-func CopyRoute(r NetRoute) NetRoute {
-	cp := r
-	if r.Wires != nil {
-		cp.Wires = append([]geom.Segment(nil), r.Wires...)
-	}
-	if r.Vias != nil {
-		cp.Vias = append([]Via(nil), r.Vias...)
-	}
-	return cp
 }

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 
+	"stitchroute/internal/core"
 	"stitchroute/internal/eco"
+	"stitchroute/internal/netlist"
 )
 
 // ECORequest is the body of POST /v1/jobs/{id}/eco: an edit script to
@@ -34,8 +38,9 @@ type ECORequest struct {
 
 // ECOView is the provenance block of an ECO job's JobView.
 type ECOView struct {
-	// Parent is the job id the fork reroutes from.
-	Parent string `json:"parent"`
+	// Parent is the job id the fork reroutes from (empty outside the
+	// server, e.g. meblroute -eco).
+	Parent string `json:"parent,omitempty"`
 	// Mode is the ECO engine used ("replay" or "patch").
 	Mode string `json:"mode"`
 	// EditedNets counts the net IDs the script touches.
@@ -50,6 +55,33 @@ type ECOView struct {
 	DetailRouted int `json:"detailRouted,omitempty"`
 	// ECOSeconds is the incremental reroute's wall time.
 	ECOSeconds float64 `json:"ecoSeconds,omitempty"`
+}
+
+// Record fills in the reuse counts and wall time of a finished
+// reroute.
+func (v *ECOView) Record(st eco.Stats, d time.Duration) {
+	v.Fallback = st.Fallback
+	v.GlobalReused = st.GlobalReused
+	v.DetailReused = st.DetailReused
+	v.DetailRouted = st.DetailRouted
+	v.ECOSeconds = d.Seconds()
+}
+
+// ECOEngine reroutes an edited circuit from a parent result; it is
+// eco.RerouteContext or eco.ReroutePatchContext.
+type ECOEngine func(ctx context.Context, parent *core.Result, pc *netlist.Circuit, s *eco.Script, cfg core.Config) (*eco.Result, error)
+
+// ECOEngineFor returns the engine an ECO mode names: "replay"
+// (byte-for-byte the cold reroute of the edited circuit) or "patch"
+// (graft onto the parent grid).
+func ECOEngineFor(mode string) (ECOEngine, error) {
+	switch mode {
+	case "replay":
+		return eco.RerouteContext, nil
+	case "patch":
+		return eco.ReroutePatchContext, nil
+	}
+	return nil, fmt.Errorf("unknown eco mode %q (want \"replay\" or \"patch\")", mode)
 }
 
 // handleECO forks a terminal job: it applies the edit script to the
@@ -80,8 +112,9 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	if req.Mode == "" {
 		req.Mode = "replay"
 	}
-	if req.Mode != "replay" && req.Mode != "patch" {
-		writeErr(w, http.StatusBadRequest, "unknown eco mode \""+req.Mode+"\" (want \"replay\" or \"patch\")")
+	engine, err := ECOEngineFor(req.Mode)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Margin < 0 {
@@ -119,6 +152,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		req: JobRequest{
 			Mode:    parent.req.Mode,
 			Track:   parent.req.Track,
+			Place:   parent.req.Place,
 			NoCache: req.NoCache,
 		},
 		circuit:   edited,
@@ -126,37 +160,12 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 		timeout:   timeout,
 		key:       key,
 		created:   time.Now(),
-		ecoParent: parent.id,
-		ecoMode:   req.Mode,
-		ecoEdited: len(script.DirtyIDs()),
+		eco:       &ECOView{Parent: parent.id, Mode: req.Mode, EditedNets: len(script.DirtyIDs())},
+		ecoRun:    engine,
 		ecoScript: script,
 		ecoBase:   parent.circuit,
 		ecoFrom:   pres,
 	}
 
-	if !req.NoCache && key != "" {
-		if res, ok := s.cache.get(key); ok {
-			j.state = StateDone
-			j.cacheHit = true
-			j.result = res
-			now := time.Now()
-			j.started, j.finished = now, now
-			if !s.register(j) {
-				writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
-				return
-			}
-			s.evictFinished() // the job is born terminal
-			w.Header().Set("Location", "/v1/jobs/"+j.id)
-			writeJSON(w, http.StatusOK, j.view())
-			return
-		}
-	}
-
-	j.state = StateQueued
-	if apiErr := s.enqueue(j); apiErr != nil {
-		writeErr(w, apiErr.code, apiErr.msg)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.view())
+	s.admit(w, r, j)
 }

@@ -70,6 +70,24 @@ func TestECOForkReplay(t *testing.T) {
 	}
 }
 
+// TestECOForkKeepsPlace: a fork reroutes the parent's placed circuit, so
+// its request must keep reporting place.
+func TestECOForkKeepsPlace(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 2})
+	parent := ts.submit(t, JobRequest{Circuit: tinyCircuit("placed"), Place: true}, http.StatusAccepted)
+	if !ts.waitState(t, parent.ID, StateDone).Place {
+		t.Fatal("parent job does not report place")
+	}
+	edits := []eco.Edit{{Op: eco.OpMovePin, ID: 0, Pin: 0, X: 10, Y: 10}}
+	v := ts.ecoSubmit(t, parent.ID, ECORequest{Edits: edits}, http.StatusAccepted)
+	if !v.Place {
+		t.Error("fork of a placed job reports place: false")
+	}
+	if done := ts.waitState(t, v.ID, StateDone); !done.Place {
+		t.Error("done fork of a placed job reports place: false")
+	}
+}
+
 func TestECOForkPatch(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2})
 	parent := ts.submit(t, JobRequest{Circuit: tinyCircuit("tiny")}, http.StatusAccepted)

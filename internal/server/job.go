@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"stitchroute/internal/fracture"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/stencil"
+	"stitchroute/internal/track"
 )
 
 // State is a job's lifecycle state. The machine is:
@@ -62,6 +65,42 @@ type JobRequest struct {
 	Stencil bool `json:"stencil,omitempty"`
 }
 
+// Config resolves the request's router configuration (Mode, then the
+// Track override) and its write-prep fracture mode, which is meaningful
+// only when Fracture is set. An empty Mode means "stitch".
+func (req *JobRequest) Config() (core.Config, fracture.Mode, error) {
+	var cfg core.Config
+	switch req.Mode {
+	case "", "stitch":
+		cfg = core.StitchAware()
+	case "baseline":
+		cfg = core.Baseline()
+	default:
+		return cfg, 0, fmt.Errorf("unknown mode %q (want \"stitch\" or \"baseline\")", req.Mode)
+	}
+	switch req.Track {
+	case "":
+	case "conventional":
+		cfg.TrackAlgo = track.Conventional
+	case "ilp":
+		cfg.TrackAlgo = track.ILPBased
+	case "graph":
+		cfg.TrackAlgo = track.GraphBased
+	default:
+		return cfg, 0, fmt.Errorf("unknown track algorithm %q (want \"conventional\", \"ilp\", or \"graph\")", req.Track)
+	}
+	var fmode fracture.Mode
+	if req.Fracture != "" {
+		var err error
+		if fmode, err = fracture.ParseMode(req.Fracture); err != nil {
+			return cfg, 0, err
+		}
+	} else if req.Stencil {
+		return cfg, 0, errors.New("\"stencil\" requires \"fracture\"")
+	}
+	return cfg, fmode, nil
+}
+
 // StencilSummary is the stencil-planning slice of a job's write-prep
 // stage.
 type StencilSummary struct {
@@ -88,8 +127,10 @@ type WritePrep struct {
 	Stencil   *StencilSummary `json:"stencil,omitempty"`
 }
 
-// buildWritePrep runs the write-prep stage over a routing result.
-func buildWritePrep(ctx context.Context, res *core.Result, layers int, mode fracture.Mode, sten bool) (*WritePrep, error) {
+// BuildWritePrep runs the write-prep stage over a routing result: the
+// fracture in the given mode, its shots hash, and, when sten is set, the
+// stencil plan.
+func BuildWritePrep(ctx context.Context, res *core.Result, layers int, mode fracture.Mode, sten bool) (*WritePrep, error) {
 	fres, err := fracture.FractureContext(ctx, res.Routes, layers, mode, fracture.Options{})
 	if err != nil {
 		return nil, err
@@ -141,13 +182,16 @@ type Summary struct {
 	BadEnds             int                `json:"badEnds"`
 	RippedNets          int                `json:"rippedNets"`
 	FailedNets          int                `json:"failedNets"`
+	DetailConnects      int                `json:"detailConnects"`
+	DetailExpansions    int64              `json:"detailExpansions"`
 	CPUSeconds          float64            `json:"cpuSeconds"`
 	StageSeconds        map[string]float64 `json:"stageSeconds"`
 }
 
-func summarize(res *core.Result) *Summary {
+// Summarize builds a routing result's summary.
+func Summarize(res *core.Result) *Summary {
 	rep := res.Report
-	return &Summary{
+	s := &Summary{
 		Routability:         rep.Routability(),
 		RoutedNets:          rep.RoutedNets,
 		ViaViolations:       rep.ViaViolations,
@@ -161,14 +205,15 @@ func summarize(res *core.Result) *Summary {
 		BadEnds:             res.TrackStats.BadEnds,
 		RippedNets:          res.RippedNets,
 		FailedNets:          res.FailedNets,
+		DetailConnects:      res.DetailConnects,
+		DetailExpansions:    res.DetailExpansions,
 		CPUSeconds:          res.Times.Total().Seconds(),
-		StageSeconds: map[string]float64{
-			"global": res.Times.Global.Seconds(),
-			"layer":  res.Times.Layer.Seconds(),
-			"track":  res.Times.Track.Seconds(),
-			"detail": res.Times.Detail.Seconds(),
-		},
+		StageSeconds:        map[string]float64{},
 	}
+	for _, st := range res.Times.Stages() {
+		s.StageSeconds[st.Name] = st.Time.Seconds()
+	}
+	return s
 }
 
 // Job is one routing job. All mutable fields are guarded by mu; the
@@ -197,17 +242,14 @@ type Job struct {
 	writePrep       *WritePrep
 
 	// ECO fork fields (set when the job was submitted via
-	// POST /v1/jobs/{id}/eco): the parent job's id, the engine mode,
-	// the edit script, and the parent circuit/result the script applies
-	// to. ecoStats is written once on completion, under mu.
-	ecoParent string
-	ecoMode   string
-	ecoEdited int
+	// POST /v1/jobs/{id}/eco): the provenance view, the engine, the edit
+	// script, and the parent circuit/result the script applies to. The
+	// view's reuse counts are recorded once on completion, under mu.
+	eco       *ECOView
+	ecoRun    ECOEngine
 	ecoScript *eco.Script
 	ecoBase   *netlist.Circuit
 	ecoFrom   *core.Result
-	ecoStats  *eco.Stats
-	ecoTime   time.Duration
 }
 
 // JobView is the JSON representation of a job returned by the API.
@@ -260,19 +302,12 @@ func (j *Job) view() JobView {
 		v.Finished = &t
 	}
 	if j.state == StateDone && j.result != nil {
-		v.Summary = summarize(j.result)
+		v.Summary = Summarize(j.result)
 		v.WritePrep = j.writePrep
 	}
-	if j.ecoMode != "" {
-		ev := &ECOView{Parent: j.ecoParent, Mode: j.ecoMode, EditedNets: j.ecoEdited}
-		if j.ecoStats != nil {
-			ev.Fallback = j.ecoStats.Fallback
-			ev.GlobalReused = j.ecoStats.GlobalReused
-			ev.DetailReused = j.ecoStats.DetailReused
-			ev.DetailRouted = j.ecoStats.DetailRouted
-			ev.ECOSeconds = j.ecoTime.Seconds()
-		}
-		v.ECO = ev
+	if j.eco != nil {
+		ev := *j.eco
+		v.ECO = &ev
 	}
 	return v
 }

@@ -20,20 +20,20 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{stageSeconds: map[string]float64{
-		"global": 0, "layer": 0, "track": 0, "detail": 0,
-	}}
+	m := &metrics{stageSeconds: map[string]float64{}}
+	for _, st := range (core.StageTimes{}).Stages() {
+		m.stageSeconds[st.Name] = 0
+	}
+	return m
 }
 
 // addRun books one completed routing run's stage times.
 func (m *metrics) addRun(res *core.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := res.Times
-	m.stageSeconds["global"] += t.Global.Seconds()
-	m.stageSeconds["layer"] += t.Layer.Seconds()
-	m.stageSeconds["track"] += t.Track.Seconds()
-	m.stageSeconds["detail"] += t.Detail.Seconds()
+	for _, st := range res.Times.Stages() {
+		m.stageSeconds[st.Name] += st.Time.Seconds()
+	}
 	m.jobsRouted++
 }
 

@@ -41,26 +41,19 @@ func (s *Server) runJob(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	circuit, cfg, req, fmode := j.circuit, j.cfg, j.req, j.fracMode
-	ecoScript, ecoBase, ecoFrom, ecoMode := j.ecoScript, j.ecoBase, j.ecoFrom, j.ecoMode
+	ecoRun, ecoScript, ecoBase, ecoFrom := j.ecoRun, j.ecoScript, j.ecoBase, j.ecoFrom
 	j.mu.Unlock()
 
 	var res *core.Result
 	var err error
-	var ecoStats *eco.Stats
+	var er *eco.Result
 	var ecoTime time.Duration
-	if ecoScript != nil {
+	if ecoRun != nil {
 		// ECO fork: incremental reroute from the parent's committed
 		// result instead of a cold pipeline run.
 		t0 := time.Now()
-		var er *eco.Result
-		if ecoMode == "patch" {
-			er, err = eco.ReroutePatchContext(ctx, ecoFrom, ecoBase, ecoScript, cfg)
-		} else {
-			er, err = eco.RerouteContext(ctx, ecoFrom, ecoBase, ecoScript, cfg)
-		}
-		if err == nil {
+		if er, err = ecoRun(ctx, ecoFrom, ecoBase, ecoScript, cfg); err == nil {
 			res = er.Result
-			ecoStats = &er.Stats
 			ecoTime = time.Since(t0)
 		}
 	} else {
@@ -70,7 +63,7 @@ func (s *Server) runJob(j *Job) {
 	// fracturing classifies exactly like one during routing.
 	var wp *WritePrep
 	if err == nil && req.Fracture != "" {
-		wp, err = buildWritePrep(ctx, res, circuit.Fabric.Layers, fmode, req.Stencil)
+		wp, err = BuildWritePrep(ctx, res, circuit.Fabric.Layers, fmode, req.Stencil)
 	}
 	cancel()
 
@@ -83,8 +76,9 @@ func (s *Server) runJob(j *Job) {
 		j.state = StateDone
 		j.result = res
 		j.writePrep = wp
-		j.ecoStats = ecoStats
-		j.ecoTime = ecoTime
+		if er != nil {
+			j.eco.Record(er.Stats, ecoTime)
+		}
 		// Patch-mode ECO jobs carry no key: their result is not
 		// byte-identical to a cold reroute and must not populate the
 		// content-addressed cold-route cache.

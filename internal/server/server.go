@@ -31,12 +31,10 @@ import (
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
-	"stitchroute/internal/fracture"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 	"stitchroute/internal/place"
-	"stitchroute/internal/track"
 	"stitchroute/internal/viz"
 )
 
@@ -213,33 +211,9 @@ func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
 	if req.Mode == "" {
 		req.Mode = "stitch"
 	}
-	cfg := core.StitchAware()
-	switch req.Mode {
-	case "stitch":
-	case "baseline":
-		cfg = core.Baseline()
-	default:
-		return nil, badRequest("unknown mode %q (want \"stitch\" or \"baseline\")", req.Mode)
-	}
-	switch req.Track {
-	case "":
-	case "conventional":
-		cfg.TrackAlgo = track.Conventional
-	case "ilp":
-		cfg.TrackAlgo = track.ILPBased
-	case "graph":
-		cfg.TrackAlgo = track.GraphBased
-	default:
-		return nil, badRequest("unknown track algorithm %q (want \"conventional\", \"ilp\", or \"graph\")", req.Track)
-	}
-	var fmode fracture.Mode
-	if req.Fracture != "" {
-		var err error
-		if fmode, err = fracture.ParseMode(req.Fracture); err != nil {
-			return nil, badRequest("%v", err)
-		}
-	} else if req.Stencil {
-		return nil, badRequest("\"stencil\" requires \"fracture\"")
+	cfg, fmode, err := req.Config()
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 
 	timeout, apiErr := s.jobTimeout(req.Timeout)
@@ -255,7 +229,6 @@ func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
 		}
 		c = bench.Generate(spec)
 	} else {
-		var err error
 		c, err = nlio.Read(strings.NewReader(req.Circuit))
 		if err != nil {
 			return nil, badRequest("bad circuit: %v", err)
@@ -379,15 +352,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiErr.code, apiErr.msg)
 		return
 	}
+	s.admit(w, r, j)
+}
 
-	// Content-addressed cache: an identical (circuit, config) submission
-	// is born done, without occupying a worker.
-	if !req.NoCache {
+// admit serves a built job from the content-addressed cache when its
+// key hits (the job is born done, without occupying a worker: 200), or
+// queues it (202), and writes the response. Jobs without a key (patch
+// forks) and NoCache jobs always queue.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, j *Job) {
+	if !j.req.NoCache && j.key != "" {
 		if res, ok := s.cache.get(j.key); ok {
 			// Write-prep is a cheap pure post-pass over the routes, outside
 			// the cache key; recompute it inline for the hit.
-			if req.Fracture != "" {
-				wp, err := buildWritePrep(r.Context(), res, j.circuit.Fabric.Layers, j.fracMode, req.Stencil)
+			if j.req.Fracture != "" {
+				wp, err := BuildWritePrep(r.Context(), res, j.circuit.Fabric.Layers, j.fracMode, j.req.Stencil)
 				if err != nil {
 					writeErr(w, http.StatusInternalServerError, err.Error())
 					return

@@ -138,8 +138,14 @@ func TestSubmitPollRoutesSVG(t *testing.T) {
 	if done.Summary.Routability != 100 {
 		t.Errorf("routability = %v, want 100", done.Summary.Routability)
 	}
-	if done.Summary.StageSeconds["detail"] < 0 {
-		t.Error("missing per-stage timings")
+	for _, stage := range []string{"global", "layer", "track", "detail", "drc"} {
+		if _, ok := done.Summary.StageSeconds[stage]; !ok {
+			t.Errorf("stageSeconds missing %q: %v", stage, done.Summary.StageSeconds)
+		}
+	}
+	if done.Summary.DetailConnects == 0 || done.Summary.DetailExpansions == 0 {
+		t.Errorf("summary search counts = %d/%d, want nonzero",
+			done.Summary.DetailConnects, done.Summary.DetailExpansions)
 	}
 	if done.CacheHit {
 		t.Error("first submission reported as cache hit")
@@ -682,7 +688,7 @@ func TestBenchmarksHealthzMetrics(t *testing.T) {
 		"jobs_done", "jobs_failed", "jobs_cancelled", "queue_depth", "queue_capacity",
 		"cache_hits", "cache_misses", "cache_entries", "cache_capacity",
 		"stage_seconds_global", "stage_seconds_layer", "stage_seconds_track",
-		"stage_seconds_detail", "route_seconds_total",
+		"stage_seconds_detail", "stage_seconds_drc", "route_seconds_total",
 	} {
 		metricValue(t, string(data), key)
 	}
