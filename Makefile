@@ -95,14 +95,16 @@ bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
 
 # One-iteration benchmark smoke: proves the detail-stage benchmark (and
 # its pinned routes-hash assertion), the global maze pass, the full-chip
-# DRC pass and the write-prep stages (with their pinned shot and plan
-# hashes) still run, the last three with their allocation counts; takes
+# DRC pass, the write-prep stages (with their pinned shot and plan
+# hashes) and an S13207 ECO patch (with its determinism and report
+# checks) still run, the last four with their allocation counts; takes
 # seconds.
-bench-smoke: ## run BenchmarkDetail, BenchmarkGlobalMaze, BenchmarkCheck and BenchmarkWritePrep once
+bench-smoke: ## run BenchmarkDetail, BenchmarkGlobalMaze, BenchmarkCheck, BenchmarkWritePrep and BenchmarkPatch once
 	$(GO) test -run '^$$' -bench BenchmarkDetail -benchtime 1x ./internal/detail/
 	$(GO) test -run '^$$' -bench BenchmarkGlobalMaze -benchtime 1x -benchmem ./internal/global/
 	$(GO) test -run '^$$' -bench BenchmarkCheck -benchtime 1x -benchmem ./internal/drc/
 	$(GO) test -run '^$$' -bench BenchmarkWritePrep -benchtime 1x -benchmem ./internal/harness/
+	$(GO) test -run '^$$' -bench BenchmarkPatch -benchtime 1x -benchmem ./internal/eco/
 
 # Regenerate the paper's tables on the fast subset (use CIRCUITS=all for
 # the full 14-circuit suite; that takes ~15 minutes).

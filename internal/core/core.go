@@ -108,8 +108,12 @@ func (s StageTimes) Total() time.Duration {
 // Result is the complete routing outcome.
 type Result struct {
 	Report drc.Report
-	Routes []plan.NetRoute
-	Plans  []*plan.NetPlan
+	// SPSlots lists the slots whose routes have short polygons, in slot
+	// order and uncapped: the base, with Report, that a patch updates
+	// the report from instead of re-checking the chip (drc.Update).
+	SPSlots []int
+	Routes  []plan.NetRoute
+	Plans   []*plan.NetPlan
 
 	// Global routing quality (Table IV).
 	TVOF, MVOF   int
@@ -196,12 +200,18 @@ type GlobalPass func(ctx context.Context, gr *global.Router, c *netlist.Circuit)
 // router.
 type DetailPass func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error)
 
-// Passes are the two searches a pipeline run may swap out; a nil pass
-// runs cold. The incremental engine (internal/eco) swaps in its
-// memoized replays. Everything else in a run belongs to the pipeline.
+// CheckPass computes the DRC report of the routes on c and the slots
+// with short polygons, as drc.CheckSlots does.
+type CheckPass func(c *netlist.Circuit, routes []plan.NetRoute) (drc.Report, []int)
+
+// Passes are the steps a pipeline run may swap out; a nil pass runs
+// cold. The incremental engine (internal/eco) swaps in its memoized
+// replays and, for a patch, a DRC update from the parent's report.
+// Everything else in a run belongs to the pipeline.
 type Passes struct {
 	Global GlobalPass
 	Detail DetailPass
+	Check  CheckPass
 }
 
 // RoutePasses runs the pipeline on c with the given passes: global
@@ -249,7 +259,7 @@ func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) 
 	res.Times.Track = time.Since(t0)
 
 	// Stage 3: detailed routing (second bottom-up pass), then DRC.
-	dres, err := res.RouteDetail(ctx, c, cfg.Detail, p.Detail)
+	dres, err := res.RouteDetail(ctx, c, cfg.Detail, p)
 	if err != nil {
 		return nil, err
 	}
@@ -266,20 +276,24 @@ func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) 
 }
 
 // RouteDetail runs the pipeline's last two stages on res.Plans: detailed
-// routing through pass (a cold RunContext when nil), copied into res,
-// then the DRC check of the routes against c. It times both stages and
-// returns the detail result for the caller's ECO recording.
-func (res *Result) RouteDetail(ctx context.Context, c *netlist.Circuit, cfg detail.Config, pass DetailPass) (*detail.Result, error) {
+// routing through p.Detail (a cold RunContext when nil), copied into
+// res, then the DRC check of the routes against c through p.Check
+// (drc.CheckSlots when nil). It times both stages and returns the
+// detail result for the caller's ECO recording.
+func (res *Result) RouteDetail(ctx context.Context, c *netlist.Circuit, cfg detail.Config, p Passes) (*detail.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, cancelErr(err)
 	}
-	if pass == nil {
-		pass = func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
+	if p.Detail == nil {
+		p.Detail = func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
 			return dr.RunContext(ctx, c, plans)
 		}
 	}
+	if p.Check == nil {
+		p.Check = drc.CheckSlots
+	}
 	t0 := time.Now()
-	dres, err := pass(ctx, detail.NewRouter(c.Fabric, cfg), c, res.Plans)
+	dres, err := p.Detail(ctx, detail.NewRouter(c.Fabric, cfg), c, res.Plans)
 	if err != nil {
 		return nil, cancelErr(err)
 	}
@@ -291,7 +305,7 @@ func (res *Result) RouteDetail(ctx context.Context, c *netlist.Circuit, cfg deta
 	res.Times.Detail = time.Since(t0)
 
 	t0 = time.Now()
-	res.Report = drc.Check(c, res.Routes)
+	res.Report, res.SPSlots = p.Check(c, res.Routes)
 	res.Times.DRC = time.Since(t0)
 	return dres, nil
 }

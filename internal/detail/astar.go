@@ -1,6 +1,8 @@
 package detail
 
 import (
+	"math"
+
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 )
@@ -28,8 +30,14 @@ type nodeState struct {
 // searchCtx is the router's search arena: all mutable scratch an A* run
 // and the per-net geometry analysis touch — the per-cell search states,
 // the target marks, the open-list heap — reused across searches so the
-// steady-state search allocates nothing.
+// steady-state search allocates nothing. ECO runs pool arenas (scratch):
+// each borrows one and hands it back, so an arena outlives any one run
+// and its contents carry no meaning between uses; only the stamp
+// epochs, which never repeat without a clear, make stale cells inert.
 type searchCtx struct {
+	// occ backs the bound router's occupancy grid; bind clears it.
+	occ []int32
+
 	nodes    []nodeState
 	curStamp int32
 	heap     cellHeap
@@ -122,6 +130,13 @@ func (sc *searchCtx) growMark(box geom.Rect, layers, limit int) int32 {
 		n = min(max(n, 2*len(sc.mark)), limit)
 		sc.mark = make([]stampVal, n)
 		sc.mark2 = make([]int32, n)
+	}
+	if sc.mcur == math.MaxInt32 {
+		// The epoch would wrap onto stamps still in the grids: clear
+		// them and restart, as astar does for the node stamps.
+		clear(sc.mark)
+		clear(sc.mark2)
+		sc.mcur = 0
 	}
 	sc.mcur++
 	return sc.mcur
@@ -217,7 +232,7 @@ const (
 // to the first target reached.
 func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell, bool) {
 	r.connects++
-	sc := &r.sc
+	sc := r.sc
 	W := win.W()
 	H := win.H()
 	L := r.L
@@ -225,12 +240,12 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	sc.curStamp++
 	if sc.curStamp > 0x7fff {
 		// The 16-bit node stamps would wrap: clear the arena and restart
-		// the epoch. The reset point depends only on how many searches
-		// this arena has run, which is deterministic, and a cleared
-		// arena is indistinguishable from a fresh one.
-		for i := range sc.nodes {
-			sc.nodes[i] = nodeState{}
-		}
+		// the epoch. The reset point depends on every search the pooled
+		// arena has run, for any router, so it is not reproducible; it
+		// need not be, because a search reads only cells carrying its
+		// own stamp, and a cleared arena is indistinguishable from a
+		// fresh one.
+		clear(sc.nodes)
 		sc.curStamp = 1
 	}
 	stamp := int16(sc.curStamp)

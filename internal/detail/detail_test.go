@@ -12,6 +12,13 @@ import (
 
 func fabric() *grid.Fabric { return grid.New(60, 60, 3) }
 
+// held binds fresh scratch to r for the test's lifetime, so tests can
+// drive the per-net steps directly and read the occupancy after a run.
+func held(r *Router) *Router {
+	r.bind(new(searchCtx))
+	return r
+}
+
 func mkNet(id int, pts ...geom.Point) *netlist.Net {
 	n := &netlist.Net{ID: id, Name: "n"}
 	for _, p := range pts {
@@ -241,7 +248,7 @@ func TestTrimRemovesDanglingEnds(t *testing.T) {
 
 func TestOccupancyConsistentAfterRun(t *testing.T) {
 	f := fabric()
-	r := NewRouter(f, DefaultConfig(true))
+	r := held(NewRouter(f, DefaultConfig(true)))
 	c := &netlist.Circuit{Name: "t", Fabric: f, Nets: []*netlist.Net{
 		mkNet(0, geom.Point{X: 2, Y: 2}, geom.Point{X: 40, Y: 40}),
 		mkNet(1, geom.Point{X: 2, Y: 40}, geom.Point{X: 40, Y: 2}),

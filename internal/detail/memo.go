@@ -253,6 +253,10 @@ func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, pw []uint64, freed []
 // package comment above for the replay rule and its soundness. The
 // second return is the number of nets replayed without a search.
 func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, m *Memo) (*Result, int, error) {
+	if r.sc == nil {
+		r.borrow()
+		defer r.giveBack()
+	}
 	res, nets, order, record := r.prepare(c, plans)
 
 	// Dirty bitset: the parent write footprints of every dirty net

@@ -38,7 +38,7 @@ func (p *Patch) dirty(i int) bool {
 	return i >= len(p.Keep) || (i < len(p.Dirty) && p.Dirty[i])
 }
 
-// RunPatch stamps the kept nets' committed geometry into a fresh grid,
+// RunPatch stamps the kept nets' committed geometry into a cleared grid,
 // reserves pins and candidates for the dirty nets only, and routes the
 // dirty nets sequentially in the stitch-aware order. Only dirty nets
 // get a routing task. The second return is the number of nets grafted
@@ -49,6 +49,10 @@ func (p *Patch) dirty(i int) bool {
 // dirty nets, and the capacity of each shared slice is capped at its
 // length.
 func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, p *Patch) (*Result, int, error) {
+	if r.sc == nil {
+		r.borrow()
+		defer r.giveBack()
+	}
 	n := len(c.Nets)
 	res := &Result{
 		Routes:    make([]plan.NetRoute, n),

@@ -1,7 +1,7 @@
 package detail_test
 
 // Whole-run tests of the detailed router on generated circuits: the
-// cancellation contract and the detail-stage benchmark.
+// cancellation contract, arena reuse and the detail-stage benchmark.
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
 	"stitchroute/internal/harness"
+	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 	"stitchroute/internal/plan"
 )
@@ -79,6 +80,60 @@ func BenchmarkDetail(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(expansions)/b.Elapsed().Seconds(), "expansions/s")
+}
+
+// TestArenaReuse routes S9234's detail stage on a fresh arena and on one
+// that has already routed Primary1 and a patch of S13207: arenas are
+// pooled across runs and circuits, so what an arena ran before must not
+// show in the routes.
+func TestArenaReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("routes S9234, Primary1 and S13207")
+	}
+	cfg := core.StitchAware()
+	routed := func(name string) (*netlist.Circuit, *core.Result) {
+		spec, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := bench.Generate(spec)
+		res, err := core.Route(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, res
+	}
+	s9234, pre := routed("S9234")
+	hash := func(a *detail.Arena) string {
+		res := detail.NewRouter(s9234.Fabric, cfg.Detail).Use(a).Run(s9234, pre.Plans)
+		h, err := nlio.RoutesHash(res.Routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if h := hash(new(detail.Arena)); h != s9234RoutesHash {
+		t.Fatalf("fresh arena: routes hash %.12s, want %.12s", h, s9234RoutesHash)
+	}
+
+	used := new(detail.Arena)
+	p1, p1Res := routed("Primary1")
+	detail.NewRouter(p1.Fabric, cfg.Detail).Use(used).Run(p1, p1Res.Plans)
+	s13207, parent := routed("S13207")
+	p := &detail.Patch{
+		Dirty:     make([]bool, len(s13207.Nets)),
+		Keep:      parent.Routes,
+		FreedPins: parent.ECO.FreedPins,
+	}
+	for i := 0; i < len(p.Dirty); i += 50 {
+		p.Dirty[i] = true
+	}
+	if _, _, err := detail.NewRouter(s13207.Fabric, cfg.Detail).Use(used).RunPatch(context.Background(), s13207, parent.Plans, p); err != nil {
+		t.Fatal(err)
+	}
+	if h := hash(used); h != s9234RoutesHash {
+		t.Fatalf("arena used by Primary1 and an S13207 patch: routes hash %.12s, want %.12s", h, s9234RoutesHash)
+	}
 }
 
 // TestRunPatchReadOnly runs one Patch twice on fresh routers: the

@@ -18,7 +18,7 @@ func (r *Router) trimNet(t *routeTask) {
 	// Coverage counts per cell over the net's wires (stamped scratch
 	// grids over the box of the net's wires, pins and vias replace
 	// per-call maps — trimming runs once per routed net).
-	sc := &r.sc
+	sc := r.sc
 	box := pinsBBox(wiresBBox(emptyBox, t.wires), t.net.Pins)
 	for _, v := range t.vias {
 		box = box.Union(geom.Rect{X0: v.X, Y0: v.Y, X1: v.X, Y1: v.Y})

@@ -2,6 +2,7 @@ package drc_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stitchroute/internal/bench"
@@ -72,27 +73,136 @@ func TestCheckMatchesReference(t *testing.T) {
 	})
 
 	t.Run("sp-cap", func(t *testing.T) {
-		// 150 rows, each one wire cut by the lines at x=15 and x=30
-		// with landing vias at both ends: 300 short polygons over three
-		// nets whose rows interleave.
-		f := grid.New(90, 160, 3)
-		c := &netlist.Circuit{Name: "cap", Fabric: f}
-		routes := make([]plan.NetRoute, 3)
-		for n := range routes {
-			c.Nets = append(c.Nets, &netlist.Net{ID: n, Pins: []netlist.Pin{
-				{Point: geom.Point{X: 1, Y: n}, Layer: 1},
-				{Point: geom.Point{X: 2, Y: n}, Layer: 1},
-			}})
-			routes[n] = plan.NetRoute{NetID: n, Routed: true}
-		}
-		for y := 0; y < 150; y++ {
-			rt := &routes[y%3]
-			rt.Wires = append(rt.Wires, geom.HSeg(1, y, 14, 31))
-			rt.Vias = append(rt.Vias, plan.Via{X: 31, Y: y, Layer: 1}, plan.Via{X: 14, Y: y, Layer: 1})
-		}
+		c, routes := capLayout()
 		rep := drc.CheckRef(t, c, routes)
 		if rep.ShortPolygons != 300 || len(rep.SPSites) != 256 {
 			t.Fatalf("SP=%d sites=%d, want 300 and the 256 cap", rep.ShortPolygons, len(rep.SPSites))
+		}
+	})
+}
+
+// capLayout has more short polygons than SPSites records: 150 rows,
+// each one wire cut by the lines at x=15 and x=30 with landing vias at
+// both ends, 300 short polygons over three nets whose rows interleave.
+func capLayout() (*netlist.Circuit, []plan.NetRoute) {
+	f := grid.New(90, 160, 3)
+	c := &netlist.Circuit{Name: "cap", Fabric: f}
+	routes := make([]plan.NetRoute, 3)
+	for n := range routes {
+		c.Nets = append(c.Nets, capNet(n))
+		routes[n] = plan.NetRoute{NetID: n, Routed: true}
+	}
+	for y := 0; y < 150; y++ {
+		rt := &routes[y%3]
+		rt.Wires = append(rt.Wires, geom.HSeg(1, y, 14, 31))
+		rt.Vias = append(rt.Vias, plan.Via{X: 31, Y: y, Layer: 1}, plan.Via{X: 14, Y: y, Layer: 1})
+	}
+	return c, routes
+}
+
+func capNet(id int) *netlist.Net {
+	return &netlist.Net{ID: id, Pins: []netlist.Pin{
+		{Point: geom.Point{X: 1, Y: id}, Layer: 1},
+		{Point: geom.Point{X: 2, Y: id}, Layer: 1},
+	}}
+}
+
+// slotEdit builds an edited chip from a checked base: each entry of
+// from is the base slot whose net and route a slot keeps, or -1 for
+// the next of the fresh nets and routes.
+func slotEdit(base drc.Base, from []int, nets []*netlist.Net, routes []plan.NetRoute) (*netlist.Circuit, []plan.NetRoute) {
+	c := &netlist.Circuit{Name: "edited", Fabric: base.Circuit.Fabric}
+	var out []plan.NetRoute
+	for _, p := range from {
+		if p >= 0 {
+			c.Nets = append(c.Nets, base.Circuit.Nets[p])
+			out = append(out, base.Routes[p])
+			continue
+		}
+		c.Nets = append(c.Nets, nets[0])
+		out = append(out, routes[0])
+		nets, routes = nets[1:], routes[1:]
+	}
+	return c, out
+}
+
+// checkUpdate requires Update from base to give what a full check of the
+// edited chip gives, and returns the edited chip as a base.
+func checkUpdate(t *testing.T, base drc.Base, c *netlist.Circuit, routes []plan.NetRoute, kept []int) drc.Base {
+	t.Helper()
+	want, wantSlots := drc.CheckSlots(c, routes)
+	got, slots := drc.Update(base, c, routes, kept)
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(slots, wantSlots) {
+		t.Fatalf("kept %v: Update gave SP=%d sites=%d slots=%v report %+v,\nfull check SP=%d sites=%d slots=%v report %+v",
+			kept, got.ShortPolygons, len(got.SPSites), slots, got, want.ShortPolygons, len(want.SPSites), wantSlots, want)
+	}
+	return drc.Base{Circuit: c, Routes: routes, Report: got, SPSlots: slots}
+}
+
+// TestUpdateMatchesCheck holds drc.Update to a full check: on the
+// capped-sites layout under deletes, re-checks and an added net, on a
+// base without a slot list, and on random layouts whose slots are kept,
+// deleted, rerouted or added, chained twice so an updated report is
+// itself a base.
+func TestUpdateMatchesCheck(t *testing.T) {
+	t.Run("sp-cap", func(t *testing.T) {
+		c, routes := capLayout()
+		rep, slots := drc.CheckSlots(c, routes)
+		base := drc.Base{Circuit: c, Routes: routes, Report: rep, SPSlots: slots}
+		extra := plan.NetRoute{NetID: 3, Routed: true,
+			Wires: []geom.Segment{geom.HSeg(1, 155, 14, 31)},
+			Vias:  []plan.Via{{X: 14, Y: 155, Layer: 1}}}
+		for _, tc := range []struct {
+			name string
+			from []int
+			kept []int
+		}{
+			{"unchanged", []int{0, 1, 2}, []int{0, 1, 2}},
+			{"recheck-first", []int{0, 1, 2}, []int{-1, 1, 2}},
+			{"recheck-all", []int{0, 1, 2}, []int{-1, -1, -1}},
+			{"delete-first", []int{1, 2}, []int{1, 2}},
+			{"delete-last", []int{0, 1}, []int{0, 1}},
+			{"add", []int{0, 1, 2, -1}, []int{0, 1, 2, -1}},
+			{"add-first", []int{-1, 0, 1, 2}, []int{-1, 0, 1, 2}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				ec, er := slotEdit(base, tc.from, []*netlist.Net{capNet(3)}, []plan.NetRoute{extra})
+				checkUpdate(t, base, ec, er, tc.kept)
+			})
+		}
+		t.Run("no-list", func(t *testing.T) {
+			noList := base
+			noList.SPSlots = nil
+			noList.Report = drc.Report{}
+			checkUpdate(t, noList, c, routes, []int{0, 1, 2})
+		})
+	})
+
+	t.Run("random", func(t *testing.T) {
+		f := grid.New(90, 60, 3)
+		rng := rand.New(rand.NewSource(12))
+		for iter := 0; iter < 300; iter++ {
+			c, routes := randomLayout(rng, f, 1+rng.Intn(6))
+			rep, slots := drc.CheckSlots(c, routes)
+			base := drc.Base{Circuit: c, Routes: routes, Report: rep, SPSlots: slots}
+			for step := 0; step < 2; step++ {
+				fc, fr := randomLayout(rng, f, 8)
+				var from, kept []int
+				for p := range base.Routes {
+					switch rng.Intn(4) {
+					case 0: // deleted
+					case 1: // rerouted: same slot, new route
+						from, kept = append(from, -1), append(kept, -1)
+					default:
+						from, kept = append(from, p), append(kept, p)
+					}
+					if rng.Intn(5) == 0 { // an added net
+						from, kept = append(from, -1), append(kept, -1)
+					}
+				}
+				ec, er := slotEdit(base, from, fc.Nets, fr)
+				base = checkUpdate(t, base, ec, er, kept)
+			}
 		}
 	})
 }

@@ -59,35 +59,143 @@ func (r Report) Routability() float64 {
 	return 100 * float64(r.RoutedNets) / float64(r.TotalNets)
 }
 
-// Check inspects every routed net of the circuit. One scratch serves
-// the whole call, so the per-net checks allocate only while it grows.
+// Check inspects every routed net of the circuit.
 func Check(c *netlist.Circuit, routes []plan.NetRoute) Report {
-	rep := Report{TotalNets: len(c.Nets)}
-	f := c.Fabric
-	var sc checkScratch
-	for i := range routes {
-		rt := &routes[i]
-		if rt.Routed {
-			rep.RoutedNets++
-		}
-		var pins []netlist.Pin
-		if i < len(c.Nets) {
-			pins = c.Nets[i].Pins
-		}
-		checkNet(f, rt, pins, &rep, &sc)
-	}
-	rep.SPSites = sc.sites
+	rep, _ := CheckSlots(c, routes)
 	return rep
 }
 
-// checkScratch is Check's per-call scratch: the wire merger and the
-// short-polygon sites, which become the report's SPSites.
-type checkScratch struct {
-	merge detail.WireMerger
-	sites []geom.Point
+// CheckSlots is Check that also returns the slots whose routes have
+// short polygons, in slot order and uncapped: with the report, the base
+// a later Update starts from. The list is never nil. One scratch serves
+// the whole call, so the per-net checks allocate only while it grows.
+func CheckSlots(c *netlist.Circuit, routes []plan.NetRoute) (Report, []int) {
+	rep := Report{TotalNets: len(c.Nets)}
+	sc := checkScratch{siteCap: maxSPSites}
+	slots := []int{}
+	for i := range routes {
+		if checkNet(c.Fabric, &routes[i], pinsAt(c, i), &rep, &sc) {
+			slots = append(slots, i)
+		}
+	}
+	rep.SPSites = sc.sites
+	return rep, slots
 }
 
-func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report, sc *checkScratch) {
+// Base is a checked chip an Update starts from: its circuit and routes,
+// their report and their short-polygon slots (CheckSlots).
+type Base struct {
+	Circuit *netlist.Circuit
+	Routes  []plan.NetRoute
+	Report  Report
+	// SPSlots is nil when the base carries no slot list; Update then
+	// checks the whole chip.
+	SPSlots []int
+}
+
+// Update returns CheckSlots(c, routes), computed from base instead of
+// from every net. kept[i] is the base slot whose route and pins slot i
+// of c carries verbatim, or -1 when slot i is checked afresh. A net's
+// contribution to the report depends only on the fabric, its route and
+// its pins, so the counts are the base's, minus the base slots no slot
+// keeps, plus the fresh slots. SPSites are rebuilt in slot order from
+// the fresh slots and the kept slots in base.SPSlots, so the report
+// equals a full check's exactly. c must be on base's fabric.
+func Update(base Base, c *netlist.Circuit, routes []plan.NetRoute, kept []int) (Report, []int) {
+	if base.SPSlots == nil {
+		return CheckSlots(c, routes)
+	}
+	const (
+		isKept = 1 << iota
+		hasSP
+	)
+	flags := make([]uint8, len(base.Routes))
+	for _, p := range kept {
+		if p >= 0 {
+			flags[p] |= isKept
+		}
+	}
+	for _, p := range base.SPSlots {
+		flags[p] |= hasSP
+	}
+
+	// What the dropped base slots contributed; their sites are not
+	// wanted.
+	var gone Report
+	var sc checkScratch
+	for p := range base.Routes {
+		if flags[p]&isKept == 0 {
+			checkNet(base.Circuit.Fabric, &base.Routes[p], pinsAt(base.Circuit, p), &gone, &sc)
+		}
+	}
+
+	// Walk c's slots in order: fresh slots are checked into fresh;
+	// kept slots with short polygons are re-checked, into a report
+	// that is dropped, only while the sites are not yet capped.
+	var fresh, again Report
+	sc.siteCap = maxSPSites
+	slots := []int{}
+	for i := range routes {
+		p := -1
+		if i < len(kept) {
+			p = kept[i]
+		}
+		switch {
+		case p < 0:
+			if checkNet(c.Fabric, &routes[i], pinsAt(c, i), &fresh, &sc) {
+				slots = append(slots, i)
+			}
+		case flags[p]&hasSP != 0:
+			if len(sc.sites) < sc.siteCap {
+				checkNet(c.Fabric, &routes[i], pinsAt(c, i), &again, &sc)
+			}
+			slots = append(slots, i)
+		}
+	}
+
+	rep := base.Report
+	rep.TotalNets = len(c.Nets)
+	rep.add(&fresh, 1)
+	rep.add(&gone, -1)
+	rep.SPSites = sc.sites
+	return rep, slots
+}
+
+// add adds sign times o's per-net counts to r.
+func (r *Report) add(o *Report, sign int) {
+	r.RoutedNets += sign * o.RoutedNets
+	r.ViaViolations += sign * o.ViaViolations
+	r.ViaViolationsOffPin += sign * o.ViaViolationsOffPin
+	r.VertRouteViolations += sign * o.VertRouteViolations
+	r.ShortPolygons += sign * o.ShortPolygons
+	r.Wirelength += int64(sign) * o.Wirelength
+	r.Vias += sign * o.Vias
+}
+
+// pinsAt returns the pins of slot i, none for a slot past the nets.
+func pinsAt(c *netlist.Circuit, i int) []netlist.Pin {
+	if i < len(c.Nets) {
+		return c.Nets[i].Pins
+	}
+	return nil
+}
+
+// checkScratch is a check's per-call scratch: the wire merger and the
+// short-polygon sites, at most siteCap of them, which become the
+// report's SPSites.
+type checkScratch struct {
+	merge   detail.WireMerger
+	sites   []geom.Point
+	siteCap int
+}
+
+// checkNet adds one net's contribution to rep and its short-polygon
+// sites to sc, and reports whether the net has a short polygon.
+func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report, sc *checkScratch) bool {
+	if rt.Routed {
+		rep.RoutedNets++
+	}
+	sp := rep.ShortPolygons
 	merged := sc.merge.Merge(rt.Wires)
 	for _, w := range merged {
 		rep.Wirelength += int64(w.Span.Len() - 1)
@@ -131,12 +239,13 @@ func checkNet(f *grid.Fabric, rt *plan.NetRoute, pins []netlist.Pin, rep *Report
 			// Landing via at the end, touching this wire's layer.
 			if hasViaAt(rt.Vias, end, w.Fixed, w.Layer) {
 				rep.ShortPolygons++
-				if len(sc.sites) < maxSPSites {
+				if len(sc.sites) < sc.siteCap {
 					sc.sites = append(sc.sites, geom.Point{X: end, Y: w.Fixed})
 				}
 			}
 		}
 	}
+	return rep.ShortPolygons > sp
 }
 
 // hasPinAt reports whether some pin sits at (x, y), on any layer.

@@ -320,3 +320,59 @@ func cloneCells(cs [][]detail.Cell) [][]detail.Cell {
 	}
 	return out
 }
+
+// TestPatchReport holds each patch's DRC report, which updates the
+// parent's (drc.Update), to a full check of the patched routes: for an
+// empty script, a deleted net with short polygons, an added net, a pin
+// move, and a patch of that patch. The baseline router leaves short
+// polygons on this circuit; the stitch-aware one leaves none.
+func TestPatchReport(t *testing.T) {
+	cfg := core.Baseline()
+	c := genCircuit(t, 21)
+	parent, err := core.Route(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parent.SPSlots) == 0 {
+		t.Fatal("parent has no short polygons to delete")
+	}
+	spNet := c.Nets[parent.SPSlots[0]].ID
+	np := freshPins(c)
+	check := func(name string, er *eco.Result) {
+		t.Helper()
+		if er.Stats.Fallback {
+			t.Fatalf("%s: patch fell back to a cold route", name)
+		}
+		if err := harness.CheckReport(er.Edited, er.Result); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		s    *eco.Script
+	}{
+		{"empty", &eco.Script{}},
+		{"delete-sp-net", &eco.Script{Edits: []eco.Edit{{Op: eco.OpDelete, ID: spNet}}}},
+		{"add", &eco.Script{Edits: []eco.Edit{{Op: eco.OpAdd, ID: 900, Pins: np}}}},
+	} {
+		er, err := eco.ReroutePatch(parent, c, tc.s, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		check(tc.name, er)
+	}
+
+	move := &eco.Script{Edits: []eco.Edit{{Op: eco.OpMovePin, ID: 4, Pin: 0, X: np[0].X, Y: np[0].Y}}}
+	p1, err := eco.ReroutePatch(parent, c, move, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("move", p1)
+	again := &eco.Script{Edits: []eco.Edit{{Op: eco.OpDelete, ID: spNet}, {Op: eco.OpAdd, ID: 901, Pins: np[1:]}}}
+	again.Edits[1].Pins = append(again.Edits[1].Pins, eco.Pin{X: np[1].X + 3, Y: np[1].Y, Layer: 1})
+	p2, err := eco.ReroutePatch(p1.Result, p1.Edited, again, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("patch-of-patch", p2)
+}

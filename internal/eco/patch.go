@@ -5,6 +5,7 @@ import (
 
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
+	"stitchroute/internal/drc"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
@@ -39,12 +40,13 @@ func ReroutePatch(parent *core.Result, pc *netlist.Circuit, s *Script, cfg core.
 // whose committed route intersects the edited nets' old routes and new
 // pins inflated by PatchMargin; everything else keeps its parent route
 // byte-for-byte. The cost therefore scales with the edit, not the
-// circuit. The result is deterministic (same parent + same script =>
-// same result) and is re-checked by the full DRC battery, but it is NOT
-// byte-identical to a cold reroute of the edited circuit — use Reroute
-// for the provably-equivalent (and slower) replay. Global-stage metrics
-// and plans are carried over from the parent; edited nets route from
-// their pins without a global plan.
+// circuit: the DRC report, too, is the parent's updated by the dirty
+// nets (drc.Update), and equals a full check of the patched routes.
+// The result is deterministic (same parent + same script => same
+// result), but it is NOT byte-identical to a cold reroute of the edited
+// circuit — use Reroute for the provably-equivalent (and slower)
+// replay. Global-stage metrics and plans are carried over from the
+// parent; edited nets route from their pins without a global plan.
 func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.Circuit, s *Script, cfg core.Config) (*Result, error) {
 	edited, err := s.Apply(pc)
 	if err != nil {
@@ -114,9 +116,13 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		FreedPins: make([][]detail.Cell, n),
 	}
 	plans := make([]*plan.NetPlan, n)
+	// kept maps each grafted slot to its parent slot, -1 elsewhere: the
+	// DRC update re-checks only the other slots.
+	kept := make([]int, n)
 	pi := 0
 	for i, net := range edited.Nets {
 		id := net.ID
+		kept[i] = -1
 		if editedIDs[id] {
 			// Edited nets have no plan and route from pins alone.
 			patch.Dirty[i] = true
@@ -141,6 +147,7 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		}
 		patch.Keep[i] = parent.Routes[pi]
 		patch.FreedPins[i] = parent.ECO.FreedPins[pi]
+		kept[i] = pi
 	}
 
 	// Global-stage metrics describe the carried-over plans.
@@ -153,12 +160,19 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		TrackStats:   parent.TrackStats,
 	}
 	st := Stats{EditedNets: len(editedIDs), GlobalReused: len(edited.Nets)}
-	dres, err := res.RouteDetail(ctx, edited, cfg.Detail,
-		func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
+	base := drc.Base{Circuit: pc, Routes: parent.Routes, Report: parent.Report, SPSlots: parent.SPSlots}
+	dres, err := res.RouteDetail(ctx, edited, cfg.Detail, core.Passes{
+		Detail: func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
 			dres, grafted, err := dr.RunPatch(ctx, c, plans, patch)
 			st.DetailReused, st.DetailRouted = grafted, len(c.Nets)-grafted
 			return dres, err
-		})
+		},
+		// A grafted net keeps its parent route and pins, so its share
+		// of the report is the parent's.
+		Check: func(c *netlist.Circuit, routes []plan.NetRoute) (drc.Report, []int) {
+			return drc.Update(base, c, routes, kept)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}

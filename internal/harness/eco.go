@@ -3,8 +3,11 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 
 	"stitchroute/internal/core"
+	"stitchroute/internal/drc"
 	"stitchroute/internal/eco"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
@@ -96,6 +99,24 @@ func GenEdits(c *netlist.Circuit, seed int64, n int) *eco.Script {
 	return &eco.Script{Edits: edits}
 }
 
+// CheckReport returns an error unless the result's DRC report and
+// short-polygon slots equal a full check of its routes on c. A patch
+// updates its parent's report instead of checking the chip
+// (drc.Update); this is the full check it must agree with.
+func CheckReport(c *netlist.Circuit, res *core.Result) error {
+	rep, slots := drc.CheckSlots(c, res.Routes)
+	if !reflect.DeepEqual(res.Report, rep) {
+		got, want := res.Report, rep
+		got.SPSites, want.SPSites = nil, nil
+		return fmt.Errorf("report differs from a full check: %+v with %d sites, want %+v with %d sites",
+			got, len(res.Report.SPSites), want, len(rep.SPSites))
+	}
+	if !slices.Equal(res.SPSlots, slots) {
+		return fmt.Errorf("short-polygon slots %v, full check %v", res.SPSlots, slots)
+	}
+	return nil
+}
+
 // ECOOutcome is the verdict of VerifyECO for one (circuit, edit script)
 // pair: the cold reroute of the edited circuit, both ECO engines'
 // results, and every violated property.
@@ -121,7 +142,8 @@ func (o *ECOOutcome) Ok() bool { return len(o.Violations) == 0 }
 //     full hard-invariant DRC battery, and is byte-identical across
 //     repeated ECO runs (determinism);
 //   - patch soundness — the patch-mode ECO result passes the same hard
-//     battery, is byte-identical across repeated runs, and dominates or
+//     battery, carries the report a full DRC check of its routes gives,
+//     is byte-identical across repeated runs, and dominates or
 //     matches the cold reroute on routability (no net the cold route
 //     connects may be lost to the graft beyond the slack the edit's own
 //     nets introduce);
@@ -203,6 +225,9 @@ func VerifyECO(name string, fresh func() *netlist.Circuit, script *eco.Script, c
 		return nil, fmt.Errorf("%s: patch check: %w", name, err)
 	}
 	reject("patch", o.Patch.HardViolations())
+	if err := CheckReport(p1.Edited, p1.Result); err != nil {
+		o.Violations = append(o.Violations, "patch: "+err.Error())
+	}
 	if p1.Stats.Fallback {
 		o.Violations = append(o.Violations, "patch fell back to a cold route (no reuse — differential is vacuous)")
 	}
@@ -218,6 +243,9 @@ func VerifyECO(name string, fresh func() *netlist.Circuit, script *eco.Script, c
 	ph2, err := Check(p2.Edited, p2.Result)
 	if err != nil {
 		return nil, fmt.Errorf("%s: patch determinism check: %w", name, err)
+	}
+	if !reflect.DeepEqual(p2.Report, p1.Report) {
+		o.Violations = append(o.Violations, "patch report nondeterministic")
 	}
 	if ph2.RoutesHash != o.Patch.RoutesHash {
 		o.Violations = append(o.Violations, fmt.Sprintf(

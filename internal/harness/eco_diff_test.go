@@ -11,7 +11,8 @@ import (
 // gate requires: >= 50 seeded (circuit, edit script) pairs, each
 // asserting that the replay-mode ECO result is byte-for-byte the cold
 // reroute of the edited circuit, that the patch-mode result passes the
-// full DRC battery without losing routability, and that both engines
+// full DRC battery without losing routability and carries the report a
+// full check of its routes gives, and that both engines
 // are byte-identical across repeated runs. Short mode runs a subset.
 func TestECODifferential(t *testing.T) {
 	specs := ShortGrid()

@@ -55,7 +55,7 @@ func uniquePins(c *netlist.Circuit) bool {
 // committed circuit. Invalid scripts must be rejected with an explicit
 // error, never a panic; valid ones must produce a replay result that is
 // byte-for-byte the cold reroute of the edited circuit, a deterministic
-// patch result, and (whenever the edited circuit keeps pin locations
+// patch result whose report equals a full DRC check, and (whenever the edited circuit keeps pin locations
 // unique) a DRC battery pass from both engines. Run via `make fuzz-eco`
 // or
 //
@@ -129,6 +129,11 @@ func FuzzECO(f *testing.F) {
 		}
 		if pc.RoutesHash != pc2.RoutesHash {
 			t.Errorf("patch nondeterministic: %s vs %s", pc.RoutesHash[:12], pc2.RoutesHash[:12])
+		}
+		for _, p := range []*eco.Result{pr, pr2} {
+			if err := CheckReport(p.Edited, p.Result); err != nil {
+				t.Error(err)
+			}
 		}
 
 		// Connectivity and net accounting hold unconditionally; the

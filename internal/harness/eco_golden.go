@@ -90,6 +90,9 @@ func CollectECO(fresh func() *netlist.Circuit, cfg core.Config) (ECOMetrics, err
 	if err != nil {
 		return m, err
 	}
+	if err := CheckReport(pr.Edited, pr.Result); err != nil {
+		return m, fmt.Errorf("%s: patch: %w", m.Circuit, err)
+	}
 	m.PatchHash = pch.RoutesHash
 	m.PatchDetailReused = pr.Stats.DetailReused
 	m.PatchDetailRouted = pr.Stats.DetailRouted

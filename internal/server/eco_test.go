@@ -1,12 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"stitchroute/internal/core"
 	"stitchroute/internal/eco"
+	"stitchroute/internal/geom"
+	"stitchroute/internal/harness"
+	"stitchroute/internal/netlist"
+	"stitchroute/internal/nlio"
+	"stitchroute/internal/plan"
 )
 
 // ecoSubmit posts an ECO fork and decodes the response.
@@ -187,5 +195,102 @@ func TestECOForkValidation(t *testing.T) {
 	resp, _ = ts.do(t, "DELETE", "/v1/jobs/"+running.ID, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("cancel running parent = %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestConcurrentColdAndPatch runs cold routes and patch forks at once on
+// two workers. Patch routers borrow their arenas from one pool, so
+// concurrent patches reuse each other's arenas while cold routes run
+// beside them; every job's routes must equal the same job run on its
+// own. make race-fast
+// runs it under the race detector.
+func TestConcurrentColdAndPatch(t *testing.T) {
+	gen := func(seed int64) (string, *netlist.Circuit) {
+		var b strings.Builder
+		spec := harness.GenSpec{Name: fmt.Sprint("mix", seed), XTracks: 90, YTracks: 60, Layers: 3, Nets: 40, Spread: 8, Seed: seed}
+		if err := nlio.Write(&b, harness.Generate(spec)); err != nil {
+			t.Fatal(err)
+		}
+		c, err := nlio.Read(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), c
+	}
+	var req JobRequest
+	cfg, _, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Workers: 2})
+	parentText, pc := gen(1)
+	parent := ts.submit(t, JobRequest{Circuit: parentText}, http.StatusAccepted)
+	ts.waitState(t, parent.ID, StateDone)
+
+	// Submit everything before computing any reference, so the jobs
+	// overlap on the workers.
+	type job struct {
+		id   string
+		want func() []plan.NetRoute
+	}
+	var jobs []job
+	for k := 0; k < 3; k++ {
+		text, c := gen(int64(10 + k))
+		v := ts.submit(t, JobRequest{Circuit: text}, http.StatusAccepted)
+		jobs = append(jobs, job{v.ID, func() []plan.NetRoute {
+			res, err := core.Route(c, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Routes
+		}})
+		p := freePoint(pc, k)
+		s := &eco.Script{Edits: []eco.Edit{{Op: eco.OpMovePin, ID: pc.Nets[5*k].ID, Pin: 0, X: p.X, Y: p.Y}}}
+		f := ts.ecoSubmit(t, parent.ID, ECORequest{Edits: s.Edits, Mode: "patch"}, http.StatusAccepted)
+		jobs = append(jobs, job{f.ID, func() []plan.NetRoute {
+			pres, err := core.Route(pc, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			er, err := eco.ReroutePatch(pres, pc, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return er.Routes
+		}})
+	}
+	for _, j := range jobs {
+		if v := ts.waitState(t, j.id, StateDone); v.ECO != nil && v.ECO.Fallback {
+			t.Errorf("patch job %s fell back to a cold route", j.id)
+		}
+		_, got := ts.do(t, "GET", "/v1/jobs/"+j.id+"/routes", nil)
+		var want bytes.Buffer
+		if err := nlio.WriteRoutes(&want, j.want()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("job %s: routes differ from the same job run alone", j.id)
+		}
+	}
+}
+
+// freePoint returns the k-th grid point, scanning rows from the top,
+// that no pin of c uses.
+func freePoint(c *netlist.Circuit, k int) geom.Point {
+	used := map[geom.Point]bool{}
+	for _, n := range c.Nets {
+		for _, p := range n.Pins {
+			used[p.Point] = true
+		}
+	}
+	for y := c.Fabric.YTracks - 1; ; y-- {
+		for x := 0; x < c.Fabric.XTracks; x += 3 {
+			if p := (geom.Point{X: x, Y: y}); !used[p] {
+				if k == 0 {
+					return p
+				}
+				k--
+			}
+		}
 	}
 }

@@ -235,9 +235,9 @@ func RouteECOContext(ctx context.Context, parent *Result, c *Circuit, s *ECOScri
 // nets whose routes intersect the edit's dirty region (inflated by the
 // script's margin) are ripped up and rerouted. The cost scales with the
 // edit, not the circuit — typically well over 10x faster than a cold
-// reroute — and the result is deterministic and re-checked by the full
-// DRC battery, but NOT byte-identical to a cold reroute; use RouteECO
-// for the provably-equivalent replay.
+// reroute — and the result is deterministic and carries the DRC report
+// a full check of its routes gives, but NOT byte-identical to a cold
+// reroute; use RouteECO for the provably-equivalent replay.
 func RouteECOPatch(parent *Result, c *Circuit, s *ECOScript, cfg Config) (*ECOResult, error) {
 	return eco.ReroutePatch(parent, c, s, cfg)
 }
