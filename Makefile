@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint stitchvet lint-audit lint-bench lint-fixtures test test-short race race-fast serve bench bench-json bench-fracture-json bench-eco-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
+.PHONY: all build vet lint stitchvet lint-audit lint-bench lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
 
 all: build vet test ## build + vet + full tests
 
@@ -71,27 +71,13 @@ serve: ## run the routing job server
 bench: ## run all benchmarks
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the checked-in detailed-routing benchmark report. The seed
-# baselines are measured separately against a pre-optimization binary;
-# see docs/PERFORMANCE.md for the full protocol (BASELINE/BASELINE_NOTE
-# pass through to benchjson's -baseline/-baseline-note).
+# Regenerate the checked-in pipeline benchmark report: one record per
+# circuit with every stage's best-of-BENCH_RUNS time (routing stages,
+# fracturing, stencil, ECO cold/replay/patch), gated on reproducible
+# routes, shot and plan hashes and on replay == cold (docs/PERFORMANCE.md).
 BENCH_RUNS ?= 7
-bench-json: ## regenerate BENCH_detail.json (see docs/PERFORMANCE.md)
-	$(GO) run ./cmd/benchjson -runs $(BENCH_RUNS) \
-		$(if $(BASELINE),-baseline "$(BASELINE)") \
-		$(if $(BASELINE_NOTE),-baseline-note "$(BASELINE_NOTE)") \
-		-out BENCH_detail.json
-
-# Regenerate the checked-in write-prep fracturing benchmark report
-# (shot throughput per mode plus the L-shape shot-count reduction).
-bench-fracture-json: ## regenerate BENCH_fracture.json (write-prep stage)
-	$(GO) run ./cmd/benchjson -stage fracture -runs $(BENCH_RUNS) -out BENCH_fracture.json
-
-# Regenerate the checked-in incremental-rerouting benchmark report
-# (per-edit cold/replay/patch timings with the replay hash-equality and
-# patch determinism gates wired in as hard failures; see docs/ECO.md).
-bench-eco-json: ## regenerate BENCH_eco.json (incremental ECO stage)
-	$(GO) run ./cmd/benchjson -stage eco -runs $(BENCH_RUNS) -out BENCH_eco.json
+bench-json: ## regenerate BENCH_pipeline.json (every stage, see docs/PERFORMANCE.md)
+	$(GO) run ./cmd/benchjson -runs $(BENCH_RUNS) -out BENCH_pipeline.json
 
 # One-iteration benchmark smoke: proves the detail-stage benchmark (and
 # its pinned routes-hash assertion), the global maze pass, the full-chip

@@ -2,107 +2,45 @@ package main
 
 import (
 	"fmt"
-	"log"
-	"runtime"
-	"strings"
 	"time"
 
-	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 	"stitchroute/internal/eco"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
+	"stitchroute/internal/plan"
 )
 
-// ecoReport is the top-level JSON document for -stage eco.
-type ecoReport struct {
-	Generated    string       `json:"generated"`
-	GoVersion    string       `json:"goVersion"`
-	GOOS         string       `json:"goos"`
-	GOARCH       string       `json:"goarch"`
-	NumCPU       int          `json:"numCPU"`
-	GOMAXPROCS   int          `json:"gomaxprocs"`
-	RunsPerPoint int          `json:"runsPerPoint"`
-	Methodology  string       `json:"methodology"`
-	Circuits     []ecoCircuit `json:"circuits"`
-}
-
-type ecoCircuit struct {
-	Circuit       string `json:"circuit"`
-	Nets          int    `json:"nets"`
-	EditsMeasured int    `json:"editsMeasured"`
-	// ColdMsPerEdit is the mean best-of-N wall time of routing each
-	// edited circuit from scratch — the baseline both engines divide.
-	ColdMsPerEdit float64 `json:"coldMsPerEdit"`
-	// Replay engine: byte-for-byte the cold reroute. ReplayHashEqual is
-	// the hash-equality gate — every replayed edit's route hash matched
-	// the cold rehash, or the report fails.
-	ReplayMsPerEdit float64 `json:"replayMsPerEdit"`
-	ReplaySpeedup   float64 `json:"replaySpeedup"`
-	ReplayHashEqual bool    `json:"replayHashEqual"`
-	// Patch engine: graft onto the parent grid. PatchDeterministic is
-	// the reproducibility gate — every repetition of an edit produced
-	// the identical route hash, or the report fails.
-	PatchMsPerEdit     float64        `json:"patchMsPerEdit"`
-	PatchSpeedup       float64        `json:"patchSpeedup"`
-	PatchDeterministic bool           `json:"patchDeterministic"`
-	Edits              []ecoEditPoint `json:"edits"`
-}
-
-type ecoEditPoint struct {
-	// Net is the edited net's ID (a single-pin move to a free cell).
-	Net           int     `json:"net"`
-	ColdMs        float64 `json:"coldMs"`
-	ReplayMs      float64 `json:"replayMs"`
+// ecoRecord is a circuit's incremental-rerouting measurement.
+type ecoRecord struct {
+	// ReplaySpeedup and PatchSpeedup divide the mean cold time per edit
+	// by the engine's.
 	ReplaySpeedup float64 `json:"replaySpeedup"`
-	PatchMs       float64 `json:"patchMs"`
 	PatchSpeedup  float64 `json:"patchSpeedup"`
+	// ReplayHashEqual is the hash-equality gate: every replayed edit's
+	// routes hash matched the cold rehash, or the report fails.
+	ReplayHashEqual bool `json:"replayHashEqual"`
+	// PatchDeterministic is the reproducibility gate: every repetition
+	// of a patch produced the identical routes hash, or the report fails.
+	PatchDeterministic bool      `json:"patchDeterministic"`
+	Edits              []ecoEdit `json:"edits"`
+}
+
+type ecoEdit struct {
+	// Net is the edited net's ID (a single-pin move to a free cell).
+	Net      int     `json:"net"`
+	ColdMs   float64 `json:"coldMs"`
+	ReplayMs float64 `json:"replayMs"`
+	PatchMs  float64 `json:"patchMs"`
 	// PatchRerouted is how many nets the graft ripped up and re-ran —
-	// the working set the ms/edit cost scales with.
+	// the working set the patch time scales with.
 	PatchRerouted int `json:"patchRerouted"`
 }
 
-const ecoMethodology = "Per circuit: the stitch-aware router commits a parent route once (untimed), " +
-	"then each representative single-net edit (one pin moved to the nearest free cell — an ECO is " +
-	"a local engineering change) is rerouted three " +
-	"ways, best-of-N each: cold (full pipeline on the edited circuit), eco replay, and eco patch. " +
-	"The hash-equality gate requires every replay run's route hash to equal the cold rehash of the " +
-	"same edited circuit (the equivalence guarantee, replayHashEqual); patch runs must reproduce " +
-	"their own hash exactly across repetitions (patchDeterministic) — either failure aborts the " +
-	"report. msPerEdit averages the per-edit best times; speedups divide the cold mean by the " +
-	"engine mean. Patch cost scales with the dirty working set (patchRerouted), not the circuit."
-
-// ecoEditNets picks the representative nets to edit: fixed indices
+// ecoEditIndices picks the representative nets to edit: fixed indices
 // spread across the net list, deduplicated for small circuits.
 var ecoEditIndices = []int{3, 10, 50, 100, 200}
-
-// runECO measures the incremental-rerouting stage (-stage eco).
-func runECO(circuitsFlag string, runs int, out string) int {
-	rep := ecoReport{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RunsPerPoint: runs,
-		Methodology:  ecoMethodology,
-	}
-	for _, name := range strings.Split(circuitsFlag, ",") {
-		name = strings.TrimSpace(name)
-		ec, err := measureECO(name, runs)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		rep.Circuits = append(rep.Circuits, *ec)
-		log.Printf("%s done: cold %.1fms, replay %.1fms (%.1fx), patch %.1fms (%.1fx)",
-			name, ec.ColdMsPerEdit, ec.ReplayMsPerEdit, ec.ReplaySpeedup,
-			ec.PatchMsPerEdit, ec.PatchSpeedup)
-	}
-	return writeReport(&rep, out)
-}
 
 // ecoFreeCell returns the pin-free cell nearest (px, py) in a
 // deterministic ring scan — the target the measured pin move lands on.
@@ -121,7 +59,7 @@ func ecoFreeCell(c *netlist.Circuit, px, py int) (int, int) {
 	for r := 1; r < c.Fabric.XTracks+c.Fabric.YTracks; r++ {
 		for dy := -r; dy <= r; dy++ {
 			for dx := -r; dx <= r; dx++ {
-				if max(abs(dx), abs(dy)) != r {
+				if max(geom.Abs(dx), geom.Abs(dy)) != r {
 					continue
 				}
 				x, y := px+dx, py+dy
@@ -134,29 +72,38 @@ func ecoFreeCell(c *netlist.Circuit, px, py int) (int, int) {
 	return c.Fabric.XTracks / 2, c.Fabric.YTracks / 2
 }
 
-func abs(v int) int {
-	if v < 0 {
-		return -v
+// bestOf runs route runs times and returns its fastest reported time in
+// milliseconds and the routes hash, failing unless every run produced
+// the same hash.
+func bestOf(runs int, route func() (time.Duration, []plan.NetRoute, error)) (float64, string, error) {
+	var best float64
+	var hash string
+	for r := range runs {
+		d, routes, err := route()
+		if err != nil {
+			return 0, "", err
+		}
+		h, err := nlio.RoutesHash(routes)
+		if err != nil {
+			return 0, "", err
+		}
+		ms := float64(d.Nanoseconds()) / 1e6
+		if r == 0 {
+			best, hash = ms, h
+		} else if h != hash {
+			return 0, "", fmt.Errorf("run %d not reproducible: routes hash %.12s != run 0's %.12s", r, h, hash)
+		}
+		best = min(best, ms)
 	}
-	return v
+	return best, hash, nil
 }
 
-// measureECO commits a parent route for the named circuit, then times
-// cold / replay / patch rerouting for each representative single-net
-// edit, enforcing the hash-equality and determinism gates.
-func measureECO(name string, runs int) (*ecoCircuit, error) {
-	spec, err := bench.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	c := bench.Generate(spec)
+// measureECO times cold, replay and patch rerouting of each
+// representative single-net edit off the routed parent, enforcing the
+// hash-equality and determinism gates, and appends the ecoCold,
+// ecoReplay and ecoPatch stage times.
+func measureECO(rec *record, c *netlist.Circuit, parent *core.Result, runs int) error {
 	cfg := core.StitchAware()
-	parent, err := core.Route(c, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: parent route: %w", name, err)
-	}
-
-	ec := &ecoCircuit{Circuit: name, Nets: len(c.Nets), ReplayHashEqual: true, PatchDeterministic: true}
 	var coldSum, replaySum, patchSum float64
 	picked := make(map[int]bool)
 	for _, idx := range ecoEditIndices {
@@ -170,97 +117,68 @@ func measureECO(name string, runs int) (*ecoCircuit, error) {
 		script := &eco.Script{Edits: []eco.Edit{
 			{Op: eco.OpMovePin, ID: c.Nets[i].ID, Pin: 0, X: x, Y: y},
 		}}
-		pt := ecoEditPoint{Net: c.Nets[i].ID}
+		pt := ecoEdit{Net: c.Nets[i].ID}
 
-		// Cold baseline: full pipeline on the edited circuit.
-		var coldHash string
-		for r := 0; r < runs; r++ {
+		// Cold baseline: full pipeline on a freshly edited circuit.
+		coldMs, coldHash, err := bestOf(runs, func() (time.Duration, []plan.NetRoute, error) {
 			edited, err := script.Apply(c)
 			if err != nil {
-				return nil, fmt.Errorf("%s net %d: apply: %w", name, pt.Net, err)
+				return 0, nil, err
 			}
 			start := time.Now()
-			cold, err := core.Route(edited, cfg)
+			res, err := core.Route(edited, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s net %d: cold route: %w", name, pt.Net, err)
+				return 0, nil, err
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			h, err := nlio.RoutesHash(cold.Routes)
-			if err != nil {
-				return nil, err
-			}
-			if coldHash == "" {
-				coldHash = h
-			} else if h != coldHash {
-				return nil, fmt.Errorf("%s net %d: cold reroute nondeterministic", name, pt.Net)
-			}
-			if r == 0 || ms < pt.ColdMs {
-				pt.ColdMs = ms
-			}
+			return time.Since(start), res.Routes, nil
+		})
+		if err != nil {
+			return fmt.Errorf("net %d: cold: %w", pt.Net, err)
 		}
 
-		// Replay engine, gated on byte equality with the cold rehash.
-		for r := 0; r < runs; r++ {
+		replayMs, replayHash, err := bestOf(runs, func() (time.Duration, []plan.NetRoute, error) {
 			start := time.Now()
 			er, err := eco.Reroute(parent, c, script, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s net %d: replay: %w", name, pt.Net, err)
+				return 0, nil, err
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			h, err := nlio.RoutesHash(er.Result.Routes)
-			if err != nil {
-				return nil, err
-			}
-			if h != coldHash {
-				return nil, fmt.Errorf("%s net %d run %d: HASH GATE FAILED: replay hash %.12s != cold rehash %.12s",
-					name, pt.Net, r, h, coldHash)
-			}
-			if r == 0 || ms < pt.ReplayMs {
-				pt.ReplayMs = ms
-			}
+			return time.Since(start), er.Result.Routes, nil
+		})
+		if err != nil {
+			return fmt.Errorf("net %d: replay: %w", pt.Net, err)
+		}
+		if replayHash != coldHash {
+			return fmt.Errorf("net %d: HASH GATE FAILED: replay hash %.12s != cold rehash %.12s",
+				pt.Net, replayHash, coldHash)
 		}
 
-		// Patch engine, gated on run-to-run determinism.
-		var patchHash string
-		for r := 0; r < runs; r++ {
+		patchMs, _, err := bestOf(runs, func() (time.Duration, []plan.NetRoute, error) {
 			start := time.Now()
 			pr, err := eco.ReroutePatch(parent, c, script, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s net %d: patch: %w", name, pt.Net, err)
+				return 0, nil, err
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			h, err := nlio.RoutesHash(pr.Result.Routes)
-			if err != nil {
-				return nil, err
-			}
-			if patchHash == "" {
-				patchHash = h
-			} else if h != patchHash {
-				return nil, fmt.Errorf("%s net %d run %d: DETERMINISM GATE FAILED: patch hash %.12s != %.12s",
-					name, pt.Net, r, h, patchHash)
-			}
-			if r == 0 || ms < pt.PatchMs {
-				pt.PatchMs = ms
-			}
+			d := time.Since(start)
 			pt.PatchRerouted = pr.Stats.DetailRouted
+			return d, pr.Result.Routes, nil
+		})
+		if err != nil {
+			return fmt.Errorf("net %d: patch: %w", pt.Net, err)
 		}
 
-		pt.ReplaySpeedup = round3(pt.ColdMs / pt.ReplayMs)
-		pt.PatchSpeedup = round3(pt.ColdMs / pt.PatchMs)
-		coldSum += pt.ColdMs
-		replaySum += pt.ReplayMs
-		patchSum += pt.PatchMs
-		pt.ColdMs = round3(pt.ColdMs)
-		pt.ReplayMs = round3(pt.ReplayMs)
-		pt.PatchMs = round3(pt.PatchMs)
-		ec.Edits = append(ec.Edits, pt)
+		coldSum += coldMs
+		replaySum += replayMs
+		patchSum += patchMs
+		pt.ColdMs, pt.ReplayMs, pt.PatchMs = round3(coldMs), round3(replayMs), round3(patchMs)
+		rec.ECO.Edits = append(rec.ECO.Edits, pt)
 	}
-	n := float64(len(ec.Edits))
-	ec.EditsMeasured = len(ec.Edits)
-	ec.ColdMsPerEdit = round3(coldSum / n)
-	ec.ReplayMsPerEdit = round3(replaySum / n)
-	ec.PatchMsPerEdit = round3(patchSum / n)
-	ec.ReplaySpeedup = round3(coldSum / replaySum)
-	ec.PatchSpeedup = round3(coldSum / patchSum)
-	return ec, nil
+	n := float64(len(rec.ECO.Edits))
+	rec.StageMs = append(rec.StageMs,
+		stageTime{"ecoCold", round3(coldSum / n)},
+		stageTime{"ecoReplay", round3(replaySum / n)},
+		stageTime{"ecoPatch", round3(patchSum / n)})
+	rec.ECO.ReplaySpeedup = round3(coldSum / replaySum)
+	rec.ECO.PatchSpeedup = round3(coldSum / patchSum)
+	rec.ECO.ReplayHashEqual, rec.ECO.PatchDeterministic = true, true
+	return nil
 }

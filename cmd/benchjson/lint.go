@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"log"
-	"runtime"
 	"time"
 
 	"stitchroute/internal/analysis/driver"
@@ -14,13 +13,8 @@ import (
 // lintReport is the top-level JSON document for -stage lint: a full
 // stitchvet run over the module, timed in-process.
 type lintReport struct {
-	Generated    string   `json:"generated"`
-	GoVersion    string   `json:"goVersion"`
-	NumCPU       int      `json:"numCPU"`
-	GOMAXPROCS   int      `json:"gomaxprocs"`
-	RunsPerPoint int      `json:"runsPerPoint"`
-	Methodology  string   `json:"methodology"`
-	Analyzers    []string `json:"analyzers"`
+	header
+	Analyzers []string `json:"analyzers"`
 	// Packages is the first-party package count the run analyzed;
 	// Findings the unsuppressed diagnostic count (0 on a clean tree).
 	Packages    int     `json:"packages"`
@@ -35,14 +29,7 @@ const lintMethodology = "From the module root: -runs full stitchvet runs over ./
 // runLint times stitchvet over the whole module (-stage lint).
 func runLint(runs int, out string) int {
 	analyzers := registry.All()
-	rep := lintReport{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RunsPerPoint: runs,
-		Methodology:  lintMethodology,
-	}
+	rep := lintReport{header: newHeader(runs, lintMethodology)}
 	for _, a := range analyzers {
 		rep.Analyzers = append(rep.Analyzers, a.Name)
 	}

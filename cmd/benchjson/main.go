@@ -1,38 +1,29 @@
-// Command benchjson measures one pipeline stage on golden benchmark
-// circuits and writes a machine-readable JSON report. -stage selects
-// the stage:
+// Command benchjson measures the routing pipeline stage by stage on
+// benchmark circuits and writes a machine-readable JSON report. -stage
+// selects what it measures:
 //
-//   - detail (default): the detailed-routing stage, one point per
-//     circuit. BENCH_detail.json at the repository root is the
-//     checked-in copy; docs/PERFORMANCE.md documents the regeneration
-//     protocol, including how the seed baselines passed via -baseline
-//     are measured.
-//   - fracture: the write-prep fracturing stage in both modes (rect
-//     and lshape) on the already-routed geometry, reporting shot
-//     throughput (shots/s) and the L-shape shot-count reduction.
-//     BENCH_fracture.json is the checked-in copy.
-//   - eco: incremental (ECO) rerouting of representative single-net
-//     edits, comparing both engines (replay, patch) against a cold
-//     reroute of the edited circuit — ms/edit, ECO-vs-cold speedup,
-//     and the hash-equality gate (the replay route hash must match the
-//     cold rehash). BENCH_eco.json is the checked-in copy.
+//   - pipeline (default): one record per circuit covering every stage.
+//     The circuit is routed -runs times and each routing stage (global,
+//     layer, track, detail, drc; core.StageTimes) keeps its fastest time.
+//     Rect and L-shape fracturing and the stencil plan are timed on those
+//     routes, and five single-pin edits are rerouted cold, by ECO replay
+//     and by ECO patch. BENCH_pipeline.json at the repository root is the
+//     checked-in copy; docs/PERFORMANCE.md documents it.
 //   - lint: a full stitchvet run over the whole module, best of -runs,
 //     with the analyzer set, package count and findings.
 //     BENCH_lint.json is the checked-in copy. Run it from the module
 //     root.
 //
-// Every measured point runs -runs times and keeps the fastest wall
-// time (best-of-N absorbs scheduler noise on shared machines). The
-// report fails unless every run produced byte-identical output —
-// routed geometry for detail, canonical shot lists for fracture — so
-// the numbers can never come from divergent results.
+// Every time is the fastest of -runs repetitions (best-of-N absorbs
+// scheduler noise on shared machines), and the report fails unless the
+// repetitions agree: identical routes hashes, identical shot and plan
+// hashes, replay hashes equal to the cold rehash, and reproducible patch
+// hashes. So no number can come from divergent results.
 //
 // Usage:
 //
-//	benchjson [-stage detail|fracture|eco|lint] [-circuits Primary1,S5378,S9234]
-//	          [-runs 5]
-//	          [-baseline Primary1=0.18,S5378=0.63,S9234=0.55] [-baseline-note ...]
-//	          [-out BENCH_detail.json]
+//	benchjson [-stage pipeline|lint] [-circuits Primary1,S5378,S9234,S38417]
+//	          [-runs 5] [-out BENCH_pipeline.json]
 package main
 
 import (
@@ -42,101 +33,98 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 	"stitchroute/internal/fracture"
+	"stitchroute/internal/harness"
+	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
+	"stitchroute/internal/stencil"
 )
 
-// report is the top-level JSON document.
-type report struct {
+// header is the provenance every report starts with.
+type header struct {
 	Generated string `json:"generated"`
 	GoVersion string `json:"goVersion"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// NumCPU and GOMAXPROCS are the host provenance: a time is only
 	// comparable to one taken on the same cores.
-	NumCPU       int             `json:"numCPU"`
-	GOMAXPROCS   int             `json:"gomaxprocs"`
-	RunsPerPoint int             `json:"runsPerPoint"`
-	Methodology  string          `json:"methodology"`
-	BaselineNote string          `json:"baselineNote,omitempty"`
-	Circuits     []circuitReport `json:"circuits"`
+	NumCPU       int    `json:"numCPU"`
+	GOMAXPROCS   int    `json:"gomaxprocs"`
+	RunsPerPoint int    `json:"runsPerPoint"`
+	Methodology  string `json:"methodology"`
 }
 
-// circuitReport is one circuit's point: the run with the fastest detail
-// stage.
-type circuitReport struct {
-	Circuit          string  `json:"circuit"`
-	Nets             int     `json:"nets"`
-	RoutesHash       string  `json:"routesHash"`
-	DetailSeconds    float64 `json:"detailSeconds"`
-	TotalSeconds     float64 `json:"totalSeconds"`
-	DetailConnects   int     `json:"detailConnects"`
-	DetailExpansions int64   `json:"detailExpansions"`
-	FailedNets       int     `json:"failedNets"`
-	// ExpansionsPerSecond is detailExpansions over the best detail wall
-	// time.
-	ExpansionsPerSecond float64 `json:"expansionsPerSecond"`
-	// SeedDetailSeconds is the externally measured seed-binary baseline
-	// (see BaselineNote); SpeedupVsSeed divides it by detailSeconds.
-	// Present only when -baseline names this circuit.
-	SeedDetailSeconds float64 `json:"seedDetailSeconds,omitempty"`
-	SpeedupVsSeed     float64 `json:"speedupVsSeed,omitempty"`
+func newHeader(runs int, methodology string) header {
+	return header{
+		Generated:    time.Now().UTC().Format(time.RFC3339),
+		GoVersion:    runtime.Version(),
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		RunsPerPoint: runs,
+		Methodology:  methodology,
+	}
 }
 
-// fractureReport is the top-level JSON document for -stage fracture.
-type fractureReport struct {
-	Generated    string            `json:"generated"`
-	GoVersion    string            `json:"goVersion"`
-	GOOS         string            `json:"goos"`
-	GOARCH       string            `json:"goarch"`
-	NumCPU       int               `json:"numCPU"`
-	GOMAXPROCS   int               `json:"gomaxprocs"`
-	RunsPerPoint int               `json:"runsPerPoint"`
-	Methodology  string            `json:"methodology"`
-	Circuits     []fractureCircuit `json:"circuits"`
+// report is the BENCH_pipeline.json document.
+type report struct {
+	header
+	Circuits []record `json:"circuits"`
 }
 
-type fractureCircuit struct {
-	Circuit    string `json:"circuit"`
-	Nets       int    `json:"nets"`
-	RoutesHash string `json:"routesHash"`
-	// ShotsHash is the canonical hash of the L-shape shot list; every
-	// timed repetition must reproduce it.
-	ShotsHash   string `json:"shotsHash"`
-	RectShots   int    `json:"rectShots"`
-	LShapeShots int    `json:"lshapeShots"`
-	// LShapeReduction is 1 − lshapeShots/rectShots: the fraction of VSB
-	// shots the L-shape mode removes.
-	LShapeReduction float64         `json:"lshapeReduction"`
-	Points          []fracturePoint `json:"points"`
+// record is one circuit measured through every stage.
+type record struct {
+	Circuit          string `json:"circuit"`
+	Nets             int    `json:"nets"`
+	RoutesHash       string `json:"routesHash"`
+	FailedNets       int    `json:"failedNets"`
+	DetailExpansions int64  `json:"detailExpansions"`
+	// StageMs is each stage's wall time in milliseconds, in pipeline
+	// order: the routing stages under core.StageTimes' names, then
+	// fractureRect, fractureLShape and stencil, then ecoCold, ecoReplay
+	// and ecoPatch (the mean over the edits of each edit's best time).
+	StageMs []stageTime `json:"stageMs"`
+	// WritePrep is the write-prep snapshot of the routes, in the format
+	// of the harness fracture golden; every timed repetition reproduces
+	// its shot and plan hashes.
+	WritePrep harness.FractureMetrics `json:"writePrep"`
+	ECO       ecoRecord               `json:"eco"`
 }
 
-type fracturePoint struct {
-	Mode            string  `json:"mode"`
-	Shots           int     `json:"shots"`
-	FractureSeconds float64 `json:"fractureSeconds"`
-	ShotsPerSecond  float64 `json:"shotsPerSecond"`
+type stageTime struct {
+	Stage string  `json:"stage"`
+	Ms    float64 `json:"ms"`
 }
 
-const methodology = "Per circuit: the full stitch-aware router runs -runs times on a freshly " +
-	"generated circuit and the run with the fastest detail-stage wall time is kept " +
-	"(best-of-N). All runs of a circuit must produce byte-identical routed geometry " +
-	"(routesHash) or the report fails. The detailed router is sequential, so the " +
-	"times depend on single-core speed, not on numCPU."
+// keep records d under stage, keeping the fastest time seen.
+func keep(stages []stageTime, stage string, d time.Duration) []stageTime {
+	ms := round3(float64(d.Nanoseconds()) / 1e6)
+	for i := range stages {
+		if stages[i].Stage == stage {
+			stages[i].Ms = min(stages[i].Ms, ms)
+			return stages
+		}
+	}
+	return append(stages, stageTime{stage, ms})
+}
 
-const fractureMethodology = "Per circuit: the stitch-aware router produces routed geometry once " +
-	"(untimed), then each fracturing mode (rect, lshape) runs -runs times on that geometry " +
-	"and the fastest wall time is kept (best-of-N). Every repetition must produce the " +
-	"byte-identical canonical shot list (shotsHash checked per mode) or the report fails. " +
-	"shotsPerSecond divides the mode's emitted shot count by its best wall time; " +
-	"lshapeReduction is the fraction of VSB shots the L-shape pairing removes versus " +
-	"the rectangle baseline."
+const methodology = "Per circuit: the stitch-aware router runs -runs times on a freshly generated " +
+	"circuit and each routing stage keeps its fastest wall time; every run must produce the " +
+	"same routesHash. Rect and L-shape fracturing and the stencil plan then run -runs times on " +
+	"those routes, fastest kept, each repetition reproducing writePrep's shot and plan hashes. " +
+	"Last, five single-net edits (one pin moved to the nearest free cell) are each rerouted " +
+	"-runs times three ways, fastest kept: cold (full pipeline on the edited circuit), eco " +
+	"replay and eco patch off the routed parent. Every replay hash must equal the cold rehash " +
+	"(replayHashEqual) and every patch run must reproduce its hash (patchDeterministic); any " +
+	"gate failure aborts the report. The eco stage times average the per-edit bests, and the " +
+	"speedups divide the cold mean by the engine mean. The detailed router is sequential, so " +
+	"routing times depend on single-core speed, not on numCPU."
 
 func main() {
 	log.SetFlags(0)
@@ -146,11 +134,9 @@ func main() {
 
 func run() int {
 	var (
-		stage        = flag.String("stage", "detail", "pipeline stage to measure: detail, fracture, eco, or lint")
-		circuitsFlag = flag.String("circuits", "Primary1,S5378,S9234", "comma-separated benchmark circuits")
+		stage        = flag.String("stage", "pipeline", "what to measure: pipeline or lint")
+		circuitsFlag = flag.String("circuits", "Primary1,S5378,S9234,S38417", "comma-separated benchmark circuits")
 		runs         = flag.Int("runs", 5, "runs per measured point; fastest is kept")
-		baselineFlag = flag.String("baseline", "", "comma-separated name=seconds seed detail baselines (detail stage)")
-		baselineNote = flag.String("baseline-note", "", "provenance of the -baseline numbers, recorded verbatim")
 		out          = flag.String("out", "-", "output file (- = stdout)")
 	)
 	flag.Parse()
@@ -159,51 +145,25 @@ func run() int {
 		return 2
 	}
 	switch *stage {
-	case "detail":
-	case "fracture":
-		return runFracture(*circuitsFlag, *runs, *out)
-	case "eco":
-		return runECO(*circuitsFlag, *runs, *out)
+	case "pipeline":
 	case "lint":
 		return runLint(*runs, *out)
 	default:
-		log.Printf("unknown -stage %q (want detail, fracture, eco, or lint)", *stage)
+		log.Printf("unknown -stage %q (want pipeline or lint)", *stage)
 		return 2
 	}
 
-	baselines, err := parseBaselines(*baselineFlag)
-	if err != nil {
-		log.Print(err)
-		return 2
-	}
-
-	rep := report{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RunsPerPoint: *runs,
-		Methodology:  methodology,
-		BaselineNote: *baselineNote,
-	}
-
+	rep := report{header: newHeader(*runs, methodology)}
 	for _, name := range strings.Split(*circuitsFlag, ",") {
-		name = strings.TrimSpace(name)
-		cr, err := measureCircuit(name, *runs)
+		rec, err := measure(strings.TrimSpace(name), *runs)
 		if err != nil {
 			log.Print(err)
 			return 1
 		}
-		if secs, ok := baselines[name]; ok {
-			cr.SeedDetailSeconds = secs
-			cr.SpeedupVsSeed = round3(secs / cr.DetailSeconds)
-		}
-		rep.Circuits = append(rep.Circuits, *cr)
-		log.Printf("%s done", name)
+		rep.Circuits = append(rep.Circuits, *rec)
+		log.Printf("%s done: %v, replay %.1fx, patch %.1fx",
+			rec.Circuit, rec.StageMs, rec.ECO.ReplaySpeedup, rec.ECO.PatchSpeedup)
 	}
-
 	return writeReport(&rep, *out)
 }
 
@@ -233,158 +193,87 @@ func writeReport(rep any, out string) int {
 	return 0
 }
 
-// runFracture measures the write-prep fracturing stage (-stage fracture).
-func runFracture(circuitsFlag string, runs int, out string) int {
-	rep := fractureReport{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RunsPerPoint: runs,
-		Methodology:  fractureMethodology,
-	}
-	for _, name := range strings.Split(circuitsFlag, ",") {
-		name = strings.TrimSpace(name)
-		fc, err := measureFracture(name, runs)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		rep.Circuits = append(rep.Circuits, *fc)
-		log.Printf("%s done", name)
-	}
-	return writeReport(&rep, out)
-}
-
-// measureFracture routes the named circuit once, then times both
-// fracturing modes best-of-N on the routed geometry, verifying every
-// repetition reproduces the identical canonical shot list.
-func measureFracture(name string, runs int) (*fractureCircuit, error) {
+// measure produces the named circuit's record: routing, write-prep and
+// ECO, in that order, each gated on reproducible hashes.
+func measure(name string, runs int) (*record, error) {
 	spec, err := bench.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	c := bench.Generate(spec)
-	res, err := core.Route(c, core.StitchAware())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	fc := &fractureCircuit{Circuit: name, Nets: len(c.Nets)}
-	if fc.RoutesHash, err = nlio.RoutesHash(res.Routes); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	for _, mode := range []fracture.Mode{fracture.ModeRect, fracture.ModeLShape} {
-		// One untimed warm-up so the first measured repetition does not
-		// pay for heap growth.
-		warm := fracture.Fracture(res.Routes, c.Fabric.Layers, mode, fracture.Options{})
-		hash, err := fracture.ShotsHash(warm.Shots)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, mode, err)
+	var (
+		rec    = &record{Circuit: name}
+		c      *netlist.Circuit
+		parent *core.Result
+	)
+	for i := range runs {
+		c = bench.Generate(spec)
+		if parent, err = core.Route(c, core.StitchAware()); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		p := fracturePoint{Mode: mode.String(), Shots: warm.ShotCount}
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			fr := fracture.Fracture(res.Routes, c.Fabric.Layers, mode, fracture.Options{})
-			secs := time.Since(start).Seconds()
-			h, err := fracture.ShotsHash(fr.Shots)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, mode, err)
-			}
-			if h != hash {
-				return nil, fmt.Errorf("%s/%s run %d: shots hash %s differs from %s",
-					name, mode, i, h, hash)
-			}
-			if i == 0 || secs < p.FractureSeconds {
-				p.FractureSeconds = secs
-			}
-		}
-		if p.FractureSeconds > 0 {
-			p.ShotsPerSecond = round3(float64(p.Shots) / p.FractureSeconds)
-		}
-		p.FractureSeconds = round3(p.FractureSeconds)
-		switch mode {
-		case fracture.ModeRect:
-			fc.RectShots = p.Shots
-		case fracture.ModeLShape:
-			fc.LShapeShots = p.Shots
-			fc.ShotsHash = hash
-		}
-		fc.Points = append(fc.Points, p)
-	}
-	if fc.RectShots > 0 {
-		fc.LShapeReduction = round3(1 - float64(fc.LShapeShots)/float64(fc.RectShots))
-	}
-	return fc, nil
-}
-
-// measureCircuit routes the named circuit runs times, checks that every
-// run routed identical geometry, and keeps the run with the fastest
-// detail stage.
-func measureCircuit(name string, runs int) (*circuitReport, error) {
-	spec, err := bench.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	// One untimed warm-up route so the first measured run does not pay
-	// for heap growth and page faults.
-	if _, err := core.Route(bench.Generate(spec), core.StitchAware()); err != nil {
-		return nil, fmt.Errorf("%s warmup: %w", name, err)
-	}
-	var best *circuitReport
-	for i := 0; i < runs; i++ {
-		c := bench.Generate(spec)
-		res, err := core.Route(c, core.StitchAware())
+		hash, err := nlio.RoutesHash(parent.Routes)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		hash, err := nlio.RoutesHash(res.Routes)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		if i > 0 && hash != rec.RoutesHash {
+			return nil, fmt.Errorf("%s run %d: routes hash %.12s differs from %.12s", name, i, hash, rec.RoutesHash)
 		}
-		if best != nil && hash != best.RoutesHash {
-			return nil, fmt.Errorf("%s run %d: routes hash %s differs from %s", name, i, hash, best.RoutesHash)
-		}
-		if best == nil || res.Times.Detail.Seconds() < best.DetailSeconds {
-			best = &circuitReport{
-				Circuit:          name,
-				Nets:             len(c.Nets),
-				RoutesHash:       hash,
-				DetailSeconds:    res.Times.Detail.Seconds(),
-				TotalSeconds:     res.Times.Total().Seconds(),
-				DetailConnects:   res.DetailConnects,
-				DetailExpansions: res.DetailExpansions,
-				FailedNets:       res.FailedNets,
-			}
+		rec.RoutesHash = hash
+		for _, st := range parent.Times.Stages() {
+			rec.StageMs = keep(rec.StageMs, st.Name, st.Time)
 		}
 	}
-	if best.DetailSeconds > 0 {
-		best.ExpansionsPerSecond = round3(float64(best.DetailExpansions) / best.DetailSeconds)
+	rec.Nets = len(c.Nets)
+	rec.FailedNets = parent.FailedNets
+	rec.DetailExpansions = parent.DetailExpansions
+
+	if err := measureWritePrep(rec, c, parent, runs); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	best.DetailSeconds = round3(best.DetailSeconds)
-	best.TotalSeconds = round3(best.TotalSeconds)
-	return best, nil
+	if err := measureECO(rec, c, parent, runs); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return rec, nil
 }
 
-// parseBaselines parses "name=seconds,name=seconds".
-func parseBaselines(s string) (map[string]float64, error) {
-	out := map[string]float64{}
-	if s == "" {
-		return out, nil
+// measureWritePrep times rect fracturing, L-shape fracturing and the
+// stencil plan on the routed circuit. Every repetition must reproduce
+// the rect and L-shape shot hashes and the plan hash of rec.WritePrep.
+func measureWritePrep(rec *record, c *netlist.Circuit, res *core.Result, runs int) error {
+	wp, err := harness.CollectFracture(c, res.Routes)
+	if err != nil {
+		return err
 	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -baseline entry %q (want name=seconds)", part)
+	rec.WritePrep = wp
+	for i := range runs {
+		t0 := time.Now()
+		rect := fracture.Fracture(res.Routes, c.Fabric.Layers, fracture.ModeRect, fracture.Options{})
+		t1 := time.Now()
+		ls := fracture.Fracture(res.Routes, c.Fabric.Layers, fracture.ModeLShape, fracture.Options{})
+		t2 := time.Now()
+		pl := stencil.Build(ls.Shots, stencil.Options{})
+		t3 := time.Now()
+		rec.StageMs = keep(rec.StageMs, "fractureRect", t1.Sub(t0))
+		rec.StageMs = keep(rec.StageMs, "fractureLShape", t2.Sub(t1))
+		rec.StageMs = keep(rec.StageMs, "stencil", t3.Sub(t2))
+
+		rectHash, err := fracture.ShotsHash(rect.Shots)
+		if err != nil {
+			return err
 		}
-		secs, err := strconv.ParseFloat(val, 64)
-		if err != nil || secs <= 0 {
-			return nil, fmt.Errorf("bad -baseline seconds in %q", part)
+		hash, err := fracture.ShotsHash(ls.Shots)
+		if err != nil {
+			return err
 		}
-		out[name] = secs
+		planHash, err := stencil.PlanHash(pl)
+		if err != nil {
+			return err
+		}
+		if rectHash != wp.RectShotsHash || hash != wp.ShotsHash || planHash != wp.PlanHash {
+			return fmt.Errorf("write-prep run %d: hashes rect %.12s, lshape %.12s, plan %.12s differ from %.12s, %.12s, %.12s",
+				i, rectHash, hash, planHash, wp.RectShotsHash, wp.ShotsHash, wp.PlanHash)
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func round3(v float64) float64 {

@@ -189,8 +189,8 @@ func placePins(rng *rand.Rand, f *grid.Fabric, deg int, meanSpread float64, used
 	attempts := 0
 	for len(pins) < deg {
 		p := geom.Point{
-			X: clamp(cx+rng.Intn(2*radius+1)-radius, 0, f.XTracks-1),
-			Y: clamp(cy+rng.Intn(2*radius+1)-radius, 0, f.YTracks-1),
+			X: geom.Clamp(cx+rng.Intn(2*radius+1)-radius, 0, f.XTracks-1),
+			Y: geom.Clamp(cy+rng.Intn(2*radius+1)-radius, 0, f.YTracks-1),
 		}
 		attempts++
 		if used[p] {
@@ -207,16 +207,6 @@ func placePins(rng *rand.Rand, f *grid.Fabric, deg int, meanSpread float64, used
 		pins = append(pins, netlist.Pin{Point: p, Layer: 1})
 	}
 	return pins
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Stats summarizes a generated circuit's netlist shape — useful for

@@ -43,7 +43,7 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // s9234RoutesHash is the nlio.RoutesHash of S9234 under the stitch-aware
-// config, as pinned by the harness goldens and BENCH_detail.json.
+// config, as pinned by the harness golden S9234.json and BENCH_pipeline.json.
 const s9234RoutesHash = "66a94f44e00e2be9be88dd058f941946c65a35d3d4441af9631b8de7dc5c5b76"
 
 // BenchmarkDetail measures the detailed-routing stage of S9234 on its

@@ -63,7 +63,7 @@ func PhysicalDefects(f *grid.Fabric, routes []plan.NetRoute) PhysicalSummary {
 					end = w.Span.Hi
 				}
 				length := w.Span.Len() - 1
-				score, err := raster.CutWireDefect(length+1, clampInt(stub, 1, length), overlayMisalign)
+				score, err := raster.CutWireDefect(length+1, geom.Clamp(stub, 1, length), overlayMisalign)
 				if err != nil {
 					continue
 				}
@@ -85,16 +85,6 @@ func PhysicalDefects(f *grid.Fabric, routes []plan.NetRoute) PhysicalSummary {
 		}
 	}
 	return sum
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Physical runs the physical validation on one circuit for both routers.

@@ -238,3 +238,15 @@ func Abs(x int) int {
 	}
 	return x
 }
+
+// Clamp limits v to [lo, hi]. Unlike min(max(v, lo), hi), it returns lo
+// when lo > hi and v < lo.
+func Clamp(v, lo, hi int) int {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}

@@ -200,7 +200,7 @@ func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan {
 		bestIdx, bestD := -1, 1<<30
 		for i, tp := range remaining {
 			for _, q := range treeList {
-				d := abs(tp.TX-q.TX) + abs(tp.TY-q.TY)
+				d := geom.Abs(tp.TX-q.TX) + geom.Abs(tp.TY-q.TY)
 				if d < bestD {
 					bestD, bestIdx = d, i
 				}
@@ -316,7 +316,7 @@ func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) [
 	states, cur := a.states, a.cur
 	h := func(v int) float64 {
 		tx, ty := v%tw, v/tw
-		return r.cfg.WLWeight * float64(abs(tx-target.TX)+abs(ty-target.TY))
+		return r.cfg.WLWeight * float64(geom.Abs(tx-target.TX)+geom.Abs(ty-target.TY))
 	}
 	// Seed the heap in a fixed source order: equal-priority states pop in
 	// insertion order, so iterating the source map directly would leak its
@@ -505,5 +505,3 @@ func (r *Router) EdgeOverflow() int {
 	}
 	return of
 }
-
-func abs(x int) int { return geom.Abs(x) }

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"stitchroute/internal/core"
 	"stitchroute/internal/eco"
@@ -11,9 +9,9 @@ import (
 )
 
 // ECOGoldenSeed drives the canonical edit script the ECO golden gate
-// (and cmd/benchjson -stage eco) derives for each golden benchmark via
-// GenEdits — the script itself is deterministic, so only the seed and
-// edit count need pinning here.
+// derives for each golden benchmark via GenEdits — the script itself is
+// deterministic, so only the seed and edit count need pinning here.
+// (cmd/benchjson times its own single-pin moves instead.)
 const (
 	ECOGoldenSeed  = 42
 	ECOGoldenEdits = 3
@@ -103,75 +101,17 @@ func CollectECO(fresh func() *netlist.Circuit, cfg core.Config) (ECOMetrics, err
 }
 
 // CompareECO returns the mismatches between measured and golden ECO
-// metrics (exact comparison), plus the structural invariants: the
-// replay hash equals the cold hash, and both engines reuse most of the
-// parent result.
+// metrics (Compare), plus the structural invariants: the replay hash
+// equals the cold hash, and the patch reuses most of the parent result.
 func CompareECO(got, want ECOMetrics) []string {
-	var bad []string
-	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	if got.Circuit != want.Circuit {
-		fail("identity mismatch: got %s, want %s", got.Circuit, want.Circuit)
-		return bad
-	}
-	if got.Edits != want.Edits {
-		fail("edit count %d, want %d", got.Edits, want.Edits)
-	}
-	if got.ColdHash != want.ColdHash {
-		fail("cold hash %.12s, want %.12s (edited-circuit routing changed)", got.ColdHash, want.ColdHash)
-	}
-	if got.ReplayHash != want.ReplayHash {
-		fail("replay hash %.12s, want %.12s", got.ReplayHash, want.ReplayHash)
-	}
-	if got.PatchHash != want.PatchHash {
-		fail("patch hash %.12s, want %.12s (graft geometry changed)", got.PatchHash, want.PatchHash)
-	}
-	if got.ReplayDetailReused != want.ReplayDetailReused || got.ReplayDetailRouted != want.ReplayDetailRouted {
-		fail("replay reuse %d/%d, want %d/%d", got.ReplayDetailReused, got.ReplayDetailRouted,
-			want.ReplayDetailReused, want.ReplayDetailRouted)
-	}
-	if got.PatchDetailReused != want.PatchDetailReused || got.PatchDetailRouted != want.PatchDetailRouted {
-		fail("patch reuse %d/%d, want %d/%d", got.PatchDetailReused, got.PatchDetailRouted,
-			want.PatchDetailReused, want.PatchDetailRouted)
-	}
-	if got.PatchWirelength != want.PatchWirelength {
-		fail("patch wirelength %d, want %d", got.PatchWirelength, want.PatchWirelength)
-	}
-	if got.PatchShortPolygons != want.PatchShortPolygons {
-		fail("patch short polygons %d, want %d", got.PatchShortPolygons, want.PatchShortPolygons)
-	}
-	if got.PatchFailedNets != want.PatchFailedNets {
-		fail("patch failed nets %d, want %d", got.PatchFailedNets, want.PatchFailedNets)
-	}
-	// Structural invariants, independent of the snapshot.
+	bad := Compare(got, want)
 	if got.ReplayHash != got.ColdHash {
-		fail("replay is not byte-identical to the cold reroute: %.12s vs %.12s", got.ReplayHash, got.ColdHash)
+		bad = append(bad, fmt.Sprintf("replay is not byte-identical to the cold reroute: %.12s vs %.12s",
+			got.ReplayHash, got.ColdHash))
 	}
 	if got.PatchDetailReused <= got.PatchDetailRouted {
-		fail("patch rerouted more nets (%d) than it grafted (%d) on a %d-edit script",
-			got.PatchDetailRouted, got.PatchDetailReused, got.Edits)
+		bad = append(bad, fmt.Sprintf("patch rerouted more nets (%d) than it grafted (%d) on a %d-edit script",
+			got.PatchDetailRouted, got.PatchDetailReused, got.Edits))
 	}
 	return bad
-}
-
-// WriteECOGolden writes the ECO metrics as a deterministic,
-// diff-friendly JSON file.
-func WriteECOGolden(path string, ms []ECOMetrics) error {
-	data, err := json.MarshalIndent(ms, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadECOGolden loads the ECO golden file.
-func ReadECOGolden(path string) ([]ECOMetrics, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ms []ECOMetrics
-	if err := json.Unmarshal(data, &ms); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ms, nil
 }

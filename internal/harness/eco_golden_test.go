@@ -33,13 +33,13 @@ func TestECOGolden(t *testing.T) {
 		got = append(got, m)
 	}
 	if *update {
-		if err := WriteECOGolden(ecoGoldenPath(), got); err != nil {
+		if err := WriteGolden(ecoGoldenPath(), got); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", ecoGoldenPath())
 		return
 	}
-	want, err := ReadECOGolden(ecoGoldenPath())
+	want, err := ReadGolden[ECOMetrics](ecoGoldenPath())
 	if err != nil {
 		t.Fatalf("missing eco golden file (run with -update to create): %v", err)
 	}

@@ -44,13 +44,13 @@ func TestFractureGolden(t *testing.T) {
 		got = append(got, m)
 	}
 	if *update {
-		if err := WriteFractureGolden(fractureGoldenPath(), got); err != nil {
+		if err := WriteGolden(fractureGoldenPath(), got); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("updated %s", fractureGoldenPath())
 		return
 	}
-	want, err := ReadFractureGolden(fractureGoldenPath())
+	want, err := ReadGolden[FractureMetrics](fractureGoldenPath())
 	if err != nil {
 		t.Fatalf("missing fracture golden file (run with -update to create): %v", err)
 	}
@@ -212,7 +212,7 @@ func TestFractureDeterminism(t *testing.T) {
 // that changes its output fails here. Run with -benchmem for the allocation
 // counts.
 func BenchmarkWritePrep(b *testing.B) {
-	goldens, err := ReadFractureGolden(fractureGoldenPath())
+	goldens, err := ReadGolden[FractureMetrics](fractureGoldenPath())
 	if err != nil {
 		b.Fatal(err)
 	}

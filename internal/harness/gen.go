@@ -120,8 +120,8 @@ func scatterPins(rng *rand.Rand, f *grid.Fabric, deg int, spread float64, used m
 	attempts := 0
 	for len(pins) < deg {
 		p := geom.Point{
-			X: clamp(cx+rng.Intn(2*radius+1)-radius, 0, f.XTracks-1),
-			Y: clamp(cy+rng.Intn(2*radius+1)-radius, 0, f.YTracks-1),
+			X: geom.Clamp(cx+rng.Intn(2*radius+1)-radius, 0, f.XTracks-1),
+			Y: geom.Clamp(cy+rng.Intn(2*radius+1)-radius, 0, f.YTracks-1),
 		}
 		attempts++
 		if used[p] {
@@ -135,16 +135,6 @@ func scatterPins(rng *rand.Rand, f *grid.Fabric, deg int, spread float64, used m
 		pins = append(pins, netlist.Pin{Point: p, Layer: 1})
 	}
 	return pins
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ShortGrid returns the quick parameter grid: a handful of small fabrics

@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
+	"strings"
 
-	"stitchroute/internal/core"
 	"stitchroute/internal/netlist"
 )
 
 // Metrics is the per-benchmark quality snapshot committed to the golden
-// files: every number a routing-quality regression would move.
+// files: every number a routing-quality regression would move, and the
+// routes hash that pins the geometry itself.
 type Metrics struct {
 	Circuit             string  `json:"circuit"`
 	Mode                string  `json:"mode"`
@@ -25,11 +27,12 @@ type Metrics struct {
 	Wirelength          int64   `json:"wirelength"`
 	Vias                int     `json:"vias"`
 	FailedNets          int     `json:"failedNets"`
+	RoutesHash          string  `json:"routesHash"`
 }
 
-// Collect extracts the golden metrics from a routing result.
-func Collect(c *netlist.Circuit, mode string, res *core.Result) Metrics {
-	rep := res.Report
+// Collect extracts the golden metrics from an audited routing result.
+func Collect(c *netlist.Circuit, mode string, cr CheckResult) Metrics {
+	rep := cr.Report
 	return Metrics{
 		Circuit:             c.Name,
 		Mode:                mode,
@@ -42,77 +45,33 @@ func Collect(c *netlist.Circuit, mode string, res *core.Result) Metrics {
 		ShortPolygons:       rep.ShortPolygons,
 		Wirelength:          rep.Wirelength,
 		Vias:                rep.Vias,
-		FailedNets:          res.FailedNets,
+		FailedNets:          cr.FailedNets,
+		RoutesHash:          cr.RoutesHash,
 	}
 }
 
-// Tolerance bounds the acceptable drift between measured and golden
-// metrics. The router is deterministic, so on an unchanged tree the drift
-// is zero; the tolerances exist so a future PR that intentionally tweaks
-// a heuristic within the allowed band does not have to touch the goldens,
-// while anything larger fails as a regression and forces a deliberate
-// -update.
-type Tolerance struct {
-	// RelWirelength and RelVias are relative bounds (0.02 = ±2%).
-	RelWirelength float64
-	RelVias       float64
-	// AbsShortPolygons and AbsRoutability (percentage points) are
-	// absolute bounds.
-	AbsShortPolygons int
-	AbsRoutability   float64
-}
-
-// DefaultTolerance is the regression gate used by the golden tests.
-func DefaultTolerance() Tolerance {
-	return Tolerance{RelWirelength: 0.02, RelVias: 0.03, AbsShortPolygons: 2, AbsRoutability: 0.5}
-}
-
-// Compare returns the metrics that moved outside tolerance, empty when
-// got matches want. Hard-invariant columns (off-pin via violations,
-// vertical-routing violations) are compared exactly.
-func Compare(got, want Metrics, tol Tolerance) []string {
+// Compare returns every field on which got differs from the golden
+// snapshot want, named by its JSON key; empty when they match. The
+// router, ECO engines and write-prep are deterministic, so every field
+// compares exactly: any drift is a behavior change and needs a
+// deliberate -update.
+func Compare[T any](got, want T) []string {
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
 	var bad []string
-	fail := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-
-	if got.Circuit != want.Circuit || got.Mode != want.Mode {
-		fail("identity mismatch: got %s/%s, want %s/%s", got.Circuit, got.Mode, want.Circuit, want.Mode)
-		return bad
-	}
-	if got.Nets != want.Nets || got.Pins != want.Pins {
-		fail("circuit shape changed: %d nets/%d pins, want %d/%d (generator drift)",
-			got.Nets, got.Pins, want.Nets, want.Pins)
-	}
-	if got.ViaViolationsOffPin != want.ViaViolationsOffPin {
-		fail("off-pin via violations: %d, want %d", got.ViaViolationsOffPin, want.ViaViolationsOffPin)
-	}
-	if got.VertRouteViolations != want.VertRouteViolations {
-		fail("vertical-routing violations: %d, want %d", got.VertRouteViolations, want.VertRouteViolations)
-	}
-	if d := math.Abs(got.Routability - want.Routability); d > tol.AbsRoutability {
-		fail("routability %.2f%%, want %.2f%% (±%.2f)", got.Routability, want.Routability, tol.AbsRoutability)
-	}
-	if d := abs(got.ShortPolygons - want.ShortPolygons); d > tol.AbsShortPolygons {
-		fail("short polygons %d, want %d (±%d)", got.ShortPolygons, want.ShortPolygons, tol.AbsShortPolygons)
-	}
-	if d := relDrift(float64(got.Wirelength), float64(want.Wirelength)); d > tol.RelWirelength {
-		fail("wirelength %d, want %d (±%.1f%%)", got.Wirelength, want.Wirelength, 100*tol.RelWirelength)
-	}
-	if d := relDrift(float64(got.Vias), float64(want.Vias)); d > tol.RelVias {
-		fail("vias %d, want %d (±%.1f%%)", got.Vias, want.Vias, 100*tol.RelVias)
-	}
-	// Via violations are pin-forced in a legal solution; allow the same
-	// absolute slack as short polygons for heuristic drift in whether a
-	// stitch-column pin needs a via at all.
-	if d := abs(got.ViaViolations - want.ViaViolations); d > tol.AbsShortPolygons {
-		fail("via violations %d, want %d (±%d)", got.ViaViolations, want.ViaViolations, tol.AbsShortPolygons)
+	for i := range g.NumField() {
+		gf, wf := g.Field(i).Interface(), w.Field(i).Interface()
+		if gf != wf {
+			key, _, _ := strings.Cut(g.Type().Field(i).Tag.Get("json"), ",")
+			bad = append(bad, fmt.Sprintf("%s %v, want %v", key, gf, wf))
+		}
 	}
 	return bad
 }
 
-// WriteGolden writes the metrics as a deterministic, diff-friendly JSON
-// file (stable field order, two-space indent, trailing newline) so
+// WriteGolden writes golden snapshots as a deterministic, diff-friendly
+// JSON file (stable field order, two-space indent, trailing newline) so
 // -update on an unchanged tree regenerates files byte-identically.
-func WriteGolden(path string, ms []Metrics) error {
+func WriteGolden[T any](path string, ms []T) error {
 	data, err := json.MarshalIndent(ms, "", "  ")
 	if err != nil {
 		return err
@@ -120,25 +79,15 @@ func WriteGolden(path string, ms []Metrics) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadGolden loads a golden metrics file.
-func ReadGolden(path string) ([]Metrics, error) {
+// ReadGolden loads a golden snapshot file.
+func ReadGolden[T any](path string) ([]T, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var ms []Metrics
+	var ms []T
 	if err := json.Unmarshal(data, &ms); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ms, nil
-}
-
-func relDrift(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }

@@ -14,7 +14,8 @@
 //     byte-identical (determinism, the contract the server's result
 //     cache relies on);
 //   - golden metrics — per-benchmark wirelength/vias/short-polygon/
-//     routability snapshots with a tolerance-aware comparator (golden.go).
+//     routability snapshots and routes hashes, compared exactly
+//     (golden.go).
 //
 // The battery runs three ways: `go test ./internal/harness/` (short mode
 // runs a subset), `cmd/routecheck` for multi-seed soak runs, and an

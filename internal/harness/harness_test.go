@@ -42,8 +42,8 @@ func benchCircuit(t testing.TB, name string) func() *netlist.Circuit {
 }
 
 // TestGoldenBenchmarks is the golden-metrics regression gate: each
-// benchmark is routed under both configs and the quality metrics must
-// match the committed snapshot within DefaultTolerance. Refresh with
+// benchmark is routed under both configs and the quality metrics and
+// routes hash must match the committed snapshot exactly. Refresh with
 //
 //	go test ./internal/harness/ -run TestGoldenBenchmarks -update
 func TestGoldenBenchmarks(t *testing.T) {
@@ -58,14 +58,14 @@ func TestGoldenBenchmarks(t *testing.T) {
 					cfg = core.Baseline()
 				}
 				c := fresh()
-				res, cr, err := RouteAndCheck(c, cfg)
+				_, cr, err := RouteAndCheck(c, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, mode, err)
 				}
 				if v := cr.HardViolations(); len(v) != 0 {
 					t.Errorf("%s/%s: hard invariant violations: %v", name, mode, v)
 				}
-				got = append(got, Collect(c, mode, res))
+				got = append(got, Collect(c, mode, cr))
 			}
 			if *update {
 				if err := WriteGolden(goldenPath(name), got); err != nil {
@@ -74,16 +74,15 @@ func TestGoldenBenchmarks(t *testing.T) {
 				t.Logf("updated %s", goldenPath(name))
 				return
 			}
-			want, err := ReadGolden(goldenPath(name))
+			want, err := ReadGolden[Metrics](goldenPath(name))
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
 			if len(want) != len(got) {
 				t.Fatalf("golden %s has %d entries, want %d", goldenPath(name), len(want), len(got))
 			}
-			tol := DefaultTolerance()
 			for i := range got {
-				for _, bad := range Compare(got[i], want[i], tol) {
+				for _, bad := range Compare(got[i], want[i]) {
 					t.Errorf("%s/%s: %s", name, got[i].Mode, bad)
 				}
 			}
@@ -109,11 +108,11 @@ func TestGoldenUpdateIsIdempotent(t *testing.T) {
 			cfg = core.Baseline()
 		}
 		c := fresh()
-		res, err := core.Route(c, cfg)
+		_, cr, err := RouteAndCheck(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, Collect(c, mode, res))
+		got = append(got, Collect(c, mode, cr))
 	}
 	scratch := filepath.Join(t.TempDir(), "golden.json")
 	if err := WriteGolden(scratch, got); err != nil {

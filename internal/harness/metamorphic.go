@@ -83,18 +83,11 @@ func verifyTransforms(o *Outcome, fresh func() *netlist.Circuit, stitch CheckRes
 		// Every net is an independent tie-break opportunity, so the drift
 		// budget scales with circuit size on top of the base tolerance.
 		tol := opt.SPTolerance + len(tc.Nets)/50
-		if d := abs(cr.Report.ShortPolygons - stitch.Report.ShortPolygons); d > tol {
+		if d := geom.Abs(cr.Report.ShortPolygons - stitch.Report.ShortPolygons); d > tol {
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"%s: short polygons drifted by %d (%d -> %d, tolerance %d)",
 				tr.name, d, stitch.Report.ShortPolygons, cr.Report.ShortPolygons, tol))
 		}
 	}
 	return nil
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

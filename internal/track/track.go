@@ -265,7 +265,7 @@ func (p *Problem) solveGraph() Stats {
 			// window allows.
 			prev := lo[0]
 			for j := range tracks {
-				t := clamp(prev, lo[j], hi[j])
+				t := geom.Clamp(prev, lo[j], hi[j])
 				tracks[j] = t
 				prev = t
 			}
@@ -713,13 +713,3 @@ func (o *occupancy) place(span geom.Interval, t int) {
 func (o *occupancy) placeOne(row, t int)    { o.used[[2]int{row, t}] = true }
 func (o *occupancy) removeOne(row, t int)   { delete(o.used, [2]int{row, t}) }
 func (o *occupancy) usedAt(row, t int) bool { return o.used[[2]int{row, t}] }
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
