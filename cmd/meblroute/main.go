@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("meblroute", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		circuit  = fs.String("circuit", "S9234", "benchmark circuit name (see cmd/benchgen -list)")
+		circuit  = fs.String("circuit", "S9234", "benchmark circuit name (see tablegen -table 1)")
 		inFile   = fs.String("in", "", "route a circuit from an nlio text file instead of a benchmark")
 		doPlace  = fs.Bool("place", false, "run stitch-aware placement refinement before routing")
 		mode     = fs.String("mode", "stitch", "router mode: stitch or baseline")

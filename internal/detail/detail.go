@@ -50,10 +50,6 @@ type Config struct {
 	OrderByBadEnds bool
 	// MaxExpansions bounds each A* attempt.
 	MaxExpansions int
-	// Negotiate lets a failed net evict a few small blocking nets and
-	// reroute them (bounded rip-up negotiation). Off by default; the
-	// recorded experiment tables use the paper's plain rip-up.
-	Negotiate bool
 }
 
 // ResolveWorkers returns 1, the number of threads the detailed router
@@ -311,17 +307,17 @@ func (r *Router) RunContext(ctx context.Context, c *netlist.Circuit, plans []*pl
 		r.bind(new(searchCtx))
 		defer r.unbind()
 	}
-	res, nets, order, record := r.prepare(c, plans)
+	res, nets, order := r.prepare(c, plans)
 	for oi, t := range order {
 		if err := ctx.Err(); err != nil {
 			// Record the nets not reached as unrouted and stop.
 			for _, rest := range order[oi:] {
-				record(rest, false)
+				res.record(rest, false)
 			}
 			r.finish(res, nets)
 			return res, err
 		}
-		r.routeOne(t, nets, res, record)
+		r.routeOne(t, res)
 	}
 	r.finish(res, nets)
 	return res, nil
@@ -339,7 +335,7 @@ func (r *Router) SetCongestion(*plan.Congestion) {}
 // and the stitch-aware net ordering. It is shared verbatim by the cold
 // run (RunContext) and the memoized ECO run (RunMemo) — the ECO
 // equivalence argument relies on this phase being identical.
-func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result, nets, order []*routeTask, record func(*routeTask, bool)) {
+func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result, nets, order []*routeTask) {
 	res = &Result{Routes: make([]plan.NetRoute, len(c.Nets))}
 
 	nets = make([]*routeTask, len(c.Nets))
@@ -371,7 +367,7 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 		res.MatWires[i] = append([]geom.Segment(nil), t.wires...)
 	}
 
-	return res, nets, r.netOrder(nets), recorder(res)
+	return res, nets, r.netOrder(nets)
 }
 
 // newTask builds the routing task of the circuit's i-th net. The pin-cell
@@ -447,15 +443,13 @@ func (r *Router) netOrder(tasks []*routeTask) []*routeTask {
 	return order
 }
 
-// recorder returns the function that writes a task's outcome into res.
-func recorder(res *Result) func(*routeTask, bool) {
-	return func(t *routeTask, routed bool) {
-		res.Routes[t.slot] = plan.NetRoute{
-			NetID:  t.net.ID,
-			Routed: routed,
-			Wires:  t.wires,
-			Vias:   t.vias,
-		}
+// record writes a task's outcome into res.
+func (res *Result) record(t *routeTask, routed bool) {
+	res.Routes[t.slot] = plan.NetRoute{
+		NetID:  t.net.ID,
+		Routed: routed,
+		Wires:  t.wires,
+		Vias:   t.vias,
 	}
 }
 
@@ -465,9 +459,7 @@ func (r *Router) finish(res *Result, nets []*routeTask) {
 	r.collectECO(res, nets)
 }
 
-// tally fills the failure count and the search statistics. A
-// negotiation can change earlier nets' status; count failures from the
-// final record.
+// tally fills the failure count and the search statistics.
 func (r *Router) tally(res *Result) {
 	res.Failed = 0
 	for i := range res.Routes {
@@ -507,25 +499,17 @@ func (r *Router) recordFreedPins(t *routeTask) {
 
 // routeOne is the per-net loop body: connect the net through its planned
 // geometry; on failure rip that geometry up and route the net directly;
-// then the optional negotiation, escape release, and result recording.
-// nets are the tasks negotiation may evict.
-func (r *Router) routeOne(t *routeTask, nets []*routeTask, res *Result, record func(*routeTask, bool)) {
+// then escape release and result recording.
+func (r *Router) routeOne(t *routeTask, res *Result) {
 	ok := r.routeOrDrop(t)
 	if !ok {
 		res.Ripped++
 		t.ripped = true
 		ok = r.routeOrDrop(t)
 	}
-	if !ok && r.cfg.Negotiate {
-		var affected []*routeTask
-		ok, affected = r.negotiate(t, nets)
-		for _, v := range affected {
-			record(v, len(v.wires) > 0)
-		}
-	}
 	r.releaseEscapes(t)
 	r.recordFreedPins(t)
-	record(t, ok)
+	res.record(t, ok)
 }
 
 // routeOrDrop connects every component of the net and trims the result.
@@ -535,15 +519,10 @@ func (r *Router) routeOrDrop(t *routeTask) bool {
 		r.trimNet(t)
 		return true
 	}
-	r.dropNet(t)
-	return false
-}
-
-// dropNet clears the net's geometry from the grid and forgets it.
-func (r *Router) dropNet(t *routeTask) {
 	r.clearNet(t)
 	t.wires = nil
 	t.vias = nil
+	return false
 }
 
 // routeTask is the per-net routing state.

@@ -38,15 +38,11 @@ package detail
 import (
 	"context"
 	mbits "math/bits"
-	"time"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
 )
-
-// timeNow is indirected for the DebugMemo timing only.
-var timeNow = time.Now
 
 // actTile is the footprint-bitset bucket edge in tracks. 8 keeps the
 // bitsets a few dozen words on the bundled benchmarks while staying fine
@@ -188,9 +184,6 @@ type Memo struct {
 	MatWires  map[int][]geom.Segment
 }
 
-// DebugMemo, when non-nil, collects replay-decision counts (test-only).
-var DebugMemo map[string]int
-
 // canReplay verifies every cell of the parent's final geometry is free
 // or already owned by the net. The soundness argument says this cannot
 // fail for a clean net; it is a cheap O(route cells) guard that turns a
@@ -257,7 +250,7 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		r.borrow()
 		defer r.giveBack()
 	}
-	res, nets, order, record := r.prepare(c, plans)
+	res, nets, order := r.prepare(c, plans)
 
 	// Dirty bitset: the parent write footprints of every dirty net
 	// (deleted nets included — the map is keyed by ID, not slot) plus
@@ -290,9 +283,6 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 			continue
 		}
 		if pmw, ok := m.MatWires[id]; !ok || !segsEqual(pmw, t.wires) {
-			if DebugMemo != nil {
-				DebugMemo["matdiverge"]++
-			}
 			if pw := m.WActs[id]; len(pw) == r.awords {
 				orBits(dirty, pw)
 			}
@@ -304,7 +294,7 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 	for oi, t := range order {
 		if err := ctx.Err(); err != nil {
 			for _, rest := range order[oi:] {
-				record(rest, false)
+				res.record(rest, false)
 			}
 			r.finish(res, nets)
 			return res, reused, err
@@ -314,21 +304,6 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		pa := m.Acts[id]
 		pw := m.WActs[id]
 		hasBits := len(pa) == r.awords && len(pw) == r.awords
-		if DebugMemo != nil {
-			switch {
-			case m.Dirty[id]:
-				DebugMemo["dirty"]++
-			case !hasRec || !hasBits:
-				DebugMemo["norec"]++
-			case bitsIntersect(dirty, pa) || bitsIntersect(dirty, t.act):
-				DebugMemo["overlap"]++
-			case !r.canReplay(t, pr):
-				DebugMemo["canreplay"]++
-				DebugMemo["canreplay-net"] = id
-			default:
-				DebugMemo["clean"]++
-			}
-		}
 		if !m.Dirty[id] && hasRec && hasBits &&
 			!bitsIntersect(dirty, pa) && !bitsIntersect(dirty, t.act) &&
 			r.canReplay(t, pr) {
@@ -341,21 +316,11 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 				res.Ripped++
 				t.ripped = true
 			}
-			record(t, pr.Routed)
+			res.record(t, pr.Routed)
 			reused++
 			continue
 		}
-		if DebugMemo != nil {
-			t0 := timeNow()
-			r.routeOne(t, nets, res, record)
-			key := "live-ms-routed"
-			if !pr.Routed {
-				key = "live-ms-failed"
-			}
-			DebugMemo[key] += int(timeNow().Sub(t0).Milliseconds())
-		} else {
-			r.routeOne(t, nets, res, record)
-		}
+		r.routeOne(t, res)
 		// Divergence: dirty nets grow the region unconditionally (their
 		// commit timing may have moved); a key-stable net that ended in
 		// its recorded final state — same routes AND same retained pin
@@ -364,9 +329,6 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		// cannot invalidate another net's state.
 		if m.Dirty[id] || !hasRec || !pr.Equal(res.Routes[t.slot]) ||
 			!cellsEqual(m.FreedPins[id], t.freedPins) {
-			if DebugMemo != nil && !m.Dirty[id] {
-				DebugMemo["diverged"]++
-			}
 			if len(pw) == r.awords {
 				orBits(dirty, pw)
 			}

@@ -45,9 +45,8 @@ func (p *Patch) dirty(i int) bool {
 // without a search.
 //
 // The result's kept routes and freed-pin records share their slices
-// with p. Nothing appends to or edits them: negotiation evicts only
-// dirty nets, and the capacity of each shared slice is capped at its
-// length.
+// with p. Nothing appends to or edits them: only dirty nets are routed,
+// and the capacity of each shared slice is capped at its length.
 func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, p *Patch) (*Result, int, error) {
 	if r.sc == nil {
 		r.borrow()
@@ -100,18 +99,15 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 
 	grafted := n - len(dirty)
 	order := r.netOrder(dirty)
-	record := recorder(res)
 	var err error
 	for oi, t := range order {
 		if err = ctx.Err(); err != nil {
 			for _, rest := range order[oi:] {
-				record(rest, false)
+				res.record(rest, false)
 			}
 			break
 		}
-		// Negotiation victims are restricted to the dirty set: a graft
-		// must not disturb kept geometry.
-		r.routeOne(t, dirty, res, record)
+		r.routeOne(t, res)
 	}
 	// Only dirty nets have tasks; the kept slots' freed pins came from
 	// the Patch. A patch records no activity footprints.

@@ -15,8 +15,8 @@ import (
 // replayed versus recomputed.
 type Stats struct {
 	// Fallback is true when the reroute could not use the parent's
-	// recording (missing ECO state, different config, negotiation
-	// enabled) and ran a plain cold route instead.
+	// recording (missing ECO state or a different config) and ran a
+	// plain cold route instead.
 	Fallback bool
 	// EditedNets is the number of distinct net IDs the script touched.
 	EditedNets int
@@ -36,12 +36,10 @@ type Result struct {
 }
 
 // canMemo reports whether the parent result carries a usable recording
-// for this config. Negotiation is excluded because a negotiating net
-// re-records other nets' routes without refreshing their rip-up state.
+// for this config.
 func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 	return parent != nil && parent.ECO != nil && parent.ECO.Global != nil &&
 		parent.ECO.Cfg == cfg &&
-		!cfg.Detail.Negotiate &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
 		parent.ECO.Acts.Len() == len(pc.Nets) &&

@@ -25,9 +25,8 @@ type AblationRow struct {
 //   - stitch-aware net ordering (bad-end nets first)
 //   - global rip-up/reroute refinement
 //
-// plus two extensions enabled on top of the full framework: the paper's
-// proposed stitch-aware placement (§V) and bounded rip-up negotiation in
-// detailed routing.
+// plus one extension enabled on top of the full framework: the paper's
+// proposed stitch-aware placement (§V).
 func Ablations(circuit string) ([]AblationRow, error) {
 	spec, err := bench.ByName(circuit)
 	if err != nil {
@@ -47,8 +46,6 @@ func Ablations(circuit string) ([]AblationRow, error) {
 	noOrder.Detail.OrderByBadEnds = false
 	noRefine := core.StitchAware()
 	noRefine.RefinePasses = 0
-	withNegotiate := core.StitchAware()
-	withNegotiate.Detail.Negotiate = true
 
 	variants := []variant{
 		{"full stitch-aware", core.StitchAware(), false},
@@ -57,7 +54,6 @@ func Ablations(circuit string) ([]AblationRow, error) {
 		{"no bad-end net order", noOrder, false},
 		{"no global refinement", noRefine, false},
 		{"+ stitch-aware place", core.StitchAware(), true},
-		{"+ negotiation", withNegotiate, false},
 		{"baseline (everything off)", core.Baseline(), false},
 	}
 

@@ -142,26 +142,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// LayerStats is the per-layer fracturing summary.
-type LayerStats struct {
-	Layer   int   `json:"layer"`
-	Rects   int   `json:"rects"`   // sweep rectangles (= rect-only shots)
-	Shots   int   `json:"shots"`   // shots emitted in the selected mode
-	LShots  int   `json:"lShots"`  // L-shape shots among them
-	Slivers int   `json:"slivers"` // shots under the sliver threshold
-	Area    int64 `json:"area"`    // exposed cells (equals the union area)
-}
-
 // Result is the fractured shot list with its statistics.
 type Result struct {
 	Mode  Mode
 	Shots []Shot
-	// Layers holds per-layer stats, ascending by layer; layers with no
-	// geometry are omitted.
-	Layers []LayerStats
 
 	// RectShots is the rectangle-only baseline count (the sweep
-	// rectangle total); in ModeRect it equals ShotCount.
+	// rectangle total); in ModeRect it equals ShotCount. LShots counts
+	// the L-shape shots, Slivers the shots under the sliver threshold,
+	// and Area the exposed cells (equal to the union area).
 	RectShots int
 	ShotCount int
 	LShots    int
@@ -244,29 +233,21 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 	res.Shots = make([]Shot, 0, len(rects)-matched/2)
 
 	for _, lr := range ranges {
-		ls := LayerStats{Layer: lr.layer, Rects: lr.hi - lr.lo}
-		for _, r := range rects[lr.lo:lr.hi] {
-			ls.Area += int64(r.Area())
-		}
-		base := len(res.Shots)
 		res.Shots = emitShots(res.Shots, lr.layer, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi])
-		for _, s := range res.Shots[base:] {
-			if s.IsL() {
-				ls.LShots++
-			}
-			if s.longest() < opts.SliverLen {
-				ls.Slivers++
-			}
-		}
-		ls.Shots = len(res.Shots) - base
-
-		res.Layers = append(res.Layers, ls)
-		res.RectShots += ls.Rects
-		res.ShotCount += ls.Shots
-		res.LShots += ls.LShots
-		res.Slivers += ls.Slivers
-		res.Area += ls.Area
 	}
+	for _, r := range rects {
+		res.Area += int64(r.Area())
+	}
+	for _, s := range res.Shots {
+		if s.IsL() {
+			res.LShots++
+		}
+		if s.longest() < opts.SliverLen {
+			res.Slivers++
+		}
+	}
+	res.RectShots = len(rects)
+	res.ShotCount = len(res.Shots)
 	return res, nil
 }
 

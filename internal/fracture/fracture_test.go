@@ -138,13 +138,14 @@ func TestViaPads(t *testing.T) {
 	res := Fracture(routes, 2, ModeRect, Options{})
 	checkExact(t, routes, res, 1)
 	checkExact(t, routes, res, 2)
-	if len(res.Layers) != 2 {
-		t.Fatalf("layer stats: %d entries, want 2", len(res.Layers))
+	if res.RectShots != 2 || res.ShotCount != 2 {
+		t.Errorf("rect shots %d, shots %d, want 2 and 2 (one rectangle per layer)",
+			res.RectShots, res.ShotCount)
 	}
-	// Layer 1: the wire already covers the via pad cell, so the union is
-	// just the wire.
-	if res.Layers[0].Area != 6 {
-		t.Errorf("layer 1 area = %d, want 6", res.Layers[0].Area)
+	// Each layer's wire already covers the via pad cell, so the union is
+	// just the two 6-cell wires.
+	if res.Area != 12 {
+		t.Errorf("area = %d, want 12", res.Area)
 	}
 }
 
@@ -275,10 +276,10 @@ func TestOddComponentBnB(t *testing.T) {
 	}
 }
 
-// TestEmptyRoutes: no geometry, no shots, no layer stats.
+// TestEmptyRoutes: no geometry, no shots, zero totals.
 func TestEmptyRoutes(t *testing.T) {
 	res := Fracture(nil, 3, ModeLShape, Options{})
-	if res.ShotCount != 0 || len(res.Layers) != 0 || len(res.Shots) != 0 {
+	if res.ShotCount != 0 || res.RectShots != 0 || res.Area != 0 || len(res.Shots) != 0 {
 		t.Fatalf("empty input produced %+v", res)
 	}
 }

@@ -125,13 +125,6 @@ func (r Rect) Contains(p Point) bool {
 	return r.X0 <= p.X && p.X <= r.X1 && r.Y0 <= p.Y && p.Y <= r.Y1
 }
 
-// ContainsRect reports whether o lies entirely inside the closed
-// rectangle. An empty o is contained in everything.
-func (r Rect) ContainsRect(o Rect) bool {
-	return o.Empty() ||
-		(r.X0 <= o.X0 && o.X1 <= r.X1 && r.Y0 <= o.Y0 && o.Y1 <= r.Y1)
-}
-
 // Overlaps reports whether the two closed rectangles share a point.
 func (r Rect) Overlaps(o Rect) bool {
 	return !r.Empty() && !o.Empty() &&
@@ -156,12 +149,6 @@ func (r Rect) Union(o Rect) Rect {
 
 // Expand grows the rectangle by d in all four directions.
 func (r Rect) Expand(d int) Rect { return Rect{r.X0 - d, r.Y0 - d, r.X1 + d, r.Y1 + d} }
-
-// XSpan returns the horizontal extent as an interval.
-func (r Rect) XSpan() Interval { return Interval{r.X0, r.X1} }
-
-// YSpan returns the vertical extent as an interval.
-func (r Rect) YSpan() Interval { return Interval{r.Y0, r.Y1} }
 
 // Orientation of a wire segment.
 type Orientation uint8

@@ -232,10 +232,3 @@ func TestIntervalUnionWithEmpty(t *testing.T) {
 		t.Errorf("Union(empty) = %v", got)
 	}
 }
-
-func TestRectSpans(t *testing.T) {
-	r := Rect{1, 2, 5, 9}
-	if r.XSpan() != (Interval{1, 5}) || r.YSpan() != (Interval{2, 9}) {
-		t.Errorf("spans = %v %v", r.XSpan(), r.YSpan())
-	}
-}

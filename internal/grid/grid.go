@@ -189,12 +189,6 @@ func (f *Fabric) TileRect(tx, ty int) geom.Rect {
 	return r.Intersect(f.Bounds())
 }
 
-// TileCenter returns the track point at the center of tile (tx, ty).
-func (f *Fabric) TileCenter(tx, ty int) geom.Point {
-	r := f.TileRect(tx, ty)
-	return geom.Point{X: (r.X0 + r.X1) / 2, Y: (r.Y0 + r.Y1) / 2}
-}
-
 // VertTrackClasses counts, for one tile column, how many vertical tracks
 // fall into each class: on a stitching line, in a SUR, or free. It is the
 // basis of the global-routing resource estimation for MEBL (§III-A):

@@ -133,10 +133,6 @@ func TestTiles(t *testing.T) {
 	if r != (geom.Rect{X0: 45, Y0: 30, X1: 59, Y1: 44}) {
 		t.Errorf("TileRect(3,2) = %+v", r)
 	}
-	c := f.TileCenter(0, 0)
-	if c != (geom.Point{X: 7, Y: 7}) {
-		t.Errorf("TileCenter(0,0) = %v", c)
-	}
 }
 
 func TestRaggedTiles(t *testing.T) {

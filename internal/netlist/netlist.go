@@ -6,7 +6,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/grid"
@@ -109,20 +108,4 @@ func (c *Circuit) PinViaViolations() int {
 		}
 	}
 	return n
-}
-
-// SortedByHPWL returns the nets ordered by increasing HPWL (the bottom-up
-// multilevel order routes local nets first, §II-B). Ties break by net ID
-// for determinism.
-func (c *Circuit) SortedByHPWL() []*Net {
-	nets := make([]*Net, len(c.Nets))
-	copy(nets, c.Nets)
-	sort.SliceStable(nets, func(i, j int) bool {
-		hi, hj := nets[i].HPWL(), nets[j].HPWL()
-		if hi != hj {
-			return hi < hj
-		}
-		return nets[i].ID < nets[j].ID
-	})
-	return nets
 }

@@ -108,20 +108,3 @@ func TestPinViaViolations(t *testing.T) {
 		t.Errorf("PinViaViolations = %d, want 1", got)
 	}
 }
-
-func TestSortedByHPWL(t *testing.T) {
-	c := circuit()
-	nets := c.SortedByHPWL()
-	if nets[0].ID != 0 || nets[1].ID != 1 {
-		t.Errorf("order = %d,%d, want 0,1", nets[0].ID, nets[1].ID)
-	}
-	// Stability on ties: equal-HPWL nets keep ID order.
-	c.Nets = append(c.Nets, &Net{ID: 2, Name: "c", Pins: []Pin{
-		{Point: geom.Point{X: 0, Y: 0}, Layer: 1},
-		{Point: geom.Point{X: 23, Y: 0}, Layer: 1},
-	}})
-	nets = c.SortedByHPWL()
-	if nets[0].ID != 0 || nets[1].ID != 2 {
-		t.Errorf("tie order wrong: %d,%d,%d", nets[0].ID, nets[1].ID, nets[2].ID)
-	}
-}

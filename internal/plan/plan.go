@@ -59,10 +59,6 @@ type GSeg struct {
 	HiCrossL, HiCrossR bool
 }
 
-// EndRows returns the tile rows (columns for horizontal segments) of the
-// segment's two ends.
-func (s *GSeg) EndRows() (lo, hi int) { return s.Span.Lo, s.Span.Hi }
-
 // NetPlan carries one net through the routing pipeline.
 type NetPlan struct {
 	NetID int

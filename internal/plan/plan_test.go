@@ -191,11 +191,3 @@ func TestLevel(t *testing.T) {
 		}
 	}
 }
-
-func TestEndRows(t *testing.T) {
-	s := &GSeg{Span: geom.Interval{Lo: 2, Hi: 7}}
-	lo, hi := s.EndRows()
-	if lo != 2 || hi != 7 {
-		t.Errorf("EndRows = %d,%d", lo, hi)
-	}
-}
