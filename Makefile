@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint stitchvet lint-audit lint-bench lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
+.PHONY: all build vet lint stitchvet lint-audit lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
 
 all: build vet test ## build + vet + full tests
 
@@ -14,12 +14,11 @@ vet: ## go vet over the whole repo
 	$(GO) vet ./...
 
 # Static-analysis gate. stitchvet is the repo's own go/analysis-style
-# linter (cmd/stitchvet, see docs/LINTING.md): three syntactic analyzers
-# (ctxflow, lockdiscipline, floateq) and three flow-sensitive ones built
-# on the CFG + dataflow engine (nondeterm, hotalloc, leakcheck). It
-# exits nonzero on any unsuppressed diagnostic. staticcheck runs too when
-# installed (CI installs a pinned version; the offline dev container may
-# not have it).
+# linter (cmd/stitchvet, see docs/LINTING.md): the syntactic floateq and
+# two flow-sensitive analyzers built on the CFG + dataflow engine
+# (nondeterm, hotalloc). It exits nonzero on any unsuppressed
+# diagnostic. staticcheck runs too when installed (CI installs a pinned
+# version; the offline dev container may not have it).
 lint: vet stitchvet ## vet + stitchvet + staticcheck (if installed)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -35,12 +34,7 @@ lint-audit: ## check every //lint:ignore directive for name, reason, and stalene
 	$(GO) build -o bin/stitchvet ./cmd/stitchvet
 	./bin/stitchvet -audit
 
-# Regenerate the checked-in lint benchmark report: the best of
-# BENCH_RUNS full stitchvet runs over the module (see docs/LINTING.md).
-lint-bench: ## regenerate BENCH_lint.json (stitchvet over the module)
-	$(GO) run ./cmd/benchjson -stage lint -runs $(BENCH_RUNS) -out BENCH_lint.json
-
-# The analyzers' own regression suite: fixture expectations for all six
+# The analyzers' own regression suite: fixture expectations for all three
 # analyzers, the historical-catch test (every real bug stitchvet caught,
 # re-created and run through the driver), the CFG builder's structural
 # tests, the dataflow lattice and summary tests, the loader and fixture

@@ -1,18 +1,12 @@
 // Command benchjson measures the routing pipeline stage by stage on
-// benchmark circuits and writes a machine-readable JSON report. -stage
-// selects what it measures:
-//
-//   - pipeline (default): one record per circuit covering every stage.
-//     The circuit is routed -runs times and each routing stage (global,
-//     layer, track, detail, drc; core.StageTimes) keeps its fastest time.
-//     Rect and L-shape fracturing and the stencil plan are timed on those
-//     routes, and five single-pin edits are rerouted cold, by ECO replay
-//     and by ECO patch. BENCH_pipeline.json at the repository root is the
-//     checked-in copy; docs/PERFORMANCE.md documents it.
-//   - lint: a full stitchvet run over the whole module, best of -runs,
-//     with the analyzer set, package count and findings.
-//     BENCH_lint.json is the checked-in copy. Run it from the module
-//     root.
+// benchmark circuits and writes a machine-readable JSON report with one
+// record per circuit covering every stage. The circuit is routed -runs
+// times and each routing stage (global, layer, track, detail, drc;
+// core.StageTimes) keeps its fastest time. Rect and L-shape fracturing
+// and the stencil plan are timed on those routes, and five single-pin
+// edits are rerouted cold, by ECO replay and by ECO patch.
+// BENCH_pipeline.json at the repository root is the checked-in copy;
+// docs/PERFORMANCE.md documents it.
 //
 // Every time is the fastest of -runs repetitions (best-of-N absorbs
 // scheduler noise on shared machines), and the report fails unless the
@@ -22,8 +16,8 @@
 //
 // Usage:
 //
-//	benchjson [-stage pipeline|lint] [-circuits Primary1,S5378,S9234,S38417]
-//	          [-runs 5] [-out BENCH_pipeline.json]
+//	benchjson [-circuits Primary1,S5378,S9234,S38417] [-runs 5]
+//	          [-out BENCH_pipeline.json]
 package main
 
 import (
@@ -45,37 +39,20 @@ import (
 	"stitchroute/internal/stencil"
 )
 
-// header is the provenance every report starts with.
-type header struct {
+// report is the BENCH_pipeline.json document: host provenance, then
+// one record per circuit.
+type report struct {
 	Generated string `json:"generated"`
 	GoVersion string `json:"goVersion"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	// NumCPU and GOMAXPROCS are the host provenance: a time is only
 	// comparable to one taken on the same cores.
-	NumCPU       int    `json:"numCPU"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	RunsPerPoint int    `json:"runsPerPoint"`
-	Methodology  string `json:"methodology"`
-}
-
-func newHeader(runs int, methodology string) header {
-	return header{
-		Generated:    time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		NumCPU:       runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RunsPerPoint: runs,
-		Methodology:  methodology,
-	}
-}
-
-// report is the BENCH_pipeline.json document.
-type report struct {
-	header
-	Circuits []record `json:"circuits"`
+	NumCPU       int      `json:"numCPU"`
+	GOMAXPROCS   int      `json:"gomaxprocs"`
+	RunsPerPoint int      `json:"runsPerPoint"`
+	Methodology  string   `json:"methodology"`
+	Circuits     []record `json:"circuits"`
 }
 
 // record is one circuit measured through every stage.
@@ -134,7 +111,6 @@ func main() {
 
 func run() int {
 	var (
-		stage        = flag.String("stage", "pipeline", "what to measure: pipeline or lint")
 		circuitsFlag = flag.String("circuits", "Primary1,S5378,S9234,S38417", "comma-separated benchmark circuits")
 		runs         = flag.Int("runs", 5, "runs per measured point; fastest is kept")
 		out          = flag.String("out", "-", "output file (- = stdout)")
@@ -144,16 +120,16 @@ func run() int {
 		log.Printf("runs must be >= 1, got %d", *runs)
 		return 2
 	}
-	switch *stage {
-	case "pipeline":
-	case "lint":
-		return runLint(*runs, *out)
-	default:
-		log.Printf("unknown -stage %q (want pipeline or lint)", *stage)
-		return 2
+	rep := report{
+		Generated:    time.Now().UTC().Format(time.RFC3339),
+		GoVersion:    runtime.Version(),
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		RunsPerPoint: *runs,
+		Methodology:  methodology,
 	}
-
-	rep := report{header: newHeader(*runs, methodology)}
 	for _, name := range strings.Split(*circuitsFlag, ",") {
 		rec, err := measure(strings.TrimSpace(name), *runs)
 		if err != nil {
@@ -164,18 +140,13 @@ func run() int {
 		log.Printf("%s done: %v, replay %.1fx, patch %.1fx",
 			rec.Circuit, rec.StageMs, rec.ECO.ReplaySpeedup, rec.ECO.PatchSpeedup)
 	}
-	return writeReport(&rep, *out)
-}
-
-// writeReport marshals the report and writes it to out ("-" = stdout).
-func writeReport(rep any, out string) int {
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	buf, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		log.Print(err)
 		return 1
 	}
 	buf = append(buf, '\n')
-	if out == "-" {
+	if *out == "-" {
 		// A report nobody received is a failed run: a broken pipe or a
 		// full disk downstream must surface as a nonzero exit, not as a
 		// silently truncated JSON document.
@@ -185,11 +156,11 @@ func writeReport(rep any, out string) int {
 		}
 		return 0
 	}
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
 		log.Print(err)
 		return 1
 	}
-	log.Printf("wrote %s", out)
+	log.Printf("wrote %s", *out)
 	return 0
 }
 

@@ -1,6 +1,7 @@
 // Command stitchvet is the repo's domain-specific linter: a multichecker
-// that enforces the router's determinism, cancellation, and concurrency
-// invariants at compile time instead of rediscovering them in soak runs.
+// that enforces the router's determinism, float-comparison and hot-path
+// allocation invariants at compile time instead of rediscovering them in
+// soak runs.
 //
 // Usage:
 //

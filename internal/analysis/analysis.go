@@ -58,10 +58,8 @@ func (a *Analyzer) Matches(pkgPath string) bool {
 // Pass carries one package's syntax and type information to an analyzer,
 // mirroring x/tools' analysis.Pass.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	// Report publishes a diagnostic. The driver wires this to its

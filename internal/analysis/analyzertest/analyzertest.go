@@ -106,10 +106,8 @@ func Run(t *testing.T, testdataDir string, a *analysis.Analyzer, pkgNames ...str
 
 			var diags []analysis.Diagnostic
 			pass := &analysis.Pass{
-				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
-				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
 				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 			}

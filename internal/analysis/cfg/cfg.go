@@ -12,9 +12,8 @@
 // `select` contributes one block per communication clause with the comm
 // statement as its first node. `break`, `continue`, `goto` (including
 // labeled forms and `fallthrough`) become edges; `return` and `panic`
-// edges run to the distinguished Exit block. Deferred calls are collected
-// on the graph (their argument evaluation stays in the defer's block);
-// they run on every path that reaches Exit.
+// edges run to the distinguished Exit block. A defer statement is a plain
+// node of its block, where its arguments are evaluated.
 //
 // Function literals are NOT inlined: a FuncLit inside an expression is an
 // opaque value in the enclosing graph, and callers build a separate Graph
@@ -23,9 +22,7 @@
 package cfg
 
 import (
-	"fmt"
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -43,10 +40,6 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
-	// Defers lists every defer statement in the function, in source
-	// order. Their calls execute, in reverse order, on every path that
-	// reaches Exit (including panics).
-	Defers []*ast.DeferStmt
 }
 
 // New builds the CFG of a function body. It accepts the body directly so
@@ -61,17 +54,6 @@ func New(body *ast.BlockStmt) *Graph {
 	b.edgeTo(b.g.Exit)
 	b.resolveGotos()
 	return b.g
-}
-
-// FuncBody returns the body of a FuncDecl or FuncLit, or nil.
-func FuncBody(n ast.Node) *ast.BlockStmt {
-	switch fn := n.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
 }
 
 // frame is one enclosing breakable/continuable construct.
@@ -148,9 +130,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.cur = nil
 	case *ast.BranchStmt:
 		b.branch(s)
-	case *ast.DeferStmt:
-		b.add(s)
-		b.g.Defers = append(b.g.Defers, s)
 	case *ast.IfStmt:
 		b.ifStmt(s)
 	case *ast.ForStmt:
@@ -170,7 +149,7 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.cur = nil
 		}
 	default:
-		// Assign, Decl, IncDec, Send, Go: straight-line nodes.
+		// Assign, Decl, IncDec, Send, Go, Defer: straight-line nodes.
 		b.add(s)
 	}
 }
@@ -572,29 +551,4 @@ func (g *Graph) InLoop() []bool {
 		}
 	}
 	return in
-}
-
-// DebugString renders the graph as one line per block:
-//
-//	b0 entry -> b2 b3
-//
-// in index order, for the hand-written expectations in cfg_test.go.
-func (g *Graph) DebugString() string {
-	var sb strings.Builder
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "b%d %s", blk.Index, blk.Kind)
-		if len(blk.Succs) > 0 {
-			succs := make([]int, len(blk.Succs))
-			for i, s := range blk.Succs {
-				succs[i] = s.Index
-			}
-			sort.Ints(succs)
-			sb.WriteString(" ->")
-			for _, s := range succs {
-				fmt.Fprintf(&sb, " b%d", s)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -217,10 +217,8 @@ func analyzePackage(analyzers []*analysis.Analyzer, pkg *load.Package) ([]Diagno
 			continue
 		}
 		pass := &analysis.Pass{
-			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 		}
 		name := a.Name

@@ -208,55 +208,3 @@ func placePins(rng *rand.Rand, f *grid.Fabric, deg int, meanSpread float64, used
 	}
 	return pins
 }
-
-// Stats summarizes a generated circuit's netlist shape — useful for
-// validating that the synthetic benchmarks behave like the originals.
-type Stats struct {
-	Nets, Pins int
-	MinDegree  int
-	MaxDegree  int
-	MeanDegree float64
-	MeanHPWL   float64
-	MaxHPWL    int
-	PinDensity float64 // pins per layer-1 track cell
-	LocalFrac  float64 // nets whose bbox fits one tile
-	StitchPins int     // pins on stitching-line columns
-}
-
-// Measure computes the statistics of a circuit.
-func Measure(c *netlist.Circuit) Stats {
-	st := Stats{Nets: len(c.Nets), MinDegree: 1 << 30}
-	var hpwlSum float64
-	for _, n := range c.Nets {
-		d := len(n.Pins)
-		st.Pins += d
-		if d < st.MinDegree {
-			st.MinDegree = d
-		}
-		if d > st.MaxDegree {
-			st.MaxDegree = d
-		}
-		h := n.HPWL()
-		hpwlSum += float64(h)
-		if h > st.MaxHPWL {
-			st.MaxHPWL = h
-		}
-		b := n.BBox()
-		if c.Fabric.TileOfX(b.X0) == c.Fabric.TileOfX(b.X1) &&
-			c.Fabric.TileOfY(b.Y0) == c.Fabric.TileOfY(b.Y1) {
-			st.LocalFrac++
-		}
-		for _, p := range n.Pins {
-			if c.Fabric.IsStitchCol(p.X) {
-				st.StitchPins++
-			}
-		}
-	}
-	if st.Nets > 0 {
-		st.MeanDegree = float64(st.Pins) / float64(st.Nets)
-		st.MeanHPWL = hpwlSum / float64(st.Nets)
-		st.LocalFrac /= float64(st.Nets)
-	}
-	st.PinDensity = float64(st.Pins) / float64(c.Fabric.XTracks*c.Fabric.YTracks)
-	return st
-}

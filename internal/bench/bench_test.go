@@ -140,24 +140,37 @@ func TestDegreesSumAndFloor(t *testing.T) {
 	}
 }
 
+// TestMeasure checks the shape of a generated S9234 netlist: exact net
+// and pin counts, degrees in range, some but not all nets local to one
+// tile, and a plausible pin density.
 func TestMeasure(t *testing.T) {
 	spec, _ := ByName("S9234")
 	c := Generate(spec)
-	st := Measure(c)
-	if st.Nets != spec.Nets || st.Pins != spec.Pins {
-		t.Errorf("counts: %d/%d, want %d/%d", st.Nets, st.Pins, spec.Nets, spec.Pins)
+	pins, minDeg, maxDeg, local := 0, 1<<30, 0, 0
+	for _, n := range c.Nets {
+		d := len(n.Pins)
+		pins += d
+		minDeg, maxDeg = min(minDeg, d), max(maxDeg, d)
+		b := n.BBox()
+		if c.Fabric.TileOfX(b.X0) == c.Fabric.TileOfX(b.X1) &&
+			c.Fabric.TileOfY(b.Y0) == c.Fabric.TileOfY(b.Y1) {
+			local++
+		}
 	}
-	if st.MinDegree < 2 || st.MaxDegree > 24 {
-		t.Errorf("degree range %d..%d", st.MinDegree, st.MaxDegree)
+	if len(c.Nets) != spec.Nets || pins != spec.Pins {
+		t.Fatalf("counts: %d/%d, want %d/%d", len(c.Nets), pins, spec.Nets, spec.Pins)
 	}
-	if st.MeanDegree < 2 || st.MeanDegree > 6 {
-		t.Errorf("mean degree %.2f", st.MeanDegree)
+	if minDeg < 2 || maxDeg > 24 {
+		t.Errorf("degree range %d..%d", minDeg, maxDeg)
 	}
-	if st.LocalFrac <= 0 || st.LocalFrac >= 1 {
-		t.Errorf("local fraction %.2f", st.LocalFrac)
+	if mean := float64(pins) / float64(len(c.Nets)); mean < 2 || mean > 6 {
+		t.Errorf("mean degree %.2f", mean)
 	}
-	if st.PinDensity <= 0 || st.PinDensity > 0.5 {
-		t.Errorf("pin density %.3f", st.PinDensity)
+	if frac := float64(local) / float64(len(c.Nets)); frac <= 0 || frac >= 1 {
+		t.Errorf("local fraction %.2f", frac)
+	}
+	if density := float64(pins) / float64(c.Fabric.XTracks*c.Fabric.YTracks); density <= 0 || density > 0.5 {
+		t.Errorf("pin density %.3f", density)
 	}
 }
 

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"stitchroute/internal/grid"
+	"stitchroute/internal/netlist"
 )
 
 // TestRouteContextPreCancelled: a context cancelled before the call
@@ -80,5 +84,28 @@ func TestRouteContextBackground(t *testing.T) {
 	}
 	if res.Report.Routability() <= 0 {
 		t.Error("background-context route produced nothing")
+	}
+}
+
+// TestRouteJoinsGoroutines: Route solves layer and track panels on
+// goroutines of its own; by the time it returns, all of them have
+// exited.
+func TestRouteJoinsGoroutines(t *testing.T) {
+	c := &netlist.Circuit{Name: "join", Fabric: grid.New(90, 90, 3), Nets: []*netlist.Net{
+		{ID: 0, Name: "a", Pins: []netlist.Pin{pin(3, 3), pin(70, 50)}},
+		{ID: 1, Name: "b", Pins: []netlist.Pin{pin(20, 70), pin(22, 10), pin(60, 40)}},
+		{ID: 2, Name: "c", Pins: []netlist.Pin{pin(5, 80), pin(80, 80)}},
+	}}
+	before := runtime.NumGoroutine()
+	if _, err := Route(c, StitchAware()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Route, want %d:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }

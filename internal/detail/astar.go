@@ -273,7 +273,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	}
 	// Tabulate the heuristic's per-column and per-row Manhattan gaps to
 	// the target bounding box. h then computes the same
-	// cfg.Alpha * float64(dx+dy) it always did — same sum, same
+	// alpha * float64(dx+dy) it always did — same sum, same
 	// conversion, same multiply — from two table loads.
 	if len(sc.hx) < W {
 		sc.hx = make([]int32, W)
@@ -301,7 +301,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	}
 	hx, hy := sc.hx, sc.hy
 	h := func(x, y int) float64 {
-		return cfg.Alpha * float64(hx[x-win.X0]+hy[y-win.Y0])
+		return alpha * float64(hx[x-win.X0]+hy[y-win.Y0])
 	}
 
 	// Per-layer axis move costs: the same multiplications the expansion
@@ -312,12 +312,12 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	}
 	for l := 0; l < L; l++ {
 		preferred := f.LayerDir(l + 1)
-		cx, cy := cfg.Alpha, cfg.Alpha
+		cx, cy := alpha, alpha
 		if preferred != geom.Horizontal {
-			cx *= cfg.WrongWay
+			cx *= wrongWay
 		}
 		if preferred != geom.Vertical {
-			cy *= cfg.WrongWay
+			cy *= wrongWay
 		}
 		sc.costXl[l] = cx
 		sc.costYl[l] = cy
@@ -402,7 +402,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 			break
 		}
 		expansions++
-		if expansions > cfg.MaxExpansions {
+		if expansions > maxExpansions {
 			break
 		}
 		d := n.dist

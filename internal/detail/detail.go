@@ -37,20 +37,25 @@ type Config struct {
 	// Hard constraints (no vertical routing and no vias on stitching
 	// lines) hold in both modes, as in the paper's baseline.
 	StitchAware bool
-	// Alpha, Beta, Gamma are the eq. (10) weights (paper: 1, 10, 5).
-	Alpha, Beta, Gamma float64
-	// ViaCost is the base cost of a z-move.
-	ViaCost float64
-	// WrongWay multiplies Alpha for moves against a layer's preferred
-	// direction.
-	WrongWay float64
+	// Beta and Gamma are the eq. (10) stitch weights (paper: 10, 5); the
+	// wirelength weight α is fixed at the paper's 1.
+	Beta, Gamma float64
 	// OrderByBadEnds routes nets with more unavoidable bad ends first
 	// (§III-D2). On by default in stitch-aware mode; exposed separately
 	// for the net-ordering ablation.
 	OrderByBadEnds bool
-	// MaxExpansions bounds each A* attempt.
-	MaxExpansions int
 }
+
+// The fixed search costs: alpha is eq. (10)'s wirelength weight per
+// track step, viaCost the base cost of a z-move, and wrongWay multiplies
+// alpha for moves against a layer's preferred direction. maxExpansions
+// bounds each A* attempt.
+const (
+	alpha         float64 = 1
+	viaCost       float64 = 2
+	wrongWay      float64 = 2
+	maxExpansions         = 400_000
+)
 
 // ResolveWorkers returns 1, the number of threads the detailed router
 // runs on, whatever its argument.
@@ -72,13 +77,9 @@ type SchedStats struct {
 func DefaultConfig(stitchAware bool) Config {
 	return Config{
 		StitchAware:    stitchAware,
-		Alpha:          1,
 		Beta:           10,
 		Gamma:          5,
-		ViaCost:        2,
-		WrongWay:       2,
 		OrderByBadEnds: stitchAware,
-		MaxExpansions:  400_000,
 	}
 }
 
@@ -139,7 +140,7 @@ type Router struct {
 	// (pure functions of x), replacing repeated integer divisions in the
 	// A* expansion loop. Read-only after NewRouter.
 	colFlags []uint8
-	// costZCol caches the per-x-track via cost (cfg.ViaCost plus the
+	// costZCol caches the per-x-track via cost (viaCost plus the
 	// stitch-aware column penalties of eq. 10). Computed with the same
 	// floating-point operation sequence the expansion loop used inline,
 	// so the cached values are bit-identical. Read-only after NewRouter.
@@ -178,7 +179,7 @@ func NewRouter(f *grid.Fabric, cfg Config) *Router {
 	r.costZCol = make([]float64, r.X)
 	for x := 0; x < r.X; x++ {
 		fl := r.colFlags[x]
-		costZ := cfg.ViaCost
+		costZ := viaCost
 		if cfg.StitchAware {
 			switch {
 			case fl&colStitch != 0:

@@ -249,7 +249,8 @@ func TestParseScript(t *testing.T) {
 	}
 }
 
-// TestRerouteCancelled: a pre-cancelled context aborts with ErrCancelled.
+// TestRerouteCancelled: a pre-cancelled context aborts both ECO engines
+// with ErrCancelled.
 func TestRerouteCancelled(t *testing.T) {
 	cfg := core.StitchAware()
 	c := genCircuit(t, 9)
@@ -260,9 +261,18 @@ func TestRerouteCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &eco.Script{Edits: []eco.Edit{{Op: eco.OpDelete, ID: 1}}}
-	_, err = eco.RerouteContext(ctx, parent, c, s, cfg)
-	if !errors.Is(err, core.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
+	for _, tc := range []struct {
+		name   string
+		engine func(context.Context, *core.Result, *netlist.Circuit, *eco.Script, core.Config) (*eco.Result, error)
+	}{
+		{"replay", eco.RerouteContext},
+		{"patch", eco.ReroutePatchContext},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.engine(ctx, parent, c, s, cfg); !errors.Is(err, core.ErrCancelled) {
+				t.Fatalf("want ErrCancelled, got %v", err)
+			}
+		})
 	}
 }
 

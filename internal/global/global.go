@@ -39,9 +39,6 @@ type Config struct {
 	ReduceCapacity bool
 	// LineEndCost enables the vertex (line-end congestion) term ψ_v.
 	LineEndCost bool
-	// WLWeight is the per-tile-edge wirelength weight added to the
-	// congestion cost; it keeps routes short when congestion is low.
-	WLWeight float64
 	// Steiner decomposes multipin nets along a rectilinear Steiner tree
 	// topology (trunk sharing) instead of a plain spanning tree.
 	Steiner bool
@@ -49,16 +46,16 @@ type Config struct {
 
 // StitchAware returns the full stitch-aware configuration.
 func StitchAware() Config {
-	return Config{ReduceCapacity: true, LineEndCost: true, WLWeight: 0.2, Steiner: true}
+	return Config{ReduceCapacity: true, LineEndCost: true, Steiner: true}
 }
 
 // EdgeOnly considers MEBL edge capacities but not line-end densities
 // (the "w/o line end consideration" arm of Table IV).
-func EdgeOnly() Config { return Config{ReduceCapacity: true, WLWeight: 0.2, Steiner: true} }
+func EdgeOnly() Config { return Config{ReduceCapacity: true, Steiner: true} }
 
 // Baseline is a conventional congestion-driven global router that knows
 // nothing about stitching lines (the NTUgr stand-in).
-func Baseline() Config { return Config{WLWeight: 0.2, Steiner: true} }
+func Baseline() Config { return Config{Steiner: true} }
 
 // Router holds the global routing graph state for one circuit.
 type Router struct {
@@ -137,14 +134,18 @@ func psi(d, c int32) float64 {
 	return math.Exp2(float64(d)/float64(c)) - 1
 }
 
+// wlWeight is the per-tile-edge wirelength weight added to the congestion
+// cost; it keeps routes short when congestion is low.
+const wlWeight float64 = 0.2
+
 // edgeCost is the congestion cost of pushing one more segment over the
 // edge: ψ evaluated at demand+1 so scarce (stitch-reduced) boundaries are
 // avoided even before they congest.
 func (r *Router) edgeCost(horizontal bool, idx int) float64 {
 	if horizontal {
-		return psi(r.hDem[idx]+1, r.hCap[idx]) + r.hHist[idx] + r.cfg.WLWeight
+		return psi(r.hDem[idx]+1, r.hCap[idx]) + r.hHist[idx] + wlWeight
 	}
-	return psi(r.vDem[idx]+1, r.vCap[idx]) + r.vHist[idx] + r.cfg.WLWeight
+	return psi(r.vDem[idx]+1, r.vCap[idx]) + r.vHist[idx] + wlWeight
 }
 
 // endCost is the line-end congestion cost of placing one more vertical
@@ -316,7 +317,7 @@ func (r *Router) astar(sources map[plan.TilePoint]bool, target plan.TilePoint) [
 	states, cur := a.states, a.cur
 	h := func(v int) float64 {
 		tx, ty := v%tw, v/tw
-		return r.cfg.WLWeight * float64(geom.Abs(tx-target.TX)+geom.Abs(ty-target.TY))
+		return wlWeight * float64(geom.Abs(tx-target.TX)+geom.Abs(ty-target.TY))
 	}
 	// Seed the heap in a fixed source order: equal-priority states pop in
 	// insertion order, so iterating the source map directly would leak its

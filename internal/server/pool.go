@@ -117,7 +117,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Closing under s.mu is what makes the pool safe for callers that
 	// stop it with requests in flight: every send (enqueue) holds s.mu
 	// and re-checks closed first, so no send can race this close.
-	//lint:ignore lockdiscipline close is ordered against enqueue's send by design: both hold s.mu and enqueue re-checks s.closed, which is exactly the PR 1 race fix
+	// close is ordered against enqueue's send by design: both hold s.mu
+	// and enqueue re-checks s.closed.
 	close(s.queue)
 	s.mu.Unlock()
 

@@ -293,7 +293,9 @@ func (s *Server) enqueue(j *Job) *apiError {
 			msg: fmt.Sprintf("job queue full (%d queued)", cap(s.queue))}
 	}
 	s.registerLocked(j)
-	//lint:ignore lockdiscipline deliberate send under s.mu: len < cap was just checked under the same lock so it cannot block, and Shutdown closes the queue under s.mu so it cannot be closed mid-send (the PR 1 race fix)
+	// Deliberate send under s.mu: len < cap was just checked under the
+	// same lock so it cannot block, and Shutdown closes the queue under
+	// s.mu so it cannot be closed mid-send.
 	s.queue <- j
 	return nil
 }

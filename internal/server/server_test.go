@@ -657,6 +657,62 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownJoinsGoroutines: once jobs have run and Shutdown returns,
+// every goroutine the server started (workers, the drain waiter) has
+// exited. Requests go straight to the handler, so no HTTP server or
+// client goroutines cloud the count.
+func TestShutdownJoinsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 2})
+	var ids []string
+	for i := 0; i < 3; i++ {
+		body, _ := json.Marshal(JobRequest{Circuit: tinyCircuit(fmt.Sprintf("join%d", i))})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+		var v JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil || v.ID == "" {
+			t.Fatalf("submit = %d %q: %v", rec.Code, rec.Body, err)
+		}
+		ids = append(ids, v.ID)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, id := range ids {
+		for {
+			s.mu.Lock()
+			st, _ := s.jobs[id].snapshot()
+			s.mu.Unlock()
+			if st == StateDone {
+				break
+			}
+			if st.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s in %q, want %q", id, st, StateDone)
+			}
+			runtime.Gosched()
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines polls until the goroutine count falls back to want,
+// failing with every goroutine's stack if it has not within 5s.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestBenchmarksHealthzMetrics(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 1})
 
