@@ -25,8 +25,8 @@ type Summaries struct {
 	funcs map[*types.Func]*FuncSummary
 }
 
-// Lookup returns the summary for fn, or nil.
-func (s *Summaries) Lookup(fn *types.Func) *FuncSummary {
+// lookup returns the summary for fn, or nil.
+func (s *Summaries) lookup(fn *types.Func) *FuncSummary {
 	if s == nil {
 		return nil
 	}

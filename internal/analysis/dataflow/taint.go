@@ -161,10 +161,10 @@ func (c *TaintConfig) weaken(f Fact, obj types.Object, t Taint) Fact {
 	return c.set(f, obj, f[obj].merge(t))
 }
 
-// RootObject resolves the base object a chain of selectors, indexes,
+// rootObject resolves the base object a chain of selectors, indexes,
 // slices, derefs, and parens hangs off: for `r.sc.rev[i]` it returns r's
 // object. Returns nil for expressions not rooted in an identifier.
-func (c *TaintConfig) RootObject(e ast.Expr) types.Object {
+func (c *TaintConfig) rootObject(e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
@@ -216,7 +216,7 @@ func (c *TaintConfig) EvalExpr(f Fact, e ast.Expr) Taint {
 		// survive the indirection (arguments are unknown at bind time),
 		// so only Always flows.
 		if fn, ok := obj.(*types.Func); ok {
-			if sum := c.Summaries.Lookup(fn); sum != nil {
+			if sum := c.Summaries.lookup(fn); sum != nil {
 				return sum.Always
 			}
 		}
@@ -247,7 +247,7 @@ func (c *TaintConfig) EvalExpr(f Fact, e ast.Expr) Taint {
 		// method body: it carries the receiver's taint plus the method
 		// summary's Always taint.
 		if fn, ok := c.Info.ObjectOf(e.Sel).(*types.Func); ok {
-			if sum := c.Summaries.Lookup(fn); sum != nil {
+			if sum := c.Summaries.lookup(fn); sum != nil {
 				return sum.Always.merge(c.EvalExpr(f, e.X))
 			}
 		}
@@ -308,7 +308,7 @@ func (c *TaintConfig) evalCall(f Fact, call *ast.CallExpr) Taint {
 	// Function summary of a same-package callee.
 	if c.Summaries != nil {
 		if fn := c.calleeFunc(call); fn != nil {
-			if sum := c.Summaries.Lookup(fn); sum != nil {
+			if sum := c.Summaries.lookup(fn); sum != nil {
 				t := sum.Always
 				for i, a := range call.Args {
 					if i < 64 && sum.FromParams&(1<<uint(i)) != 0 {
@@ -421,7 +421,7 @@ func (c *TaintConfig) Transfer(n ast.Node, in Fact) Fact {
 		// all along; only the draw order wasn't).
 		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
 			if target := sortedArg(c.Info, call); target != nil {
-				obj := c.RootObject(target)
+				obj := c.rootObject(target)
 				if obj != nil {
 					if t, ok := in[obj]; ok && t.Kind&Order != 0 {
 						t.Kind &^= Order
@@ -481,7 +481,7 @@ func (c *TaintConfig) assign(n *ast.AssignStmt, in Fact) Fact {
 			if c.ExemptWrite != nil && c.ExemptWrite(lhs) {
 				continue
 			}
-			out = c.weaken(out, c.RootObject(lhs), t)
+			out = c.weaken(out, c.rootObject(lhs), t)
 		}
 	}
 	return out
@@ -507,7 +507,7 @@ func (c *TaintConfig) rangeTransfer(n *ast.RangeStmt, in Fact) Fact {
 			}
 			out = c.set(out, c.Info.ObjectOf(id), t)
 		} else {
-			out = c.weaken(out, c.RootObject(e), t)
+			out = c.weaken(out, c.rootObject(e), t)
 		}
 	}
 	return out

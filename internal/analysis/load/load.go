@@ -40,7 +40,6 @@ type Package struct {
 	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Types     *types.Package
 	TypesInfo *types.Info
 
 	// TypeErrors collects soft type-checking errors. Analyzers still
@@ -260,11 +259,9 @@ func checkParsed(fset *token.FileSet, imp types.Importer, pkgPath, dir string, a
 		FakeImportC: true,
 		Error:       func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, err := conf.Check(pkgPath, fset, asts, pkg.TypesInfo)
-	if err != nil && tpkg == nil {
+	if tpkg, err := conf.Check(pkgPath, fset, asts, pkg.TypesInfo); err != nil && tpkg == nil {
 		return nil, fmt.Errorf("type-checking %s: %v", pkgPath, err)
 	}
-	pkg.Types = tpkg
 	if len(asts) > 0 {
 		pkg.Name = asts[0].Name.Name
 	}

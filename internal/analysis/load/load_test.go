@@ -1,6 +1,7 @@
 package load
 
 import (
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,11 +30,17 @@ func TestListAndLoad(t *testing.T) {
 	if len(pkg.TypeErrors) != 0 {
 		t.Errorf("ok has type errors: %v", pkg.TypeErrors)
 	}
-	if pkg.Name != "ok" || pkg.Types.Path() != fixtures+"ok" || pkg.Dir != ok.Dir {
-		t.Errorf("pkg = name %q path %q dir %q", pkg.Name, pkg.Types.Path(), pkg.Dir)
+	if pkg.Name != "ok" || pkg.PkgPath != fixtures+"ok" || pkg.Dir != ok.Dir {
+		t.Errorf("pkg = name %q path %q dir %q", pkg.Name, pkg.PkgPath, pkg.Dir)
 	}
-	if pkg.Types.Scope().Lookup("Upper") == nil {
-		t.Error("Upper is not in the package scope")
+	var upper types.Object
+	for id, obj := range pkg.TypesInfo.Defs {
+		if id.Name == "Upper" {
+			upper = obj
+		}
+	}
+	if upper == nil || upper.Pkg().Path() != fixtures+"ok" || upper.Parent() != upper.Pkg().Scope() {
+		t.Error("Upper is not defined in the package scope")
 	}
 	if len(pkg.TypesInfo.Uses) == 0 || pkg.Fset != loader.fset {
 		t.Error("types.Info not filled or FileSet not shared")

@@ -157,8 +157,8 @@ type ECOState struct {
 	Global *global.Trace
 	// Indexed like Routes/Plans (the parent circuit's net slots). The
 	// footprints are detail's actTile bucket bitsets, packed.
-	Acts      Footprints
-	WActs     Footprints
+	Acts      detail.Footprints
+	WActs     detail.Footprints
 	Ripped    []bool
 	FreedPins [][]detail.Cell
 	MatWires  [][]geom.Segment
@@ -266,8 +266,8 @@ func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) 
 	res.ECO = &ECOState{
 		Cfg:       cfg,
 		Global:    gr.Trace(),
-		Acts:      PackFootprints(dres.Acts),
-		WActs:     PackFootprints(dres.WActs),
+		Acts:      dres.Acts,
+		WActs:     dres.WActs,
 		Ripped:    dres.NetRipped,
 		FreedPins: dres.FreedPins,
 		MatWires:  dres.MatWires,

@@ -360,6 +360,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	// the window arena (i, strides 1/W/W*H) and the global occupancy grid
 	// (gi, strides 1/X/X*Y) — no per-neighbor index arithmetic.
 	occ := r.occ
+	sact := r.sact
 	costZCol := r.costZCol
 	X, XY := r.X, r.X*r.Y
 	id1 := id + 1
@@ -389,12 +390,12 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 		}
 		// ECO act: the search reads occupancy only at popped cells'
 		// neighbors, so the popped tiles (dilated by one tile when the
-		// recording is folded — see collectECO) bound its read set far
-		// tighter than the whole window. Tasks built outside prepare
-		// (tests) carry no bitset.
-		if t.sact != nil {
+		// net's footprint is recorded — see foldAct) bound its read set
+		// far tighter than the whole window. A run that records nothing
+		// (RunPatch, tests driving routeNet) has no bitset.
+		if sact != nil {
 			ab := (y>>actTileShift)*r.atw + x>>actTileShift
-			t.sact[ab>>6] |= 1 << (uint(ab) & 63)
+			sact[ab>>6] |= 1 << (uint(ab) & 63)
 		}
 		if n.tstamp == stamp {
 			goal = c

@@ -98,19 +98,20 @@ type Result struct {
 	Sched SchedStats
 
 	// ECO recording (memo.go), indexed like Routes. Acts is each net's
-	// activity rect: the union of its pin bbox, every planned-wire
-	// candidate it materialized (accepted or conflicted — both read
-	// cells), and every search window it ran — i.e. a superset of every
-	// occupancy cell the net's processing read or wrote, as an actTile
-	// bucket bitset (memo.go). WActs is the write footprint alone: pin
-	// bbox, accepted candidates, and committed wires (including ones a
-	// later rip-up cleared) — every cell whose occupancy the net's
-	// processing ever changed. NetRipped marks nets whose planned
-	// geometry was ripped up, and FreedPins lists pin cells whose
+	// activity footprint: the tiles of its pin cells, of every
+	// planned-wire candidate it materialized (accepted or conflicted —
+	// both read cells), and of every cell its searches popped, dilated by
+	// one tile (foldAct) — i.e. a superset of every occupancy cell the
+	// net's processing read or wrote. WActs is the write footprint alone:
+	// pin cells, accepted candidates, and committed wires (including ones
+	// a later rip-up cleared) — every cell whose occupancy the net's
+	// processing ever changed. Both are actTile bucket bitsets, packed
+	// (footprint.go); a patch records none. NetRipped marks nets whose
+	// planned geometry was ripped up, and FreedPins lists pin cells whose
 	// reservation ended up released (see replayNet in memo.go for why
 	// that is the one non-local bit of rip-up state).
-	Acts      [][]uint64
-	WActs     [][]uint64
+	Acts      Footprints
+	WActs     Footprints
 	NetRipped []bool
 	FreedPins [][]Cell
 	// MatWires is each net's post-materialization candidate set (the
@@ -136,6 +137,11 @@ type Router struct {
 	// actTile buckets, atw × ath of them, awords uint64 words per bitset
 	// (see memo.go). Read-only after NewRouter.
 	atw, ath, awords int
+	// act, wact and sact are the dense footprint bitsets of the one net
+	// being recorded (footprint.go), awords words each. A recording run
+	// (RunContext, RunMemo) holds them from prepare to finish; they are
+	// nil otherwise, and then nothing is marked.
+	act, wact, sact []uint64
 	// colFlags caches the per-x-track stitch/SUR/escape classification
 	// (pure functions of x), replacing repeated integer divisions in the
 	// A* expansion loop. Read-only after NewRouter.
@@ -338,23 +344,11 @@ func (r *Router) SetCongestion(*plan.Congestion) {}
 // equivalence argument relies on this phase being identical.
 func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result, nets, order []*routeTask) {
 	res = &Result{Routes: make([]plan.NetRoute, len(c.Nets))}
+	r.startRecording(res, len(c.Nets))
 
 	nets = make([]*routeTask, len(c.Nets))
 	for i := range c.Nets {
-		t := newTask(c, plans, i)
-		t.act = make([]uint64, r.awords)
-		t.wact = make([]uint64, r.awords)
-		t.sact = make([]uint64, r.awords)
-		// Prepare touches occupancy only at each pin cell and its via
-		// escape directly above (same x,y) — mark those tiles, not the
-		// whole multi-pin bounding box, which for a spread net would
-		// blanket the fabric and defeat the ECO overlap test.
-		for _, pin := range t.net.Pins {
-			pr := geom.Rect{X0: pin.X, Y0: pin.Y, X1: pin.X, Y1: pin.Y}
-			r.markAct(t.act, pr)
-			r.markAct(t.wact, pr)
-		}
-		nets[i] = t
+		nets[i] = newTask(c, plans, i)
 	}
 
 	r.reserveAndMaterialize(nets)
@@ -362,10 +356,13 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 	// check's verdict depends on other nets' cells, so an edit can flip
 	// it — RunMemo compares these against the edited run's post-prepare
 	// candidates to catch divergence that happens before the routing
-	// loop's clean checks (see the pre-loop seeding in memo.go).
+	// loop's clean checks (see the pre-loop seeding in memo.go). Each
+	// net's footprints start as its prepare-time ones, which a net the
+	// routing loop never reaches (a cancelled run) keeps.
 	res.MatWires = make([][]geom.Segment, len(nets))
 	for i, t := range nets {
 		res.MatWires[i] = append([]geom.Segment(nil), t.wires...)
+		res.Acts.nets[i], res.WActs.nets[i] = t.act, t.wact
 	}
 
 	return res, nets, r.netOrder(nets)
@@ -413,7 +410,9 @@ func (r *Router) reserveAndMaterialize(tasks []*routeTask) {
 		}
 	}
 	for _, t := range tasks {
+		r.beginFootprint(t)
 		r.materialize(t)
+		r.packPrepared(t)
 	}
 }
 
@@ -472,18 +471,16 @@ func (r *Router) tally(res *Result) {
 	res.Expansions = r.expansions
 }
 
-// collectECO copies the per-task ECO recording into the result.
+// collectECO copies the per-task rip-up state into the result and ends
+// the footprint recording.
 func (r *Router) collectECO(res *Result, nets []*routeTask) {
-	res.Acts = make([][]uint64, len(nets))
-	res.WActs = make([][]uint64, len(nets))
 	res.NetRipped = make([]bool, len(nets))
 	res.FreedPins = make([][]Cell, len(nets))
 	for i, t := range nets {
-		res.Acts[i] = r.foldAct(t.act, t.sact)
-		res.WActs[i] = t.wact
 		res.NetRipped[i] = t.ripped
 		res.FreedPins[i] = t.freedPins
 	}
+	r.act, r.wact, r.sact = nil, nil, nil
 }
 
 // recordFreedPins notes which of the net's pin cells it does not own
@@ -502,6 +499,7 @@ func (r *Router) recordFreedPins(t *routeTask) {
 // geometry; on failure rip that geometry up and route the net directly;
 // then escape release and result recording.
 func (r *Router) routeOne(t *routeTask, res *Result) {
+	r.loadFootprint(t)
 	ok := r.routeOrDrop(t)
 	if !ok {
 		res.Ripped++
@@ -511,6 +509,7 @@ func (r *Router) routeOne(t *routeTask, res *Result) {
 	r.releaseEscapes(t)
 	r.recordFreedPins(t)
 	res.record(t, ok)
+	r.recordFootprint(t, res)
 }
 
 // routeOrDrop connects every component of the net and trims the result.
@@ -537,22 +536,16 @@ type routeTask struct {
 	// pinCells is the net's pin (x, y) set, used by the A* via rule.
 	// Built once per net at task creation; read-only afterwards.
 	pinCells pinSet
-	// ECO recording: act is the net's activity bitset — every cell its
-	// processing read or wrote (pin bbox, materialized candidates, search
-	// windows), rounded up to actTile buckets; wact the write footprint
-	// only — every cell it ever occupied or released (pin bbox, accepted
-	// candidates, committed wires, including ones a later rip-up
-	// cleared). act certifies a net clean; wact is what a changed net
-	// dirties for others. ripped and freedPins record the rip-up outcome.
-	// See Result's ECO fields and memo.go.
-	// sact collects the tiles of cells the net's A* searches popped;
-	// folded into the activity footprint with a one-tile dilation at
-	// collectECO time (a popped cell reads its neighbours' occupancy, so
-	// the dilated popped tiles bound the search's true read set far
-	// tighter than the retry windows).
-	act       []uint64
-	wact      []uint64
-	sact      []uint64
+	// ECO recording: act and wact are the net's prepare-time footprints
+	// (footprint.go), packed — the tiles of its pin cells and of the
+	// planned-wire candidates it materialized (act: every candidate, whose
+	// conflict check read its cells; wact: the accepted ones, which it
+	// wrote). The routing loop loads them into the router's dense bitsets
+	// and records the net's final footprints in the Result. ripped and
+	// freedPins record the rip-up outcome. See Result's ECO fields and
+	// memo.go.
+	act       footprint
+	wact      footprint
 	ripped    bool
 	freedPins []Cell
 }
@@ -608,12 +601,12 @@ func (r *Router) materialize(t *routeTask) {
 		}
 		// ECO act: the conflict check below reads every candidate cell,
 		// so rejected candidates are part of the footprint too.
-		r.markAct(t.act, w.Bounds())
+		r.markAct(r.act, w.Bounds())
 		// Drop the wire if any of its cells is taken.
 		if !r.wireFree(w, id) {
 			return
 		}
-		r.markAct(t.wact, w.Bounds())
+		r.markAct(r.wact, w.Bounds())
 		r.fillWire(w, id+1)
 		t.wires = append(t.wires, w)
 	}
@@ -876,7 +869,7 @@ func (r *Router) commitPath(t *routeTask, path []cell) {
 	addWire := func(w geom.Segment) {
 		//lint:ignore hotalloc the committed wire list is the route's output, not scratch: it outlives the search, so it cannot live in the per-search arena
 		t.wires = append(t.wires, w)
-		r.markAct(t.wact, w.Bounds())
+		r.markAct(r.wact, w.Bounds())
 		r.fillWire(w, id+1)
 		forEachCell(w, func(c cell) { metal[mw.idx(c.x, c.y, c.l)].stamp = stamp })
 	}

@@ -12,32 +12,32 @@ package detail
 //
 // Footprints are bitsets over the fabric divided into actTile × actTile
 // buckets, not bounding boxes: a long L-shaped route plus a handful of
-// localized retry windows covers a sliver of the fabric but a huge bbox,
+// localized searches covers a sliver of the fabric but a huge bbox,
 // and bbox-based dirty tests were measured to kill most of the reuse on
 // the bundled benchmarks.
 //
 // Soundness. A net's processing reads and writes occupancy cells only
-// inside its activity footprint (pin bbox ∪ materialize candidates ∪
-// search windows — recorded in detail.go/astar.go), and changes cells
-// only inside its write footprint (pin bbox ∪ accepted candidates ∪
-// committed wires, including ones a later rip-up cleared). The dirty
-// bitset covers, before any net's clean check, every cell where the
-// edited run's occupancy can differ from the parent run's: the parent
-// write footprints of all edited/deleted/replan nets, the post-prepare
-// write footprints of those nets' new geometry, and — grown stickily as
-// the loop runs — the write footprint of every net that routed live and
-// diverged. Reads never enter the dirty region: a net's searches depend
-// on what it reads, but only its writes can change what other nets
-// read. A clean intersection (of the net's parent activity ∪ current
-// footprint against the dirty bitset) therefore certifies the net's
-// searches would read byte-identical occupancy and commit
-// byte-identical geometry, so stamping the recorded geometry reproduces
-// the cold run's state exactly; by induction the whole run is
+// inside its activity footprint (pin cells ∪ materialize candidates ∪
+// the tiles of every cell its searches popped, dilated by one tile —
+// marked in detail.go and astar.go, folded and packed in footprint.go),
+// and changes cells only inside its write footprint (pin cells ∪
+// accepted candidates ∪ committed wires, including ones a later rip-up
+// cleared). The dirty bitset covers, before any net's clean check,
+// every cell where the edited run's occupancy can differ from the
+// parent run's: the parent write footprints of all edited/deleted/replan
+// nets, the post-prepare write footprints of those nets' new geometry,
+// and — grown stickily as the loop runs — the write footprint of every
+// net that routed live and diverged. Reads never enter the dirty region:
+// a net's searches depend on what it reads, but only its writes can
+// change what other nets read. A clean intersection (of the net's parent
+// activity ∪ current footprint against the dirty bitset) therefore
+// certifies the net's searches would read byte-identical occupancy and
+// commit byte-identical geometry, so stamping the recorded geometry
+// reproduces the cold run's state exactly; by induction the whole run is
 // byte-identical to RunContext on the edited circuit.
 
 import (
 	"context"
-	mbits "math/bits"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
@@ -51,76 +51,6 @@ const (
 	actTile      = 8
 	actTileShift = 3 // log2(actTile), for the per-pop marking in astar
 )
-
-// markAct sets the footprint bits covered by rc (clamped to the fabric).
-// Tasks built outside prepare (tests) carry no bitsets; nil is a no-op.
-func (r *Router) markAct(bits []uint64, rc geom.Rect) {
-	if bits == nil {
-		return
-	}
-	x0, y0, x1, y1 := rc.X0, rc.Y0, rc.X1, rc.Y1
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= r.X {
-		x1 = r.X - 1
-	}
-	if y1 >= r.Y {
-		y1 = r.Y - 1
-	}
-	if x0 > x1 || y0 > y1 {
-		return
-	}
-	for ty := y0 / actTile; ty <= y1/actTile; ty++ {
-		base := ty * r.atw
-		for tx := x0 / actTile; tx <= x1/actTile; tx++ {
-			b := base + tx
-			bits[b>>6] |= 1 << (uint(b) & 63)
-		}
-	}
-}
-
-// foldAct ORs the search read-set tiles (sact), dilated by one tile in
-// every direction, into act and returns it. A popped cell's expansion
-// reads occupancy only at its face neighbours, so the dilated popped
-// tiles cover every cell a search read; dilating at fold time (instead
-// of marking neighbours per pop) keeps the astar hot loop to one
-// bit-set per expansion. Replayed nets inherit the parent's already
-// folded footprint with an empty sact, so footprints do not grow by a
-// tile per ECO generation.
-func (r *Router) foldAct(act, sact []uint64) []uint64 {
-	for w, word := range sact {
-		for word != 0 {
-			b := w<<6 + mbits.TrailingZeros64(word)
-			word &= word - 1
-			tx, ty := b%r.atw, b/r.atw
-			for dy := -1; dy <= 1; dy++ {
-				ny := ty + dy
-				if ny < 0 || ny >= r.ath {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					nx := tx + dx
-					if nx < 0 || nx >= r.atw {
-						continue
-					}
-					nb := ny*r.atw + nx
-					act[nb>>6] |= 1 << (uint(nb) & 63)
-				}
-			}
-		}
-	}
-	return act
-}
-
-func orBits(dst, src []uint64) {
-	for i, w := range src {
-		dst[i] |= w
-	}
-}
 
 func segsEqual(a, b []geom.Segment) bool {
 	if len(a) != len(b) {
@@ -146,17 +76,8 @@ func cellsEqual(a, b []Cell) bool {
 	return true
 }
 
-func bitsIntersect(a, b []uint64) bool {
-	for i, w := range a {
-		if w&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Memo is a previous run's recording, keyed by net ID (slot numbers
-// shift when nets are added or deleted).
+// Memo is a previous run's recording. Nets are matched by ID, through
+// Slot: slot numbers shift when nets are added or deleted.
 type Memo struct {
 	// Dirty marks nets that must route live regardless of their
 	// footprints AND whose write footprints seed the dirty region
@@ -175,13 +96,16 @@ type Memo struct {
 	// their reads are clean (an empty-geometry replay), and when they do
 	// re-search they grow the dirty region only on divergence.
 	Dirty map[int]bool
-	// Parent per-net records (footprints are actTile bucket bitsets).
-	Acts      map[int][]uint64
-	WActs     map[int][]uint64
-	Routes    map[int]plan.NetRoute
-	Ripped    map[int]bool
-	FreedPins map[int][]Cell
-	MatWires  map[int][]geom.Segment
+	// Slot maps each parent net ID to its slot in the parent's per-net
+	// records below, which are the parent Result's, indexed like its
+	// Routes.
+	Slot      map[int]int
+	Acts      Footprints
+	WActs     Footprints
+	Routes    []plan.NetRoute
+	Ripped    []bool
+	FreedPins [][]Cell
+	MatWires  [][]geom.Segment
 }
 
 // canReplay verifies every cell of the parent's final geometry is free
@@ -203,7 +127,7 @@ func (r *Router) canReplay(t *routeTask, pr plan.NetRoute) bool {
 // rip-up's clearNet can release a pin cell that a materialized wire
 // covered; FreedPins records which reservations ended up released), and
 // release unused escapes exactly like the real path does.
-func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, pw []uint64, freed []Cell) {
+func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, freed []Cell) {
 	id := int32(t.net.ID)
 	r.clearNet(t)
 	t.wires = append([]geom.Segment(nil), pr.Wires...)
@@ -239,7 +163,6 @@ func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, pw []uint64, freed []
 	}
 	r.releaseEscapes(t)
 	t.freedPins = append(t.freedPins[:0], freed...)
-	orBits(t.wact, pw)
 }
 
 // RunMemo is RunContext against a previous run's recording; see the
@@ -251,20 +174,26 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		defer r.giveBack()
 	}
 	res, nets, order := r.prepare(c, plans)
+	if m.Acts.words != r.awords || m.WActs.words != r.awords {
+		// Footprints of another fabric: nothing replays.
+		m = &Memo{}
+	}
 
 	// Dirty bitset: the parent write footprints of every dirty net
 	// (deleted nets included — the map is keyed by ID, not slot) plus
 	// the post-prepare write footprint of every dirty net's new
-	// geometry — both in place before the first clean check.
+	// geometry — both in place before the first clean check. The
+	// packed footprints are read as they are: their words are ORed into
+	// and tested against this one dense bitset.
 	dirty := make([]uint64, r.awords)
 	for id := range m.Dirty {
-		if pw, ok := m.WActs[id]; ok && len(pw) == r.awords {
-			orBits(dirty, pw)
+		if ps, ok := m.Slot[id]; ok {
+			m.WActs.nets[ps].orInto(dirty)
 		}
 	}
 	for _, t := range nets {
 		if m.Dirty[t.net.ID] {
-			orBits(dirty, t.wact)
+			t.wact.orInto(dirty)
 		}
 	}
 	// Prepare-phase divergence: materialize's conflict check reads other
@@ -274,7 +203,7 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 	// against the parent's catches exactly the nets whose prepare
 	// writes changed; seeding both their parent and current write
 	// footprints makes those writes dirty from the start (the net also
-	// routes live — its pin bbox sits in both footprints). Detection is
+	// routes live — its pin cells sit in both footprints). Detection is
 	// outcome-based, so no fixpoint is needed: a flipped verdict further
 	// down the slot order shows up in that net's own comparison.
 	for _, t := range nets {
@@ -282,11 +211,12 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		if m.Dirty[id] {
 			continue
 		}
-		if pmw, ok := m.MatWires[id]; !ok || !segsEqual(pmw, t.wires) {
-			if pw := m.WActs[id]; len(pw) == r.awords {
-				orBits(dirty, pw)
+		ps, ok := m.Slot[id]
+		if !ok || !segsEqual(m.MatWires[ps], t.wires) {
+			if ok {
+				m.WActs.nets[ps].orInto(dirty)
 			}
-			orBits(dirty, t.wact)
+			t.wact.orInto(dirty)
 		}
 	}
 
@@ -300,23 +230,26 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 			return res, reused, err
 		}
 		id := t.net.ID
-		pr, hasRec := m.Routes[id]
-		pa := m.Acts[id]
-		pw := m.WActs[id]
-		hasBits := len(pa) == r.awords && len(pw) == r.awords
-		if !m.Dirty[id] && hasRec && hasBits &&
-			!bitsIntersect(dirty, pa) && !bitsIntersect(dirty, t.act) &&
-			r.canReplay(t, pr) {
+		ps, hasRec := m.Slot[id]
+		if !m.Dirty[id] && hasRec &&
+			!m.Acts.nets[ps].intersects(dirty) && !t.act.intersects(dirty) &&
+			r.canReplay(t, m.Routes[ps]) {
 			// Failed parents replay too: empty geometry, cleared
 			// candidates, released reservations — the same end state a
-			// live re-search would reproduce, minus the search.
-			r.replayNet(t, pr, pw, m.FreedPins[id])
-			orBits(t.act, pa)
-			if m.Ripped[id] {
+			// live re-search would reproduce, minus the search. The
+			// net's footprints are its prepare-time ones plus the
+			// parent's.
+			pr := m.Routes[ps]
+			r.loadFootprint(t)
+			r.replayNet(t, pr, m.FreedPins[ps])
+			m.Acts.nets[ps].orInto(r.act)
+			m.WActs.nets[ps].orInto(r.wact)
+			if m.Ripped[ps] {
 				res.Ripped++
 				t.ripped = true
 			}
 			res.record(t, pr.Routed)
+			r.recordFootprint(t, res)
 			reused++
 			continue
 		}
@@ -327,12 +260,12 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		// reservations — changed no cell anyone else can observe. Only
 		// write footprints grow the region: a diverged net's reads
 		// cannot invalidate another net's state.
-		if m.Dirty[id] || !hasRec || !pr.Equal(res.Routes[t.slot]) ||
-			!cellsEqual(m.FreedPins[id], t.freedPins) {
-			if len(pw) == r.awords {
-				orBits(dirty, pw)
+		if m.Dirty[id] || !hasRec || !m.Routes[ps].Equal(res.Routes[t.slot]) ||
+			!cellsEqual(m.FreedPins[ps], t.freedPins) {
+			if hasRec {
+				m.WActs.nets[ps].orInto(dirty)
 			}
-			orBits(dirty, t.wact)
+			res.WActs.nets[t.slot].orInto(dirty)
 		}
 	}
 	r.finish(res, nets)

@@ -12,6 +12,7 @@ import (
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
+	"stitchroute/internal/geom"
 	"stitchroute/internal/harness"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
@@ -191,4 +192,89 @@ func clonePatch(p *detail.Patch) *detail.Patch {
 		q.FreedPins[i] = slices.Clone(q.FreedPins[i])
 	}
 	return q
+}
+
+// TestRunMemoMatchesCold replays harness circuits against their own
+// cold recording after one-pin edits: each memoized run must equal a
+// cold run of the edited circuit in routes, rip-up state and recorded
+// footprints, and the runs together must replay nets without a search.
+func TestRunMemoMatchesCold(t *testing.T) {
+	cfg := detail.DefaultConfig(true)
+	replayed, nets := 0, 0
+	for _, seed := range []int64{1, 2, 3} {
+		for gi, spec := range harness.ShortGrid() {
+			spec.Seed = seed
+			c := harness.Generate(spec)
+			parent := detail.NewRouter(c.Fabric, cfg).Run(c, nil)
+			k := (gi + int(seed)) * len(c.Nets) / 7
+			edited := movePin(c, k)
+			m := &detail.Memo{
+				Dirty:     map[int]bool{c.Nets[k].ID: true},
+				Slot:      map[int]int{},
+				Acts:      parent.Acts,
+				WActs:     parent.WActs,
+				Routes:    parent.Routes,
+				Ripped:    parent.NetRipped,
+				FreedPins: parent.FreedPins,
+				MatWires:  parent.MatWires,
+			}
+			for i, n := range c.Nets {
+				m.Slot[n.ID] = i
+			}
+			got, n, err := detail.NewRouter(c.Fabric, cfg).RunMemo(context.Background(), edited, nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, nets = replayed+n, nets+len(c.Nets)
+			want := detail.NewRouter(c.Fabric, cfg).Run(edited, nil)
+			gh, err := nlio.RoutesHash(got.Routes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wh, err := nlio.RoutesHash(want.Routes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gh != wh {
+				t.Fatalf("grid %d seed %d: memoized routes hash %.12s, cold %.12s", gi, seed, gh, wh)
+			}
+			if got.Failed != want.Failed || got.Ripped != want.Ripped ||
+				!reflect.DeepEqual(got.NetRipped, want.NetRipped) || !reflect.DeepEqual(got.FreedPins, want.FreedPins) {
+				t.Errorf("grid %d seed %d: memoized rip-up state differs from the cold run's", gi, seed)
+			}
+			if footprintsHash(got.Acts) != footprintsHash(want.Acts) || footprintsHash(got.WActs) != footprintsHash(want.WActs) {
+				t.Errorf("grid %d seed %d: memoized footprints differ from the cold run's", gi, seed)
+			}
+		}
+	}
+	if replayed == 0 {
+		t.Error("no net replayed")
+	}
+	t.Logf("%d of %d nets replayed", replayed, nets)
+}
+
+// movePin returns c with pin 0 of net k moved right to the nearest cell
+// no pin uses two or more columns away, wrapping at the fabric edge.
+func movePin(c *netlist.Circuit, k int) *netlist.Circuit {
+	used := map[geom.Point]bool{}
+	for _, n := range c.Nets {
+		for _, p := range n.Pins {
+			used[p.Point] = true
+		}
+	}
+	moved := *c.Nets[k]
+	moved.Pins = slices.Clone(moved.Pins)
+	p := &moved.Pins[0]
+	for x := p.X + 2; ; x++ {
+		if x >= c.Fabric.XTracks {
+			x = 0
+		}
+		if q := (geom.Point{X: x, Y: p.Y}); !used[q] {
+			p.Point = q
+			break
+		}
+	}
+	edited := &netlist.Circuit{Name: c.Name, Fabric: c.Fabric, Nets: slices.Clone(c.Nets)}
+	edited.Nets[k] = &moved
+	return edited
 }

@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -239,6 +240,42 @@ func TestCheckShorts(t *testing.T) {
 	}
 	if n := CheckShorts(layered); n != 0 {
 		t.Errorf("cross-layer short: %d", n)
+	}
+	// Wires far apart take the hash map instead of a dense grid.
+	far := []plan.NetRoute{
+		{NetID: 0, Routed: true, Wires: []geom.Segment{geom.HSeg(1, 5, 0, 9)}},
+		{NetID: 1, Routed: true, Wires: []geom.Segment{geom.VSeg(1, 4, 0, 9), geom.HSeg(3, 1<<40, 0, 2)}},
+		{NetID: 2, Routed: true, Wires: []geom.Segment{geom.HSeg(3, 1<<40, 2, 3)}},
+	}
+	if n := CheckShorts(far); n != 2 {
+		t.Errorf("far-apart wires: shorts = %d, want 2", n)
+	}
+}
+
+// TestCheckShortsGridMatchesMap checks the dense-grid count against the
+// hash-map one on random overlapping routes: wires of a few nets on a
+// small area, every orientation and layer, empty spans and repeated net
+// IDs included.
+func TestCheckShortsGridMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		var routes []plan.NetRoute
+		for n := rng.Intn(6); n >= 0; n-- {
+			rt := plan.NetRoute{NetID: rng.Intn(4), Routed: true}
+			for k := rng.Intn(4); k >= 0; k-- {
+				lo := rng.Intn(20) - 5
+				rt.Wires = append(rt.Wires, geom.Segment{
+					Orient: geom.Orientation(rng.Intn(2)),
+					Layer:  1 + rng.Intn(3),
+					Fixed:  rng.Intn(20) - 5,
+					Span:   geom.Interval{Lo: lo, Hi: lo + rng.Intn(12) - 2},
+				})
+			}
+			routes = append(routes, rt)
+		}
+		if got, want := CheckShorts(routes), checkShortsMap(routes); got != want {
+			t.Fatalf("trial %d: grid count %d, map count %d for %v", trial, got, want, routes)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
-	"stitchroute/internal/geom"
 	"stitchroute/internal/global"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
@@ -123,39 +122,33 @@ func coldReroute(ctx context.Context, edited *netlist.Circuit, cfg core.Config, 
 		Stats: Stats{Fallback: true, EditedNets: editedNets, GlobalRouted: n, DetailRouted: n}}, nil
 }
 
-// buildDetailMemo rekeys the parent recording by net ID, unpacking its
-// footprints, and computes the detail-stage dirty set and its seed rects.
+// buildDetailMemo hands the parent recording to the detailed router,
+// footprints packed as they are, and computes the detail-stage dirty
+// set: the edited nets plus every net whose plan changed.
 func buildDetailMemo(parent *core.Result, pc, edited *netlist.Circuit, plans []*plan.NetPlan, dirty map[int]bool) *detail.Memo {
 	m := &detail.Memo{
 		Dirty:     make(map[int]bool, len(dirty)),
-		Acts:      make(map[int][]uint64, len(pc.Nets)),
-		WActs:     make(map[int][]uint64, len(pc.Nets)),
-		Routes:    make(map[int]plan.NetRoute, len(pc.Nets)),
-		Ripped:    make(map[int]bool, len(pc.Nets)),
-		FreedPins: make(map[int][]detail.Cell, len(pc.Nets)),
-		MatWires:  make(map[int][]geom.Segment, len(pc.Nets)),
+		Slot:      make(map[int]int, len(pc.Nets)),
+		Acts:      parent.ECO.Acts,
+		WActs:     parent.ECO.WActs,
+		Routes:    parent.Routes,
+		Ripped:    parent.ECO.Ripped,
+		FreedPins: parent.ECO.FreedPins,
+		MatWires:  parent.ECO.MatWires,
 	}
 	for id := range dirty {
 		m.Dirty[id] = true
 	}
-	pPlan := make(map[int]*plan.NetPlan, len(pc.Nets))
 	for i, n := range pc.Nets {
-		id := n.ID
-		m.Acts[id] = parent.ECO.Acts.Unpack(i)
-		m.WActs[id] = parent.ECO.WActs.Unpack(i)
-		m.Routes[id] = parent.Routes[i]
-		m.Ripped[id] = parent.ECO.Ripped[i]
-		m.FreedPins[id] = parent.ECO.FreedPins[i]
-		m.MatWires[id] = parent.ECO.MatWires[i]
-		pPlan[id] = parent.Plans[i]
+		m.Slot[n.ID] = i
 	}
 	for i, n := range edited.Nets {
 		id := n.ID
 		if m.Dirty[id] {
 			continue
 		}
-		pp, ok := pPlan[id]
-		if !ok || !pp.Equal(plans[i]) {
+		ps, ok := m.Slot[id]
+		if !ok || !parent.Plans[ps].Equal(plans[i]) {
 			m.Dirty[id] = true
 		}
 	}
