@@ -25,10 +25,10 @@ import (
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
-	"stitchroute/internal/drc"
 	"stitchroute/internal/eco"
 	"stitchroute/internal/fracture"
 	"stitchroute/internal/geom"
+	"stitchroute/internal/harness"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 	"stitchroute/internal/place"
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		outFile  = fs.String("routes", "", "write the routed geometry to this file (nlio routes format)")
 		jsonOut  = fs.Bool("json", false, "print the result summary as JSON (machine-readable)")
 		svgOut   = fs.String("svg", "", "write the routed layout as SVG to this file")
-		checkIn  = fs.String("check", "", "skip routing: DRC-check this routes file against the circuit")
+		checkIn  = fs.String("check", "", "skip routing: audit this routes file against the circuit (DRC and the hard invariants: shorts, connectivity, net accounting)")
 		ecoFile  = fs.String("eco", "", "after routing, apply this JSON edit script ({\"edits\":[...]}) and reroute incrementally")
 		ecoMode  = fs.String("eco-mode", "replay", "ECO engine: replay (byte-equal to a cold reroute) or patch (graft, fastest)")
 		fracMode = fs.String("fracture", "", "run write-prep fracturing on the routed geometry: rect or lshape")
@@ -189,19 +189,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			log.Print(err)
 			return 1
 		}
-		rep := drc.Check(c, routes)
+		failed := 0
+		for _, rt := range routes {
+			if !rt.Routed {
+				failed++
+			}
+		}
+		cr, err := harness.CheckRoutes(c, routes, failed)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		rep := cr.Report
 		fmt.Fprintf(stdout, "Rout. %.2f%%  #VV %d (off-pin %d)  #SP %d  vert-violations %d  WL %d  vias %d\n",
 			rep.Routability(), rep.ViaViolations, rep.ViaViolationsOffPin,
 			rep.ShortPolygons, rep.VertRouteViolations, rep.Wirelength, rep.Vias)
-		if shorts := drc.CheckShorts(routes); shorts > 0 {
-			fmt.Fprintf(stdout, "cross-net shorts: %d\n", shorts)
-			return 1
+		violations := cr.HardViolations()
+		for _, v := range violations {
+			fmt.Fprintf(stdout, "violation: %s\n", v)
 		}
-		if bad := drc.CheckConnectivity(c, routes); bad > 0 {
-			fmt.Fprintf(stdout, "disconnected routed nets: %d\n", bad)
-			return 1
-		}
-		if rep.VertRouteViolations > 0 || rep.ViaViolationsOffPin > 0 {
+		if len(violations) > 0 {
 			return 1
 		}
 		return 0

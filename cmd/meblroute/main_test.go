@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"stitchroute/internal/nlio"
 	"stitchroute/internal/server"
 )
 
@@ -158,5 +160,63 @@ func TestECOBlock(t *testing.T) {
 		if ev == nil || ev.Mode != mode || ev.EditedNets != 1 || ev.Fallback || ev.DetailRouted == 0 {
 			t.Errorf("%s: eco block = %+v", mode, ev)
 		}
+	}
+}
+
+// TestCheckRoutesFile: -check audits a routes file with the full hard
+// invariant battery. Primary1's own routes pass; one net's wire copied
+// onto another net is a short, and the audit fails naming it.
+func TestCheckRoutesFile(t *testing.T) {
+	routesFile := filepath.Join(t.TempDir(), "p1.routes")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-circuit", "Primary1", "-routes", routesFile}, &stdout, &stderr); code != 0 {
+		t.Fatalf("routing Primary1 exited %d: %s", code, stderr.String())
+	}
+	stdout.Reset()
+	if code := run([]string{"-circuit", "Primary1", "-check", routesFile}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-check of Primary1's own routes exited %d:\n%s%s", code, stdout.String(), stderr.String())
+	}
+
+	f, err := os.Open(routesFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := nlio.ReadRoutes(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := -1, -1
+	for i, rt := range routes {
+		if rt.Routed && len(rt.Wires) > 0 {
+			if from < 0 {
+				from = i
+			} else {
+				to = i
+				break
+			}
+		}
+	}
+	if to < 0 {
+		t.Fatal("Primary1 has fewer than two routed nets with wires")
+	}
+	routes[to].Wires = append(routes[to].Wires, routes[from].Wires[0])
+	shorted := filepath.Join(t.TempDir(), "shorted.routes")
+	out, err := os.Create(shorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nlio.WriteRoutes(out, routes); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if code := run([]string{"-circuit", "Primary1", "-check", shorted}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-check of shorted routes exited %d, want 1:\n%s", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "cross-net shorted cells") {
+		t.Errorf("-check output does not report the shorts:\n%s", stdout.String())
 	}
 }

@@ -1,11 +1,11 @@
 // Command meblserved serves the stitch-aware router as an HTTP JSON API:
 // routing jobs run on a bounded worker pool, identical submissions are
-// served from a content-addressed result cache, and jobs can be
-// cancelled or time-bounded mid-route.
+// served from the result of a retained done job with the same content
+// address, and jobs can be cancelled or time-bounded mid-route.
 //
 // Usage:
 //
-//	meblserved [-addr :8080] [-workers N] [-queue 64] [-cache 64] [-retain 512] [-job-timeout 10m] [-pprof]
+//	meblserved [-addr :8080] [-workers N] [-queue 64] [-retain 512] [-job-timeout 10m] [-pprof]
 //
 // See docs/API.md for the endpoint contract and README.md for a curl
 // walkthrough.
@@ -32,8 +32,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		workers     = flag.Int("workers", 0, "worker pool size: jobs routed concurrently (0 = NumCPU)")
 		queue       = flag.Int("queue", 64, "max queued jobs before submissions get 503")
-		cacheSize   = flag.Int("cache", 64, "result cache entries (negative disables)")
-		retain      = flag.Int("retain", 512, "finished jobs kept before oldest are evicted (negative = unbounded)")
+		retain      = flag.Int("retain", 512, "finished jobs kept, and so cached results, before the oldest are evicted (negative = unbounded)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "default per-job timeout (0 = unbounded)")
 		maxTimeout  = flag.Duration("max-timeout", 0, "cap on any requested per-job timeout (0 = uncapped)")
 		grace       = flag.Duration("grace", 30*time.Second, "shutdown grace period before running jobs are cancelled")
@@ -44,7 +43,6 @@ func main() {
 	srv := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		CacheSize:      *cacheSize,
 		MaxFinished:    *retain,
 		DefaultTimeout: *jobTimeout,
 		MaxTimeout:     *maxTimeout,

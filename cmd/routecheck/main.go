@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	routecheck [-seeds N] [-grid short|full] [-j workers] [-no-transforms] [-no-determinism] [-v]
+//	routecheck [-seeds N] [-grid short|full] [-j workers] [-v]
 //
 // Typical soak: routecheck -seeds 25. Build with -race for a combined
 // correctness+race soak: go run -race ./cmd/routecheck -seeds 5.
@@ -34,9 +34,6 @@ func main() {
 		seeds    = flag.Int("seeds", 5, "seeds per grid point")
 		gridName = flag.String("grid", "full", "parameter grid: short or full")
 		workers  = flag.Int("j", runtime.GOMAXPROCS(0), "concurrent circuits")
-		noTrans  = flag.Bool("no-transforms", false, "skip the translate/mirror metamorphic checks")
-		noDet    = flag.Bool("no-determinism", false, "skip the byte-identical reroute check")
-		spTol    = flag.Int("sp-tol", harness.DefaultOptions().SPTolerance, "allowed short-polygon drift under transforms")
 		verbose  = flag.Bool("v", false, "print every circuit, not just failures")
 	)
 	flag.Parse()
@@ -49,11 +46,6 @@ func main() {
 		specs = harness.FullGrid()
 	default:
 		log.Fatalf("unknown grid %q (want short or full)", *gridName)
-	}
-	opt := harness.Options{
-		Determinism: !*noDet,
-		Transforms:  !*noTrans,
-		SPTolerance: *spTol,
 	}
 
 	type job struct{ spec harness.GenSpec }
@@ -80,7 +72,7 @@ func main() {
 			defer wg.Done()
 			for j := range jobs {
 				spec := j.spec
-				o, err := harness.Verify(spec.String(), func() *netlist.Circuit { return harness.Generate(spec) }, opt)
+				o, err := harness.Verify(spec.String(), func() *netlist.Circuit { return harness.Generate(spec) })
 				mu.Lock()
 				ran++
 				if err != nil {

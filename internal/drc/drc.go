@@ -382,77 +382,150 @@ func claim(owner map[[3]int]int32, cell [3]int, id int32) int {
 // linking adjacent layers). It returns the number of routed nets that are
 // in fact disconnected — zero for a correct router. Like CheckShorts it
 // is meant for tests and debugging.
+//
+// One scratch serves every net: a stamped window over the net's wire
+// bounding box, sized once for the largest such box, and a union-find
+// forest over the net's wires. A hash map of cells per net allocated
+// 94 MB on a routed S38584. The window is clipped to the fabric, so
+// routes read from a file cannot make it larger than the chip: wire
+// cells off the chip join nothing, and a pin is never off the chip.
 func CheckConnectivity(c *netlist.Circuit, routes []plan.NetRoute) int {
+	var sc connScratch
+	size := 0
+	for i := range routes {
+		if routes[i].Routed {
+			size = max(size, sc.window(c.Fabric, routes[i].Wires))
+		}
+	}
+	sc.owner = make([]owner, size)
 	bad := 0
 	for i := range routes {
 		if !routes[i].Routed {
 			continue
 		}
-		if i >= len(c.Nets) || !netConnected(&routes[i], c.Nets[i]) {
+		if i >= len(c.Nets) || !sc.connected(c.Fabric, &routes[i], c.Nets[i]) {
 			bad++
 		}
 	}
 	return bad
 }
 
-func netConnected(rt *plan.NetRoute, net *netlist.Net) bool {
-	type cell3 struct{ x, y, l int }
-	cells := map[cell3]int{}
-	parent := []int{}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+// connScratch is CheckConnectivity's scratch. The window is the current
+// net's wire bounding box: x0, y0 and l0 are its origin, nx, ny and nl
+// its extent in cells.
+type connScratch struct {
+	owner      []owner
+	stamp      int32   // the current net's stamp; owner entries with another are empty
+	parent     []int32 // union-find forest over the current net's wires
+	x0, y0, l0 int
+	nx, ny, nl int
+}
+
+// owner records the first wire of the stamped net to cover a cell.
+type owner struct{ stamp, wire int32 }
+
+// window sets the scratch's window to the bounding box of the wires'
+// cells, clipped to the fabric, and returns its cell count.
+func (sc *connScratch) window(f *grid.Fabric, wires []geom.Segment) int {
+	box := geom.Rect{X0: math.MaxInt, Y0: math.MaxInt, X1: math.MinInt, Y1: math.MinInt}
+	l0, l1 := math.MaxInt, math.MinInt
+	for _, w := range wires {
+		if w.Span.Empty() {
+			continue
 		}
-		return x
+		b := w.Bounds()
+		box = geom.Rect{X0: min(box.X0, b.X0), Y0: min(box.Y0, b.Y0), X1: max(box.X1, b.X1), Y1: max(box.Y1, b.Y1)}
+		l0, l1 = min(l0, w.Layer), max(l1, w.Layer)
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	touch := func(c cell3) int {
-		if id, ok := cells[c]; ok {
-			return id
+	if l0 > l1 { // no wire has a cell
+		sc.nx, sc.ny, sc.nl = 0, 0, 0
+		return 0
+	}
+	sc.x0, sc.y0, sc.l0 = max(box.X0, 0), max(box.Y0, 0), max(l0, 1)
+	sc.nx = max(min(box.X1, f.XTracks-1)-sc.x0+1, 0)
+	sc.ny = max(min(box.Y1, f.YTracks-1)-sc.y0+1, 0)
+	sc.nl = max(min(l1, f.Layers)-sc.l0+1, 0)
+	return sc.nx * sc.ny * sc.nl
+}
+
+// at returns the owner entry of cell (x, y) on layer l, or nil when the
+// cell is outside the window.
+func (sc *connScratch) at(x, y, l int) *owner {
+	x, y, l = x-sc.x0, y-sc.y0, l-sc.l0
+	if x < 0 || x >= sc.nx || y < 0 || y >= sc.ny || l < 0 || l >= sc.nl {
+		return nil
+	}
+	return &sc.owner[(l*sc.ny+y)*sc.nx+x]
+}
+
+// covered returns the wire covering cell (x, y) on layer l, or -1.
+func (sc *connScratch) covered(x, y, l int) int {
+	if o := sc.at(x, y, l); o != nil && o.stamp == sc.stamp {
+		return int(o.wire)
+	}
+	return -1
+}
+
+func (sc *connScratch) find(x int) int {
+	parent := sc.parent
+	for int(parent[x]) != x {
+		parent[x] = parent[parent[x]]
+		x = int(parent[x])
+	}
+	return x
+}
+
+func (sc *connScratch) union(a, b int) { sc.parent[sc.find(a)] = int32(sc.find(b)) }
+
+// connected reports whether the route's geometry joins all of the net's
+// pins: every pin lies on a wire cell, and all those wires are one
+// component.
+func (sc *connScratch) connected(f *grid.Fabric, rt *plan.NetRoute, net *netlist.Net) bool {
+	sc.window(f, rt.Wires)
+	sc.stamp++
+	if cap(sc.parent) < len(rt.Wires) {
+		sc.parent = make([]int32, len(rt.Wires))
+	}
+	sc.parent = sc.parent[:len(rt.Wires)]
+	for i := range sc.parent {
+		sc.parent[i] = int32(i)
+	}
+	claim := func(i, x, y, l int) {
+		o := sc.at(x, y, l)
+		switch {
+		case o == nil: // off the chip
+		case o.stamp == sc.stamp:
+			sc.union(i, int(o.wire))
+		default:
+			*o = owner{stamp: sc.stamp, wire: int32(i)}
 		}
-		id := len(parent)
-		parent = append(parent, id)
-		cells[c] = id
-		return id
 	}
-	for _, w := range rt.Wires {
-		prev := -1
+	for i, w := range rt.Wires {
 		if w.Orient == geom.Horizontal {
-			for x := w.Span.Lo; x <= w.Span.Hi; x++ {
-				id := touch(cell3{x, w.Fixed, w.Layer})
-				if prev >= 0 {
-					union(prev, id)
-				}
-				prev = id
+			for x := max(w.Span.Lo, sc.x0); x <= min(w.Span.Hi, sc.x0+sc.nx-1); x++ {
+				claim(i, x, w.Fixed, w.Layer)
 			}
 		} else {
-			for y := w.Span.Lo; y <= w.Span.Hi; y++ {
-				id := touch(cell3{w.Fixed, y, w.Layer})
-				if prev >= 0 {
-					union(prev, id)
-				}
-				prev = id
+			for y := max(w.Span.Lo, sc.y0); y <= min(w.Span.Hi, sc.y0+sc.ny-1); y++ {
+				claim(i, w.Fixed, y, w.Layer)
 			}
 		}
 	}
 	for _, v := range rt.Vias {
-		a, okA := cells[cell3{v.X, v.Y, v.Layer}]
-		b, okB := cells[cell3{v.X, v.Y, v.Layer + 1}]
-		if okA && okB {
-			union(a, b)
+		a, b := sc.covered(v.X, v.Y, v.Layer), sc.covered(v.X, v.Y, v.Layer+1)
+		if a >= 0 && b >= 0 {
+			sc.union(a, b)
 		}
 	}
 	root := -1
 	for _, p := range net.Pins {
-		id, ok := cells[cell3{p.X, p.Y, p.Layer}]
-		if !ok {
+		w := sc.covered(p.X, p.Y, p.Layer)
+		if w < 0 {
 			return false
 		}
 		if root == -1 {
-			root = find(id)
-		} else if find(id) != root {
+			root = sc.find(w)
+		} else if sc.find(w) != root {
 			return false
 		}
 	}

@@ -313,6 +313,28 @@ func TestCheckConnectivity(t *testing.T) {
 	}
 }
 
+// TestCheckConnectivityOffChip: geometry read from a file may lie far
+// off the chip. The window stays the chip's size, and off-chip cells
+// join nothing.
+func TestCheckConnectivityOffChip(t *testing.T) {
+	c := circuit(pinNet(0, geom.Point{X: 2, Y: 5}, geom.Point{X: 9, Y: 5}))
+	far := 1 << 40
+	stray := []plan.NetRoute{{NetID: 0, Routed: true, Wires: []geom.Segment{
+		geom.HSeg(1, 5, 2, 9), geom.HSeg(1, far, far, far+5), geom.VSeg(3, -far, 0, 3),
+	}}}
+	if n := CheckConnectivity(c, stray); n != 0 {
+		t.Errorf("connected net with stray off-chip wires reported bad: %d", n)
+	}
+	// The two halves meet only through wires that leave the chip.
+	bridged := []plan.NetRoute{{NetID: 0, Routed: true, Wires: []geom.Segment{
+		geom.HSeg(1, 5, 2, 4), geom.VSeg(1, 4, -far, 5),
+		geom.HSeg(1, -far, 4, 7), geom.VSeg(1, 7, -far, 5), geom.HSeg(1, 5, 7, 9),
+	}}}
+	if n := CheckConnectivity(c, bridged); n != 1 {
+		t.Errorf("net joined only off the chip: CheckConnectivity = %d, want 1", n)
+	}
+}
+
 func TestViaCount(t *testing.T) {
 	c := circuit(pinNet(0, geom.Point{X: 2, Y: 5}, geom.Point{X: 9, Y: 5}))
 	routes := []plan.NetRoute{{

@@ -140,3 +140,75 @@ func checkRef(t *testing.T, c *netlist.Circuit, routes []plan.NetRoute) Report {
 	}
 	return got
 }
+
+// refConnectivity is the per-net hash-map CheckConnectivity replaced,
+// kept as the reference its count must equal.
+func refConnectivity(c *netlist.Circuit, routes []plan.NetRoute) int {
+	bad := 0
+	for i := range routes {
+		if !routes[i].Routed {
+			continue
+		}
+		if i >= len(c.Nets) || !refNetConnected(&routes[i], c.Nets[i]) {
+			bad++
+		}
+	}
+	return bad
+}
+
+func refNetConnected(rt *plan.NetRoute, net *netlist.Net) bool {
+	type cell3 struct{ x, y, l int }
+	cells := map[cell3]int{}
+	parent := []int{}
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) { parent[find(a)] = find(b) }
+	touch := func(c cell3) int {
+		if id, ok := cells[c]; ok {
+			return id
+		}
+		id := len(parent)
+		parent = append(parent, id)
+		cells[c] = id
+		return id
+	}
+	for _, w := range rt.Wires {
+		prev := -1
+		for k := w.Span.Lo; k <= w.Span.Hi; k++ {
+			c := cell3{k, w.Fixed, w.Layer}
+			if w.Orient != geom.Horizontal {
+				c = cell3{w.Fixed, k, w.Layer}
+			}
+			id := touch(c)
+			if prev >= 0 {
+				union(prev, id)
+			}
+			prev = id
+		}
+	}
+	for _, v := range rt.Vias {
+		a, okA := cells[cell3{v.X, v.Y, v.Layer}]
+		b, okB := cells[cell3{v.X, v.Y, v.Layer + 1}]
+		if okA && okB {
+			union(a, b)
+		}
+	}
+	root := -1
+	for _, p := range net.Pins {
+		id, ok := cells[cell3{p.X, p.Y, p.Layer}]
+		if !ok {
+			return false
+		}
+		if root == -1 {
+			root = find(id)
+		} else if find(id) != root {
+			return false
+		}
+	}
+	return true
+}

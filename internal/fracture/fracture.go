@@ -106,41 +106,24 @@ func (s Shot) longest() int {
 	}
 }
 
-// Options tunes fracturing.
-type Options struct {
-	// SliverLen is the sliver threshold: a shot whose union spans fewer
-	// than SliverLen tracks in its longer dimension counts as a sliver
-	// (the write-prep analog of the router's short polygons: tiny
-	// exposures whose edge dose error is a large fraction of the
-	// feature). 0 means DefaultSliverLen.
-	SliverLen int
-	// MaxHungarian caps the component size solved exactly with the
-	// Hungarian assignment; 0 means DefaultMaxHungarian.
-	MaxHungarian int
-	// MaxOddExact caps the (non-bipartite) component size solved exactly
-	// with branch and bound; 0 means DefaultMaxOddExact.
-	MaxOddExact int
-}
+// Options is empty: fracturing has no settings.
+//
+// Deprecated: every former field is now a package constant. The type
+// stays only because the benchmark in benchmark/ passes Options{}.
+type Options struct{}
 
-// Defaults for Options.
+// sliverLen is the sliver threshold: a shot whose union spans fewer than
+// sliverLen tracks in its longer dimension counts as a sliver (the
+// write-prep analog of the router's short polygons: tiny exposures whose
+// edge dose error is a large fraction of the feature). maxHungarian caps
+// the component size solved exactly with the Hungarian assignment, and
+// maxOddExact the (non-bipartite) component size solved exactly with
+// branch and bound.
 const (
-	DefaultSliverLen    = 3
-	DefaultMaxHungarian = 256
-	DefaultMaxOddExact  = 24
+	sliverLen    = 3
+	maxHungarian = 256
+	maxOddExact  = 24
 )
-
-func (o Options) withDefaults() Options {
-	if o.SliverLen <= 0 {
-		o.SliverLen = DefaultSliverLen
-	}
-	if o.MaxHungarian <= 0 {
-		o.MaxHungarian = DefaultMaxHungarian
-	}
-	if o.MaxOddExact <= 0 {
-		o.MaxOddExact = DefaultMaxOddExact
-	}
-	return o
-}
 
 // Result is the fractured shot list with its statistics.
 type Result struct {
@@ -187,8 +170,7 @@ func Fracture(routes []plan.NetRoute, layers int, mode Mode, opts Options) *Resu
 // FractureContext is Fracture under a context: cancellation is observed
 // between layers and inside the branch-and-bound pairing search, and a
 // cancelled run returns the context's error.
-func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mode Mode, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mode Mode, _ Options) (*Result, error) {
 	res := &Result{Mode: mode}
 	// Sweep every layer into one rectangle list, then pair each layer's
 	// range, then emit into a shot list sized exactly once.
@@ -218,7 +200,7 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("fracture: %w", err)
 			}
-			if err := m.matchLPairs(ctx, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi], opts, res); err != nil {
+			if err := m.matchLPairs(ctx, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi], res); err != nil {
 				return nil, err
 			}
 		}
@@ -242,7 +224,7 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 		if s.IsL() {
 			res.LShots++
 		}
-		if s.longest() < opts.SliverLen {
+		if s.longest() < sliverLen {
 			res.Slivers++
 		}
 	}

@@ -71,7 +71,7 @@ func (m *matcher) neighbors(v int) []int { return m.adj[m.adjOff[v]:m.adjOff[v+1
 // caps allow — bipartite ones with the Hungarian assignment, odd ones
 // with branch and bound — and greedily beyond the caps; res accumulates
 // the solver statistics.
-func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []int, opts Options, res *Result) error {
+func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []int, res *Result) error {
 	n := len(rects)
 	m.pairing = pairing
 	if n < 2 {
@@ -150,7 +150,7 @@ func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []
 			}
 		}
 		slices.Sort(m.nodes)
-		if err := m.matchComponent(ctx, opts, res); err != nil {
+		if err := m.matchComponent(ctx, res); err != nil {
 			return err
 		}
 	}
@@ -159,7 +159,7 @@ func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []
 
 // matchComponent maximum-matches the component in m.nodes and writes
 // the result into m.pairing.
-func (m *matcher) matchComponent(ctx context.Context, opts Options, res *Result) error {
+func (m *matcher) matchComponent(ctx context.Context, res *Result) error {
 	nodes := m.nodes
 	if len(nodes) == 2 {
 		m.pairing[nodes[0]] = nodes[1]
@@ -167,11 +167,11 @@ func (m *matcher) matchComponent(ctx context.Context, opts Options, res *Result)
 		return nil
 	}
 	if m.twoColor() {
-		if len(nodes) <= opts.MaxHungarian {
+		if len(nodes) <= maxHungarian {
 			m.matchBipartite()
 			return nil
 		}
-	} else if len(nodes) <= opts.MaxOddExact {
+	} else if len(nodes) <= maxOddExact {
 		return m.matchBnB(ctx, res)
 	}
 	res.GreedyComponents++
@@ -283,7 +283,7 @@ func (p *matchProblem) Undo(v, val int) {
 }
 
 // bnbNodeBudget bounds the branch-and-bound search per component. The
-// cap exists only as a backstop: components at MaxOddExact size stay far
+// cap exists only as a backstop: components at maxOddExact size stay far
 // below it, so the matching remains exact in practice.
 const bnbNodeBudget = 1 << 20
 

@@ -39,23 +39,20 @@ type Config struct {
 	ReduceCapacity bool
 	// LineEndCost enables the vertex (line-end congestion) term ψ_v.
 	LineEndCost bool
-	// Steiner decomposes multipin nets along a rectilinear Steiner tree
-	// topology (trunk sharing) instead of a plain spanning tree.
-	Steiner bool
 }
 
 // StitchAware returns the full stitch-aware configuration.
 func StitchAware() Config {
-	return Config{ReduceCapacity: true, LineEndCost: true, Steiner: true}
+	return Config{ReduceCapacity: true, LineEndCost: true}
 }
 
 // EdgeOnly considers MEBL edge capacities but not line-end densities
 // (the "w/o line end consideration" arm of Table IV).
-func EdgeOnly() Config { return Config{ReduceCapacity: true, Steiner: true} }
+func EdgeOnly() Config { return Config{ReduceCapacity: true} }
 
 // Baseline is a conventional congestion-driven global router that knows
 // nothing about stitching lines (the NTUgr stand-in).
-func Baseline() Config { return Config{Steiner: true} }
+func Baseline() Config { return Config{} }
 
 // Router holds the global routing graph state for one circuit.
 type Router struct {
@@ -174,10 +171,10 @@ func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan {
 		return np // local net: detailed routing handles it directly
 	}
 
-	// Decomposition targets: the pin tiles, plus — with Steiner enabled —
-	// the RSMT Steiner tiles, so trunks are shared (§: multipin nets).
+	// Decomposition targets: the pin tiles plus the RSMT Steiner tiles,
+	// so trunks are shared (§: multipin nets).
 	targets := append([]plan.TilePoint(nil), np.PinTiles...)
-	if r.cfg.Steiner && len(np.PinTiles) >= 3 {
+	if len(np.PinTiles) >= 3 {
 		pts := make([]geom.Point, len(np.PinTiles))
 		for i, tp := range np.PinTiles {
 			pts[i] = geom.Point{X: tp.TX, Y: tp.TY}

@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"stitchroute/internal/core"
-	"stitchroute/internal/eco"
 	"stitchroute/internal/netlist"
 )
 
@@ -41,62 +41,31 @@ type ECOMetrics struct {
 	PatchFailedNets    int   `json:"patchFailedNets"`
 }
 
-// CollectECO routes the circuit cold, forks it through both ECO
-// engines under the canonical golden script, and extracts the golden
-// metrics. The factory must return a structurally identical circuit on
-// every call.
+// CollectECO runs the ECO differential battery (VerifyECO) under the
+// canonical golden script and extracts the golden metrics from its
+// outcome. A violated property is an error. The factory must return a
+// structurally identical circuit on every call.
 func CollectECO(fresh func() *netlist.Circuit, cfg core.Config) (ECOMetrics, error) {
 	pc := fresh()
 	script := GenEdits(pc, ECOGoldenSeed, ECOGoldenEdits)
 	m := ECOMetrics{Circuit: pc.Name, Edits: len(script.Edits)}
-
-	parent, err := core.Route(pc, cfg)
-	if err != nil {
-		return m, fmt.Errorf("%s: parent route: %w", m.Circuit, err)
-	}
-	edited, err := script.Apply(fresh())
-	if err != nil {
-		return m, fmt.Errorf("%s: apply: %w", m.Circuit, err)
-	}
-	cold, err := core.Route(edited, cfg)
-	if err != nil {
-		return m, fmt.Errorf("%s: cold route: %w", m.Circuit, err)
-	}
-	cc, err := Check(edited, cold)
+	o, err := VerifyECO(pc.Name, fresh, script, cfg)
 	if err != nil {
 		return m, err
 	}
-	m.ColdHash = cc.RoutesHash
-
-	er, err := eco.Reroute(parent, pc, script, cfg)
-	if err != nil {
-		return m, fmt.Errorf("%s: replay: %w", m.Circuit, err)
+	if !o.Ok() {
+		return m, fmt.Errorf("%s: %s", m.Circuit, strings.Join(o.Violations, "; "))
 	}
-	rc, err := Check(er.Edited, er.Result)
-	if err != nil {
-		return m, err
-	}
-	m.ReplayHash = rc.RoutesHash
-	m.ReplayDetailReused = er.Stats.DetailReused
-	m.ReplayDetailRouted = er.Stats.DetailRouted
-
-	pr, err := eco.ReroutePatch(parent, pc, script, cfg)
-	if err != nil {
-		return m, fmt.Errorf("%s: patch: %w", m.Circuit, err)
-	}
-	pch, err := Check(pr.Edited, pr.Result)
-	if err != nil {
-		return m, err
-	}
-	if err := CheckReport(pr.Edited, pr.Result); err != nil {
-		return m, fmt.Errorf("%s: patch: %w", m.Circuit, err)
-	}
-	m.PatchHash = pch.RoutesHash
-	m.PatchDetailReused = pr.Stats.DetailReused
-	m.PatchDetailRouted = pr.Stats.DetailRouted
-	m.PatchWirelength = pch.Report.Wirelength
-	m.PatchShortPolygons = pch.Report.ShortPolygons
-	m.PatchFailedNets = pch.FailedNets
+	m.ColdHash = o.Cold.RoutesHash
+	m.ReplayHash = o.Replay.RoutesHash
+	m.ReplayDetailReused = o.ReplayStats.DetailReused
+	m.ReplayDetailRouted = o.ReplayStats.DetailRouted
+	m.PatchHash = o.Patch.RoutesHash
+	m.PatchDetailReused = o.PatchStats.DetailReused
+	m.PatchDetailRouted = o.PatchStats.DetailRouted
+	m.PatchWirelength = o.Patch.Report.Wirelength
+	m.PatchShortPolygons = o.Patch.Report.ShortPolygons
+	m.PatchFailedNets = o.Patch.FailedNets
 	return m, nil
 }
 

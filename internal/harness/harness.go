@@ -99,28 +99,13 @@ func RouteAndCheck(c *netlist.Circuit, cfg core.Config) (*core.Result, CheckResu
 	return res, cr, err
 }
 
-// Options selects which parts of the battery Verify runs beyond the
-// always-on hard invariants.
-type Options struct {
-	// Determinism reroutes a fresh copy of the circuit and requires the
-	// routed geometry to be byte-identical.
-	Determinism bool
-	// Transforms runs the translate-by-one-pitch and mirror-vertically
-	// metamorphic checks on the stitch-aware config.
-	Transforms bool
-	// SPTolerance is the base allowance for short-polygon count drift
-	// under the geometric transforms; Verify adds one per 50 nets. The
-	// transformed problem is not exactly isomorphic (the fabric boundary
-	// moves relative to the pins), so heuristic tie-breaks may shift a
-	// few counts; drift beyond the tolerance indicates the pipeline
-	// reacts to something other than the stitch geometry.
-	SPTolerance int
-}
-
-// DefaultOptions enables the whole battery.
-func DefaultOptions() Options {
-	return Options{Determinism: true, Transforms: true, SPTolerance: 2}
-}
+// spTolerance is the base allowance for short-polygon count drift under
+// the geometric transforms; verifyTransforms adds one per 50 nets. The
+// transformed problem is not exactly isomorphic (the fabric boundary
+// moves relative to the pins), so heuristic tie-breaks may shift a few
+// counts; drift beyond the tolerance indicates the pipeline reacts to
+// something other than the stitch geometry.
+const spTolerance = 2
 
 // Outcome is the verdict of Verify for one circuit: both configs'
 // check results plus every violated property.
@@ -134,12 +119,15 @@ type Outcome struct {
 // Ok reports whether the battery passed.
 func (o *Outcome) Ok() bool { return len(o.Violations) == 0 }
 
-// Verify runs the complete battery on the circuit produced by fresh.
+// Verify runs the complete battery on the circuit produced by fresh:
+// the hard invariants on both configs, stitch-aware versus baseline, a
+// determinism reroute that must be byte-identical, and the metamorphic
+// transforms.
 // The factory must return a structurally identical circuit on every call
 // (both generators in this repo are deterministic); Verify calls it for
 // each independent routing run so no run can observe another's side
 // effects.
-func Verify(name string, fresh func() *netlist.Circuit, opt Options) (*Outcome, error) {
+func Verify(name string, fresh func() *netlist.Circuit) (*Outcome, error) {
 	o := &Outcome{Name: name}
 	reject := func(context string, v []string) {
 		for _, s := range v {
@@ -169,22 +157,18 @@ func Verify(name string, fresh func() *netlist.Circuit, opt Options) (*Outcome, 
 			stitch.Report.ShortPolygons, base.Report.ShortPolygons))
 	}
 
-	if opt.Determinism {
-		_, again, err := RouteAndCheck(fresh(), core.StitchAware())
-		if err != nil {
-			return nil, fmt.Errorf("%s: determinism reroute: %w", name, err)
-		}
-		if again.RoutesHash != stitch.RoutesHash {
-			o.Violations = append(o.Violations, fmt.Sprintf(
-				"nondeterministic: rerouting produced different geometry (%s vs %s)",
-				stitch.RoutesHash[:12], again.RoutesHash[:12]))
-		}
+	_, again, err := RouteAndCheck(fresh(), core.StitchAware())
+	if err != nil {
+		return nil, fmt.Errorf("%s: determinism reroute: %w", name, err)
+	}
+	if again.RoutesHash != stitch.RoutesHash {
+		o.Violations = append(o.Violations, fmt.Sprintf(
+			"nondeterministic: rerouting produced different geometry (%s vs %s)",
+			stitch.RoutesHash[:12], again.RoutesHash[:12]))
 	}
 
-	if opt.Transforms {
-		if err := verifyTransforms(o, fresh, stitch, opt); err != nil {
-			return nil, err
-		}
+	if err := verifyTransforms(o, fresh, stitch); err != nil {
+		return nil, err
 	}
 	return o, nil
 }

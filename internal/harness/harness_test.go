@@ -145,7 +145,7 @@ func TestRandomGridBattery(t *testing.T) {
 			spec.Seed = seed
 			t.Run(spec.String(), func(t *testing.T) {
 				t.Parallel()
-				o, err := Verify(spec.String(), func() *netlist.Circuit { return Generate(spec) }, DefaultOptions())
+				o, err := Verify(spec.String(), func() *netlist.Circuit { return Generate(spec) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,8 +54,8 @@ func MirrorY(c *netlist.Circuit) *netlist.Circuit {
 // preserved: the hard invariants still hold, the pin-forced via-violation
 // potential is exactly unchanged (that is a property of the transform,
 // asserted as a sanity check), and the short-polygon count drifts by at
-// most opt.SPTolerance.
-func verifyTransforms(o *Outcome, fresh func() *netlist.Circuit, stitch CheckResult, opt Options) error {
+// most spTolerance plus one per 50 nets.
+func verifyTransforms(o *Outcome, fresh func() *netlist.Circuit, stitch CheckResult) error {
 	orig := fresh()
 	origPinVV := orig.PinViaViolations()
 	transforms := []struct {
@@ -82,7 +82,7 @@ func verifyTransforms(o *Outcome, fresh func() *netlist.Circuit, stitch CheckRes
 		}
 		// Every net is an independent tie-break opportunity, so the drift
 		// budget scales with circuit size on top of the base tolerance.
-		tol := opt.SPTolerance + len(tc.Nets)/50
+		tol := spTolerance + len(tc.Nets)/50
 		if d := geom.Abs(cr.Report.ShortPolygons - stitch.Report.ShortPolygons); d > tol {
 			o.Violations = append(o.Violations, fmt.Sprintf(
 				"%s: short polygons drifted by %d (%d -> %d, tolerance %d)",

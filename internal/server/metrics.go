@@ -49,6 +49,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	start := s.start
 	evicted := s.evicted
+	hits, misses, entries := s.cacheHits, s.cacheMisses, len(s.byKey)
 	s.mu.Unlock()
 
 	fmt.Fprintf(w, "uptime_seconds %.3f\n", time.Since(start).Seconds())
@@ -61,11 +62,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "queue_depth %d\n", len(s.queue))
 	fmt.Fprintf(w, "queue_capacity %d\n", cap(s.queue))
 
-	hits, misses, entries := s.cache.stats()
 	fmt.Fprintf(w, "cache_hits %d\n", hits)
 	fmt.Fprintf(w, "cache_misses %d\n", misses)
 	fmt.Fprintf(w, "cache_entries %d\n", entries)
-	fmt.Fprintf(w, "cache_capacity %d\n", s.cfg.CacheSize)
 
 	s.metrics.mu.Lock()
 	fmt.Fprintf(w, "jobs_routed %d\n", s.metrics.jobsRouted)

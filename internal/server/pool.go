@@ -16,19 +16,30 @@ import (
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		s.runJob(j)
-		s.evictFinished() // j just went terminal
+		if o, ok := s.runJob(j); ok {
+			s.finish(j, o)
+		}
 	}
 }
 
+// outcome is what one run of a job produced, before it is classified
+// into the job's terminal state.
+type outcome struct {
+	res     *core.Result
+	wp      *WritePrep
+	er      *eco.Result
+	ecoTime time.Duration
+	err     error
+}
+
 // runJob executes one job on the calling worker: it derives the job's
-// context (server base context + per-job timeout), runs the router, and
-// classifies the outcome into the terminal state.
-func (s *Server) runJob(j *Job) {
+// context (server base context + per-job timeout) and runs the router.
+// It reports false, running nothing, for a job cancelled while queued.
+func (s *Server) runJob(j *Job) (outcome, bool) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while queued
 		j.mu.Unlock()
-		return
+		return outcome{}, false
 	}
 	ctx := s.baseCtx
 	var cancel context.CancelFunc
@@ -37,6 +48,7 @@ func (s *Server) runJob(j *Job) {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
+	defer cancel()
 	j.cancel = cancel
 	j.state = StateRunning
 	j.started = time.Now()
@@ -44,48 +56,52 @@ func (s *Server) runJob(j *Job) {
 	ecoRun, ecoScript, ecoBase, ecoFrom := j.ecoRun, j.ecoScript, j.ecoBase, j.ecoFrom
 	j.mu.Unlock()
 
-	var res *core.Result
-	var err error
-	var er *eco.Result
-	var ecoTime time.Duration
+	var o outcome
 	if ecoRun != nil {
 		// ECO fork: incremental reroute from the parent's committed
 		// result instead of a cold pipeline run.
 		t0 := time.Now()
-		if er, err = ecoRun(ctx, ecoFrom, ecoBase, ecoScript, cfg); err == nil {
-			res = er.Result
-			ecoTime = time.Since(t0)
+		if o.er, o.err = ecoRun(ctx, ecoFrom, ecoBase, ecoScript, cfg); o.err == nil {
+			o.res = o.er.Result
+			o.ecoTime = time.Since(t0)
 		}
 	} else {
-		res, err = s.route(ctx, circuit, cfg)
+		o.res, o.err = s.route(ctx, circuit, cfg)
 	}
 	// Write-prep rides the same job context, so a cancel or timeout during
 	// fracturing classifies exactly like one during routing.
-	var wp *WritePrep
-	if err == nil && req.Fracture != "" {
-		wp, err = BuildWritePrep(ctx, res, circuit.Fabric.Layers, fmode, req.Stencil)
+	if o.err == nil && req.Fracture != "" {
+		o.wp, o.err = BuildWritePrep(ctx, o.res, circuit.Fabric.Layers, fmode, req.Stencil)
 	}
-	cancel()
+	return o, true
+}
 
+// finish classifies a run's outcome into the job's terminal state. It
+// takes s.mu before j.mu, the server's lock order, so a done job enters
+// the result cache in the same critical section that makes it visible
+// as done: a client that sees the job done and resubmits always hits.
+func (s *Server) finish(j *Job, o outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.finished = time.Now()
+	err := o.err
 	cancelled := errors.Is(err, core.ErrCancelled) || errors.Is(err, context.Canceled)
 	switch {
 	case err == nil:
 		j.state = StateDone
-		j.result = res
-		j.writePrep = wp
-		if er != nil {
-			j.eco.Record(er.Stats, ecoTime)
+		j.result = o.res
+		j.writePrep = o.wp
+		if o.er != nil {
+			j.eco.Record(o.er.Stats, o.ecoTime)
 		}
 		// Patch-mode ECO jobs carry no key: their result is not
 		// byte-identical to a cold reroute and must not populate the
 		// content-addressed cold-route cache.
 		if j.key != "" {
-			s.cache.put(j.key, res)
+			s.byKey[j.key] = j
 		}
-		s.metrics.addRun(res)
+		s.metrics.addRun(o.res)
 	case j.cancelRequested && cancelled:
 		j.state = StateCancelled
 		j.errMsg = "cancelled by request"
@@ -100,6 +116,8 @@ func (s *Server) runJob(j *Job) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
+	j.mu.Unlock()
+	s.evictLocked() // j just went terminal
 }
 
 // Shutdown stops the pool gracefully: intake is closed immediately, the

@@ -1,9 +1,9 @@
 // Package server implements routing-as-a-service: an HTTP JSON API over
 // the core stitch-aware router. Jobs are submitted to a bounded worker
-// pool, identical (circuit, config) submissions are served from a
-// content-addressed LRU result cache, and every job can be cancelled or
-// time-bounded — cancellation is real, plumbed through core.RouteContext
-// down to the detailed-routing net loop.
+// pool, identical (circuit, config) submissions are served from the
+// newest retained done job with the same content address, and every job
+// can be cancelled or time-bounded — cancellation is real, plumbed
+// through core.RouteContext down to the detailed-routing net loop.
 //
 // Endpoints (see docs/API.md for the full contract):
 //
@@ -21,6 +21,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -54,13 +56,12 @@ type Config struct {
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503. 0 means 64.
 	QueueDepth int
-	// CacheSize is the result cache's LRU bound in entries. 0 means 64;
-	// negative disables caching.
-	CacheSize int
 	// MaxFinished caps how many terminal (done/failed/cancelled) jobs are
 	// retained in the store; beyond it the oldest terminal jobs are
-	// evicted, releasing their circuit and result. 0 means 512; negative
-	// disables eviction (unbounded retention).
+	// evicted, releasing their circuit and result. It is also the result
+	// cache's only bound: a submission hits only while a retained done
+	// job holds its key. 0 means 512; negative disables eviction
+	// (unbounded retention).
 	MaxFinished int
 	// DefaultTimeout applies to jobs that do not set one; 0 = unbounded.
 	DefaultTimeout time.Duration
@@ -76,7 +77,6 @@ type Config struct {
 type Server struct {
 	cfg        Config
 	mux        *http.ServeMux
-	cache      *resultCache
 	metrics    *metrics
 	queue      chan *Job
 	baseCtx    context.Context
@@ -85,12 +85,17 @@ type Server struct {
 	route      routeFunc
 	start      time.Time
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	order   []string // insertion order, for stable listings
-	nextID  int
-	evicted int64 // terminal jobs dropped by the retention cap
-	closed  bool
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []string // insertion order, for stable listings
+	nextID int
+	// byKey is the result cache: the newest retained done job per cache
+	// key. A key leaves it when that job is evicted.
+	byKey       map[string]*Job
+	cacheHits   int64
+	cacheMisses int64
+	evicted     int64 // terminal jobs dropped by the retention cap
+	closed      bool
 }
 
 // New builds the server and starts its worker pool.
@@ -102,12 +107,6 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = 64
 	}
 	switch {
-	case cfg.CacheSize == 0:
-		cfg.CacheSize = 64
-	case cfg.CacheSize < 0:
-		cfg.CacheSize = 0
-	}
-	switch {
 	case cfg.MaxFinished == 0:
 		cfg.MaxFinished = 512
 	case cfg.MaxFinished < 0:
@@ -115,12 +114,12 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheSize),
 		metrics: newMetrics(),
 		queue:   make(chan *Job, cfg.QueueDepth),
 		route:   cfg.route,
 		start:   time.Now(),
 		jobs:    make(map[string]*Job),
+		byKey:   make(map[string]*Job),
 	}
 	if s.route == nil {
 		s.route = core.RouteContext
@@ -202,6 +201,23 @@ func (s *Server) jobTimeout(req string) (time.Duration, *apiError) {
 	return timeout, nil
 }
 
+// cacheKey content-addresses a routing job: the hash covers the canonical
+// nlio circuit hash of the (post-placement) circuit plus the full config
+// fingerprint, so two requests collide exactly when re-routing would
+// reproduce the same result. The framework is deterministic for a fixed
+// (circuit, config), which is what makes result caching sound — the
+// correctness harness (internal/harness) tests that determinism directly.
+func cacheKey(c *netlist.Circuit, cfg core.Config) (string, error) {
+	ch, err := nlio.CircuitHash(c)
+	if err != nil {
+		return "", err
+	}
+	// Config is plain value data (bools, ints, floats, enums), so the
+	// %+v rendering is a deterministic fingerprint.
+	h := sha256.Sum256([]byte(fmt.Sprintf("%s|cfg=%+v", ch, cfg)))
+	return hex.EncodeToString(h[:]), nil
+}
+
 // buildJob validates the request and constructs the (still unqueued)
 // job: circuit, config, timeout, and cache key.
 func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
@@ -255,16 +271,19 @@ func (s *Server) buildJob(req *JobRequest) (*Job, *apiError) {
 	}, nil
 }
 
-// register assigns the job an id and stores it. Fails once the server is
-// shutting down. Used for jobs that never touch the queue (cache hits);
-// queued jobs go through enqueue.
-func (s *Server) register(j *Job) bool {
+// registerHit stores a cache-hit job, which never touches the queue: it
+// is assigned an id and, born done, becomes its key's newest holder in
+// the result cache and counts against the retention cap. Fails once the
+// server is shutting down.
+func (s *Server) registerHit(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
 	s.registerLocked(j)
+	s.byKey[j.key] = j
+	s.evictLocked()
 	return true
 }
 
@@ -300,18 +319,32 @@ func (s *Server) enqueue(j *Job) *apiError {
 	return nil
 }
 
-// evictFinished enforces the terminal-job retention cap: once more than
-// cfg.MaxFinished jobs are terminal, the oldest terminal jobs are
-// dropped from the store, releasing their circuit and result references.
-// Queued and running jobs are never evicted. Called after a job reaches
-// a terminal state.
-func (s *Server) evictFinished() {
+// cached returns the result of the newest retained done job with the
+// key, counting the lookup as a cache hit or miss.
+func (s *Server) cached(key string) (*core.Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.byKey[key]
+	if !ok {
+		s.cacheMisses++
+		return nil, false
+	}
+	s.cacheHits++
+	_, res := j.snapshot()
+	return res, true
+}
+
+// evictLocked enforces the terminal-job retention cap: once more than
+// cfg.MaxFinished jobs are terminal, the oldest terminal jobs are dropped
+// from the store and from the result cache, releasing their circuit and
+// result references. Queued and running jobs are never evicted. Called
+// with s.mu held after a job reaches a terminal state; it takes each
+// job's lock in turn, so no job lock may be held.
+func (s *Server) evictLocked() {
 	max := s.cfg.MaxFinished
 	if max <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	terminal := 0
 	for _, id := range s.order {
 		if st, _ := s.jobs[id].snapshot(); st.Terminal() {
@@ -323,9 +356,12 @@ func (s *Server) evictFinished() {
 	}
 	kept := s.order[:0]
 	for _, id := range s.order {
-		st, _ := s.jobs[id].snapshot()
-		if terminal > max && st.Terminal() {
+		j := s.jobs[id]
+		if st, _ := j.snapshot(); terminal > max && st.Terminal() {
 			delete(s.jobs, id)
+			if s.byKey[j.key] == j {
+				delete(s.byKey, j.key)
+			}
 			s.evicted++
 			terminal--
 			continue
@@ -357,13 +393,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.admit(w, r, j)
 }
 
-// admit serves a built job from the content-addressed cache when its
-// key hits (the job is born done, without occupying a worker: 200), or
-// queues it (202), and writes the response. Jobs without a key (patch
-// forks) and NoCache jobs always queue.
+// admit serves a built job from the result cache when a retained done
+// job holds its key (the job is born done, without occupying a worker:
+// 200), or queues it (202), and writes the response. Jobs without a key
+// (patch forks) and NoCache jobs always queue.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, j *Job) {
 	if !j.req.NoCache && j.key != "" {
-		if res, ok := s.cache.get(j.key); ok {
+		if res, ok := s.cached(j.key); ok {
 			// Write-prep is a cheap pure post-pass over the routes, outside
 			// the cache key; recompute it inline for the hit.
 			if j.req.Fracture != "" {
@@ -379,11 +415,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, j *Job) {
 			j.result = res
 			now := time.Now()
 			j.started, j.finished = now, now
-			if !s.register(j) {
+			if !s.registerHit(j) {
 				writeErr(w, http.StatusServiceUnavailable, "server is shutting down")
 				return
 			}
-			s.evictFinished() // the job is born terminal
 			w.Header().Set("Location", "/v1/jobs/"+j.id)
 			writeJSON(w, http.StatusOK, j.view())
 			return
@@ -437,7 +472,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.errMsg = "cancelled while queued"
 		j.finished = time.Now()
 		j.mu.Unlock()
-		s.evictFinished()
+		s.mu.Lock()
+		s.evictLocked()
+		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, j.view())
 	case StateRunning:
 		j.cancelRequested = true

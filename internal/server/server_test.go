@@ -394,27 +394,42 @@ func TestWorkersField(t *testing.T) {
 	}
 }
 
-func TestCacheLRUBound(t *testing.T) {
-	c := newResultCache(2)
-	res := &core.Result{}
-	c.put("a", res)
-	c.put("b", res)
-	if _, ok := c.get("a"); !ok { // refresh a
-		t.Fatal("a missing")
+// TestCacheFollowsRetention pins that the result cache is the job store:
+// a key hits only while a retained done job holds it. A cache-hit job is
+// such a holder itself, so a key that keeps being hit outlives the job
+// that routed it, and a key whose done jobs were all evicted misses.
+func TestCacheFollowsRetention(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1, MaxFinished: 2})
+	hot := JobRequest{Circuit: tinyCircuit("hot")}
+	cold := JobRequest{Circuit: tinyCircuit("cold")}
+
+	first := ts.submit(t, hot, http.StatusAccepted)
+	ts.waitState(t, first.ID, StateDone)
+	ts.submit(t, hot, http.StatusOK) // retained: [first, hit]
+
+	c := ts.submit(t, cold, http.StatusAccepted)
+	ts.waitState(t, c.ID, StateDone) // evicts first: [hit, cold]
+	if resp, _ := ts.do(t, "GET", "/v1/jobs/"+first.ID, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("routing job not evicted: GET = %d", resp.StatusCode)
 	}
-	c.put("c", res) // evicts b
-	if _, ok := c.get("b"); ok {
-		t.Error("b not evicted")
+	// The earlier cache-hit job still holds the key.
+	if v := ts.submit(t, hot, http.StatusOK); !v.CacheHit {
+		t.Fatal("hot key missed after its routing job was evicted")
 	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("refreshed entry a evicted")
+	// retained: [cold, hit2]; another key's job evicts the cold one.
+	other := ts.submit(t, JobRequest{Circuit: tinyCircuit("other")}, http.StatusAccepted)
+	ts.waitState(t, other.ID, StateDone) // [hit2, other]
+
+	_, data := ts.do(t, "GET", "/metrics", nil)
+	if got := metricValue(t, string(data), "cache_entries"); got != "2" {
+		t.Errorf("cache_entries = %s, want 2 (hot and other)", got)
 	}
-	if _, ok := c.get("c"); !ok {
-		t.Error("c missing")
+	if got := metricValue(t, string(data), "cache_hits"); got != "2" {
+		t.Errorf("cache_hits = %s, want 2", got)
 	}
-	hits, misses, entries := c.stats()
-	if hits != 3 || misses != 1 || entries != 2 {
-		t.Errorf("stats = %d/%d/%d, want 3/1/2", hits, misses, entries)
+	// Every done job of the cold key is gone, so it routes again.
+	if v := ts.submit(t, cold, http.StatusAccepted); v.CacheHit {
+		t.Error("evicted key served from cache")
 	}
 }
 
@@ -742,11 +757,14 @@ func TestBenchmarksHealthzMetrics(t *testing.T) {
 	for _, key := range []string{
 		"uptime_seconds", "workers", "jobs_total", "jobs_queued", "jobs_running",
 		"jobs_done", "jobs_failed", "jobs_cancelled", "queue_depth", "queue_capacity",
-		"cache_hits", "cache_misses", "cache_entries", "cache_capacity",
+		"cache_hits", "cache_misses", "cache_entries",
 		"stage_seconds_global", "stage_seconds_layer", "stage_seconds_track",
 		"stage_seconds_detail", "stage_seconds_drc", "route_seconds_total",
 	} {
 		metricValue(t, string(data), key)
+	}
+	if strings.Contains(string(data), "cache_capacity") {
+		t.Error("metrics still report a cache capacity; the retention cap is the only bound")
 	}
 	if got := metricValue(t, string(data), "workers"); got != "1" {
 		t.Errorf("workers metric = %s, want 1", got)

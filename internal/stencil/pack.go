@@ -12,20 +12,19 @@ import (
 // one 0/1 variable per candidate, in saving-descending order. Skipping a
 // candidate costs its saving (write time not recovered); selecting costs
 // nothing but consumes plate capacity. The capacity model matches the
-// overlapping-aware packer: a character's footprint is (W+Halo)×(H+Halo)
+// overlapping-aware packer: a character's footprint is (W+halo)×(H+halo)
 // — one shared halo per side — against a plate of
-// (StencilW−Halo)×(StencilH−Halo) usable area, so selection and packing
+// (w−halo)×(h−halo) usable area, so selection and packing
 // agree except for row fragmentation (which packing resolves by
 // deterministic drops).
 type selectProblem struct {
 	cands []Character
-	halo  int
 	cap   int
 	used  int
 }
 
 func (p *selectProblem) footprint(i int) int {
-	return (p.cands[i].W + p.halo) * (p.cands[i].H + p.halo)
+	return (p.cands[i].W + halo) * (p.cands[i].H + halo)
 }
 
 func (p *selectProblem) NumVars() int { return len(p.cands) }
@@ -49,19 +48,18 @@ func (p *selectProblem) Undo(v, val int) {
 	}
 }
 
-// selectNodeBudget bounds the selection search. MaxCandidates variables
+// selectNodeBudget bounds the selection search. maxCandidates variables
 // with two values each stay comfortably under it in practice; hitting it
 // degrades the plan to the incumbent (SelectionOptimal=false), never
 // breaks it.
 const selectNodeBudget = 1 << 18
 
 // selectCharacters picks the character subset maximizing total saving
-// under the plate capacity.
-func selectCharacters(ctx context.Context, cands []Character, opts Options) ([]Character, bool, error) {
+// under the capacity of plate pl.
+func selectCharacters(ctx context.Context, cands []Character, pl plate) ([]Character, bool, error) {
 	p := &selectProblem{
 		cands: cands,
-		halo:  opts.Halo,
-		cap:   (opts.StencilW - opts.Halo) * (opts.StencilH - opts.Halo),
+		cap:   (pl.w - halo) * (pl.h - halo),
 	}
 	sol := ilp.SolveContext(ctx, p, selectNodeBudget, 0)
 	if err := ctx.Err(); err != nil {
@@ -81,14 +79,14 @@ func selectCharacters(ctx context.Context, cands []Character, opts Options) ([]C
 	return selected, sol.Optimal, nil
 }
 
-// pack shelf-packs the selected characters onto the plate, sharing halos
+// pack shelf-packs the selected characters onto plate pl, sharing halos
 // between horizontal neighbors and between rows (E-BLOW's 1D
 // overlapping-aware packing, applied per shelf). Characters are placed
 // tallest-first; one that fits neither the open row nor a fresh row is
 // dropped — selection order is saving-descending, so drops sacrifice the
 // least valuable characters first. Returns the placements and the plate
 // area recovered versus naive per-character margins.
-func pack(selected []Character, opts Options) ([]Placement, int) {
+func pack(selected []Character, pl plate) ([]Placement, int) {
 	// Tallest-first keeps shelves dense; ties break by the candidate
 	// order (saving descending, then hash), which is already the slice
 	// order, so a stable criterion on height alone suffices.
@@ -102,18 +100,17 @@ func pack(selected []Character, opts Options) ([]Placement, int) {
 		}
 	}
 
-	halo := opts.Halo
 	var placements []Placement
 	x, y, rowH := halo, halo, 0
 	shared := 0
 	for _, idx := range order {
 		ch := selected[idx]
-		if x+ch.W+halo > opts.StencilW && rowH > 0 {
+		if x+ch.W+halo > pl.w && rowH > 0 {
 			// Close the shelf; the next one shares this one's top halo.
 			y += rowH + halo
 			x, rowH = halo, 0
 		}
-		if x+ch.W+halo > opts.StencilW || y+ch.H+halo > opts.StencilH {
+		if x+ch.W+halo > pl.w || y+ch.H+halo > pl.h {
 			continue // dropped: does not fit even on a fresh shelf
 		}
 		placements = append(placements, Placement{Char: ch, X: x, Y: y})

@@ -40,61 +40,34 @@ import (
 	"stitchroute/internal/geom"
 )
 
-// Options tunes stencil planning. The zero value of any field selects
-// its default.
-type Options struct {
-	// StencilW, StencilH are the stencil plate dimensions in track units.
-	StencilW, StencilH int
-	// Aperture is the maximum character window side: a cluster of shots
-	// only becomes a character candidate if its bbox fits Aperture².
-	Aperture int
-	// Halo is the blank margin a character needs around its pattern.
-	// Overlapping-aware packing lets neighboring characters share it.
-	Halo int
-	// TVSB and TCP are the per-flash write times (arbitrary units) of a
-	// VSB rectangle flash and a CP character flash.
-	TVSB, TCP float64
-	// MaxCandidates caps how many candidates (by saving, descending) the
-	// exact selection considers; the rest are never profitable enough to
-	// matter and are skipped outright.
-	MaxCandidates int
-}
+// Options is empty: stencil planning has no settings.
+//
+// Deprecated: every former field is now a package constant. The type
+// stays only because the benchmark in benchmark/ passes Options{}.
+type Options struct{}
 
-// Defaults for Options.
+// The E-BLOW system model. plateW × plateH is the stencil plate in track
+// units. aperture is the maximum character window side: a cluster of shots only becomes a character candidate if its
+// bbox fits aperture². halo is the blank margin a character needs around
+// its pattern; overlapping-aware packing lets neighboring characters
+// share it. tVSB and tCP are the per-flash write times (arbitrary units)
+// of a VSB rectangle flash and a CP character flash. maxCandidates caps
+// how many candidates (by saving, descending) the exact selection
+// considers; the rest are never profitable enough to matter and are
+// skipped outright.
 const (
-	DefaultStencilW      = 400
-	DefaultStencilH      = 400
-	DefaultAperture      = 40
-	DefaultHalo          = 2
-	DefaultTVSB          = 1.0
-	DefaultTCP           = 1.5
-	DefaultMaxCandidates = 64
+	plateW        = 400
+	plateH        = 400
+	aperture      = 40
+	halo          = 2
+	tVSB          = 1.0
+	tCP           = 1.5
+	maxCandidates = 64
 )
 
-func (o Options) withDefaults() Options {
-	if o.StencilW <= 0 {
-		o.StencilW = DefaultStencilW
-	}
-	if o.StencilH <= 0 {
-		o.StencilH = DefaultStencilH
-	}
-	if o.Aperture <= 0 {
-		o.Aperture = DefaultAperture
-	}
-	if o.Halo <= 0 {
-		o.Halo = DefaultHalo
-	}
-	if o.TVSB <= 0 {
-		o.TVSB = DefaultTVSB
-	}
-	if o.TCP <= 0 {
-		o.TCP = DefaultTCP
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = DefaultMaxCandidates
-	}
-	return o
-}
+// plate is a stencil plate's dimensions in track units: plateW × plateH
+// outside tests.
+type plate struct{ w, h int }
 
 // Character is one stencil character candidate: a repeated bbox-
 // normalized shot pattern.
@@ -169,29 +142,33 @@ func Build(shots []fracture.Shot, opts Options) *Plan {
 
 // BuildContext is Build under a context: cancellation is observed
 // between stages and inside the selection search.
-func BuildContext(ctx context.Context, shots []fracture.Shot, opts Options) (*Plan, error) {
-	opts = opts.withDefaults()
-	clusters := clusterShots(shots, opts.Aperture)
-	cands := characterCandidates(clusters, opts)
+func BuildContext(ctx context.Context, shots []fracture.Shot, _ Options) (*Plan, error) {
+	return build(ctx, shots, plate{w: plateW, h: plateH})
+}
+
+// build plans a stencil on the given plate.
+func build(ctx context.Context, shots []fracture.Shot, pl plate) (*Plan, error) {
+	clusters := clusterShots(shots)
+	cands := characterCandidates(clusters)
 	plan := &Plan{
 		Candidates:       len(cands),
 		Clusters:         len(clusters),
 		SelectionOptimal: true,
 	}
 	for _, s := range shots {
-		plan.VSBTime += flashes(s) * opts.TVSB
+		plan.VSBTime += flashes(s) * tVSB
 	}
 	plan.CPTime = plan.VSBTime
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("stencil: %w", err)
 	}
 	if len(cands) > 0 {
-		selected, optimal, err := selectCharacters(ctx, cands, opts)
+		selected, optimal, err := selectCharacters(ctx, cands, pl)
 		if err != nil {
 			return nil, err
 		}
 		plan.SelectionOptimal = optimal
-		packed, shared := pack(selected, opts)
+		packed, shared := pack(selected, pl)
 		plan.Placements = packed
 		plan.Selected = len(selected)
 		plan.Dropped = len(selected) - len(packed)
@@ -199,9 +176,9 @@ func BuildContext(ctx context.Context, shots []fracture.Shot, opts Options) (*Pl
 
 		// Each packed character prints as one CP flash per cluster of its
 		// pattern, and Count is that cluster count.
-		for _, pl := range packed {
-			plan.Saving += pl.Char.Saving
-			plan.CPFlashes += pl.Char.Count
+		for _, p := range packed {
+			plan.Saving += p.Char.Saving
+			plan.CPFlashes += p.Char.Count
 		}
 		plan.CPTime = plan.VSBTime - plan.Saving
 	}
@@ -226,11 +203,11 @@ type cluster struct {
 
 // clusterShots greedily windows the canonical shot list per layer:
 // consecutive shots join the open cluster while the union bbox still
-// fits Aperture²; any overflow closes it. Greedy on a canonical order is
+// fits aperture²; any overflow closes it. Greedy on a canonical order is
 // what keeps the clustering — and hence the whole plan — deterministic.
 // Clusters are contiguous runs of the list, so each one is a subslice
 // of shots.
-func clusterShots(shots []fracture.Shot, aperture int) []cluster {
+func clusterShots(shots []fracture.Shot) []cluster {
 	var out []cluster
 	for i, s := range shots {
 		b := s.A
@@ -281,7 +258,7 @@ func shiftRect(r geom.Rect, dx, dy int) geom.Rect {
 // pattern and returns the profitable repeated patterns (count ≥ 2,
 // positive saving) sorted by saving descending, then hash. That order
 // is total, so the grouping order does not reach the output.
-func characterCandidates(clusters []cluster, opts Options) []Character {
+func characterCandidates(clusters []cluster) []Character {
 	type class struct {
 		key   [32]byte
 		c     cluster // first cluster with the pattern
@@ -307,7 +284,7 @@ func characterCandidates(clusters []cluster, opts Options) []Character {
 		for _, s := range cl.c.shots {
 			fl += int(flashes(s))
 		}
-		saving := float64(cl.count) * (float64(fl)*opts.TVSB - opts.TCP)
+		saving := float64(cl.count) * (float64(fl)*tVSB - tCP)
 		if cl.count >= 2 && saving > 0 {
 			cands = append(cands, Character{
 				Hash:    hex.EncodeToString(cl.key[:]),
@@ -325,8 +302,8 @@ func characterCandidates(clusters []cluster, opts Options) []Character {
 		}
 		return strings.Compare(a.Hash, b.Hash)
 	})
-	if len(cands) > opts.MaxCandidates {
-		cands = cands[:opts.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	return cands
 }

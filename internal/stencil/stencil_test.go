@@ -65,7 +65,7 @@ func TestUniquePatternNotPromoted(t *testing.T) {
 }
 
 // TestUnprofitablePatternSkipped: a repeated single-rectangle pattern
-// costs 1 VSB flash but TCP > TVSB, so promoting it would slow the write.
+// costs 1 VSB flash but tCP > tVSB, so promoting it would slow the write.
 func TestUnprofitablePatternSkipped(t *testing.T) {
 	var wires []geom.Segment
 	for i := 0; i < 4; i++ {
@@ -73,7 +73,7 @@ func TestUnprofitablePatternSkipped(t *testing.T) {
 	}
 	routes := []plan.NetRoute{{NetID: 1, Routed: true, Wires: wires}}
 	shots := fracture.Fracture(routes, 1, fracture.ModeRect, fracture.Options{}).Shots
-	p := Build(shots, Options{TVSB: 1, TCP: 1.5})
+	p := Build(shots, Options{})
 	if p.Candidates != 0 {
 		t.Fatalf("unprofitable pattern kept as candidate: %+v", p)
 	}
@@ -97,7 +97,10 @@ func TestCapacitySelection(t *testing.T) {
 	shots := fracture.Fracture(routes, 1, fracture.ModeLShape, fracture.Options{}).Shots
 	// Plate sized so one 15×15 character (+halo) fits but not both
 	// characters together.
-	p := Build(shots, Options{StencilW: 20, StencilH: 20, Halo: 2})
+	p, err := build(context.Background(), shots, plate{w: 20, h: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Candidates != 2 {
 		t.Fatalf("candidates = %d, want 2", p.Candidates)
 	}
@@ -125,26 +128,29 @@ func TestPackingRespectsPlate(t *testing.T) {
 	}
 	routes := []plan.NetRoute{{NetID: 1, Routed: true, Wires: wires}}
 	shots := fracture.Fracture(routes, 1, fracture.ModeLShape, fracture.Options{}).Shots
-	opts := Options{StencilW: 30, StencilH: 60, Halo: 2}
-	p := Build(shots, opts)
+	pl := plate{w: 30, h: 60}
+	p, err := build(context.Background(), shots, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Selected == 0 {
 		t.Fatal("nothing selected")
 	}
 	if p.Selected != len(p.Placements)+p.Dropped {
 		t.Fatalf("selected %d != placed %d + dropped %d", p.Selected, len(p.Placements), p.Dropped)
 	}
-	for i, pl := range p.Placements {
-		if pl.X < opts.Halo || pl.Y < opts.Halo ||
-			pl.X+pl.Char.W+opts.Halo > opts.StencilW ||
-			pl.Y+pl.Char.H+opts.Halo > opts.StencilH {
-			t.Fatalf("placement %d out of plate: %+v", i, pl)
+	for i, c := range p.Placements {
+		if c.X < halo || c.Y < halo ||
+			c.X+c.Char.W+halo > pl.w ||
+			c.Y+c.Char.H+halo > pl.h {
+			t.Fatalf("placement %d out of plate: %+v", i, c)
 		}
-		a := geom.Rect{X0: pl.X, Y0: pl.Y, X1: pl.X + pl.Char.W - 1, Y1: pl.Y + pl.Char.H - 1}
+		a := geom.Rect{X0: c.X, Y0: c.Y, X1: c.X + c.Char.W - 1, Y1: c.Y + c.Char.H - 1}
 		for j := i + 1; j < len(p.Placements); j++ {
 			o := p.Placements[j]
 			b := geom.Rect{X0: o.X, Y0: o.Y, X1: o.X + o.Char.W - 1, Y1: o.Y + o.Char.H - 1}
 			if a.Overlaps(b) {
-				t.Fatalf("placements %d and %d overlap: %+v vs %+v", i, j, pl, o)
+				t.Fatalf("placements %d and %d overlap: %+v vs %+v", i, j, c, o)
 			}
 		}
 	}

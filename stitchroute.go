@@ -137,13 +137,17 @@ func WriteGDS(w io.Writer, routes []NetRoute, libName, cellName string) error {
 type (
 	// FractureMode selects rectangle-only or L-shape fracturing.
 	FractureMode = fracture.Mode
-	// FractureOptions tunes fracturing.
+	// FractureOptions is empty: fracturing has no settings.
+	//
+	// Deprecated: the only caller is the benchmark in benchmark/.
 	FractureOptions = fracture.Options
 	// FractureResult is the fractured shot list with its statistics.
 	FractureResult = fracture.Result
 	// Shot is one e-beam exposure (a rectangle or an L-shape).
 	Shot = fracture.Shot
-	// StencilOptions tunes CP stencil planning.
+	// StencilOptions is empty: stencil planning has no settings.
+	//
+	// Deprecated: the only caller is the benchmark in benchmark/.
 	StencilOptions = stencil.Options
 	// StencilPlan is the packed character set and its write-time model.
 	StencilPlan = stencil.Plan
