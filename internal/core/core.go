@@ -149,19 +149,14 @@ type Result struct {
 }
 
 // ECOState is the per-run recording consumed by internal/eco: the global
-// router's read-set/route trace, the detailed router's per-net activity
-// rects and rip-up state, and an echo of the config the run used (an ECO
-// reroute must use the same config, or it falls back to a cold run).
+// router's read-set/route trace, the detailed router's recording, and an
+// echo of the config the run used (an ECO reroute must use the same
+// config, or it falls back to a cold run).
 type ECOState struct {
 	Cfg    Config
 	Global *global.Trace
-	// Indexed like Routes/Plans (the parent circuit's net slots). The
-	// footprints are detail's actTile bucket bitsets, packed.
-	Acts      detail.Footprints
-	WActs     detail.Footprints
-	Ripped    []bool
-	FreedPins [][]detail.Cell
-	MatWires  [][]geom.Segment
+	// Indexed like Routes/Plans (the parent circuit's net slots).
+	detail.Recording
 }
 
 // ErrCancelled is wrapped into the error RouteContext returns when the
@@ -263,15 +258,7 @@ func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) 
 	if err != nil {
 		return nil, err
 	}
-	res.ECO = &ECOState{
-		Cfg:       cfg,
-		Global:    gr.Trace(),
-		Acts:      dres.Acts,
-		WActs:     dres.WActs,
-		Ripped:    dres.NetRipped,
-		FreedPins: dres.FreedPins,
-		MatWires:  dres.MatWires,
-	}
+	res.ECO = &ECOState{Cfg: cfg, Global: gr.Trace(), Recording: dres.Recording}
 	return res, nil
 }
 

@@ -97,27 +97,43 @@ type Result struct {
 	// Deprecated: the only reader is the benchmark in benchmark/.
 	Sched SchedStats
 
-	// ECO recording (memo.go), indexed like Routes. Acts is each net's
-	// activity footprint: the tiles of its pin cells, of every
-	// planned-wire candidate it materialized (accepted or conflicted —
-	// both read cells), and of every cell its searches popped, dilated by
-	// one tile (foldAct) — i.e. a superset of every occupancy cell the
-	// net's processing read or wrote. WActs is the write footprint alone:
-	// pin cells, accepted candidates, and committed wires (including ones
-	// a later rip-up cleared) — every cell whose occupancy the net's
-	// processing ever changed. Both are actTile bucket bitsets, packed
-	// (footprint.go); a patch records none. NetRipped marks nets whose
-	// planned geometry was ripped up, and FreedPins lists pin cells whose
-	// reservation ended up released (see replayNet in memo.go for why
-	// that is the one non-local bit of rip-up state).
-	Acts      Footprints
-	WActs     Footprints
+	// Recording is the run's ECO recording; a patch records only
+	// NetRipped and FreedPins.
+	Recording
+}
+
+// Recording is a detailed run's ECO recording (memo.go), indexed like
+// Result.Routes: what a memoized run (RunMemo) reads to replay the run.
+type Recording struct {
+	// Acts is each net's activity footprint: the tiles of its pin
+	// cells, of every planned-wire candidate it materialized (accepted
+	// or conflicted — both read cells), and of every cell its searches
+	// popped, dilated by one tile (foldAct) — i.e. a superset of every
+	// occupancy cell the net's processing read or wrote. WActs is the
+	// write footprint alone: pin cells, accepted candidates, and
+	// committed wires (including ones a later rip-up cleared) — every
+	// cell whose occupancy the net's processing ever changed. Both are
+	// actTile bucket bitsets, packed (plan.Footprint).
+	Acts  plan.Footprints
+	WActs plan.Footprints
+	// NetRipped marks nets whose planned geometry was ripped up, and
+	// FreedPins lists pin cells whose reservation ended up released
+	// (see replayNet in memo.go for why that is the one non-local bit
+	// of rip-up state).
 	NetRipped []bool
 	FreedPins [][]Cell
 	// MatWires is each net's post-materialization candidate set (the
 	// planned wires that survived the conflict check), recorded so an
 	// ECO run can detect prepare-phase divergence.
 	MatWires [][]geom.Segment
+}
+
+// Complete reports whether the recording holds all five records for a
+// circuit of n nets, as a recording run (RunContext, RunMemo) leaves
+// it.
+func (rec *Recording) Complete(n int) bool {
+	return rec.Acts.Len() == n && rec.WActs.Len() == n && len(rec.NetRipped) == n &&
+		len(rec.FreedPins) == n && len(rec.MatWires) == n
 }
 
 // Cell is an exported grid coordinate (0-based layer), used by the ECO
@@ -302,7 +318,8 @@ func (r *Router) Run(c *netlist.Circuit, plans []*plan.NetPlan) *Result {
 // per-net routing loop, so a cancelled run returns after at most one
 // more net's worth of A* work. On cancellation it returns the partial
 // result (nets not reached are recorded as unrouted) together with
-// ctx's error.
+// ctx's error. It is RunMemo with no parent recording: every net routes
+// live.
 func (r *Router) RunContext(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan) (*Result, error) {
 	// A cold run allocates its own arena and drops it at the end: it
 	// runs for hundreds of milliseconds to seconds, so the allocation
@@ -314,20 +331,8 @@ func (r *Router) RunContext(ctx context.Context, c *netlist.Circuit, plans []*pl
 		r.bind(new(searchCtx))
 		defer r.unbind()
 	}
-	res, nets, order := r.prepare(c, plans)
-	for oi, t := range order {
-		if err := ctx.Err(); err != nil {
-			// Record the nets not reached as unrouted and stop.
-			for _, rest := range order[oi:] {
-				res.record(rest, false)
-			}
-			r.finish(res, nets)
-			return res, err
-		}
-		r.routeOne(t, res)
-	}
-	r.finish(res, nets)
-	return res, nil
+	res, _, err := r.runMemo(ctx, c, plans, nil)
+	return res, err
 }
 
 // SetCongestion does nothing.
@@ -337,16 +342,15 @@ func (r *Router) RunContext(ctx context.Context, c *netlist.Circuit, plans []*pl
 // in benchmark/.
 func (r *Router) SetCongestion(*plan.Congestion) {}
 
-// prepare runs everything that precedes the per-net routing loop: task
-// construction, pin + escape reservation, planned-wire materialization,
-// and the stitch-aware net ordering. It is shared verbatim by the cold
-// run (RunContext) and the memoized ECO run (RunMemo) — the ECO
-// equivalence argument relies on this phase being identical.
+// prepare runs everything that precedes the per-net routing loop of a
+// recording run: task construction, pin + escape reservation,
+// planned-wire materialization, and the stitch-aware net ordering.
 func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result, nets, order []*routeTask) {
-	res = &Result{Routes: make([]plan.NetRoute, len(c.Nets))}
-	r.startRecording(res, len(c.Nets))
+	n := len(c.Nets)
+	res = newResult(n)
+	r.startRecording(res, n)
 
-	nets = make([]*routeTask, len(c.Nets))
+	nets = make([]*routeTask, n)
 	for i := range c.Nets {
 		nets[i] = newTask(c, plans, i)
 	}
@@ -359,13 +363,22 @@ func (r *Router) prepare(c *netlist.Circuit, plans []*plan.NetPlan) (res *Result
 	// loop's clean checks (see the pre-loop seeding in memo.go). Each
 	// net's footprints start as its prepare-time ones, which a net the
 	// routing loop never reaches (a cancelled run) keeps.
-	res.MatWires = make([][]geom.Segment, len(nets))
+	res.MatWires = make([][]geom.Segment, n)
 	for i, t := range nets {
 		res.MatWires[i] = append([]geom.Segment(nil), t.wires...)
-		res.Acts.nets[i], res.WActs.nets[i] = t.act, t.wact
+		res.Acts.Nets[i], res.WActs.Nets[i] = t.act, t.wact
 	}
 
 	return res, nets, r.netOrder(nets)
+}
+
+// newResult returns the result of a run over n nets, with its routes and
+// rip-up records allocated.
+func newResult(n int) *Result {
+	return &Result{
+		Routes:    make([]plan.NetRoute, n),
+		Recording: Recording{NetRipped: make([]bool, n), FreedPins: make([][]Cell, n)},
+	}
 }
 
 // newTask builds the routing task of the circuit's i-th net. The pin-cell
@@ -453,14 +466,10 @@ func (res *Result) record(t *routeTask, routed bool) {
 	}
 }
 
-// finish fills the result fields derived after the routing loop.
-func (r *Router) finish(res *Result, nets []*routeTask) {
-	r.tally(res)
-	r.collectECO(res, nets)
-}
-
-// tally fills the failure count and the search statistics.
-func (r *Router) tally(res *Result) {
+// finish fills the result fields derived after the routing loop: the
+// failure count, the search statistics and the tasks' rip-up state. It
+// ends the footprint recording.
+func (r *Router) finish(res *Result, tasks []*routeTask) {
 	res.Failed = 0
 	for i := range res.Routes {
 		if !res.Routes[i].Routed {
@@ -469,16 +478,9 @@ func (r *Router) tally(res *Result) {
 	}
 	res.Connects = r.connects
 	res.Expansions = r.expansions
-}
-
-// collectECO copies the per-task rip-up state into the result and ends
-// the footprint recording.
-func (r *Router) collectECO(res *Result, nets []*routeTask) {
-	res.NetRipped = make([]bool, len(nets))
-	res.FreedPins = make([][]Cell, len(nets))
-	for i, t := range nets {
-		res.NetRipped[i] = t.ripped
-		res.FreedPins[i] = t.freedPins
+	for _, t := range tasks {
+		res.NetRipped[t.slot] = t.ripped
+		res.FreedPins[t.slot] = t.freedPins
 	}
 	r.act, r.wact, r.sact = nil, nil, nil
 }
@@ -544,8 +546,8 @@ type routeTask struct {
 	// and records the net's final footprints in the Result. ripped and
 	// freedPins record the rip-up outcome. See Result's ECO fields and
 	// memo.go.
-	act       footprint
-	wact      footprint
+	act       plan.Footprint
+	wact      plan.Footprint
 	ripped    bool
 	freedPins []Cell
 }

@@ -9,13 +9,3 @@ func (r *Router) Use(a *Arena) *Router {
 	r.bind(a)
 	return r
 }
-
-// Words returns net i's nonzero footprint words and their indexes, in
-// ascending index order.
-func (fp Footprints) Words(i int) (idx []int, words []uint64) {
-	for _, p := range fp.nets[i] {
-		idx = append(idx, int(p.idx))
-		words = append(words, p.word)
-	}
-	return idx, words
-}

@@ -1,84 +1,16 @@
 package detail
 
+// The detailed router's side of the ECO footprints: marking the dense
+// bitsets of the net being routed, and packing them (plan.Footprint)
+// when the net is recorded. Only that one net has dense bitsets
+// (Router's act, wact and sact); a finished run keeps none.
+
 import (
 	mbits "math/bits"
 
 	"stitchroute/internal/geom"
+	"stitchroute/internal/plan"
 )
-
-// footprint is one net's actTile bucket bitset (memo.go) stored packed:
-// its nonzero words, as (word index, word) pairs in ascending index
-// order. Footprints are sparse — 4–13% of their words are nonzero on the
-// benchmark circuits — so a net's footprint is packed as soon as it is
-// recorded: only the one net being routed has dense bitsets (Router's
-// act, wact and sact), and a finished run keeps none.
-type footprint []wordPair
-
-type wordPair struct {
-	word uint64
-	idx  int32
-}
-
-// Footprints is a run's per-net footprints, indexed like Result.Routes,
-// all packed from bitsets of one length.
-type Footprints struct {
-	words int         // length of the dense bitsets, in words
-	nets  []footprint // per net slot
-}
-
-// Len returns the number of recorded footprints.
-func (fp Footprints) Len() int { return len(fp.nets) }
-
-// orInto ORs the footprint into the dense bitset dst.
-func (f footprint) orInto(dst []uint64) {
-	for _, p := range f {
-		dst[p.idx] |= p.word
-	}
-}
-
-// intersects reports whether the footprint and the dense bitset b share
-// a set bit.
-func (f footprint) intersects(b []uint64) bool {
-	for _, p := range f {
-		if p.word&b[p.idx] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// packPair packs the dense bitsets a and b into one exact-size
-// allocation shared by both footprints: the words are copied once, and
-// a net's two footprints cost one allocation.
-func packPair(a, b []uint64) (footprint, footprint) {
-	na, nb := nonzero(a), nonzero(b)
-	if na+nb == 0 {
-		return nil, nil
-	}
-	buf := make([]wordPair, 0, na+nb)
-	buf = appendPacked(buf, a)
-	buf = appendPacked(buf, b)
-	return footprint(buf[:na:na]), footprint(buf[na:])
-}
-
-func nonzero(set []uint64) int {
-	n := 0
-	for _, w := range set {
-		if w != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-func appendPacked(dst []wordPair, set []uint64) []wordPair {
-	for i, w := range set {
-		if w != 0 {
-			dst = append(dst, wordPair{word: w, idx: int32(i)})
-		}
-	}
-	return dst
-}
 
 // foldAct ORs the search read-set tiles (sact), dilated by one tile in
 // every direction, into act. A popped cell's expansion reads occupancy
@@ -118,8 +50,8 @@ func (r *Router) startRecording(res *Result, nets int) {
 	n := r.awords
 	buf := make([]uint64, 3*n)
 	r.act, r.wact, r.sact = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
-	res.Acts = Footprints{words: n, nets: make([]footprint, nets)}
-	res.WActs = Footprints{words: n, nets: make([]footprint, nets)}
+	res.Acts = plan.Footprints{Words: n, Nets: make([]plan.Footprint, nets)}
+	res.WActs = plan.Footprints{Words: n, Nets: make([]plan.Footprint, nets)}
 }
 
 // beginFootprint starts t's prepare-time footprints. Prepare touches
@@ -143,7 +75,7 @@ func (r *Router) beginFootprint(t *routeTask) {
 // packPrepared keeps t's prepare-time footprints, packed.
 func (r *Router) packPrepared(t *routeTask) {
 	if r.act != nil {
-		t.act, t.wact = packPair(r.act, r.wact)
+		t.act, t.wact = plan.PackPair(r.act, r.wact)
 	}
 }
 
@@ -156,8 +88,8 @@ func (r *Router) loadFootprint(t *routeTask) {
 	clear(r.act)
 	clear(r.wact)
 	clear(r.sact)
-	t.act.orInto(r.act)
-	t.wact.orInto(r.wact)
+	t.act.OrInto(r.act)
+	t.wact.OrInto(r.wact)
 }
 
 // recordFootprint folds the popped tiles into the activity bitset and
@@ -167,7 +99,7 @@ func (r *Router) recordFootprint(t *routeTask, res *Result) {
 		return
 	}
 	r.foldAct(r.act, r.sact)
-	res.Acts.nets[t.slot], res.WActs.nets[t.slot] = packPair(r.act, r.wact)
+	res.Acts.Nets[t.slot], res.WActs.Nets[t.slot] = plan.PackPair(r.act, r.wact)
 }
 
 // markAct sets the footprint bits covered by rc (clamped to the fabric).

@@ -34,10 +34,14 @@ package detail
 // certifies the net's searches would read byte-identical occupancy and
 // commit byte-identical geometry, so stamping the recorded geometry
 // reproduces the cold run's state exactly; by induction the whole run is
-// byte-identical to RunContext on the edited circuit.
+// byte-identical to a cold run on the edited circuit. A cold run
+// (RunContext) is this same pass with no parent recording, in which
+// every net routes live: both run prepare and then loop, so they cannot
+// drift apart.
 
 import (
 	"context"
+	"slices"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
@@ -51,30 +55,6 @@ const (
 	actTile      = 8
 	actTileShift = 3 // log2(actTile), for the per-pop marking in astar
 )
-
-func segsEqual(a, b []geom.Segment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func cellsEqual(a, b []Cell) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Memo is a previous run's recording. Nets are matched by ID, through
 // Slot: slot numbers shift when nets are added or deleted.
@@ -99,13 +79,9 @@ type Memo struct {
 	// Slot maps each parent net ID to its slot in the parent's per-net
 	// records below, which are the parent Result's, indexed like its
 	// Routes.
-	Slot      map[int]int
-	Acts      Footprints
-	WActs     Footprints
-	Routes    []plan.NetRoute
-	Ripped    []bool
-	FreedPins [][]Cell
-	MatWires  [][]geom.Segment
+	Slot   map[int]int
+	Routes []plan.NetRoute
+	Recording
 }
 
 // canReplay verifies every cell of the parent's final geometry is free
@@ -132,24 +108,7 @@ func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, freed []Cell) {
 	r.clearNet(t)
 	t.wires = append([]geom.Segment(nil), pr.Wires...)
 	t.vias = append([]plan.Via(nil), pr.Vias...)
-	for _, w := range t.wires {
-		r.fillWire(w, id+1)
-	}
-	for _, p := range t.net.Pins {
-		c := Cell{X: p.X, Y: p.Y, L: p.Layer - 1}
-		wasFreed := false
-		for _, f := range freed {
-			if f == c {
-				wasFreed = true
-				break
-			}
-		}
-		if !wasFreed {
-			if i := r.idx(c.X, c.Y, c.L); r.occ[i] == 0 {
-				r.occ[i] = id + 1
-			}
-		}
-	}
+	r.stampRecorded(t.net, t.wires, freed)
 	// Freed pin reservations must end up free even when no current wire
 	// covers them: in the parent run the release can come from a
 	// transient committed path that the final clearNet wiped — geometry
@@ -165,6 +124,26 @@ func (r *Router) replayNet(t *routeTask, pr plan.NetRoute, freed []Cell) {
 	t.freedPins = append(t.freedPins[:0], freed...)
 }
 
+// stampRecorded writes a net's recorded final geometry into the grid: its
+// wires, then the pin reservations the recorded run kept, which are
+// every free pin cell not in freed. Replay (replayNet) and a patch's
+// kept nets (RunPatch) both stamp through it.
+func (r *Router) stampRecorded(net *netlist.Net, wires []geom.Segment, freed []Cell) {
+	id := int32(net.ID) + 1
+	for _, w := range wires {
+		r.fillWire(w, id)
+	}
+	for _, p := range net.Pins {
+		c := Cell{X: p.X, Y: p.Y, L: p.Layer - 1}
+		if slices.Contains(freed, c) {
+			continue
+		}
+		if i := r.idx(c.X, c.Y, c.L); r.occ[i] == 0 {
+			r.occ[i] = id
+		}
+	}
+}
+
 // RunMemo is RunContext against a previous run's recording; see the
 // package comment above for the replay rule and its soundness. The
 // second return is the number of nets replayed without a search.
@@ -173,27 +152,41 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		r.borrow()
 		defer r.giveBack()
 	}
-	res, nets, order := r.prepare(c, plans)
-	if m.Acts.words != r.awords || m.WActs.words != r.awords {
-		// Footprints of another fabric: nothing replays.
-		m = &Memo{}
-	}
+	return r.runMemo(ctx, c, plans, m)
+}
 
-	// Dirty bitset: the parent write footprints of every dirty net
-	// (deleted nets included — the map is keyed by ID, not slot) plus
-	// the post-prepare write footprint of every dirty net's new
-	// geometry — both in place before the first clean check. The
-	// packed footprints are read as they are: their words are ORed into
-	// and tested against this one dense bitset.
-	dirty := make([]uint64, r.awords)
+// runMemo runs a recording run on the bound scratch, replaying from m
+// where it can. A nil m is a cold run: it builds no dirty region and
+// routes every net live through the same loop.
+func (r *Router) runMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, m *Memo) (*Result, int, error) {
+	res, nets, order := r.prepare(c, plans)
+	var dirty []uint64
+	if m != nil && m.Acts.Words == r.awords && m.WActs.Words == r.awords {
+		dirty = m.seedDirty(nets, r.awords)
+	} else {
+		m = nil // no recording, or footprints of another fabric
+	}
+	reused, err := r.loop(ctx, res, order, m, dirty)
+	r.finish(res, nets)
+	return res, reused, err
+}
+
+// seedDirty returns the dirty bitset as it stands before the first clean
+// check: the parent write footprints of every dirty net (deleted nets
+// included — the map is keyed by ID, not slot) plus the post-prepare
+// write footprint of every dirty net's new geometry. The packed
+// footprints are read as they are: their words are ORed into and
+// tested against this one dense bitset.
+func (m *Memo) seedDirty(nets []*routeTask, words int) []uint64 {
+	dirty := make([]uint64, words)
 	for id := range m.Dirty {
 		if ps, ok := m.Slot[id]; ok {
-			m.WActs.nets[ps].orInto(dirty)
+			m.WActs.Nets[ps].OrInto(dirty)
 		}
 	}
 	for _, t := range nets {
 		if m.Dirty[t.net.ID] {
-			t.wact.orInto(dirty)
+			t.wact.OrInto(dirty)
 		}
 	}
 	// Prepare-phase divergence: materialize's conflict check reads other
@@ -212,27 +205,40 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 			continue
 		}
 		ps, ok := m.Slot[id]
-		if !ok || !segsEqual(m.MatWires[ps], t.wires) {
+		if !ok || !slices.Equal(m.MatWires[ps], t.wires) {
 			if ok {
-				m.WActs.nets[ps].orInto(dirty)
+				m.WActs.Nets[ps].OrInto(dirty)
 			}
-			t.wact.orInto(dirty)
+			t.wact.OrInto(dirty)
 		}
 	}
+	return dirty
+}
 
+// loop is the per-net routing loop every run shares (RunContext, RunMemo
+// and RunPatch): it routes the tasks in order, checking ctx at the top
+// of each net. With a memo, a net whose recorded footprints miss the
+// dirty bitset replays its recorded geometry instead of searching, and
+// a net that routes live and diverges grows the bitset. A cancelled run
+// records the nets not reached as unrouted and returns ctx's error. The
+// first return is the number of nets replayed.
+func (r *Router) loop(ctx context.Context, res *Result, order []*routeTask, m *Memo, dirty []uint64) (int, error) {
 	reused := 0
 	for oi, t := range order {
 		if err := ctx.Err(); err != nil {
 			for _, rest := range order[oi:] {
 				res.record(rest, false)
 			}
-			r.finish(res, nets)
-			return res, reused, err
+			return reused, err
+		}
+		if m == nil {
+			r.routeOne(t, res)
+			continue
 		}
 		id := t.net.ID
 		ps, hasRec := m.Slot[id]
 		if !m.Dirty[id] && hasRec &&
-			!m.Acts.nets[ps].intersects(dirty) && !t.act.intersects(dirty) &&
+			!m.Acts.Nets[ps].Intersects(dirty) && !t.act.Intersects(dirty) &&
 			r.canReplay(t, m.Routes[ps]) {
 			// Failed parents replay too: empty geometry, cleared
 			// candidates, released reservations — the same end state a
@@ -242,9 +248,9 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 			pr := m.Routes[ps]
 			r.loadFootprint(t)
 			r.replayNet(t, pr, m.FreedPins[ps])
-			m.Acts.nets[ps].orInto(r.act)
-			m.WActs.nets[ps].orInto(r.wact)
-			if m.Ripped[ps] {
+			m.Acts.Nets[ps].OrInto(r.act)
+			m.WActs.Nets[ps].OrInto(r.wact)
+			if m.NetRipped[ps] {
 				res.Ripped++
 				t.ripped = true
 			}
@@ -261,13 +267,12 @@ func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 		// write footprints grow the region: a diverged net's reads
 		// cannot invalidate another net's state.
 		if m.Dirty[id] || !hasRec || !m.Routes[ps].Equal(res.Routes[t.slot]) ||
-			!cellsEqual(m.FreedPins[ps], t.freedPins) {
+			!slices.Equal(m.FreedPins[ps], t.freedPins) {
 			if hasRec {
-				m.WActs.nets[ps].orInto(dirty)
+				m.WActs.Nets[ps].OrInto(dirty)
 			}
-			res.WActs.nets[t.slot].orInto(dirty)
+			res.WActs.Nets[t.slot].OrInto(dirty)
 		}
 	}
-	r.finish(res, nets)
-	return res, reused, nil
+	return reused, nil
 }

@@ -53,11 +53,7 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 		defer r.giveBack()
 	}
 	n := len(c.Nets)
-	res := &Result{
-		Routes:    make([]plan.NetRoute, n),
-		NetRipped: make([]bool, n),
-		FreedPins: make([][]Cell, n),
-	}
+	res := newResult(n)
 
 	// Stamp the kept nets' final geometry: wires first, then the pin
 	// reservations the parent still held at the end (freed pins stay
@@ -69,23 +65,11 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 			continue
 		}
 		kr := p.Keep[i]
-		id := int32(net.ID) + 1
-		for _, w := range kr.Wires {
-			r.fillWire(w, id)
-		}
 		var freed []Cell
 		if i < len(p.FreedPins) {
 			freed = p.FreedPins[i]
 		}
-		for _, pin := range net.Pins {
-			cl := Cell{X: pin.X, Y: pin.Y, L: pin.Layer - 1}
-			if slices.Contains(freed, cl) {
-				continue
-			}
-			if j := r.idx(cl.X, cl.Y, cl.L); r.occ[j] == 0 {
-				r.occ[j] = id
-			}
-		}
+		r.stampRecorded(net, kr.Wires, freed)
 		kr.Wires = slices.Clip(kr.Wires)
 		kr.Vias = slices.Clip(kr.Vias)
 		res.Routes[i] = kr
@@ -97,24 +81,9 @@ func (r *Router) RunPatch(ctx context.Context, c *netlist.Circuit, plans []*plan
 	// grafted grid.
 	r.reserveAndMaterialize(dirty)
 
-	grafted := n - len(dirty)
-	order := r.netOrder(dirty)
-	var err error
-	for oi, t := range order {
-		if err = ctx.Err(); err != nil {
-			for _, rest := range order[oi:] {
-				res.record(rest, false)
-			}
-			break
-		}
-		r.routeOne(t, res)
-	}
 	// Only dirty nets have tasks; the kept slots' freed pins came from
 	// the Patch. A patch records no activity footprints.
-	r.tally(res)
-	for _, t := range dirty {
-		res.NetRipped[t.slot] = t.ripped
-		res.FreedPins[t.slot] = t.freedPins
-	}
-	return res, grafted, err
+	_, err := r.loop(ctx, res, r.netOrder(dirty), nil, nil)
+	r.finish(res, dirty)
+	return res, n - len(dirty), err
 }

@@ -4,31 +4,38 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"sort"
 	"testing"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
-	"stitchroute/internal/detail"
+	"stitchroute/internal/global"
+	"stitchroute/internal/plan"
 )
 
 // footprintsHash hashes the footprints net by net: each net's count of
 // nonzero words, then each nonzero word's index (uint32) and value
 // (uint64), little-endian. It depends on the bits recorded, not on how
 // they are stored.
-func footprintsHash(fp detail.Footprints) string {
+func footprintsHash(fp plan.Footprints) string {
 	h := sha256.New()
-	var b [12]byte
-	for i := 0; i < fp.Len(); i++ {
-		idx, words := fp.Words(i)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(idx)))
-		h.Write(b[:4])
-		for k, j := range idx {
-			binary.LittleEndian.PutUint32(b[:4], uint32(j))
-			binary.LittleEndian.PutUint64(b[4:], words[k])
-			h.Write(b[:])
-		}
+	for _, f := range fp.Nets {
+		hashFootprint(h, f)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashFootprint writes one footprint to h as footprintsHash does.
+func hashFootprint(h hash.Hash, f plan.Footprint) {
+	var b [12]byte
+	binary.LittleEndian.PutUint32(b[:4], uint32(len(f)))
+	h.Write(b[:4])
+	for _, p := range f {
+		binary.LittleEndian.PutUint32(b[:4], uint32(p.Idx))
+		binary.LittleEndian.PutUint64(b[4:], p.Word)
+		h.Write(b[:])
+	}
 }
 
 // TestRecordingHash pins the ECO recording of two cold routes: the
@@ -55,6 +62,62 @@ func TestRecordingHash(t *testing.T) {
 		}
 		if h := footprintsHash(res.ECO.WActs); h != tc.wacts {
 			t.Errorf("%s: write footprints hash %.12s, want %.12s", tc.circuit, h, tc.wacts)
+		}
+	}
+}
+
+// globalTraceHash hashes the global trace net by net in ascending ID
+// order: the ID, the read-set as footprintsHash writes a footprint, then
+// the committed edges' count and tile coordinates, little-endian uint32.
+func globalTraceHash(tr *global.Trace) string {
+	ids := make([]int, 0, len(tr.Nets))
+	for id := range tr.Nets {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	h := sha256.New()
+	var b [4]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	for _, id := range ids {
+		nt := tr.Nets[id]
+		put(id)
+		hashFootprint(h, nt.ReadSet)
+		put(len(nt.Edges))
+		for _, e := range nt.Edges {
+			put(e.A.TX)
+			put(e.A.TY)
+			put(e.B.TX)
+			put(e.B.TY)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGlobalTraceHash pins the global router's ECO trace of two cold
+// routes: each net's read-set, the tiles its searches popped, and its
+// committed edges. The global replay is byte-equal to a cold pass only
+// while a read-set covers every tile the net's searches read, so a
+// change to how the read-sets are recorded or stored must keep these
+// hashes.
+func TestGlobalTraceHash(t *testing.T) {
+	for _, tc := range []struct{ circuit, want string }{
+		{"Primary1", "bf2355de470deaf58f7df9fd12648f4d92c11c7382665f342ddec3322e0da1ed"},
+		{"S9234", "a251a356a49ec795f6e17a344896b17eda8f832ded6a967376f8647be4640ac7"},
+	} {
+		spec, err := bench.ByName(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := bench.Generate(spec)
+		res, err := core.Route(c, core.StitchAware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := globalTraceHash(res.ECO.Global); h != tc.want {
+			t.Errorf("%s: global trace hash %.12s, want %.12s", tc.circuit, h, tc.want)
 		}
 	}
 }

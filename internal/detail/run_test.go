@@ -1,10 +1,12 @@
 package detail_test
 
 // Whole-run tests of the detailed router on generated circuits: the
-// cancellation contract, arena reuse and the detail-stage benchmark.
+// cancellation contract of every routing loop, arena reuse and the
+// detail-stage benchmark.
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,32 +15,71 @@ import (
 	"stitchroute/internal/core"
 	"stitchroute/internal/detail"
 	"stitchroute/internal/geom"
+	"stitchroute/internal/global"
 	"stitchroute/internal/harness"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
 	"stitchroute/internal/plan"
 )
 
-// TestParallelCancellation checks the cancellation contract: a
-// pre-cancelled context routes nothing, and every net is recorded
-// unrouted rather than dropped.
-func TestParallelCancellation(t *testing.T) {
+// TestCancellation checks the cancellation contract of every routing
+// loop, the global pass's and the detailed router's: under a
+// pre-cancelled context each returns the context's error, and a detail
+// run records every net slot unrouted, rather than dropping it, and
+// counts it failed.
+func TestCancellation(t *testing.T) {
 	spec := harness.ShortGrid()[0]
 	spec.Seed = 3
 	c := harness.Generate(spec)
-	r := detail.NewRouter(c.Fabric, detail.DefaultConfig(true))
+	cfg := core.StitchAware()
+	parent, err := core.Route(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &detail.Memo{Slot: map[int]int{}, Routes: parent.Routes, Recording: parent.ECO.Recording}
+	for i, n := range c.Nets {
+		memo.Slot[n.ID] = i
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.RunContext(ctx, c, nil)
-	if err == nil {
-		t.Fatal("cancelled run returned nil error")
-	}
-	if len(res.Routes) != len(c.Nets) {
-		t.Fatalf("cancelled run recorded %d routes for %d nets", len(res.Routes), len(c.Nets))
-	}
-	for i := range res.Routes {
-		if res.Routes[i].Routed {
-			t.Fatalf("net %d marked routed under a pre-cancelled context", i)
+	dr := func() *detail.Router { return detail.NewRouter(c.Fabric, cfg.Detail) }
+	gr := func() *global.Router { return global.NewRouter(c.Fabric, cfg.Global) }
+	for _, tc := range []struct {
+		name string
+		run  func() (*detail.Result, error)
+	}{
+		{"RunContext", func() (*detail.Result, error) { return dr().RunContext(ctx, c, parent.Plans) }},
+		{"RunMemo", func() (*detail.Result, error) {
+			res, _, err := dr().RunMemo(ctx, c, parent.Plans, memo)
+			return res, err
+		}},
+		{"RunPatch", func() (*detail.Result, error) {
+			res, _, err := dr().RunPatch(ctx, c, parent.Plans, &detail.Patch{})
+			return res, err
+		}},
+		{"RouteAllContext", func() (*detail.Result, error) {
+			_, err := gr().RouteAllContext(ctx, c)
+			return nil, err
+		}},
+		{"RouteAllMemo", func() (*detail.Result, error) {
+			_, _, err := gr().RouteAllMemo(ctx, c, parent.ECO.Global, nil)
+			return nil, err
+		}},
+	} {
+		res, err := tc.run()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want context.Canceled", tc.name, err)
+		}
+		if res == nil {
+			continue
+		}
+		if len(res.Routes) != len(c.Nets) || res.Failed != len(c.Nets) {
+			t.Errorf("%s: %d routes and %d failed for %d nets", tc.name, len(res.Routes), res.Failed, len(c.Nets))
+		}
+		for i := range res.Routes {
+			if res.Routes[i].Routed {
+				t.Errorf("%s: net %d marked routed under a pre-cancelled context", tc.name, i)
+			}
 		}
 	}
 }
@@ -211,12 +252,8 @@ func TestRunMemoMatchesCold(t *testing.T) {
 			m := &detail.Memo{
 				Dirty:     map[int]bool{c.Nets[k].ID: true},
 				Slot:      map[int]int{},
-				Acts:      parent.Acts,
-				WActs:     parent.WActs,
 				Routes:    parent.Routes,
-				Ripped:    parent.NetRipped,
-				FreedPins: parent.FreedPins,
-				MatWires:  parent.MatWires,
+				Recording: parent.Recording,
 			}
 			for i, n := range c.Nets {
 				m.Slot[n.ID] = i

@@ -41,11 +41,7 @@ func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 		parent.ECO.Cfg == cfg &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
-		parent.ECO.Acts.Len() == len(pc.Nets) &&
-		parent.ECO.WActs.Len() == len(pc.Nets) &&
-		len(parent.ECO.Ripped) == len(pc.Nets) &&
-		len(parent.ECO.FreedPins) == len(pc.Nets) &&
-		len(parent.ECO.MatWires) == len(pc.Nets)
+		parent.ECO.Complete(len(pc.Nets))
 }
 
 // Reroute applies the edit script to the parent circuit and reroutes the
@@ -129,12 +125,8 @@ func buildDetailMemo(parent *core.Result, pc, edited *netlist.Circuit, plans []*
 	m := &detail.Memo{
 		Dirty:     make(map[int]bool, len(dirty)),
 		Slot:      make(map[int]int, len(pc.Nets)),
-		Acts:      parent.ECO.Acts,
-		WActs:     parent.ECO.WActs,
 		Routes:    parent.Routes,
-		Ripped:    parent.ECO.Ripped,
-		FreedPins: parent.ECO.FreedPins,
-		MatWires:  parent.ECO.MatWires,
+		Recording: parent.ECO.Recording,
 	}
 	for id := range dirty {
 		m.Dirty[id] = true

@@ -176,12 +176,9 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 	if err != nil {
 		return nil, err
 	}
-	// A patch result carries enough state for further patches (routes +
-	// freed pins) but no replay recording: chaining a strict Reroute off
-	// it falls back to a cold route.
-	res.ECO = &core.ECOState{
-		Cfg:       cfg,
-		FreedPins: dres.FreedPins,
-	}
+	// A patch records freed pins and rip-ups but no footprints: enough
+	// for further patches, while a strict Reroute off it falls back to a
+	// cold route (the recording is not Complete).
+	res.ECO = &core.ECOState{Cfg: cfg, Recording: dres.Recording}
 	return &Result{Result: res, Edited: edited, Stats: st}, nil
 }

@@ -26,7 +26,6 @@ import (
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/grid"
-	"stitchroute/internal/mlevel"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
 	"stitchroute/internal/steiner"
@@ -72,8 +71,8 @@ type Router struct {
 	hHist, vHist, endHist []float64
 
 	// ECO recording (trace.go). trace holds the last RouteAll pass's
-	// per-net records; rec, when non-nil, is the bitset the current
-	// net's searches mark popped tiles into.
+	// per-net records; rec, when non-nil, is the dense bitset the
+	// current net's searches mark popped tiles into.
 	trace *Trace
 	rec   []uint64
 
@@ -164,19 +163,37 @@ const (
 // RouteNet finds the net's global route and updates the graph demands.
 // The returned plan carries the route tree, its segments, and the net's
 // multilevel level.
-func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan {
+func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan { return r.planNet(net, nil) }
+
+// planNet is RouteNet, or, given the net's record from a previous pass,
+// its replay: the recorded route is committed without a search.
+// PinTiles, Level and Segs are recomputed either way; a replayed route's
+// edges are copied, so the record stays immutable.
+func (r *Router) planNet(net *netlist.Net, nt *NetTrace) *plan.NetPlan {
 	np := &plan.NetPlan{NetID: net.ID, Level: plan.Level(net.BBox(), r.f)}
 	np.PinTiles = r.pinTiles(net)
 	if len(np.PinTiles) <= 1 {
 		return np // local net: detailed routing handles it directly
 	}
+	if nt != nil {
+		np.Edges = plan.CopyEdges(nt.Edges)
+	} else {
+		np.Edges = r.searchTree(np.PinTiles)
+	}
+	np.Segs = plan.Segmentize(net.ID, np.Edges)
+	r.commit(np)
+	return np
+}
 
+// searchTree connects the pin tiles into one route tree and returns its
+// edges, deduplicated.
+func (r *Router) searchTree(pinTiles []plan.TilePoint) []plan.TileEdge {
 	// Decomposition targets: the pin tiles plus the RSMT Steiner tiles,
 	// so trunks are shared (§: multipin nets).
-	targets := append([]plan.TilePoint(nil), np.PinTiles...)
-	if len(np.PinTiles) >= 3 {
-		pts := make([]geom.Point, len(np.PinTiles))
-		for i, tp := range np.PinTiles {
+	targets := append([]plan.TilePoint(nil), pinTiles...)
+	if len(pinTiles) >= 3 {
+		pts := make([]geom.Point, len(pinTiles))
+		for i, tp := range pinTiles {
 			pts[i] = geom.Point{X: tp.TX, Y: tp.TY}
 		}
 		for _, sp := range steiner.Build(pts).Steiner {
@@ -218,10 +235,7 @@ func (r *Router) RouteNet(net *netlist.Net) *plan.NetPlan {
 		}
 		edges = append(edges, plan.PathToEdges(path)...)
 	}
-	np.Edges = plan.DedupeEdges(edges)
-	np.Segs = plan.Segmentize(net.ID, np.Edges)
-	r.commit(np)
-	return np
+	return plan.DedupeEdges(edges)
 }
 
 // pinTiles returns the net's deduplicated pin tiles in sorted order.
@@ -435,29 +449,11 @@ const ctxCheckStride = 32
 
 // RouteAllContext is RouteAll with cancellation: the per-net loop checks
 // ctx periodically and returns ctx's error (with the plans routed so far)
-// once it is done. A nil error means every net was routed.
+// once it is done. A nil error means every net was routed. It is
+// RouteAllMemo with no previous trace: every net routes live.
 func (r *Router) RouteAllContext(ctx context.Context, c *netlist.Circuit) ([]*plan.NetPlan, error) {
-	plans := make([]*plan.NetPlan, len(c.Nets))
-	byID := make(map[int]int, len(c.Nets))
-	for i, n := range c.Nets {
-		byID[n.ID] = i
-	}
-	// Record the ECO trace (trace.go).
-	r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make(map[int]*NetTrace, len(c.Nets))}
-	words := (r.tw*r.th + 63) / 64
-	for i, e := range mlevel.Schedule(c) {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return plans, err
-			}
-		}
-		r.rec = make([]uint64, words)
-		np := r.RouteNet(e.Net)
-		r.trace.Nets[e.Net.ID] = &NetTrace{ReadSet: r.rec, Edges: plan.CopyEdges(np.Edges)}
-		r.rec = nil
-		plans[byID[e.Net.ID]] = np
-	}
-	return plans, nil
+	plans, _, err := r.RouteAllMemo(ctx, c, nil, nil)
+	return plans, err
 }
 
 // Overflow returns the total and maximum vertex (line-end) overflow over

@@ -2,6 +2,7 @@ package global
 
 import (
 	"context"
+	"slices"
 
 	"stitchroute/internal/mlevel"
 	"stitchroute/internal/netlist"
@@ -25,13 +26,14 @@ import (
 // a route is an endpoint of one of its vertical edges — so a clean
 // intersection certifies the search would see byte-identical costs and,
 // with the deterministic tie-breaks, pop the same states and return the
-// same route.
+// same route. A cold pass (RouteAllContext) is RouteAllMemo with no
+// previous trace, so replay and cold run one loop.
 
 // NetTrace is one net's record of the first pass.
 type NetTrace struct {
-	// ReadSet is a bitset over tiles (index ty*tw+tx): every tile any of
-	// the net's A* searches popped.
-	ReadSet []uint64
+	// ReadSet is a bitset over tiles (index ty*tw+tx), packed: every
+	// tile any of the net's A* searches popped.
+	ReadSet plan.Footprint
 	// Edges is the committed route, post-dedupe, in commit order.
 	Edges []plan.TileEdge
 }
@@ -56,60 +58,37 @@ func (r *Router) markEdges(d []uint64, edges []plan.TileEdge) {
 	}
 }
 
-func bitsetsIntersect(a, b []uint64) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// replayNet rebuilds a net's plan from its recorded route and commits
-// the demands, without searching. PinTiles, Level, and Segs are pure
-// recomputations; Edges is copied so the parent trace stays immutable.
-func (r *Router) replayNet(net *netlist.Net, nt *NetTrace) *plan.NetPlan {
-	np := &plan.NetPlan{NetID: net.ID, Level: plan.Level(net.BBox(), r.f)}
-	np.PinTiles = r.pinTiles(net)
-	if len(np.PinTiles) <= 1 {
-		return np
-	}
-	np.Edges = plan.CopyEdges(nt.Edges)
-	np.Segs = plan.Segmentize(net.ID, np.Edges)
-	r.commit(np)
-	return np
-}
-
-// RouteAllMemo is RouteAllContext against a previous run's trace: nets
-// that are not in dirty and whose recorded read-set misses every dirty
-// tile replay their recorded route; everything else routes live. Routes
-// that change (and the old routes of dirty nets, seeded up front) grow
-// the dirty-tile set, so later nets observe the divergence. The demand
-// state after every net equals a cold run's on the edited circuit, so
-// the returned plans are byte-identical to RouteAllContext's.
+// RouteAllMemo routes every net bottom-up, as RouteAll does, and records
+// the pass's trace, replaying what it can from a previous run's trace:
+// nets that are not in dirty and whose recorded read-set misses every
+// dirty tile replay their recorded route; everything else routes live.
+// Routes that change (and the old routes of dirty nets, seeded up front)
+// grow the dirty-tile set, so later nets observe the divergence. The
+// demand state after every net equals a cold run's on the edited
+// circuit, so the returned plans are byte-identical to a pass with no
+// previous trace, which is RouteAllContext: the two share this loop.
 //
 // prev must come from a router over the same fabric with the same
-// config; dirty must contain every net ID added, deleted, or edited
-// (their schedule position may have moved, so their demand-commit
-// *timing* differs even when the route does not). The second return is
-// the number of nets replayed without a search.
+// config (a trace of another fabric is ignored); dirty must contain
+// every net ID added, deleted, or edited (their schedule position may
+// have moved, so their demand-commit *timing* differs even when the
+// route does not). The second return is the number of nets replayed
+// without a search.
 func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Trace, dirty map[int]bool) ([]*plan.NetPlan, int, error) {
-	if prev == nil || prev.TW != r.tw || prev.TH != r.th {
-		plans, err := r.RouteAllContext(ctx, c)
-		return plans, 0, err
-	}
 	words := (r.tw*r.th + 63) / 64
-	dirtyTiles := make([]uint64, words)
-	// Seed: the old routes of every edited/deleted net. Added nets have
-	// no old route; their new one is marked when they route live below.
-	for id := range dirty {
-		if nt := prev.Nets[id]; nt != nil {
-			r.markEdges(dirtyTiles, nt.Edges)
+	var dirtyTiles []uint64
+	if prev != nil && prev.TW == r.tw && prev.TH == r.th {
+		dirtyTiles = make([]uint64, words)
+		// Seed: the old routes of every edited/deleted net. Added nets
+		// have no old route; their new one is marked when they route
+		// live below.
+		for id := range dirty {
+			if nt := prev.Nets[id]; nt != nil {
+				r.markEdges(dirtyTiles, nt.Edges)
+			}
 		}
+	} else {
+		prev = nil
 	}
 	r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make(map[int]*NetTrace, len(c.Nets))}
 	plans := make([]*plan.NetPlan, len(c.Nets))
@@ -117,6 +96,10 @@ func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Tra
 	for i, n := range c.Nets {
 		byID[n.ID] = i
 	}
+	// rec is the dense read-set of the net routing live: its searches
+	// mark the tiles they pop, and it is packed into the net's record
+	// and cleared for the next net.
+	rec := make([]uint64, words)
 	reused := 0
 	for i, e := range mlevel.Schedule(c) {
 		if i%ctxCheckStride == 0 {
@@ -125,21 +108,25 @@ func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Tra
 			}
 		}
 		id := e.Net.ID
-		nt := prev.Nets[id]
-		if !dirty[id] && nt != nil && !bitsetsIntersect(nt.ReadSet, dirtyTiles) {
-			plans[byID[id]] = r.replayNet(e.Net, nt)
+		var nt *NetTrace
+		if prev != nil {
+			nt = prev.Nets[id]
+		}
+		if nt != nil && !dirty[id] && !nt.ReadSet.Intersects(dirtyTiles) {
+			plans[byID[id]] = r.planNet(e.Net, nt)
 			r.trace.Nets[id] = nt // records are immutable; share
 			reused++
 			continue
 		}
-		r.rec = make([]uint64, words)
+		r.rec = rec
 		np := r.RouteNet(e.Net)
-		r.trace.Nets[id] = &NetTrace{ReadSet: r.rec, Edges: plan.CopyEdges(np.Edges)}
 		r.rec = nil
+		r.trace.Nets[id] = &NetTrace{ReadSet: plan.Pack(rec), Edges: plan.CopyEdges(np.Edges)}
+		clear(rec)
 		// Divergence: an unedited net whose live route matches its record
 		// changed nothing. Dirty (edited) nets mark old + new
 		// unconditionally — their commit timing may have moved.
-		if dirty[id] || nt == nil || !plan.EdgesEqual(nt.Edges, np.Edges) {
+		if prev != nil && (dirty[id] || nt == nil || !slices.Equal(nt.Edges, np.Edges)) {
 			if nt != nil {
 				r.markEdges(dirtyTiles, nt.Edges)
 			}

@@ -145,6 +145,63 @@ func TestECOForkChained(t *testing.T) {
 	}
 }
 
+// TestECOForkReleasesParent checks that a fork drops its run inputs,
+// the parent's circuit and result among them, once it is terminal: a
+// fork that ran to done, one born done as a cache hit, and one cancelled
+// while queued.
+func TestECOForkReleasesParent(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 1, route: blockingRoute})
+	held := func(id string) []string {
+		t.Helper()
+		ts.mu.Lock()
+		j := ts.jobs[id]
+		ts.mu.Unlock()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		var out []string
+		if j.ecoRun != nil {
+			out = append(out, "ecoRun")
+		}
+		if j.ecoScript != nil {
+			out = append(out, "ecoScript")
+		}
+		if j.ecoBase != nil {
+			out = append(out, "ecoBase")
+		}
+		if j.ecoFrom != nil {
+			out = append(out, "ecoFrom")
+		}
+		return out
+	}
+	parent := ts.submit(t, JobRequest{Circuit: tinyCircuit("tiny")}, http.StatusAccepted)
+	ts.waitState(t, parent.ID, StateDone)
+	edits := []eco.Edit{{Op: eco.OpMovePin, ID: 0, Pin: 0, X: 10, Y: 10}}
+
+	done := ts.ecoSubmit(t, parent.ID, ECORequest{Edits: edits}, http.StatusAccepted)
+	ts.waitState(t, done.ID, StateDone)
+	if h := held(done.ID); h != nil {
+		t.Errorf("done fork still holds %v", h)
+	}
+	hit := ts.ecoSubmit(t, parent.ID, ECORequest{Edits: edits}, http.StatusOK)
+	if h := held(hit.ID); h != nil {
+		t.Errorf("cache-hit fork still holds %v", h)
+	}
+
+	blocker := ts.submit(t, JobRequest{Circuit: tinyCircuit("block")}, http.StatusAccepted)
+	ts.waitState(t, blocker.ID, StateRunning)
+	queued := ts.ecoSubmit(t, parent.ID, ECORequest{Edits: edits, Mode: "patch"}, http.StatusAccepted)
+	if resp, data := ts.do(t, "DELETE", "/v1/jobs/"+queued.ID, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE queued fork = %d: %s", resp.StatusCode, data)
+	}
+	if h := held(queued.ID); h != nil {
+		t.Errorf("fork cancelled while queued still holds %v", h)
+	}
+	if resp, _ := ts.do(t, "DELETE", "/v1/jobs/"+blocker.ID, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("DELETE blocker = %d", resp.StatusCode)
+	}
+	ts.waitState(t, blocker.ID, StateCancelled)
+}
+
 func TestECOForkValidation(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 2, route: blockingRoute})
 	parent := ts.submit(t, JobRequest{Circuit: tinyCircuit("tiny")}, http.StatusAccepted)

@@ -245,11 +245,20 @@ type Job struct {
 	// POST /v1/jobs/{id}/eco): the provenance view, the engine, the edit
 	// script, and the parent circuit/result the script applies to. The
 	// view's reuse counts are recorded once on completion, under mu.
+	// The run inputs are dropped when the fork turns terminal (dropFork).
 	eco       *ECOView
 	ecoRun    ECOEngine
 	ecoScript *eco.Script
 	ecoBase   *netlist.Circuit
 	ecoFrom   *core.Result
+}
+
+// dropFork releases an ECO fork's run inputs once it is terminal: they
+// hold the parent's circuit and whole result, which would otherwise
+// outlive the parent's own eviction for as long as the fork is
+// retained. The caller holds j.mu, or owns j before it is registered.
+func (j *Job) dropFork() {
+	j.ecoRun, j.ecoScript, j.ecoBase, j.ecoFrom = nil, nil, nil, nil
 }
 
 // JobView is the JSON representation of a job returned by the API.

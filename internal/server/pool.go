@@ -116,6 +116,7 @@ func (s *Server) finish(j *Job, o outcome) {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
+	j.dropFork()
 	j.mu.Unlock()
 	s.evictLocked() // j just went terminal
 }

@@ -413,6 +413,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, j *Job) {
 			j.state = StateDone
 			j.cacheHit = true
 			j.result = res
+			j.dropFork()
 			now := time.Now()
 			j.started, j.finished = now, now
 			if !s.registerHit(j) {
@@ -471,6 +472,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.state = StateCancelled
 		j.errMsg = "cancelled while queued"
 		j.finished = time.Now()
+		j.dropFork()
 		j.mu.Unlock()
 		s.mu.Lock()
 		s.evictLocked()
