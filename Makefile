@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint stitchvet lint-audit lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden clean help
+.PHONY: all build vet lint stitchvet lint-audit lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden repin clean help
 
 all: build vet test ## build + vet + full tests
 
@@ -124,15 +124,27 @@ fuzz-eco: ## short fuzz session over ECO edit scripts
 
 # Write-prep regression gate: shot-count goldens plus the raster
 # differential (fractured shots must rasterize identically to the
-# unfractured geometry). UPDATE=1 refreshes the golden file.
-fracture-golden: ## run the write-prep golden + raster differential gate (UPDATE=1 to refresh)
-	$(GO) test ./internal/harness/ -run 'TestFracture(Golden|RasterDifferential)' $(if $(UPDATE),-update)
+# unfractured geometry). make repin refreshes the golden file.
+fracture-golden: ## run the write-prep golden + raster differential gate
+	$(GO) test ./internal/harness/ -run 'TestFracture(Golden|RasterDifferential)'
 
 # Incremental-rerouting regression gate: exact cold/replay/patch hashes
 # and reuse counters on the golden benchmarks, plus the replay==cold
-# equivalence invariant (docs/ECO.md). UPDATE=1 refreshes the snapshot.
-eco-golden: ## run the ECO golden gate (UPDATE=1 to refresh)
-	$(GO) test ./internal/harness/ -run TestECOGolden $(if $(UPDATE),-update)
+# equivalence invariant (docs/ECO.md). make repin refreshes the snapshot.
+eco-golden: ## run the ECO golden gate
+	$(GO) test ./internal/harness/ -run TestECOGolden
+
+# Rewrite every pin a test holds, in one go: the harness goldens
+# (routing quality, ECO, write-prep) and the detail package's recording
+# and global trace hashes (BenchmarkDetail reads the S9234 golden). Each
+# -update path prints every field that changed, "file entry: key
+# before → after", ready for a change log. The tests run in local
+# directory mode (go -C, no package argument), so that output streams
+# and nothing is cached. The checks themselves still compare exactly;
+# on an unchanged tree this leaves no diff (docs/TESTING.md).
+repin: ## rewrite every test-held pin and print each field that changed
+	$(GO) -C internal/harness test -run '^Test(GoldenBenchmarks|ECOGolden|FractureGolden)$$' -update
+	$(GO) -C internal/detail test -run '^Test(RecordingHash|GlobalTraceHash)$$' -update
 
 # Multi-seed end-to-end correctness soak (full invariant battery over the
 # harness parameter grid).

@@ -45,8 +45,8 @@ func BenchmarkTable3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows[0].Ours.SP > rows[0].Baseline.SP {
-			b.Fatalf("SP regression: %d > %d", rows[0].Ours.SP, rows[0].Baseline.SP)
+		if rows[0].Ours.ShortPolygons > rows[0].Baseline.ShortPolygons {
+			b.Fatalf("SP regression: %d > %d", rows[0].Ours.ShortPolygons, rows[0].Baseline.ShortPolygons)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkTable7(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows[0].Graph.SP > rows[0].Conv.SP {
+		if rows[0].Graph.ShortPolygons > rows[0].Conv.ShortPolygons {
 			b.Fatal("graph-based worse than conventional")
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkTable8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rows[0].With.SP > rows[0].Without.SP {
+		if rows[0].With.ShortPolygons > rows[0].Without.ShortPolygons {
 			b.Fatal("stitch-aware detail worse")
 		}
 	}

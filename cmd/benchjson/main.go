@@ -55,13 +55,14 @@ type report struct {
 	Circuits     []record `json:"circuits"`
 }
 
-// record is one circuit measured through every stage.
+// record is one circuit measured through every stage: the routed
+// result's quality record (inline) and routes hash, then the stage times.
 type record struct {
-	Circuit          string `json:"circuit"`
-	Nets             int    `json:"nets"`
-	RoutesHash       string `json:"routesHash"`
-	FailedNets       int    `json:"failedNets"`
-	DetailExpansions int64  `json:"detailExpansions"`
+	Circuit    string `json:"circuit"`
+	Nets       int    `json:"nets"`
+	RoutesHash string `json:"routesHash"`
+	core.Quality
+	DetailExpansions int64 `json:"detailExpansions"`
 	// StageMs is each stage's wall time in milliseconds, in pipeline
 	// order: the routing stages under core.StageTimes' names, then
 	// fractureRect, fractureLShape and stencil, then ecoCold, ecoReplay
@@ -94,7 +95,7 @@ func keep(stages []stageTime, stage string, d time.Duration) []stageTime {
 const methodology = "Per circuit: the stitch-aware router runs -runs times on a freshly generated " +
 	"circuit and each routing stage keeps its fastest wall time; every run must produce the " +
 	"same routesHash. Rect and L-shape fracturing and the stencil plan then run -runs times on " +
-	"those routes, fastest kept, each repetition reproducing writePrep's shot and plan hashes. " +
+	"those routes, fastest kept, each repetition reproducing writePrep (counts, shot and plan hashes). " +
 	"Last, five single-net edits (one pin moved to the nearest free cell) are each rerouted " +
 	"-runs times three ways, fastest kept: cold (full pipeline on the edited circuit), eco " +
 	"replay and eco patch off the routed parent. Every replay hash must equal the cold rehash " +
@@ -193,9 +194,7 @@ func measure(name string, runs int) (*record, error) {
 			rec.StageMs = keep(rec.StageMs, st.Name, st.Time)
 		}
 	}
-	rec.Nets = len(c.Nets)
-	rec.FailedNets = parent.FailedNets
-	rec.DetailExpansions = parent.DetailExpansions
+	rec.Nets, rec.Quality, rec.DetailExpansions = len(c.Nets), parent.Quality(), parent.DetailExpansions
 
 	if err := measureWritePrep(rec, c, parent, runs); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -208,13 +207,8 @@ func measure(name string, runs int) (*record, error) {
 
 // measureWritePrep times rect fracturing, L-shape fracturing and the
 // stencil plan on the routed circuit. Every repetition must reproduce
-// the rect and L-shape shot hashes and the plan hash of rec.WritePrep.
+// the first one's write-prep metrics, rec.WritePrep, field for field.
 func measureWritePrep(rec *record, c *netlist.Circuit, res *core.Result, runs int) error {
-	wp, err := harness.CollectFracture(c, res.Routes)
-	if err != nil {
-		return err
-	}
-	rec.WritePrep = wp
 	for i := range runs {
 		t0 := time.Now()
 		rect := fracture.Fracture(res.Routes, c.Fabric.Layers, fracture.ModeRect, fracture.Options{})
@@ -227,21 +221,14 @@ func measureWritePrep(rec *record, c *netlist.Circuit, res *core.Result, runs in
 		rec.StageMs = keep(rec.StageMs, "fractureLShape", t2.Sub(t1))
 		rec.StageMs = keep(rec.StageMs, "stencil", t3.Sub(t2))
 
-		rectHash, err := fracture.ShotsHash(rect.Shots)
+		wp, err := harness.WritePrepMetrics(c.Name, rect, ls, pl)
 		if err != nil {
 			return err
 		}
-		hash, err := fracture.ShotsHash(ls.Shots)
-		if err != nil {
-			return err
-		}
-		planHash, err := stencil.PlanHash(pl)
-		if err != nil {
-			return err
-		}
-		if rectHash != wp.RectShotsHash || hash != wp.ShotsHash || planHash != wp.PlanHash {
-			return fmt.Errorf("write-prep run %d: hashes rect %.12s, lshape %.12s, plan %.12s differ from %.12s, %.12s, %.12s",
-				i, rectHash, hash, planHash, wp.RectShotsHash, wp.ShotsHash, wp.PlanHash)
+		if i == 0 {
+			rec.WritePrep = wp
+		} else if bad := harness.Compare(wp, rec.WritePrep); len(bad) > 0 {
+			return fmt.Errorf("write-prep run %d differs from run 0: %s", i, strings.Join(bad, "; "))
 		}
 	}
 	return nil

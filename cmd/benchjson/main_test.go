@@ -9,21 +9,34 @@ import (
 	"stitchroute/internal/harness"
 )
 
+// goldenDir holds the harness goldens.
+var goldenDir = filepath.Join("..", "..", "internal", "harness", "testdata", "golden")
+
 // TestMeasurePrimary1 measures Primary1 once through every stage and
-// checks the record against the pinned results: the routes hash, the
-// write-prep golden, both ECO gates and the stage list.
+// checks the record against the pinned results: the quality record and
+// routes hash of the stitch-aware golden, the write-prep golden, both
+// ECO gates and the stage list.
 func TestMeasurePrimary1(t *testing.T) {
 	rec, err := measure("Primary1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const routesHash = "1c5d712c8b39af6d99968d6812f4c8a3d18e3032d25aa18010e0ef74d22db6e5"
-	if rec.RoutesHash != routesHash {
-		t.Errorf("routes hash %.12s, want %.12s", rec.RoutesHash, routesHash)
+	routed, err := harness.ReadGolden[harness.Metrics](filepath.Join(goldenDir, "Primary1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := slices.IndexFunc(routed, func(m harness.Metrics) bool { return m.Mode == "stitch" })
+	if j < 0 {
+		t.Fatal("Primary1 golden has no stitch entry")
+	}
+	if rec.RoutesHash != routed[j].RoutesHash {
+		t.Errorf("routes hash %.12s, want %.12s", rec.RoutesHash, routed[j].RoutesHash)
+	}
+	for _, bad := range harness.Compare(rec.Quality, routed[j].Quality) {
+		t.Errorf("quality: %s", bad)
 	}
 
-	goldens, err := harness.ReadGolden[harness.FractureMetrics](
-		filepath.Join("..", "..", "internal", "harness", "testdata", "golden", "fracture.json"))
+	goldens, err := harness.ReadGolden[harness.FractureMetrics](filepath.Join(goldenDir, "fracture.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

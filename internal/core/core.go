@@ -148,6 +148,48 @@ type Result struct {
 	ECO *ECOState
 }
 
+// Quality is a run's routing-quality record: the DRC report's counts,
+// global overflow (TVOF and MVOF, Table IV), the track stage's bad ends
+// (#BE, Table VII) and the detailed router's ripped and failed nets.
+// Rout%, #VV and #SP are the columns of Tables III, VII and VIII. The
+// server's job summary, the harness goldens, the experiment tables and
+// benchjson all embed it, so none of them copies a report field.
+type Quality struct {
+	Routability         float64 `json:"routability"`
+	RoutedNets          int     `json:"routedNets"`
+	ViaViolations       int     `json:"viaViolations"`
+	ViaViolationsOffPin int     `json:"viaViolationsOffPin"`
+	VertRouteViolations int     `json:"vertRouteViolations"`
+	ShortPolygons       int     `json:"shortPolygons"`
+	Wirelength          int64   `json:"wirelength"`
+	Vias                int     `json:"vias"`
+	TVOF                int     `json:"tvof"`
+	MVOF                int     `json:"mvof"`
+	BadEnds             int     `json:"badEnds"`
+	RippedNets          int     `json:"rippedNets"`
+	FailedNets          int     `json:"failedNets"`
+}
+
+// Quality returns the run's quality record.
+func (res *Result) Quality() Quality {
+	rep := res.Report
+	return Quality{
+		Routability:         rep.Routability(),
+		RoutedNets:          rep.RoutedNets,
+		ViaViolations:       rep.ViaViolations,
+		ViaViolationsOffPin: rep.ViaViolationsOffPin,
+		VertRouteViolations: rep.VertRouteViolations,
+		ShortPolygons:       rep.ShortPolygons,
+		Wirelength:          rep.Wirelength,
+		Vias:                rep.Vias,
+		TVOF:                res.TVOF,
+		MVOF:                res.MVOF,
+		BadEnds:             res.TrackStats.BadEnds,
+		RippedNets:          res.RippedNets,
+		FailedNets:          res.FailedNets,
+	}
+}
+
 // ECOState is the per-run recording consumed by internal/eco: the global
 // router's read-set/route trace, the detailed router's recording, and an
 // echo of the config the run used (an ECO reroute must use the same

@@ -150,6 +150,10 @@ func (r *Router) stampRecorded(net *netlist.Net, wires []geom.Segment, freed []C
 func (r *Router) RunMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, m *Memo) (*Result, int, error) {
 	if r.sc == nil {
 		r.borrow()
+		// The arena goes back on a panic too (a server job recovers
+		// one), and is sound to reuse: bind clears occ, and every search
+		// restamps its nodes and resets its heap, so nothing a run cut
+		// short left behind is read. RunPatch relies on the same.
 		defer r.giveBack()
 	}
 	return r.runMemo(ctx, c, plans, m)

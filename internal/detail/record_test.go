@@ -4,13 +4,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"hash"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 	"stitchroute/internal/global"
+	"stitchroute/internal/harness"
 	"stitchroute/internal/plan"
 )
 
@@ -38,32 +42,71 @@ func hashFootprint(h hash.Hash, f plan.Footprint) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the pinned hashes in testdata from the current tree")
+
+// checkPinned compares got with the entries pinned in testdata/file,
+// exactly and in order, or rewrites the file from got under -update
+// (make repin).
+func checkPinned[T any](t *testing.T, file string, got []T, name func(T) string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := harness.UpdateGolden(os.Stdout, path, got, name); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := harness.ReadGolden[T](path)
+	if err != nil {
+		t.Fatalf("%v (run make repin to create)", err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s pins %d circuits, want %d", path, len(want), len(got))
+	}
+	for i := range got {
+		for _, bad := range harness.Compare(got[i], want[i]) {
+			t.Errorf("%s: %s", name(got[i]), bad)
+		}
+	}
+}
+
+// pinnedCircuits are the cold routes whose recordings are pinned.
+var pinnedCircuits = []string{"Primary1", "S9234"}
+
+// routeCold routes the named benchmark cold under the stitch-aware
+// config.
+func routeCold(t *testing.T, name string) *core.Result {
+	t.Helper()
+	spec, err := bench.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Route(bench.Generate(spec), core.StitchAware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// recordingHashes are one circuit's pinned footprint hashes.
+type recordingHashes struct {
+	Circuit string `json:"circuit"`
+	Acts    string `json:"acts"`
+	WActs   string `json:"wacts"`
+}
+
 // TestRecordingHash pins the ECO recording of two cold routes: the
 // activity and write footprints replay's clean test reads. Replay is
 // byte-equal to a cold route only while the footprints cover what the
 // cold run read and wrote, so a change to how they are recorded must
-// keep these hashes, not just the routes.
+// keep these hashes (testdata/recording.json), not just the routes.
 func TestRecordingHash(t *testing.T) {
-	for _, tc := range []struct{ circuit, acts, wacts string }{
-		{"Primary1", "3137d261a18435c0aafbb4bbb2e19b07190797c6957d464d88934383a9fcfbbb", "9249775a5efaec55194a8e94d9d3b23e5cc39ebb3a76043f0c270c7c00a602a1"},
-		{"S9234", "bc7a48fcede553aae42fd1490f8ca3e2c53cc43f85f94d305eb32d20c9bf3b8f", "0687a63e27f84dc3ce8d8a20be85275c9033584b8dd2d7998c161344c2a92644"},
-	} {
-		spec, err := bench.ByName(tc.circuit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := bench.Generate(spec)
-		res, err := core.Route(c, core.StitchAware())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := footprintsHash(res.ECO.Acts); h != tc.acts {
-			t.Errorf("%s: activity footprints hash %.12s, want %.12s", tc.circuit, h, tc.acts)
-		}
-		if h := footprintsHash(res.ECO.WActs); h != tc.wacts {
-			t.Errorf("%s: write footprints hash %.12s, want %.12s", tc.circuit, h, tc.wacts)
-		}
+	var got []recordingHashes
+	for _, name := range pinnedCircuits {
+		res := routeCold(t, name)
+		got = append(got, recordingHashes{name, footprintsHash(res.ECO.Acts), footprintsHash(res.ECO.WActs)})
 	}
+	checkPinned(t, "recording.json", got, func(h recordingHashes) string { return h.Circuit })
 }
 
 // globalTraceHash hashes the global trace net by net in ascending ID
@@ -96,28 +139,22 @@ func globalTraceHash(tr *global.Trace) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// traceHash is one circuit's pinned global trace hash.
+type traceHash struct {
+	Circuit string `json:"circuit"`
+	Trace   string `json:"trace"`
+}
+
 // TestGlobalTraceHash pins the global router's ECO trace of two cold
 // routes: each net's read-set, the tiles its searches popped, and its
 // committed edges. The global replay is byte-equal to a cold pass only
 // while a read-set covers every tile the net's searches read, so a
 // change to how the read-sets are recorded or stored must keep these
-// hashes.
+// hashes (testdata/globaltrace.json).
 func TestGlobalTraceHash(t *testing.T) {
-	for _, tc := range []struct{ circuit, want string }{
-		{"Primary1", "bf2355de470deaf58f7df9fd12648f4d92c11c7382665f342ddec3322e0da1ed"},
-		{"S9234", "a251a356a49ec795f6e17a344896b17eda8f832ded6a967376f8647be4640ac7"},
-	} {
-		spec, err := bench.ByName(tc.circuit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := bench.Generate(spec)
-		res, err := core.Route(c, core.StitchAware())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := globalTraceHash(res.ECO.Global); h != tc.want {
-			t.Errorf("%s: global trace hash %.12s, want %.12s", tc.circuit, h, tc.want)
-		}
+	var got []traceHash
+	for _, name := range pinnedCircuits {
+		got = append(got, traceHash{name, globalTraceHash(routeCold(t, name).ECO.Global)})
 	}
+	checkPinned(t, "globaltrace.json", got, func(h traceHash) string { return h.Circuit })
 }

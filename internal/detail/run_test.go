@@ -7,6 +7,7 @@ package detail_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -84,9 +85,20 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// s9234RoutesHash is the nlio.RoutesHash of S9234 under the stitch-aware
-// config, as pinned by the harness golden S9234.json and BENCH_pipeline.json.
-const s9234RoutesHash = "66a94f44e00e2be9be88dd058f941946c65a35d3d4441af9631b8de7dc5c5b76"
+// s9234RoutesHash returns the nlio.RoutesHash of S9234 under the
+// stitch-aware config, as pinned by the harness golden S9234.json.
+func s9234RoutesHash(tb testing.TB) string {
+	tb.Helper()
+	ms, err := harness.ReadGolden[harness.Metrics](filepath.Join("..", "harness", "testdata", "golden", "S9234.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	i := slices.IndexFunc(ms, func(m harness.Metrics) bool { return m.Mode == "stitch" })
+	if i < 0 {
+		tb.Fatal("S9234 golden has no stitch entry")
+	}
+	return ms[i].RoutesHash
+}
 
 // BenchmarkDetail measures the detailed-routing stage of S9234 on its
 // own, reporting A* expansions per second, and fails if the routes stop
@@ -106,6 +118,7 @@ func BenchmarkDetail(b *testing.B) {
 		b.Fatal(err)
 	}
 	plans := pre.Plans
+	want := s9234RoutesHash(b)
 
 	var expansions int64
 	b.ReportAllocs()
@@ -117,8 +130,8 @@ func BenchmarkDetail(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if h != s9234RoutesHash {
-			b.Fatalf("routes hash %s, want %s", h[:12], s9234RoutesHash[:12])
+		if h != want {
+			b.Fatalf("routes hash %.12s, want %.12s", h, want)
 		}
 	}
 	b.ReportMetric(float64(expansions)/b.Elapsed().Seconds(), "expansions/s")
@@ -146,6 +159,7 @@ func TestArenaReuse(t *testing.T) {
 		return c, res
 	}
 	s9234, pre := routed("S9234")
+	want := s9234RoutesHash(t)
 	hash := func(a *detail.Arena) string {
 		res := detail.NewRouter(s9234.Fabric, cfg.Detail).Use(a).Run(s9234, pre.Plans)
 		h, err := nlio.RoutesHash(res.Routes)
@@ -154,8 +168,8 @@ func TestArenaReuse(t *testing.T) {
 		}
 		return h
 	}
-	if h := hash(new(detail.Arena)); h != s9234RoutesHash {
-		t.Fatalf("fresh arena: routes hash %.12s, want %.12s", h, s9234RoutesHash)
+	if h := hash(new(detail.Arena)); h != want {
+		t.Fatalf("fresh arena: routes hash %.12s, want %.12s", h, want)
 	}
 
 	used := new(detail.Arena)
@@ -173,8 +187,8 @@ func TestArenaReuse(t *testing.T) {
 	if _, _, err := detail.NewRouter(s13207.Fabric, cfg.Detail).Use(used).RunPatch(context.Background(), s13207, parent.Plans, p); err != nil {
 		t.Fatal(err)
 	}
-	if h := hash(used); h != s9234RoutesHash {
-		t.Fatalf("arena used by Primary1 and an S13207 patch: routes hash %.12s, want %.12s", h, s9234RoutesHash)
+	if h := hash(used); h != want {
+		t.Fatalf("arena used by Primary1 and an S13207 patch: routes hash %.12s, want %.12s", h, want)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 type AblationRow struct {
 	Variant string
 	RouteSummary
-	TVOF int
 }
 
 // Ablations measures the contribution of each stitch-aware design choice
@@ -67,11 +66,7 @@ func Ablations(circuit string) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Variant:      v.name,
-			RouteSummary: summarize(res),
-			TVOF:         res.TVOF,
-		})
+		rows = append(rows, AblationRow{v.name, summarize(res)})
 	}
 	return rows, nil
 }
@@ -83,6 +78,6 @@ func FprintAblations(w io.Writer, circuit string, rows []AblationRow) {
 		"Variant", "Rout%", "#VV", "#SP", "TVOF", "WL", "CPU(s)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-28s %8.2f %6d %6d %6d %9d %8.2f\n",
-			r.Variant, r.Rout, r.VV, r.SP, r.TVOF, r.WL, r.CPU.Seconds())
+			r.Variant, r.Routability, r.ViaViolations, r.ShortPolygons, r.TVOF, r.Wirelength, r.CPU.Seconds())
 	}
 }

@@ -19,20 +19,20 @@ func TestAblations(t *testing.T) {
 	}
 	full := byName["full stitch-aware"]
 	base := byName["baseline (everything off)"]
-	if full.SP >= base.SP {
-		t.Errorf("full framework SP %d not below baseline %d", full.SP, base.SP)
+	if full.ShortPolygons >= base.ShortPolygons {
+		t.Errorf("full framework SP %d not below baseline %d", full.ShortPolygons, base.ShortPolygons)
 	}
 	// β is the dominant short-polygon control: removing it must hurt.
-	if noBeta := byName["no via-SUR cost (β=0)"]; noBeta.SP < full.SP {
-		t.Errorf("removing β improved SP: %d < %d", noBeta.SP, full.SP)
+	if noBeta := byName["no via-SUR cost (β=0)"]; noBeta.ShortPolygons < full.ShortPolygons {
+		t.Errorf("removing β improved SP: %d < %d", noBeta.ShortPolygons, full.ShortPolygons)
 	}
 	// Refinement clears the global vertex overflow.
 	if noRef := byName["no global refinement"]; noRef.TVOF < full.TVOF {
 		t.Errorf("removing refinement reduced TVOF: %d < %d", noRef.TVOF, full.TVOF)
 	}
 	// Placement eliminates pin via violations.
-	if placed := byName["+ stitch-aware place"]; placed.VV >= full.VV && full.VV > 0 {
-		t.Errorf("placement did not reduce VV: %d vs %d", placed.VV, full.VV)
+	if placed := byName["+ stitch-aware place"]; placed.ViaViolations >= full.ViaViolations && full.ViaViolations > 0 {
+		t.Errorf("placement did not reduce VV: %d vs %d", placed.ViaViolations, full.ViaViolations)
 	}
 	var sb strings.Builder
 	FprintAblations(&sb, "S9234", rows)
@@ -58,8 +58,8 @@ func TestSweepBetaGamma(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if rows[1].SP > rows[0].SP {
-		t.Errorf("β=10 SP %d above β=0 SP %d", rows[1].SP, rows[0].SP)
+	if rows[1].ShortPolygons > rows[0].ShortPolygons {
+		t.Errorf("β=10 SP %d above β=0 SP %d", rows[1].ShortPolygons, rows[0].ShortPolygons)
 	}
 	var sb strings.Builder
 	FprintSweep(&sb, "S9234", rows)
@@ -81,11 +81,11 @@ func TestVarianceRobustness(t *testing.T) {
 	}
 	// The headline SP reduction must hold on every independent instance.
 	for _, r := range sum.Rows {
-		if r.Baseline.SP == 0 {
+		if r.Baseline.ShortPolygons == 0 {
 			t.Fatalf("seed %d: baseline produced no SPs", r.Seed)
 		}
-		if float64(r.Ours.SP) > 0.2*float64(r.Baseline.SP) {
-			t.Errorf("seed %d: weak SP reduction %d -> %d", r.Seed, r.Baseline.SP, r.Ours.SP)
+		if float64(r.Ours.ShortPolygons) > 0.2*float64(r.Baseline.ShortPolygons) {
+			t.Errorf("seed %d: weak SP reduction %d -> %d", r.Seed, r.Baseline.ShortPolygons, r.Ours.ShortPolygons)
 		}
 	}
 	if sum.SPRatioMean > 0.1 {

@@ -58,23 +58,15 @@ func FprintTable12(w io.Writer, specs []bench.Spec) {
 // ---------------------------------------------------------------------
 // Table III: full framework vs baseline router.
 
-// RouteSummary is one router's result on one circuit.
+// RouteSummary is one router's result on one circuit: its quality record
+// and the run's summed stage time.
 type RouteSummary struct {
-	Rout float64
-	VV   int
-	SP   int
-	WL   int64
-	CPU  time.Duration
+	core.Quality
+	CPU time.Duration
 }
 
 func summarize(res *core.Result) RouteSummary {
-	return RouteSummary{
-		Rout: res.Report.Routability(),
-		VV:   res.Report.ViaViolations,
-		SP:   res.Report.ShortPolygons,
-		WL:   res.Report.Wirelength,
-		CPU:  res.Times.Total(),
-	}
+	return RouteSummary{res.Quality(), res.Times.Total()}
 }
 
 // Table3Row compares the baseline and stitch-aware routers on one circuit.
@@ -89,16 +81,11 @@ type Table3Row struct {
 func Table3(circuits []string) ([]Table3Row, error) {
 	rows := make([]Table3Row, len(circuits))
 	err := forEachCircuit(circuits, func(i int, name string) error {
-		base, err := runOne(name, core.Baseline())
-		if err != nil {
-			return err
+		arms, err := routeArms(name, core.Baseline(), core.StitchAware())
+		if err == nil {
+			rows[i] = Table3Row{name, arms[0], arms[1]}
 		}
-		ours, err := runOne(name, core.StitchAware())
-		if err != nil {
-			return err
-		}
-		rows[i] = Table3Row{name, summarize(base), summarize(ours)}
-		return nil
+		return err
 	})
 	return rows, err
 }
@@ -133,12 +120,18 @@ func forEachCircuit(circuits []string, fn func(i int, name string) error) error 
 	return nil
 }
 
-func runOne(name string, cfg core.Config) (*core.Result, error) {
-	spec, err := bench.ByName(name)
-	if err != nil {
-		return nil, err
+// routeArms routes the named circuit under each config in turn, each on
+// a freshly generated copy, and summarizes the runs in config order.
+func routeArms(name string, cfgs ...core.Config) ([]RouteSummary, error) {
+	arms := make([]RouteSummary, len(cfgs))
+	for i, cfg := range cfgs {
+		_, res, err := RouteCircuit(name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		arms[i] = summarize(res)
 	}
-	return core.Route(bench.Generate(spec), cfg)
+	return arms, nil
 }
 
 // FprintTable3 renders Table III with the paper's comparison row.
@@ -150,14 +143,14 @@ func FprintTable3(w io.Writer, rows []Table3Row) {
 	var bR, oR float64
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s | %9.2f %6d %6d %8.2f | %9.2f %6d %6d %8.2f\n",
-			r.Circuit, r.Baseline.Rout, r.Baseline.VV, r.Baseline.SP, r.Baseline.CPU.Seconds(),
-			r.Ours.Rout, r.Ours.VV, r.Ours.SP, r.Ours.CPU.Seconds())
-		bSP += r.Baseline.SP
-		oSP += r.Ours.SP
+			r.Circuit, r.Baseline.Routability, r.Baseline.ViaViolations, r.Baseline.ShortPolygons, r.Baseline.CPU.Seconds(),
+			r.Ours.Routability, r.Ours.ViaViolations, r.Ours.ShortPolygons, r.Ours.CPU.Seconds())
+		bSP += r.Baseline.ShortPolygons
+		oSP += r.Ours.ShortPolygons
 		bCPU += r.Baseline.CPU
 		oCPU += r.Ours.CPU
-		bR += r.Baseline.Rout
-		oR += r.Ours.Rout
+		bR += r.Baseline.Routability
+		oR += r.Ours.Routability
 	}
 	n := float64(len(rows))
 	if n == 0 {
@@ -248,15 +241,14 @@ func FprintTable4(w io.Writer, rows []Table4Row) {
 // Table7Row compares the three track-assignment algorithms on a circuit.
 // The ILP summary is zero-valued (Skipped=true) for circuits where the
 // exact search exceeds its budget, mirroring the paper's "NA" entries.
-// BadEnds isolates each algorithm's own contribution: the stitch-aware
-// detailed router recovers most bad ends downstream (so the #SP contrast
-// concentrates in Table III/VIII here), but the bad ends the track stage
-// leaves behind are its direct quality measure.
+// Each summary's BadEnds isolates its algorithm's own contribution: the
+// stitch-aware detailed router recovers most bad ends downstream (so
+// the #SP contrast concentrates in Table III/VIII here), but the bad
+// ends the track stage leaves behind are its direct quality measure.
 type Table7Row struct {
-	Circuit                string
-	Conv, ILP, Graph       RouteSummary
-	ConvBE, ILPBE, GraphBE int
-	ILPSkipped             bool
+	Circuit          string
+	Conv, ILP, Graph RouteSummary
+	ILPSkipped       bool
 }
 
 // ILPSkip lists circuits the paper could not finish with CPLEX in 10^5
@@ -272,32 +264,20 @@ func Table7(circuits []string) ([]Table7Row, error) {
 	skip := ILPSkip()
 	rows := make([]Table7Row, len(circuits))
 	err := forEachCircuit(circuits, func(i int, name string) error {
-		row := Table7Row{Circuit: name}
-		for _, algo := range []track.Algo{track.Conventional, track.ILPBased, track.GraphBased} {
-			if algo == track.ILPBased && skip[name] {
-				row.ILPSkipped = true
-				continue
-			}
-			cfg := core.StitchAware()
-			cfg.TrackAlgo = algo
-			res, err := runOne(name, cfg)
-			if err != nil {
-				return err
-			}
-			s := summarize(res)
-			switch algo {
-			case track.Conventional:
-				row.Conv = s
-				row.ConvBE = res.TrackStats.BadEnds
-			case track.ILPBased:
-				row.ILP = s
-				row.ILPBE = res.TrackStats.BadEnds
-			default:
-				row.Graph = s
-				row.GraphBE = res.TrackStats.BadEnds
-			}
+		conv, ilp, graph := core.StitchAware(), core.StitchAware(), core.StitchAware()
+		conv.TrackAlgo, ilp.TrackAlgo, graph.TrackAlgo = track.Conventional, track.ILPBased, track.GraphBased
+		cfgs := []core.Config{conv, ilp, graph}
+		if skip[name] {
+			cfgs = []core.Config{conv, graph}
 		}
-		rows[i] = row
+		arms, err := routeArms(name, cfgs...)
+		if err != nil {
+			return err
+		}
+		rows[i] = Table7Row{Circuit: name, Conv: arms[0], Graph: arms[len(arms)-1], ILPSkipped: skip[name]}
+		if !skip[name] {
+			rows[i].ILP = arms[1]
+		}
 		return nil
 	})
 	return rows, err
@@ -311,14 +291,15 @@ func FprintTable7(w io.Writer, rows []Table7Row) {
 		"w/o stitch (conv.)", "ILP-based", "graph-based")
 	fmt.Fprintf(w, "%-10s | %7s %5s %5s %7s | %7s %5s %5s %7s | %7s %5s %5s %7s\n", "",
 		"Rout%", "#BE", "#SP", "CPU(s)", "Rout%", "#BE", "#SP", "CPU(s)", "Rout%", "#BE", "#SP", "CPU(s)")
+	cell := func(s RouteSummary) string {
+		return fmt.Sprintf("%7.2f %5d %5d %7.1f", s.Routability, s.BadEnds, s.ShortPolygons, s.CPU.Seconds())
+	}
 	for _, r := range rows {
-		ilpCell := fmt.Sprintf("%7.2f %5d %5d %7.1f", r.ILP.Rout, r.ILPBE, r.ILP.SP, r.ILP.CPU.Seconds())
+		ilpCell := cell(r.ILP)
 		if r.ILPSkipped {
 			ilpCell = fmt.Sprintf("%7s %5s %5s %7s", "NA", "NA", "NA", ">budget")
 		}
-		fmt.Fprintf(w, "%-10s | %7.2f %5d %5d %7.1f | %s | %7.2f %5d %5d %7.1f\n",
-			r.Circuit, r.Conv.Rout, r.ConvBE, r.Conv.SP, r.Conv.CPU.Seconds(),
-			ilpCell, r.Graph.Rout, r.GraphBE, r.Graph.SP, r.Graph.CPU.Seconds())
+		fmt.Fprintf(w, "%-10s | %s | %s | %s\n", r.Circuit, cell(r.Conv), ilpCell, cell(r.Graph))
 	}
 }
 
@@ -338,22 +319,13 @@ type Table8Row struct {
 func Table8(circuits []string) ([]Table8Row, error) {
 	rows := make([]Table8Row, len(circuits))
 	err := forEachCircuit(circuits, func(i int, name string) error {
-		row := Table8Row{Circuit: name}
-		for j, aware := range []bool{false, true} {
-			cfg := core.StitchAware()
-			cfg.Detail = detail.DefaultConfig(aware)
-			res, err := runOne(name, cfg)
-			if err != nil {
-				return err
-			}
-			if j == 0 {
-				row.Without = summarize(res)
-			} else {
-				row.With = summarize(res)
-			}
+		without := core.StitchAware()
+		without.Detail = detail.DefaultConfig(false)
+		arms, err := routeArms(name, without, core.StitchAware())
+		if err == nil {
+			rows[i] = Table8Row{name, arms[0], arms[1]}
 		}
-		rows[i] = row
-		return nil
+		return err
 	})
 	return rows, err
 }
@@ -366,10 +338,10 @@ func FprintTable8(w io.Writer, rows []Table8Row) {
 	var aSP, bSP int
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s | %8.2f %6d %8.2f | %8.2f %6d %8.2f\n",
-			r.Circuit, r.Without.Rout, r.Without.SP, r.Without.CPU.Seconds(),
-			r.With.Rout, r.With.SP, r.With.CPU.Seconds())
-		aSP += r.Without.SP
-		bSP += r.With.SP
+			r.Circuit, r.Without.Routability, r.Without.ShortPolygons, r.Without.CPU.Seconds(),
+			r.With.Routability, r.With.ShortPolygons, r.With.CPU.Seconds())
+		aSP += r.Without.ShortPolygons
+		bSP += r.With.ShortPolygons
 	}
 	fmt.Fprintf(w, "%-10s | #SP ratio %.3f\n", "Comp.", ratio(float64(bSP), float64(aSP)))
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"stitchroute/internal/bench"
+	"stitchroute/internal/harness"
 )
 
 func TestTable12Formatting(t *testing.T) {
@@ -18,6 +20,32 @@ func TestTable12Formatting(t *testing.T) {
 	}
 	if got := strings.Count(out, "\n"); got != 10 { // header + 9 rows
 		t.Errorf("Table I has %d lines, want 10", got)
+	}
+}
+
+// TestTable3MatchesGoldens: on the circuits the harness goldens pin,
+// each Table III arm carries exactly the pinned quality record, so a
+// results table cannot disagree with a golden.
+func TestTable3MatchesGoldens(t *testing.T) {
+	rows, err := Table3([]string{"Primary1", "S5378", "S9234"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		want, err := harness.ReadGolden[harness.Metrics](
+			filepath.Join("..", "harness", "testdata", "golden", r.Circuit+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms := map[string]RouteSummary{"stitch": r.Ours, "baseline": r.Baseline}
+		if len(want) != len(arms) {
+			t.Fatalf("%s golden has %d entries, want %d", r.Circuit, len(want), len(arms))
+		}
+		for _, m := range want {
+			for _, bad := range harness.Compare(arms[m.Mode].Quality, m.Quality) {
+				t.Errorf("%s/%s: %s", r.Circuit, m.Mode, bad)
+			}
+		}
 	}
 }
 
@@ -102,11 +130,11 @@ func TestTable3SmallCircuit(t *testing.T) {
 		t.Fatal("row count")
 	}
 	r := rows[0]
-	if r.Ours.SP >= r.Baseline.SP {
-		t.Errorf("stitch-aware SP %d not below baseline %d", r.Ours.SP, r.Baseline.SP)
+	if r.Ours.ShortPolygons >= r.Baseline.ShortPolygons {
+		t.Errorf("stitch-aware SP %d not below baseline %d", r.Ours.ShortPolygons, r.Baseline.ShortPolygons)
 	}
-	if r.Ours.Rout < 95 || r.Baseline.Rout < 95 {
-		t.Errorf("routability degraded: base %.2f ours %.2f", r.Baseline.Rout, r.Ours.Rout)
+	if r.Ours.Routability < 95 || r.Baseline.Routability < 95 {
+		t.Errorf("routability degraded: base %.2f ours %.2f", r.Baseline.Routability, r.Ours.Routability)
 	}
 	var sb strings.Builder
 	FprintTable3(&sb, rows)
@@ -187,14 +215,14 @@ func TestTable7BadEndContrast(t *testing.T) {
 	// The stitch-aware assignments must leave far fewer bad ends than the
 	// conventional one (the paper's >97% reduction, measured at the stage
 	// boundary).
-	if r.ConvBE == 0 {
+	if r.Conv.BadEnds == 0 {
 		t.Fatal("conventional produced no bad ends; contrast vacuous")
 	}
-	if r.GraphBE*3 > r.ConvBE {
-		t.Errorf("graph bad ends %d not well below conventional %d", r.GraphBE, r.ConvBE)
+	if r.Graph.BadEnds*3 > r.Conv.BadEnds {
+		t.Errorf("graph bad ends %d not well below conventional %d", r.Graph.BadEnds, r.Conv.BadEnds)
 	}
-	if !r.ILPSkipped && r.ILPBE > r.GraphBE {
-		t.Errorf("ILP bad ends %d above graph %d", r.ILPBE, r.GraphBE)
+	if !r.ILPSkipped && r.ILP.BadEnds > r.Graph.BadEnds {
+		t.Errorf("ILP bad ends %d above graph %d", r.ILP.BadEnds, r.Graph.BadEnds)
 	}
 	// The exact search must be dramatically slower than the heuristic.
 	if !r.ILPSkipped && r.ILP.CPU < 10*r.Graph.CPU {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"stitchroute/internal/bench"
 	"stitchroute/internal/core"
 )
 
@@ -19,23 +18,22 @@ type SweepRow struct {
 // wirelength, and routability. The paper fixes β=10, γ=5; the sweep shows
 // that plateau (β dominates #SP; γ buys SUR safety for small WL).
 func SweepBetaGamma(circuit string, betas, gammas []float64) ([]SweepRow, error) {
-	spec, err := bench.ByName(circuit)
-	if err != nil {
-		return nil, err
-	}
 	var rows []SweepRow
+	var cfgs []core.Config
 	for _, b := range betas {
 		for _, g := range gammas {
 			cfg := core.StitchAware()
-			cfg.Detail.Beta = b
-			cfg.Detail.Gamma = g
-			c := bench.Generate(spec)
-			res, err := core.Route(c, cfg)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, SweepRow{Beta: b, Gamma: g, RouteSummary: summarize(res)})
+			cfg.Detail.Beta, cfg.Detail.Gamma = b, g
+			cfgs = append(cfgs, cfg)
+			rows = append(rows, SweepRow{Beta: b, Gamma: g})
 		}
+	}
+	arms, err := routeArms(circuit, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].RouteSummary = arms[i]
 	}
 	return rows, nil
 }
@@ -51,6 +49,6 @@ func FprintSweep(w io.Writer, circuit string, rows []SweepRow) {
 	fmt.Fprintf(w, "%6s %6s | %8s %6s %9s %8s\n", "β", "γ", "Rout%", "#SP", "WL", "CPU(s)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%6.0f %6.0f | %8.2f %6d %9d %8.2f\n",
-			r.Beta, r.Gamma, r.Rout, r.SP, r.WL, r.CPU.Seconds())
+			r.Beta, r.Gamma, r.Routability, r.ShortPolygons, r.Wirelength, r.CPU.Seconds())
 	}
 }

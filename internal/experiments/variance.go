@@ -18,7 +18,7 @@ type VarianceRow struct {
 // VarianceSummary aggregates the study.
 type VarianceSummary struct {
 	Rows []VarianceRow
-	// SPRatioMean/Std summarize ours.SP / baseline.SP across seeds.
+	// SPRatioMean/Std summarize ours/baseline short polygons across seeds.
 	SPRatioMean, SPRatioStd float64
 	// RoutDeltaMean is the mean routability difference (ours - baseline).
 	RoutDeltaMean float64
@@ -56,10 +56,10 @@ func Variance(circuit string, nSeeds int) (VarianceSummary, error) {
 	sum.Rows = rows
 	var ratios []float64
 	for _, r := range rows {
-		if r.Baseline.SP > 0 {
-			ratios = append(ratios, float64(r.Ours.SP)/float64(r.Baseline.SP))
+		if r.Baseline.ShortPolygons > 0 {
+			ratios = append(ratios, float64(r.Ours.ShortPolygons)/float64(r.Baseline.ShortPolygons))
 		}
-		sum.RoutDeltaMean += r.Ours.Rout - r.Baseline.Rout
+		sum.RoutDeltaMean += r.Ours.Routability - r.Baseline.Routability
 	}
 	sum.RoutDeltaMean /= float64(len(rows))
 	for _, v := range ratios {
@@ -82,7 +82,7 @@ func FprintVariance(w io.Writer, circuit string, s VarianceSummary) {
 	fmt.Fprintf(w, "%6s | %9s %6s | %9s %6s\n", "seed", "BaseRout%", "#SP", "OursRout%", "#SP")
 	for _, r := range s.Rows {
 		fmt.Fprintf(w, "%6d | %9.2f %6d | %9.2f %6d\n",
-			r.Seed, r.Baseline.Rout, r.Baseline.SP, r.Ours.Rout, r.Ours.SP)
+			r.Seed, r.Baseline.Routability, r.Baseline.ShortPolygons, r.Ours.Routability, r.Ours.ShortPolygons)
 	}
 	fmt.Fprintf(w, "SP ratio %.4f ± %.4f, routability delta %+.2f%%\n",
 		s.SPRatioMean, s.SPRatioStd, s.RoutDeltaMean)

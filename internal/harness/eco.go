@@ -121,13 +121,15 @@ func CheckReport(c *netlist.Circuit, res *core.Result) error {
 // pair: the cold reroute of the edited circuit, both ECO engines'
 // results, and every violated property.
 type ECOOutcome struct {
-	Name        string
-	Cold        CheckResult
-	Replay      CheckResult
-	Patch       CheckResult
-	ReplayStats eco.Stats
-	PatchStats  eco.Stats
-	Violations  []string
+	Name   string
+	Cold   CheckResult
+	Replay CheckResult
+	Patch  CheckResult
+	// PatchQuality is the patch result's own quality record.
+	PatchQuality core.Quality
+	ReplayStats  eco.Stats
+	PatchStats   eco.Stats
+	Violations   []string
 }
 
 // Ok reports whether the differential battery passed.
@@ -220,7 +222,7 @@ func VerifyECO(name string, fresh func() *netlist.Circuit, script *eco.Script, c
 	if err != nil {
 		return nil, fmt.Errorf("%s: patch reroute: %w", name, err)
 	}
-	o.PatchStats = p1.Stats
+	o.PatchStats, o.PatchQuality = p1.Stats, p1.Result.Quality()
 	if o.Patch, err = Check(p1.Edited, p1.Result); err != nil {
 		return nil, fmt.Errorf("%s: patch check: %w", name, err)
 	}

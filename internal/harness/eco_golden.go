@@ -35,10 +35,8 @@ type ECOMetrics struct {
 	ReplayDetailRouted int `json:"replayDetailRouted"`
 	PatchDetailReused  int `json:"patchDetailReused"`
 	PatchDetailRouted  int `json:"patchDetailRouted"`
-	// Patch-result quality metrics for the edited circuit.
-	PatchWirelength    int64 `json:"patchWirelength"`
-	PatchShortPolygons int   `json:"patchShortPolygons"`
-	PatchFailedNets    int   `json:"patchFailedNets"`
+	// Patch is the patch result's quality record for the edited circuit.
+	Patch core.Quality `json:"patch"`
 }
 
 // CollectECO runs the ECO differential battery (VerifyECO) under the
@@ -63,9 +61,7 @@ func CollectECO(fresh func() *netlist.Circuit, cfg core.Config) (ECOMetrics, err
 	m.PatchHash = o.Patch.RoutesHash
 	m.PatchDetailReused = o.PatchStats.DetailReused
 	m.PatchDetailRouted = o.PatchStats.DetailRouted
-	m.PatchWirelength = o.Patch.Report.Wirelength
-	m.PatchShortPolygons = o.Patch.Report.ShortPolygons
-	m.PatchFailedNets = o.Patch.FailedNets
+	m.Patch = o.PatchQuality
 	return m, nil
 }
 

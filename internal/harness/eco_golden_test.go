@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,9 +17,7 @@ func ecoGoldenPath() string {
 // canonical golden edit script, and the hashes and reuse counters must
 // match the committed snapshot exactly. It also pins the equivalence
 // guarantee (replay hash == cold hash) as a structural invariant.
-// Refresh with
-//
-//	go test ./internal/harness/ -run TestECOGolden -update
+// Refresh every pinned snapshot with make repin.
 func TestECOGolden(t *testing.T) {
 	var got []ECOMetrics
 	for _, name := range goldenBenchmarks {
@@ -33,15 +32,14 @@ func TestECOGolden(t *testing.T) {
 		got = append(got, m)
 	}
 	if *update {
-		if err := WriteGolden(ecoGoldenPath(), got); err != nil {
+		if err := UpdateGolden(os.Stdout, ecoGoldenPath(), got, func(m ECOMetrics) string { return m.Circuit }); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("updated %s", ecoGoldenPath())
 		return
 	}
 	want, err := ReadGolden[ECOMetrics](ecoGoldenPath())
 	if err != nil {
-		t.Fatalf("missing eco golden file (run with -update to create): %v", err)
+		t.Fatalf("missing eco golden file (run make repin to create): %v", err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("eco golden has %d entries, want %d", len(want), len(got))

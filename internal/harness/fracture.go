@@ -38,6 +38,13 @@ type FractureMetrics struct {
 func CollectFracture(c *netlist.Circuit, routes []plan.NetRoute) (FractureMetrics, error) {
 	rect := fracture.Fracture(routes, c.Fabric.Layers, fracture.ModeRect, fracture.Options{})
 	ls := fracture.Fracture(routes, c.Fabric.Layers, fracture.ModeLShape, fracture.Options{})
+	return WritePrepMetrics(c.Name, rect, ls, stencil.Build(ls.Shots, stencil.Options{}))
+}
+
+// WritePrepMetrics extracts the golden write-prep metrics of a circuit's
+// rect and lshape fractures and the default-options stencil plan over
+// the lshape shots.
+func WritePrepMetrics(circuit string, rect, ls *fracture.Result, pl *stencil.Plan) (FractureMetrics, error) {
 	hash, err := fracture.ShotsHash(ls.Shots)
 	if err != nil {
 		return FractureMetrics{}, err
@@ -46,13 +53,12 @@ func CollectFracture(c *netlist.Circuit, routes []plan.NetRoute) (FractureMetric
 	if err != nil {
 		return FractureMetrics{}, err
 	}
-	pl := stencil.Build(ls.Shots, stencil.Options{})
 	planHash, err := stencil.PlanHash(pl)
 	if err != nil {
 		return FractureMetrics{}, err
 	}
 	return FractureMetrics{
-		Circuit:    c.Name,
+		Circuit:    circuit,
 		RectShots:  rect.ShotCount,
 		LShapeShot: ls.ShotCount,
 		LShots:     ls.LShots,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -22,9 +23,7 @@ func fractureGoldenPath() string {
 // canonical shot hash) must match the committed snapshot exactly.
 // It also pins the headline acceptance property: L-shape fracturing
 // strictly beats the rectangle baseline on every golden circuit.
-// Refresh with
-//
-//	go test ./internal/harness/ -run TestFractureGolden -update
+// Refresh every pinned snapshot with make repin.
 func TestFractureGolden(t *testing.T) {
 	var got []FractureMetrics
 	for _, name := range goldenBenchmarks {
@@ -44,15 +43,14 @@ func TestFractureGolden(t *testing.T) {
 		got = append(got, m)
 	}
 	if *update {
-		if err := WriteGolden(fractureGoldenPath(), got); err != nil {
+		if err := UpdateGolden(os.Stdout, fractureGoldenPath(), got, func(m FractureMetrics) string { return m.Circuit }); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("updated %s", fractureGoldenPath())
 		return
 	}
 	want, err := ReadGolden[FractureMetrics](fractureGoldenPath())
 	if err != nil {
-		t.Fatalf("missing fracture golden file (run with -update to create): %v", err)
+		t.Fatalf("missing fracture golden file (run make repin to create): %v", err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("fracture golden has %d entries, want %d", len(want), len(got))

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"stitchroute/internal/bench"
@@ -41,42 +42,49 @@ func benchCircuit(t testing.TB, name string) func() *netlist.Circuit {
 	return func() *netlist.Circuit { return bench.Generate(spec) }
 }
 
+// goldenMetrics routes the named benchmark under both configs, checks
+// the hard invariants, and returns its golden metrics.
+func goldenMetrics(t *testing.T, name string) []Metrics {
+	fresh := benchCircuit(t, name)
+	var got []Metrics
+	for _, mode := range []string{"stitch", "baseline"} {
+		cfg := core.StitchAware()
+		if mode == "baseline" {
+			cfg = core.Baseline()
+		}
+		c := fresh()
+		res, cr, err := RouteAndCheck(c, cfg)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, mode, err)
+		}
+		if v := cr.HardViolations(); len(v) != 0 {
+			t.Errorf("%s/%s: hard invariant violations: %v", name, mode, v)
+		}
+		got = append(got, Collect(c, mode, res, cr.RoutesHash))
+	}
+	return got
+}
+
 // TestGoldenBenchmarks is the golden-metrics regression gate: each
-// benchmark is routed under both configs and the quality metrics and
-// routes hash must match the committed snapshot exactly. Refresh with
-//
-//	go test ./internal/harness/ -run TestGoldenBenchmarks -update
+// benchmark is routed under both configs and the quality record and
+// routes hash must match the committed snapshot exactly. Refresh every
+// pinned snapshot with make repin.
 func TestGoldenBenchmarks(t *testing.T) {
 	for _, name := range goldenBenchmarks {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			fresh := benchCircuit(t, name)
-			var got []Metrics
-			for _, mode := range []string{"stitch", "baseline"} {
-				cfg := core.StitchAware()
-				if mode == "baseline" {
-					cfg = core.Baseline()
-				}
-				c := fresh()
-				_, cr, err := RouteAndCheck(c, cfg)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, mode, err)
-				}
-				if v := cr.HardViolations(); len(v) != 0 {
-					t.Errorf("%s/%s: hard invariant violations: %v", name, mode, v)
-				}
-				got = append(got, Collect(c, mode, cr))
-			}
+			got := goldenMetrics(t, name)
 			if *update {
-				if err := WriteGolden(goldenPath(name), got); err != nil {
+				if err := UpdateGolden(os.Stdout, goldenPath(name), got, func(m Metrics) string {
+					return m.Circuit + "/" + m.Mode
+				}); err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("updated %s", goldenPath(name))
 				return
 			}
 			want, err := ReadGolden[Metrics](goldenPath(name))
 			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
+				t.Fatalf("missing golden file (run make repin to create): %v", err)
 			}
 			if len(want) != len(got) {
 				t.Fatalf("golden %s has %d entries, want %d", goldenPath(name), len(want), len(got))
@@ -100,22 +108,8 @@ func TestGoldenUpdateIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Skipf("golden file not committed yet: %v", err)
 	}
-	fresh := benchCircuit(t, name)
-	var got []Metrics
-	for _, mode := range []string{"stitch", "baseline"} {
-		cfg := core.StitchAware()
-		if mode == "baseline" {
-			cfg = core.Baseline()
-		}
-		c := fresh()
-		_, cr, err := RouteAndCheck(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, Collect(c, mode, cr))
-	}
 	scratch := filepath.Join(t.TempDir(), "golden.json")
-	if err := WriteGolden(scratch, got); err != nil {
+	if err := WriteGolden(scratch, goldenMetrics(t, name)); err != nil {
 		t.Fatal(err)
 	}
 	have, err := os.ReadFile(scratch)
@@ -124,6 +118,22 @@ func TestGoldenUpdateIsIdempotent(t *testing.T) {
 	}
 	if string(have) != string(want) {
 		t.Errorf("regenerated golden for %s differs from committed file; routing or serialization is nondeterministic", name)
+	}
+}
+
+// TestCompareNamesRecordFields: Compare descends into the embedded
+// quality record and the ECO golden's nested patch record, naming each
+// mismatch by its JSON key (a nested record's prefixed with its own).
+func TestCompareNamesRecordFields(t *testing.T) {
+	a, b := Metrics{Circuit: "c"}, Metrics{Circuit: "c"}
+	b.ShortPolygons, b.TVOF = 2, 3
+	if got, want := Compare(a, b), []string{"shortPolygons 0, want 2", "tvof 0, want 3"}; !slices.Equal(got, want) {
+		t.Errorf("Compare(Metrics) = %q, want %q", got, want)
+	}
+	e, f := ECOMetrics{}, ECOMetrics{}
+	f.Patch.Wirelength = 7
+	if got, want := Compare(e, f), []string{"patch.wirelength 0, want 7"}; !slices.Equal(got, want) {
+		t.Errorf("Compare(ECOMetrics) = %q, want %q", got, want)
 	}
 }
 

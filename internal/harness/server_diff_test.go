@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -89,24 +88,10 @@ func TestServerDifferentialRoute(t *testing.T) {
 		t.Fatal("done job has no summary")
 	}
 
-	// Differential: the served summary must match the in-process report.
-	rep := ref.Report
-	for _, d := range []struct {
-		field    string
-		got, ref any
-	}{
-		{"routedNets", view.Summary.RoutedNets, rep.RoutedNets},
-		{"viaViolations", view.Summary.ViaViolations, rep.ViaViolations},
-		{"viaViolationsOffPin", view.Summary.ViaViolationsOffPin, rep.ViaViolationsOffPin},
-		{"vertRouteViolations", view.Summary.VertRouteViolations, rep.VertRouteViolations},
-		{"shortPolygons", view.Summary.ShortPolygons, rep.ShortPolygons},
-		{"wirelength", view.Summary.Wirelength, rep.Wirelength},
-		{"vias", view.Summary.Vias, rep.Vias},
-		{"failedNets", view.Summary.FailedNets, ref.FailedNets},
-	} {
-		if fmt.Sprint(d.got) != fmt.Sprint(d.ref) {
-			t.Errorf("summary.%s: server %v, in-process %v", d.field, d.got, d.ref)
-		}
+	// Differential: the served quality record must equal the in-process
+	// one, field by field.
+	for _, bad := range Compare(view.Summary.Quality, ref.Quality()) {
+		t.Errorf("served summary differs from the in-process route: %s", bad)
 	}
 
 	// The served geometry must be byte-identical to the in-process route.

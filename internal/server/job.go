@@ -167,48 +167,25 @@ func BuildWritePrep(ctx context.Context, res *core.Result, layers int, mode frac
 	return wp, nil
 }
 
-// Summary is the Table III-style result summary of a finished job.
+// Summary is a finished job's result summary: the run's quality record
+// (inline, so its keys sit at the top level) plus the detail search
+// counts and the stage times.
 type Summary struct {
-	Routability         float64            `json:"routability"`
-	RoutedNets          int                `json:"routedNets"`
-	ViaViolations       int                `json:"viaViolations"`
-	ViaViolationsOffPin int                `json:"viaViolationsOffPin"`
-	VertRouteViolations int                `json:"vertRouteViolations"`
-	ShortPolygons       int                `json:"shortPolygons"`
-	Wirelength          int64              `json:"wirelength"`
-	Vias                int                `json:"vias"`
-	TVOF                int                `json:"tvof"`
-	MVOF                int                `json:"mvof"`
-	BadEnds             int                `json:"badEnds"`
-	RippedNets          int                `json:"rippedNets"`
-	FailedNets          int                `json:"failedNets"`
-	DetailConnects      int                `json:"detailConnects"`
-	DetailExpansions    int64              `json:"detailExpansions"`
-	CPUSeconds          float64            `json:"cpuSeconds"`
-	StageSeconds        map[string]float64 `json:"stageSeconds"`
+	core.Quality
+	DetailConnects   int                `json:"detailConnects"`
+	DetailExpansions int64              `json:"detailExpansions"`
+	CPUSeconds       float64            `json:"cpuSeconds"`
+	StageSeconds     map[string]float64 `json:"stageSeconds"`
 }
 
 // Summarize builds a routing result's summary.
 func Summarize(res *core.Result) *Summary {
-	rep := res.Report
 	s := &Summary{
-		Routability:         rep.Routability(),
-		RoutedNets:          rep.RoutedNets,
-		ViaViolations:       rep.ViaViolations,
-		ViaViolationsOffPin: rep.ViaViolationsOffPin,
-		VertRouteViolations: rep.VertRouteViolations,
-		ShortPolygons:       rep.ShortPolygons,
-		Wirelength:          rep.Wirelength,
-		Vias:                rep.Vias,
-		TVOF:                res.TVOF,
-		MVOF:                res.MVOF,
-		BadEnds:             res.TrackStats.BadEnds,
-		RippedNets:          res.RippedNets,
-		FailedNets:          res.FailedNets,
-		DetailConnects:      res.DetailConnects,
-		DetailExpansions:    res.DetailExpansions,
-		CPUSeconds:          res.Times.Total().Seconds(),
-		StageSeconds:        map[string]float64{},
+		Quality:          res.Quality(),
+		DetailConnects:   res.DetailConnects,
+		DetailExpansions: res.DetailExpansions,
+		CPUSeconds:       res.Times.Total().Seconds(),
+		StageSeconds:     map[string]float64{},
 	}
 	for _, st := range res.Times.Stages() {
 		s.StageSeconds[st.Name] = st.Time.Seconds()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stitchroute/internal/core"
@@ -17,6 +18,8 @@ type metrics struct {
 	mu           sync.Mutex
 	stageSeconds map[string]float64
 	jobsRouted   int64 // jobs that ran to completion on a worker
+	// panicked counts runs that panicked (and failed their job).
+	panicked atomic.Int64
 }
 
 func newMetrics() *metrics {
@@ -59,6 +62,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "jobs_%s %d\n", st, byState[st])
 	}
 	fmt.Fprintf(w, "jobs_evicted %d\n", evicted)
+	fmt.Fprintf(w, "jobs_panicked %d\n", s.metrics.panicked.Load())
 	fmt.Fprintf(w, "queue_depth %d\n", len(s.queue))
 	fmt.Fprintf(w, "queue_capacity %d\n", cap(s.queue))
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"time"
 
 	"stitchroute/internal/core"
@@ -35,11 +38,11 @@ type outcome struct {
 // runJob executes one job on the calling worker: it derives the job's
 // context (server base context + per-job timeout) and runs the router.
 // It reports false, running nothing, for a job cancelled while queued.
-func (s *Server) runJob(j *Job) (outcome, bool) {
+func (s *Server) runJob(j *Job) (o outcome, ran bool) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while queued
 		j.mu.Unlock()
-		return outcome{}, false
+		return o, false
 	}
 	ctx := s.baseCtx
 	var cancel context.CancelFunc
@@ -56,7 +59,15 @@ func (s *Server) runJob(j *Job) (outcome, bool) {
 	ecoRun, ecoScript, ecoBase, ecoFrom := j.ecoRun, j.ecoScript, j.ecoBase, j.ecoFrom
 	j.mu.Unlock()
 
-	var o outcome
+	// A panic in routing, ECO or write-prep fails this job only: the
+	// worker goes on to the next one. A panic on a goroutine the run
+	// starts (core's layer and track panels) is out of reach.
+	defer func() {
+		if v := recover(); v != nil {
+			s.metrics.panicked.Add(1)
+			o, ran = outcome{err: panicError(v)}, true
+		}
+	}()
 	if ecoRun != nil {
 		// ECO fork: incremental reroute from the parent's committed
 		// result instead of a cold pipeline run.
@@ -74,6 +85,28 @@ func (s *Server) runJob(j *Job) (outcome, bool) {
 		o.wp, o.err = BuildWritePrep(ctx, o.res, circuit.Fabric.Layers, fmode, req.Stencil)
 	}
 	return o, true
+}
+
+// panicFrames is how many stack frames a panicked job's error keeps.
+const panicFrames = 5
+
+// panicError describes a panic recovered in a deferred call: "panic:"
+// and the value, then the first frames below the panic, skipping the
+// runtime's own.
+func panicError(v any) error {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	msg, below := fmt.Sprintf("panic: %v", v), false
+	for n, more := 0, true; more && n < panicFrames; {
+		var f runtime.Frame
+		f, more = frames.Next()
+		if below && !strings.HasPrefix(f.Function, "runtime.") {
+			msg += fmt.Sprintf("\n\t%s (%s:%d)", f.Function, filepath.Base(f.File), f.Line)
+			n++
+		}
+		below = below || f.Function == "runtime.gopanic"
+	}
+	return errors.New(msg)
 }
 
 // finish classifies a run's outcome into the job's terminal state. It

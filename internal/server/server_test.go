@@ -319,6 +319,39 @@ func TestTimeoutExpiry(t *testing.T) {
 	}
 }
 
+// panickingRoute panics on circuits named "boom" and routes the rest.
+func panickingRoute(ctx context.Context, c *netlist.Circuit, cfg core.Config) (*core.Result, error) {
+	if c.Name == "boom" {
+		panic("stub route panicked")
+	}
+	return core.RouteContext(ctx, c, cfg)
+}
+
+// TestPanickingJob: a panic in a job's run fails that job with the panic
+// value and the panicking frame in its error, counts in /metrics, and
+// leaves the worker serving: the next job on it finishes done.
+func TestPanickingJob(t *testing.T) {
+	cfg := Config{Workers: 1}
+	cfg.route = panickingRoute
+	ts := newTestServer(t, cfg)
+
+	v := ts.submit(t, JobRequest{Circuit: tinyCircuit("boom")}, http.StatusAccepted)
+	got := ts.waitState(t, v.ID, StateFailed)
+	if !strings.HasPrefix(got.Error, "panic: stub route panicked") || !strings.Contains(got.Error, "panickingRoute") {
+		t.Errorf("panicked job error = %q, want the panic value and the panicking frame", got.Error)
+	}
+	next := ts.submit(t, JobRequest{Circuit: tinyCircuit("after")}, http.StatusAccepted)
+	ts.waitState(t, next.ID, StateDone)
+
+	if resp, data := ts.do(t, "GET", "/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz = %d %q", resp.StatusCode, data)
+	}
+	_, data := ts.do(t, "GET", "/metrics", nil)
+	if n := metricValue(t, string(data), "jobs_panicked"); n != "1" {
+		t.Errorf("jobs_panicked = %s, want 1", n)
+	}
+}
+
 // metricValue extracts one "name value" line from /metrics.
 func metricValue(t *testing.T, body, name string) string {
 	t.Helper()
