@@ -5,9 +5,9 @@
 // stitch penalties); two different evaluation orders of the same cost can
 // differ in the last ulp, so exact equality silently turns into
 // "usually true". Tie-breaks and convergence tests on float costs must
-// use an explicit epsilon (the detail router's A* already does:
-// re-expansion uses d < dist[i]-1e-12) or compare the integer quantities
-// the floats were derived from.
+// use an explicit epsilon (the global router's A* does: re-expansion
+// uses nd2 < old-1e-12) or compare the integer quantities the floats
+// were derived from (the detail router's A* runs on int32 costs).
 //
 // Exempt as deliberately exact: comparisons against literal zero (the
 // unset-sentinel idiom), x != x / x == x (the NaN test), comparisons of

@@ -11,16 +11,15 @@ import (
 // giving up.
 var retryMargins = []int{8, 24, 64}
 
-// nodeState is one window cell's search state, packed into 16 bytes so a
+// nodeState is one window cell's search state, packed into 12 bytes so a
 // visit or a pop touches a single cache line instead of four parallel
-// arrays, and the arena for a wide window stays a third smaller than the
-// 24-byte layout.
+// arrays. Every eq. (10) cost is an integer, so dist is an exact int32.
 type nodeState struct {
-	dist float64
+	dist int32
 	// stamp marks cells reached by the current search; tstamp marks
 	// target cells: cell i is a target iff tstamp == curStamp. The
 	// stamped fields replace per-call map builds and array clears.
-	// int16 keeps the struct at 16 bytes; searchCtx resets the arena
+	// int16 keeps the struct at 12 bytes; searchCtx resets the arena
 	// when the stamp counter would wrap (see astar).
 	stamp  int16
 	tstamp int16
@@ -68,8 +67,8 @@ type searchCtx struct {
 	// costXl/costYl are per-layer axis move costs, filled at the start
 	// of each search (they depend only on the layer's preferred
 	// direction and the config, not on the search itself).
-	costXl []float64
-	costYl []float64
+	costXl []int32
+	costYl []int32
 	// hx/hy are the heuristic's per-column and per-row Manhattan gaps to
 	// the target bounding box, filled at the start of each search so h
 	// is two loads instead of four compares.
@@ -272,9 +271,8 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 		return nil, false
 	}
 	// Tabulate the heuristic's per-column and per-row Manhattan gaps to
-	// the target bounding box. h then computes the same
-	// alpha * float64(dx+dy) it always did — same sum, same
-	// conversion, same multiply — from two table loads.
+	// the target bounding box, so h is alpha * (dx+dy) from two table
+	// loads.
 	if len(sc.hx) < W {
 		sc.hx = make([]int32, W)
 	}
@@ -300,15 +298,15 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 		sc.hy[wy] = int32(dy)
 	}
 	hx, hy := sc.hx, sc.hy
-	h := func(x, y int) float64 {
-		return alpha * float64(hx[x-win.X0]+hy[y-win.Y0])
+	h := func(x, y int) int32 {
+		return alpha * (hx[x-win.X0] + hy[y-win.Y0])
 	}
 
 	// Per-layer axis move costs: the same multiplications the expansion
 	// loop used to run per pop, hoisted to one pass over the layers.
 	if len(sc.costXl) < L {
-		sc.costXl = make([]float64, L)
-		sc.costYl = make([]float64, L)
+		sc.costXl = make([]int32, L)
+		sc.costYl = make([]int32, L)
 	}
 	for l := 0; l < L; l++ {
 		preferred := f.LayerDir(l + 1)
@@ -339,9 +337,9 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	pq := &sc.heap
 	pq.reset()
 	// visit relaxes window cell i (= coordinates x, y, l) to distance d.
-	visit := func(i, x, y, l int, d float64, mv int8) {
+	visit := func(i, x, y, l int, d int32, mv int8) {
 		n := &nodes[i]
-		if n.stamp != stamp || d < n.dist-1e-12 {
+		if n.stamp != stamp || d < n.dist {
 			n.stamp = stamp
 			n.dist = d
 			n.prevMv = mv
@@ -362,6 +360,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 	occ := r.occ
 	sact := r.sact
 	costZCol := r.costZCol
+	gamma := int32(cfg.Gamma)
 	X, XY := r.X, r.X*r.Y
 	id1 := id + 1
 	free := func(g int) bool { o := occ[g]; return o == 0 || o == id1 }
@@ -385,7 +384,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 		}
 		c := cell{x, y, l}
 		n := &nodes[i]
-		if n.stamp != stamp || fval-h(x, y) > n.dist+1e-9 {
+		if n.stamp != stamp || fval-h(x, y) > n.dist {
 			continue
 		}
 		// ECO act: the search reads occupancy only at popped cells'
@@ -422,7 +421,7 @@ func (r *Router) astar(t *routeTask, src, targets []cell, win geom.Rect) ([]cell
 		if flags&colStitch == 0 {
 			costY := costYl[l]
 			if cfg.StitchAware && flags&colEscape != 0 {
-				costY += cfg.Gamma
+				costY += gamma
 			}
 			if y+1 <= win.Y1 && free(gi+X) {
 				visit(i+W, x, y+1, l, d+costY, mvYPos)
@@ -511,17 +510,17 @@ const (
 // cellHeap is a binary min-heap of (window index, priority). It is owned
 // by a searchCtx and reused across searches via reset. The sift loops
 // move a hole instead of swapping (half the writes of a swap-based
-// heap), but run the exact comparison sequence of the classic swap
-// formulation, so the pop order — including among equal priorities,
-// which the router's tie-breaks depend on — is unchanged.
+// heap), and make the decisions of the classic swap formulation, so the
+// pop order — including among equal priorities, which the router's
+// tie-breaks depend on — is that formulation's.
 type cellHeap struct {
 	e []heapEntry
 }
 
-// heapEntry is 16 bytes: pos rides in what would otherwise be padding
-// after idx, so carrying the packed cell coordinates costs no space.
+// heapEntry is 12 bytes: the exact integer priority, the window index,
+// and the packed cell coordinates that spare the pop loop its divisions.
 type heapEntry struct {
-	prio float64
+	prio int32
 	idx  int32
 	pos  uint32
 }
@@ -530,7 +529,7 @@ func (h *cellHeap) reset() { h.e = h.e[:0] }
 
 func (h *cellHeap) len() int { return len(h.e) }
 
-func (h *cellHeap) push(i int, pos uint32, p float64) {
+func (h *cellHeap) push(i int, pos uint32, p int32) {
 	h.e = append(h.e, heapEntry{})
 	j := len(h.e) - 1
 	for j > 0 {
@@ -544,29 +543,52 @@ func (h *cellHeap) push(i int, pos uint32, p float64) {
 	h.e[j] = heapEntry{prio: p, idx: int32(i), pos: pos}
 }
 
-func (h *cellHeap) pop() (int, uint32, float64) {
-	top := h.e[0]
-	last := len(h.e) - 1
-	v := h.e[last]
-	h.e = h.e[:last]
+// pop removes and returns the minimum entry. The sift-down picks the
+// smaller child without a branch: c = l + b2i(right < left) compiles to
+// a SETcc, which an integer compare allows, and it takes the left child
+// on a tie. The hole then moves to c iff e[c] < v. That is the classic
+// loop's decision: it moves to the left child if left < v, and then to
+// the right one if right < min(left, v); both pick the strict minimum
+// of (v, left, right) and, on ties, v before left before right. A node
+// with one child (the last level) is handled after the loop.
+func (h *cellHeap) pop() (int, uint32, int32) {
+	e := h.e
+	top := e[0]
+	last := len(e) - 1
+	v := e[last]
+	e = e[:last]
+	h.e = e
 	j := 0
 	for {
-		l, rr := 2*j+1, 2*j+2
-		small, sp := j, v.prio
-		if l < last && h.e[l].prio < sp {
-			small, sp = l, h.e[l].prio
-		}
-		if rr < last && h.e[rr].prio < sp {
-			small, sp = rr, h.e[rr].prio
-		}
-		if small == j {
+		l := 2*j + 1
+		if l+1 >= last {
 			break
 		}
-		h.e[j] = h.e[small]
-		j = small
+		c := l + b2i(e[l+1].prio < e[l].prio)
+		if e[c].prio >= v.prio {
+			break
+		}
+		e[j] = e[c]
+		j = c
+	}
+	// The loop stops at a node with fewer than two children or with no
+	// child below v. Only in the first case can a lone left child, the
+	// heap's last entry, still be below v.
+	if l := 2*j + 1; l < last && e[l].prio < v.prio {
+		e[j] = e[l]
+		j = l
 	}
 	if last > 0 {
-		h.e[j] = v
+		e[j] = v
 	}
 	return int(top.idx), top.pos, top.prio
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a SETcc.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }

@@ -38,8 +38,10 @@ type Config struct {
 	// lines) hold in both modes, as in the paper's baseline.
 	StitchAware bool
 	// Beta and Gamma are the eq. (10) stitch weights (paper: 10, 5); the
-	// wirelength weight α is fixed at the paper's 1.
-	Beta, Gamma float64
+	// wirelength weight α is fixed at the paper's 1. Every eq. (10) cost
+	// is an integer, so the search runs on exact int32 costs: the weights
+	// must be non-negative and small (a via costs at most 2+2β+γ).
+	Beta, Gamma int
 	// OrderByBadEnds routes nets with more unavoidable bad ends first
 	// (§III-D2). On by default in stitch-aware mode; exposed separately
 	// for the net-ordering ablation.
@@ -51,10 +53,10 @@ type Config struct {
 // alpha for moves against a layer's preferred direction. maxExpansions
 // bounds each A* attempt.
 const (
-	alpha         float64 = 1
-	viaCost       float64 = 2
-	wrongWay      float64 = 2
-	maxExpansions         = 400_000
+	alpha         int32 = 1
+	viaCost       int32 = 2
+	wrongWay      int32 = 2
+	maxExpansions       = 400_000
 )
 
 // ResolveWorkers returns 1, the number of threads the detailed router
@@ -163,10 +165,8 @@ type Router struct {
 	// A* expansion loop. Read-only after NewRouter.
 	colFlags []uint8
 	// costZCol caches the per-x-track via cost (viaCost plus the
-	// stitch-aware column penalties of eq. 10). Computed with the same
-	// floating-point operation sequence the expansion loop used inline,
-	// so the cached values are bit-identical. Read-only after NewRouter.
-	costZCol []float64
+	// stitch-aware column penalties of eq. 10). Read-only after NewRouter.
+	costZCol []int32
 
 	// sc is the search scratch every connection search reuses; it also
 	// backs occ. Held only during a run.
@@ -198,7 +198,8 @@ func NewRouter(f *grid.Fabric, cfg Config) *Router {
 		}
 		r.colFlags[x] = fl
 	}
-	r.costZCol = make([]float64, r.X)
+	r.costZCol = make([]int32, r.X)
+	beta, gamma := int32(cfg.Beta), int32(cfg.Gamma)
 	for x := 0; x < r.X; x++ {
 		fl := r.colFlags[x]
 		costZ := viaCost
@@ -207,12 +208,12 @@ func NewRouter(f *grid.Fabric, cfg Config) *Router {
 			case fl&colStitch != 0:
 				// Allowed only at a fixed pin, but it is still a via
 				// violation: take it only as a last resort.
-				costZ += 2 * cfg.Beta
+				costZ += 2 * beta
 			case fl&colSUR != 0:
-				costZ += cfg.Beta
+				costZ += beta
 			}
 			if fl&colEscape != 0 {
-				costZ += cfg.Gamma
+				costZ += gamma
 			}
 		}
 		r.costZCol[x] = costZ

@@ -206,6 +206,8 @@ func TestRerouteFallback(t *testing.T) {
 
 func TestApplyValidation(t *testing.T) {
 	c := genCircuit(t, 1)
+	n1 := c.Nets[1]
+	p0 := n1.Pins[0]
 	cases := []struct {
 		name string
 		e    eco.Edit
@@ -220,6 +222,9 @@ func TestApplyValidation(t *testing.T) {
 		{"move-missing", eco.Edit{Op: eco.OpMove, ID: 999, Pins: []eco.Pin{{X: 1, Y: 1, Layer: 1}, {X: 2, Y: 2, Layer: 1}}}, "not found"},
 		{"movepin-bad-index", eco.Edit{Op: eco.OpMovePin, ID: 1, Pin: 99, X: 1, Y: 1}, "pin index"},
 		{"movepin-out-of-fabric", eco.Edit{Op: eco.OpMovePin, ID: 1, Pin: 0, X: 1000, Y: 1}, "outside"},
+		{"add-coincident-pins", eco.Edit{Op: eco.OpAdd, ID: 999, Pins: []eco.Pin{{X: 1, Y: 1, Layer: 1}, {X: 1, Y: 1, Layer: 1}}}, "both at (1,1)"},
+		{"move-coincident-pins", eco.Edit{Op: eco.OpMove, ID: 1, Pins: []eco.Pin{{X: 2, Y: 3, Layer: 1}, {X: 4, Y: 4, Layer: 2}, {X: 2, Y: 3, Layer: 1}}}, "pins 0 and 2"},
+		{"movepin-onto-pin", eco.Edit{Op: eco.OpMovePin, ID: n1.ID, Pin: 1, X: p0.X, Y: p0.Y, Layer: p0.Layer}, "is pin 0's cell"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,12 +72,16 @@ func editErr(i int, e Edit, format string, args ...any) error {
 	return fmt.Errorf("eco: edit %d (%s net %d): %s", i, e.Op, e.ID, fmt.Sprintf(format, args...))
 }
 
-// checkPins validates a full pin list against the fabric.
+// checkPins validates a full pin list against the fabric. Two pins of
+// one net on the same (x, y, layer) are rejected: the router treats them
+// as one pin cell, and the net it reports as routed is left
+// disconnected.
 func checkPins(c *netlist.Circuit, i int, e Edit) error {
 	if len(e.Pins) < 2 {
 		return editErr(i, e, "needs at least 2 pins, got %d", len(e.Pins))
 	}
 	f := c.Fabric
+	seen := make(map[Pin]int, len(e.Pins))
 	for pi, p := range e.Pins {
 		if p.X < 0 || p.X >= f.XTracks || p.Y < 0 || p.Y >= f.YTracks {
 			return editErr(i, e, "pin %d at (%d,%d) outside the %d x %d fabric", pi, p.X, p.Y, f.XTracks, f.YTracks)
@@ -85,6 +89,10 @@ func checkPins(c *netlist.Circuit, i int, e Edit) error {
 		if p.Layer < 1 || p.Layer > f.Layers {
 			return editErr(i, e, "pin %d layer %d outside [1,%d]", pi, p.Layer, f.Layers)
 		}
+		if pj, dup := seen[p]; dup {
+			return editErr(i, e, "pins %d and %d both at (%d,%d) on layer %d", pj, pi, p.X, p.Y, p.Layer)
+		}
+		seen[p] = pi
 	}
 	return nil
 }
@@ -173,8 +181,14 @@ func (s *Script) Apply(c *netlist.Circuit) (*netlist.Circuit, error) {
 			if layer < 1 || layer > f.Layers {
 				return nil, editErr(i, e, "target layer %d outside [1,%d]", layer, f.Layers)
 			}
+			moved := netlist.Pin{Point: geom.Point{X: e.X, Y: e.Y}, Layer: layer}
+			for pj, q := range old.Pins {
+				if pj != e.Pin && q == moved {
+					return nil, editErr(i, e, "target (%d,%d) on layer %d is pin %d's cell", e.X, e.Y, layer, pj)
+				}
+			}
 			pins := append([]netlist.Pin(nil), old.Pins...)
-			pins[e.Pin] = netlist.Pin{Point: geom.Point{X: e.X, Y: e.Y}, Layer: layer}
+			pins[e.Pin] = moved
 			nets[p] = &netlist.Net{ID: old.ID, Name: old.Name, Pins: pins}
 		default:
 			return nil, editErr(i, e, "unknown op %q", e.Op)

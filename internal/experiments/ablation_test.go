@@ -51,7 +51,7 @@ func TestSweepBetaGamma(t *testing.T) {
 	if testing.Short() {
 		t.Skip("routing experiment in -short mode")
 	}
-	rows, err := SweepBetaGamma("S9234", []float64{0, 10}, []float64{5})
+	rows, err := SweepBetaGamma("S9234", []int{0, 10}, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // SweepRow is one point of the β/γ parameter sweep.
 type SweepRow struct {
-	Beta, Gamma float64
+	Beta, Gamma int
 	RouteSummary
 }
 
@@ -17,7 +17,7 @@ type SweepRow struct {
 // each (β, γ) pair the full stitch-aware flow runs and reports #SP,
 // wirelength, and routability. The paper fixes β=10, γ=5; the sweep shows
 // that plateau (β dominates #SP; γ buys SUR safety for small WL).
-func SweepBetaGamma(circuit string, betas, gammas []float64) ([]SweepRow, error) {
+func SweepBetaGamma(circuit string, betas, gammas []int) ([]SweepRow, error) {
 	var rows []SweepRow
 	var cfgs []core.Config
 	for _, b := range betas {
@@ -39,8 +39,8 @@ func SweepBetaGamma(circuit string, betas, gammas []float64) ([]SweepRow, error)
 }
 
 // DefaultSweep returns the grid swept by cmd/tablegen -sweep.
-func DefaultSweep() (betas, gammas []float64) {
-	return []float64{0, 2, 5, 10, 20}, []float64{0, 5}
+func DefaultSweep() (betas, gammas []int) {
+	return []int{0, 2, 5, 10, 20}, []int{0, 5}
 }
 
 // FprintSweep renders the sweep results.
@@ -48,7 +48,7 @@ func FprintSweep(w io.Writer, circuit string, rows []SweepRow) {
 	fmt.Fprintf(w, "β/γ sweep on %s (paper: β=10, γ=5)\n", circuit)
 	fmt.Fprintf(w, "%6s %6s | %8s %6s %9s %8s\n", "β", "γ", "Rout%", "#SP", "WL", "CPU(s)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%6.0f %6.0f | %8.2f %6d %9d %8.2f\n",
+		fmt.Fprintf(w, "%6d %6d | %8.2f %6d %9d %8.2f\n",
 			r.Beta, r.Gamma, r.Routability, r.ShortPolygons, r.Wirelength, r.CPU.Seconds())
 	}
 }
