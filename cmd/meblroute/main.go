@@ -289,8 +289,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			detail := map[string]string{
 				"global": fmt.Sprintf("  WL %d  TVOF %d  MVOF %d  edge-overflow %d",
 					res.GlobalWL, res.TVOF, res.MVOF, res.EdgeOverflow),
-				"track": fmt.Sprintf("  bad-ends %d  ripped %d  doglegs %d",
-					res.TrackStats.BadEnds, res.TrackStats.Ripped, res.TrackStats.Doglegs),
+				"track": fmt.Sprintf("  bad-ends %d  ripped %d  doglegs %d  fallbacks %d",
+					res.TrackStats.BadEnds, res.TrackStats.Ripped, res.TrackStats.Doglegs, res.TrackStats.Fallbacks),
 				"detail": fmt.Sprintf("  ripped-nets %d  failed %d  searches %d  expansions %d",
 					res.RippedNets, res.FailedNets, res.DetailConnects, res.DetailExpansions),
 				"drc": fmt.Sprintf("  vert-violations %d  off-pin VV %d",

@@ -55,6 +55,7 @@ var Analyzer = &analysis.Analyzer{
 		"internal/global", "internal/detail", "internal/core",
 		"internal/steiner", "internal/track", "internal/plan",
 		"internal/fracture", "internal/stencil", "internal/eco",
+		"internal/layer", "internal/ilp",
 	},
 	Run: run,
 }

@@ -14,10 +14,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -284,15 +287,16 @@ func RoutePasses(ctx context.Context, c *netlist.Circuit, cfg Config, p Passes) 
 
 	// Stage 2a: layer assignment.
 	t0 = time.Now()
-	AssignLayers(c, res.Plans, cfg.LayerAlgo)
-	res.Times.Layer = time.Since(t0)
-	if err := ctx.Err(); err != nil {
+	if err := assignLayers(ctx, c, res.Plans, cfg.LayerAlgo); err != nil {
 		return nil, cancelErr(err)
 	}
+	res.Times.Layer = time.Since(t0)
 
 	// Stage 2b: track assignment.
 	t0 = time.Now()
-	res.TrackStats, res.RowRipped = AssignTracks(c, res.Plans, cfg.TrackAlgo)
+	if res.TrackStats, res.RowRipped, err = assignTracks(ctx, c, res.Plans, cfg.TrackAlgo); err != nil {
+		return nil, cancelErr(err)
+	}
 	res.Times.Track = time.Since(t0)
 
 	// Stage 3: detailed routing (second bottom-up pass), then DRC.
@@ -357,64 +361,103 @@ func layersByDir(c *netlist.Circuit, dir geom.Orientation) []int {
 	return out
 }
 
-// AssignLayers distributes every panel's global segments over the
-// same-direction layers (§III-B), writing GSeg.Layer.
-func AssignLayers(c *netlist.Circuit, plans []*plan.NetPlan, algo layer.Algo) {
-	vLayers := layersByDir(c, geom.Vertical)
-	hLayers := layersByDir(c, geom.Horizontal)
+// panelKey names one panel of segments: its direction (0 horizontal,
+// 1 vertical), its index across that direction, and, for track
+// assignment, its layer.
+type panelKey struct {
+	dirBit, panel, layer int
+}
 
-	byPanel := map[[2]int][]*plan.GSeg{} // {dirBit, panel}
-	var keys [][2]int
+// groupPanels groups the plans' segments by panel, and by layer too when
+// byLayer is set, and returns the keys sorted by direction, panel and
+// layer.
+func groupPanels(plans []*plan.NetPlan, byLayer bool) (map[panelKey][]*plan.GSeg, []panelKey) {
+	groups := map[panelKey][]*plan.GSeg{}
+	var keys []panelKey
 	for _, p := range plans {
 		if p == nil {
 			continue
 		}
 		for _, s := range p.Segs {
-			dirBit := 0
+			k := panelKey{panel: s.Panel}
 			if s.Dir == geom.Vertical {
-				dirBit = 1
+				k.dirBit = 1
 			}
-			k := [2]int{dirBit, s.Panel}
-			if _, ok := byPanel[k]; !ok {
+			if byLayer {
+				k.layer = s.Layer
+			}
+			if _, ok := groups[k]; !ok {
 				keys = append(keys, k)
 			}
-			byPanel[k] = append(byPanel[k], s)
+			groups[k] = append(groups[k], s)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	slices.SortFunc(keys, func(a, b panelKey) int {
+		return cmp.Or(cmp.Compare(a.dirBit, b.dirBit), cmp.Compare(a.panel, b.panel), cmp.Compare(a.layer, b.layer))
 	})
+	return groups, keys
+}
+
+// runPanels calls solve(i) for each panel of keys on at most GOMAXPROCS
+// goroutines at a time. Each solve must write only its own panel's
+// segments and result slot, so the outcome does not depend on the
+// schedule. Once ctx is done no further panel starts, and runPanels
+// returns ctx's error after the running ones end. A panel's panic is
+// re-raised on the calling goroutine, with the panel's key and stack,
+// after every panel goroutine has been joined.
+func runPanels(ctx context.Context, keys []panelKey, solve func(i int)) error {
+	var wg sync.WaitGroup
+	faults := make(chan string, len(keys))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, k := range keys {
+		sem <- struct{}{}
+		if ctx.Err() != nil || len(faults) > 0 {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					faults <- fmt.Sprintf("core: panel %+v: %v\n%s", k, r, debug.Stack())
+				}
+				<-sem
+				wg.Done()
+			}()
+			solve(i)
+		}()
+	}
+	wg.Wait()
+	if len(faults) > 0 {
+		panic(<-faults)
+	}
+	return ctx.Err()
+}
+
+// AssignLayers distributes every panel's global segments over the
+// same-direction layers (§III-B), writing GSeg.Layer.
+func AssignLayers(c *netlist.Circuit, plans []*plan.NetPlan, algo layer.Algo) {
+	_ = assignLayers(context.TODO(), c, plans, algo)
+}
+
+func assignLayers(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, algo layer.Algo) error {
+	vLayers := layersByDir(c, geom.Vertical)
+	hLayers := layersByDir(c, geom.Horizontal)
+	byPanel, keys := groupPanels(plans, false)
 	// Two phases: horizontal panels first, so the vertical phase can map
 	// its color groups to layers by via-stack cost against the now-known
 	// horizontal layers ([4]'s via-minimizing group-to-layer assignment).
-	// Panels within a phase are independent and solved in parallel; each
-	// goroutine writes only its own panel's segments.
-	runPhase := func(dirBit int, conn *hConnIndex) {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for _, k := range keys {
-			if k[0] != dirBit {
-				continue
-			}
-			wg.Add(1)
-			go func(k [2]int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if dirBit == 0 {
-					assignPanelLayers(byPanel[k], hLayers, algo, nil)
-				} else {
-					assignPanelLayers(byPanel[k], vLayers, algo, conn)
-				}
-			}(k)
-		}
-		wg.Wait()
+	// Keys sort horizontal first.
+	split := sort.Search(len(keys), func(i int) bool { return keys[i].dirBit == 1 })
+	hKeys, vKeys := keys[:split], keys[split:]
+	if err := runPanels(ctx, hKeys, func(i int) {
+		assignPanelLayers(byPanel[hKeys[i]], hLayers, algo, nil)
+	}); err != nil {
+		return err
 	}
-	runPhase(0, nil)
-	runPhase(1, buildHConnIndex(plans))
+	conn := buildHConnIndex(plans)
+	return runPanels(ctx, vKeys, func(i int) {
+		assignPanelLayers(byPanel[vKeys[i]], vLayers, algo, conn)
+	})
 }
 
 // hConnIndex locates, for a vertical segment end, the horizontal segment
@@ -522,77 +565,44 @@ func assignPanelLayers(segs []*plan.GSeg, layers []int, algo layer.Algo, conn *h
 // It returns the aggregated column-panel stats and the number of ripped
 // row-panel segments.
 func AssignTracks(c *netlist.Circuit, plans []*plan.NetPlan, algo track.Algo) (track.Stats, int) {
-	f := c.Fabric
-	type key struct {
-		dirBit, panel, layer int
-	}
-	groups := map[key][]*plan.GSeg{}
-	var keys []key
-	for _, p := range plans {
-		if p == nil {
-			continue
-		}
-		for _, s := range p.Segs {
-			dirBit := 0
-			if s.Dir == geom.Vertical {
-				dirBit = 1
-			}
-			k := key{dirBit, s.Panel, s.Layer}
-			if _, ok := groups[k]; !ok {
-				keys = append(keys, k)
-			}
-			groups[k] = append(groups[k], s)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.dirBit != b.dirBit {
-			return a.dirBit < b.dirBit
-		}
-		if a.panel != b.panel {
-			return a.panel < b.panel
-		}
-		return a.layer < b.layer
-	})
+	st, rows, _ := assignTracks(context.TODO(), c, plans, algo)
+	return st, rows
+}
 
-	// Panels are independent, so they are solved in parallel. Results are
-	// written only to each panel's own segments; the stats are merged
-	// after the barrier, keeping the outcome deterministic.
-	var agg track.Stats
-	rowRipped := 0
+func assignTracks(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, algo track.Algo) (track.Stats, int, error) {
+	f := c.Fabric
+	groups, keys := groupPanels(plans, true)
+	// The stats are merged after the panels end, in key order, keeping
+	// the outcome deterministic.
 	type result struct {
 		stats track.Stats
 		rows  int
 	}
 	results := make([]result, len(keys))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, k := range keys {
-		wg.Add(1)
-		go func(i int, k key) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			segs := groups[k]
-			if k.dirBit == 1 {
-				p := &track.Problem{
-					Width:          f.TileRect(k.panel, 0).W(),
-					HasRightStitch: (k.panel+1)*f.StitchPitch < f.XTracks,
-					SUREps:         f.SUREps,
-					Segs:           segs,
-				}
-				results[i].stats = track.Solve(p, algo)
-			} else {
-				results[i].rows = track.SolveRow(f.TileRect(0, k.panel).H(), segs)
+	err := runPanels(ctx, keys, func(i int) {
+		k, segs := keys[i], groups[keys[i]]
+		if k.dirBit == 1 {
+			p := &track.Problem{
+				Width:          f.TileRect(k.panel, 0).W(),
+				HasRightStitch: (k.panel+1)*f.StitchPitch < f.XTracks,
+				SUREps:         f.SUREps,
+				Segs:           segs,
 			}
-		}(i, k)
+			results[i].stats = track.Solve(ctx, p, algo)
+		} else {
+			results[i].rows = track.SolveRow(f.TileRect(0, k.panel).H(), segs)
+		}
+	})
+	if err != nil {
+		return track.Stats{}, 0, err
 	}
-	wg.Wait()
+	var agg track.Stats
+	rowRipped := 0
 	for _, r := range results {
 		agg.Ripped += r.stats.Ripped
 		agg.BadEnds += r.stats.BadEnds
 		agg.Doglegs += r.stats.Doglegs
-		agg.ILPNodes += r.stats.ILPNodes
+		agg.Fallbacks += r.stats.Fallbacks
 		rowRipped += r.rows
 	}
 	// Roll bad-end counts up to the nets for detailed-routing ordering.
@@ -605,5 +615,5 @@ func AssignTracks(c *netlist.Circuit, plans []*plan.NetPlan, algo track.Algo) (t
 			p.BadEnds += s.BadEnds
 		}
 	}
-	return agg, rowRipped
+	return agg, rowRipped, nil
 }

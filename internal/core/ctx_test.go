@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"stitchroute/internal/geom"
 	"stitchroute/internal/grid"
 	"stitchroute/internal/netlist"
+	"stitchroute/internal/plan"
+	"stitchroute/internal/track"
 )
 
 // TestRouteContextPreCancelled: a context cancelled before the call
@@ -105,6 +110,76 @@ func TestRouteJoinsGoroutines(t *testing.T) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines after Route, want %d:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its (n+1)-th
+// Err call on. The panel runner asks it once before starting each
+// panel, so exactly n panels start; the one-segment ILP searches below
+// end long before their first poll.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAssignTracksILPCancelled: once the context is cancelled, the ILP
+// track stage starts no further panel and returns the context's error;
+// the panels it had started are assigned, the rest are left untouched.
+func TestAssignTracksILPCancelled(t *testing.T) {
+	c := &netlist.Circuit{Name: "t", Fabric: grid.New(90, 90, 3)}
+	var plans []*plan.NetPlan
+	for i := 0; i < 6; i++ {
+		s := &plan.GSeg{NetID: i, Dir: geom.Vertical, Panel: i, Span: geom.Interval{Lo: 0, Hi: 3}, Layer: 2}
+		plans = append(plans, &plan.NetPlan{NetID: i, Segs: []*plan.GSeg{s}})
+	}
+	const started = 2
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.n.Store(started)
+	if _, _, err := assignTracks(ctx, c, plans, track.ILPBased); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i, p := range plans {
+		if solved := p.Segs[0].Tracks != nil; solved != (i < started) {
+			t.Errorf("panel %d: solved = %v, want %v", i, solved, i < started)
+		}
+	}
+}
+
+// TestRunPanelsRepanicsOnCaller: a panel's panic reaches the caller of
+// the runner, naming the panel, where it can be recovered; no panel
+// goroutine outlives the call.
+func TestRunPanelsRepanicsOnCaller(t *testing.T) {
+	keys := make([]panelKey, 8)
+	for i := range keys {
+		keys[i] = panelKey{dirBit: 1, panel: i, layer: 2}
+	}
+	before := runtime.NumGoroutine()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_ = runPanels(context.Background(), keys, func(i int) {
+			if i == 3 {
+				panic("boom")
+			}
+		})
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "panel {dirBit:1 panel:3 layer:2}: boom") {
+		t.Fatalf("recovered %v, want the panel's key and panic value", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, want %d", runtime.NumGoroutine(), before)
 		}
 		runtime.Gosched()
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,6 +24,24 @@ func TestTable12Formatting(t *testing.T) {
 	}
 }
 
+// checkGolden fails the test unless the arm's quality record is exactly
+// the harness golden entry of circuit under mode, or if there is none.
+func checkGolden(t *testing.T, circuit, mode string, arm RouteSummary) {
+	t.Helper()
+	ms, err := harness.ReadGolden[harness.Metrics](
+		filepath.Join("..", "harness", "testdata", "golden", circuit+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(ms, func(m harness.Metrics) bool { return m.Mode == mode })
+	if i < 0 {
+		t.Fatalf("%s golden has no %q entry", circuit, mode)
+	}
+	for _, bad := range harness.Compare(arm.Quality, ms[i].Quality) {
+		t.Errorf("%s/%s: %s", circuit, mode, bad)
+	}
+}
+
 // TestTable3MatchesGoldens: on the circuits the harness goldens pin,
 // each Table III arm carries exactly the pinned quality record, so a
 // results table cannot disagree with a golden.
@@ -32,20 +51,20 @@ func TestTable3MatchesGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		want, err := harness.ReadGolden[harness.Metrics](
-			filepath.Join("..", "harness", "testdata", "golden", r.Circuit+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms := map[string]RouteSummary{"stitch": r.Ours, "baseline": r.Baseline}
-		if len(want) != len(arms) {
-			t.Fatalf("%s golden has %d entries, want %d", r.Circuit, len(want), len(arms))
-		}
-		for _, m := range want {
-			for _, bad := range harness.Compare(arms[m.Mode].Quality, m.Quality) {
-				t.Errorf("%s/%s: %s", r.Circuit, m.Mode, bad)
-			}
-		}
+		checkGolden(t, r.Circuit, "stitch", r.Ours)
+		checkGolden(t, r.Circuit, "baseline", r.Baseline)
+	}
+}
+
+// TestTable7ILPMatchesGoldens: Table VII's ILP arm carries exactly the
+// harness golden's "ilp" record.
+func TestTable7ILPMatchesGoldens(t *testing.T) {
+	rows, err := Table7([]string{"Primary1", "S9234"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		checkGolden(t, r.Circuit, "ilp", r.ILP)
 	}
 }
 
@@ -223,10 +242,6 @@ func TestTable7BadEndContrast(t *testing.T) {
 	}
 	if !r.ILPSkipped && r.ILP.BadEnds > r.Graph.BadEnds {
 		t.Errorf("ILP bad ends %d above graph %d", r.ILP.BadEnds, r.Graph.BadEnds)
-	}
-	// The exact search must be dramatically slower than the heuristic.
-	if !r.ILPSkipped && r.ILP.CPU < 10*r.Graph.CPU {
-		t.Errorf("ILP CPU %.1fs not >> graph %.1fs", r.ILP.CPU.Seconds(), r.Graph.CPU.Seconds())
 	}
 	var sb strings.Builder
 	FprintTable7(&sb, rows)

@@ -310,7 +310,7 @@ func (m *matcher) matchBnB(ctx context.Context, res *Result) error {
 		p.nbrs[vi] = m.nbrs[off : off+deg]
 		off += deg
 	}
-	sol := ilp.SolveContext(ctx, p, bnbNodeBudget, 0)
+	sol := ilp.Solve(ctx, p, bnbNodeBudget)
 	res.MatchNodes += sol.Nodes
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("fracture: %w", err)

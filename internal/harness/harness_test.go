@@ -11,6 +11,7 @@ import (
 	"stitchroute/internal/core"
 	"stitchroute/internal/netlist"
 	"stitchroute/internal/nlio"
+	"stitchroute/internal/track"
 )
 
 func circuitHash(t testing.TB, c *netlist.Circuit) string {
@@ -42,15 +43,20 @@ func benchCircuit(t testing.TB, name string) func() *netlist.Circuit {
 	return func() *netlist.Circuit { return bench.Generate(spec) }
 }
 
-// goldenMetrics routes the named benchmark under both configs, checks
-// the hard invariants, and returns its golden metrics.
+// goldenMetrics routes the named benchmark under every golden mode:
+// the stitch-aware router, the baseline, and the stitch-aware router
+// with exact (ILP) track assignment, Table VII's middle arm. It checks
+// the hard invariants and returns the golden metrics.
 func goldenMetrics(t *testing.T, name string) []Metrics {
 	fresh := benchCircuit(t, name)
 	var got []Metrics
-	for _, mode := range []string{"stitch", "baseline"} {
+	for _, mode := range []string{"stitch", "baseline", "ilp"} {
 		cfg := core.StitchAware()
-		if mode == "baseline" {
+		switch mode {
+		case "baseline":
 			cfg = core.Baseline()
+		case "ilp":
+			cfg.TrackAlgo = track.ILPBased
 		}
 		c := fresh()
 		res, cr, err := RouteAndCheck(c, cfg)
@@ -66,7 +72,7 @@ func goldenMetrics(t *testing.T, name string) []Metrics {
 }
 
 // TestGoldenBenchmarks is the golden-metrics regression gate: each
-// benchmark is routed under both configs and the quality record and
+// benchmark is routed under every golden mode and the quality record and
 // routes hash must match the committed snapshot exactly. Refresh every
 // pinned snapshot with make repin.
 func TestGoldenBenchmarks(t *testing.T) {

@@ -4,13 +4,13 @@
 // CPLEX 12.3; this solver is the from-scratch substitute: it explores
 // decision variables depth-first in order, pruning any partial assignment
 // whose cost already meets the incumbent, and is exact when it terminates
-// within its node budget.
+// within its node budget. The budget is the only limit: the search reads
+// no clock, so its result depends on the input alone.
 package ilp
 
 import (
 	"context"
 	"math"
-	"time"
 )
 
 // Candidate is one feasible value for a decision variable together with
@@ -48,40 +48,20 @@ type Result struct {
 }
 
 // Solve runs branch and bound. nodeBudget bounds the number of search
-// nodes expanded (<= 0 means unlimited).
-func Solve(p Problem, nodeBudget int) Result {
-	return SolveContext(context.Background(), p, nodeBudget, 0)
-}
-
-// SolveDeadline is Solve with an additional wall-clock budget
-// (<= 0 means unlimited). The deadline is checked every few thousand
-// nodes; exceeding it truncates the search like the node budget does.
-func SolveDeadline(p Problem, nodeBudget int, deadline time.Duration) Result {
-	return SolveContext(context.Background(), p, nodeBudget, deadline)
-}
-
-// SolveContext is SolveDeadline under a context: cancellation is checked
-// inside the DFS on the same cadence as the wall-clock deadline, so a
-// cancelled caller (a deleted server job, an expired request) gets its
-// worker back within a few thousand nodes instead of after the full
+// nodes expanded (<= 0 means unlimited). Cancellation of ctx is checked
+// every few thousand nodes, so a cancelled caller (a deleted server job,
+// an expired request) gets its worker back without waiting for the full
 // search. A cancelled run returns the best assignment found so far with
-// Optimal=false, exactly like a node-budget truncation — the solver's
-// incumbent is always a feasible (if not proven optimal) answer.
-func SolveContext(ctx context.Context, p Problem, nodeBudget int, deadline time.Duration) Result {
+// Optimal=false, exactly like a node-budget truncation: the incumbent is
+// always a feasible, if not proven optimal, answer.
+func Solve(ctx context.Context, p Problem, nodeBudget int) Result {
 	s := &solver{
 		p:       p,
 		n:       p.NumVars(),
 		budget:  nodeBudget,
 		best:    math.Inf(1),
 		current: make([]int, p.NumVars()),
-	}
-	if deadline > 0 {
-		s.deadline = time.Now().Add(deadline)
-	}
-	// The background context can never be cancelled; skip the per-node
-	// Done checks entirely for Solve/SolveDeadline callers.
-	if ctx != nil && ctx.Done() != nil {
-		s.ctx = ctx
+		ctx:     ctx,
 	}
 	s.dfs(0, 0)
 	res := Result{Cost: s.best, Optimal: !s.truncated, Nodes: s.nodes}
@@ -99,7 +79,6 @@ type solver struct {
 	budget    int
 	nodes     int
 	truncated bool
-	deadline  time.Time
 	ctx       context.Context
 
 	best     float64
@@ -111,9 +90,8 @@ type solver struct {
 	stack []Candidate
 }
 
-// checkEvery is how often (in expanded nodes) the deadline and context
-// are polled; both checks share the cadence so cancellation costs one
-// comparison per node in the common case.
+// checkEvery is how often (in expanded nodes) the context is polled, so
+// cancellation costs one comparison per node in the common case.
 const checkEvery = 4096
 
 func (s *solver) dfs(v int, cost float64) {
@@ -134,19 +112,9 @@ func (s *solver) dfs(v int, cost float64) {
 		s.truncated = true
 		return
 	}
-	if s.nodes%checkEvery == 0 {
-		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			s.truncated = true
-			return
-		}
-		if s.ctx != nil {
-			select {
-			case <-s.ctx.Done():
-				s.truncated = true
-				return
-			default:
-			}
-		}
+	if s.nodes%checkEvery == 0 && s.ctx.Err() != nil {
+		s.truncated = true
+		return
 	}
 	base := len(s.stack)
 	s.stack = s.p.Candidates(v, s.stack)

@@ -36,7 +36,7 @@ func TestSolveAssignment(t *testing.T) {
 		},
 		used: make([]bool, 3),
 	}
-	res := Solve(p, 0)
+	res := Solve(context.Background(), p, 0)
 	if !res.Optimal {
 		t.Fatal("unlimited budget not optimal")
 	}
@@ -67,7 +67,7 @@ func TestSolveInfeasible(t *testing.T) {
 		cost: [][]float64{{1, 2}, {1, 2}},
 		used: make([]bool, 2),
 	}}
-	res := Solve(p, 0)
+	res := Solve(context.Background(), p, 0)
 	if res.Values != nil {
 		t.Fatalf("infeasible problem returned values %v", res.Values)
 	}
@@ -89,7 +89,7 @@ func TestNodeBudgetTruncates(t *testing.T) {
 		}
 	}
 	p := &permProblem{cost: cost, used: make([]bool, n)}
-	res := Solve(p, 5)
+	res := Solve(context.Background(), p, 5)
 	if res.Optimal {
 		t.Error("budget-limited search claimed optimality")
 	}
@@ -108,7 +108,7 @@ func TestPruningStillOptimal(t *testing.T) {
 		{7, 6, 9, 4},
 	}
 	p := &permProblem{cost: cost, used: make([]bool, 4)}
-	res := Solve(p, 0)
+	res := Solve(context.Background(), p, 0)
 	want := bruteForce(cost)
 	if res.Cost != want {
 		t.Errorf("cost = %v, want %v", res.Cost, want)
@@ -146,7 +146,7 @@ func bruteForce(cost [][]float64) float64 {
 
 func TestZeroVars(t *testing.T) {
 	p := &permProblem{}
-	res := Solve(p, 0)
+	res := Solve(context.Background(), p, 0)
 	if res.Cost != 0 || len(res.Values) != 0 || !res.Optimal {
 		t.Errorf("empty problem: %+v", res)
 	}
@@ -168,10 +168,10 @@ func wideProblem(n int) *permProblem {
 	return &permProblem{cost: cost, used: make([]bool, n)}
 }
 
-func TestSolveContextCancelled(t *testing.T) {
+func TestSolveCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the first periodic check must stop the DFS
-	res := SolveContext(ctx, wideProblem(12), 0, 0)
+	res := Solve(ctx, wideProblem(12), 0)
 	if res.Optimal {
 		t.Error("cancelled search reported optimal")
 	}
@@ -182,14 +182,6 @@ func TestSolveContextCancelled(t *testing.T) {
 	}
 }
 
-func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
-	a := Solve(wideProblem(7), 0)
-	b := SolveContext(context.Background(), wideProblem(7), 0, 0)
-	if a.Cost != b.Cost || !a.Optimal || !b.Optimal || a.Nodes != b.Nodes {
-		t.Errorf("Solve %+v and SolveContext(Background) %+v diverge", a, b)
-	}
-}
-
 // TestSolveAllocs pins the allocation-free steady state of the DFS: a
 // solve allocates its setup (solver state, the value vectors, a few
 // growths of the candidate stack) a bounded number of times, never once
@@ -197,7 +189,7 @@ func TestSolveContextBackgroundMatchesSolve(t *testing.T) {
 func TestSolveAllocs(t *testing.T) {
 	p := wideProblem(9)
 	var nodes int
-	allocs := testing.AllocsPerRun(5, func() { nodes = Solve(p, 0).Nodes })
+	allocs := testing.AllocsPerRun(5, func() { nodes = Solve(context.Background(), p, 0).Nodes })
 	if nodes < 1000 {
 		t.Fatalf("search expanded only %d nodes; the instance no longer exercises the DFS", nodes)
 	}

@@ -22,6 +22,7 @@
 package layer
 
 import (
+	"context"
 	"math/rand"
 
 	"stitchroute/internal/geom"
@@ -341,7 +342,7 @@ func ExactAssign(in *Instance, k int, nodeBudget int) ([]int, bool) {
 	for i := range m.colors {
 		m.colors[i] = -1
 	}
-	res := ilp.Solve(m, nodeBudget)
+	res := ilp.Solve(context.TODO(), m, nodeBudget)
 	if res.Values == nil {
 		return Assign(in, k, KColorableSubset), false
 	}

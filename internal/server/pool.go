@@ -60,8 +60,8 @@ func (s *Server) runJob(j *Job) (o outcome, ran bool) {
 	j.mu.Unlock()
 
 	// A panic in routing, ECO or write-prep fails this job only: the
-	// worker goes on to the next one. A panic on a goroutine the run
-	// starts (core's layer and track panels) is out of reach.
+	// worker goes on to the next one. Core re-raises a panic of a layer
+	// or track panel goroutine here, on the run's own goroutine.
 	defer func() {
 		if v := recover(); v != nil {
 			s.metrics.panicked.Add(1)

@@ -61,7 +61,7 @@ func selectCharacters(ctx context.Context, cands []Character, pl plate) ([]Chara
 		cands: cands,
 		cap:   (pl.w - halo) * (pl.h - halo),
 	}
-	sol := ilp.SolveContext(ctx, p, selectNodeBudget, 0)
+	sol := ilp.Solve(ctx, p, selectNodeBudget)
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("stencil: %w", err)
 	}

