@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint stitchvet lint-audit lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden repin clean help
+.PHONY: all build vet lint stitchvet lint-audit lint-fixtures test test-short race race-fast serve bench bench-json bench-smoke tables figures coverage fuzz fuzz-eco soak fracture-golden eco-golden repin loc clean help
 
 all: build vet test ## build + vet + full tests
 
@@ -145,6 +145,14 @@ eco-golden: ## run the ECO golden gate
 repin: ## rewrite every test-held pin and print each field that changed
 	$(GO) -C internal/harness test -run '^Test(GoldenBenchmarks|ECOGolden|FractureGolden)$$' -update
 	$(GO) -C internal/detail test -run '^Test(RecordingHash|GlobalTraceHash)$$' -update
+
+# Size of the program: non-test Go lines outside benchmark/ and any
+# testdata/, per package directory and in total (blank and comment
+# lines count). Changes that simplify report the total before and after.
+loc: ## count non-test Go lines per package and in total
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Multi-seed end-to-end correctness soak (full invariant battery over the
 # harness parameter grid).

@@ -174,7 +174,7 @@ func TestOnlyECORunsPoolScratch(t *testing.T) {
 	cold := func() { NewRouter(f, DefaultConfig(true)).Run(c, nil) }
 	patch := func() {
 		t.Helper()
-		if _, _, err := NewRouter(f, DefaultConfig(true)).RunPatch(context.Background(), c, nil, &Patch{}); err != nil {
+		if _, _, err := NewRouter(f, DefaultConfig(true)).RunPatch(context.Background(), c, nil, &Memo{}); err != nil {
 			t.Fatal(err)
 		}
 	}

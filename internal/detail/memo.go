@@ -24,16 +24,19 @@ package detail
 // accepted candidates ∪ committed wires, including ones a later rip-up
 // cleared). The dirty bitset covers, before any net's clean check,
 // every cell where the edited run's occupancy can differ from the
-// parent run's: the parent write footprints of all edited/deleted/replan
-// nets, the post-prepare write footprints of those nets' new geometry,
-// and — grown stickily as the loop runs — the write footprint of every
-// net that routed live and diverged. Reads never enter the dirty region:
-// a net's searches depend on what it reads, but only its writes can
-// change what other nets read. A clean intersection (of the net's parent
-// activity ∪ current footprint against the dirty bitset) therefore
-// certifies the net's searches would read byte-identical occupancy and
-// commit byte-identical geometry, so stamping the recorded geometry
-// reproduces the cold run's state exactly; by induction the whole run is
+// parent run's: the parent write footprints of every stale parent slot
+// (one that Memo.From matches to no net: a deleted, edited or replanned
+// net), the post-prepare write footprints of every unmatched net's new
+// geometry, and — grown stickily as the loop runs — the write footprint
+// of every net that routed live and diverged. A net deleted and re-added
+// under its old ID is unmatched and its old slot stale, like any other
+// edit. Reads never enter the dirty region: a net's searches depend on
+// what it reads, but only its writes can change what other nets read.
+// A clean intersection (of the net's parent activity ∪ current
+// footprint against the dirty bitset) therefore certifies the net's
+// searches would read byte-identical occupancy and commit
+// byte-identical geometry, so stamping the recorded geometry reproduces
+// the cold run's state exactly; by induction the whole run is
 // byte-identical to a cold run on the edited circuit. A cold run
 // (RunContext) is this same pass with no parent recording, in which
 // every net routes live: both run prepare and then loop, so they cannot
@@ -56,30 +59,34 @@ const (
 	actTileShift = 3 // log2(actTile), for the per-pop marking in astar
 )
 
-// Memo is a previous run's recording. Nets are matched by ID, through
-// Slot: slot numbers shift when nets are added or deleted.
+// Memo is a previous run's recording, paired with the run at hand slot
+// by slot through From.
 type Memo struct {
-	// Dirty marks nets that must route live regardless of their
-	// footprints AND whose write footprints seed the dirty region
-	// unconditionally: edited nets and nets whose plan changed (their
-	// ordering key — level, bad ends, HPWL — may have changed, so their
-	// commit timing relative to other nets can shift even if their
-	// geometry would not), plus deleted nets (their absence changes what
-	// everyone reads in their footprint; they have no task, but their
-	// parent write footprint still seeds the bitset).
+	// From matches each slot of the circuit being routed with the
+	// parent slot whose records it may reuse. An unmatched slot (-1)
+	// routes live regardless of its footprints, and its new write
+	// footprint seeds the dirty region unconditionally: an edited net,
+	// or one whose plan changed (its ordering key — level, bad ends,
+	// HPWL — may have changed, so its commit timing relative to other
+	// nets can shift even if its geometry would not). A parent slot no
+	// slot matches is stale: its net was deleted, edited or replanned,
+	// and its parent write footprint seeds the dirty region (a deleted
+	// net has no task, but its absence changes what everyone reads in
+	// its footprint).
 	//
-	// Parent-failed nets are NOT dirty: the ordering sort is stable, so
+	// Parent-failed nets stay matched: the ordering sort is stable, so
 	// a net with an unchanged key keeps its position relative to every
 	// other unchanged-key net, and a re-search that reproduces the
 	// parent's final state (routes + retained pin reservations) is
 	// invisible to everyone else. They replay like routed nets when
 	// their reads are clean (an empty-geometry replay), and when they do
 	// re-search they grow the dirty region only on divergence.
-	Dirty map[int]bool
-	// Slot maps each parent net ID to its slot in the parent's per-net
-	// records below, which are the parent Result's, indexed like its
-	// Routes.
-	Slot   map[int]int
+	//
+	// RunPatch reads the same match: a matched slot grafts its parent
+	// route, an unmatched one is ripped up and routed.
+	From plan.Match
+	// Routes and Recording are the parent Result's per-net records,
+	// indexed by parent slot.
 	Routes []plan.NetRoute
 	Recording
 }
@@ -176,45 +183,38 @@ func (r *Router) runMemo(ctx context.Context, c *netlist.Circuit, plans []*plan.
 }
 
 // seedDirty returns the dirty bitset as it stands before the first clean
-// check: the parent write footprints of every dirty net (deleted nets
-// included — the map is keyed by ID, not slot) plus the post-prepare
-// write footprint of every dirty net's new geometry. The packed
-// footprints are read as they are: their words are ORed into and
-// tested against this one dense bitset.
+// check: the parent write footprints of every stale parent slot (deleted
+// nets included) plus the post-prepare write footprint of every
+// unmatched net's new geometry. The packed footprints are read as they
+// are: their words are ORed into and tested against this one dense
+// bitset.
 func (m *Memo) seedDirty(nets []*routeTask, words int) []uint64 {
 	dirty := make([]uint64, words)
-	for id := range m.Dirty {
-		if ps, ok := m.Slot[id]; ok {
+	for ps, stale := range m.From.Stale(len(m.Routes)) {
+		if stale {
 			m.WActs.Nets[ps].OrInto(dirty)
-		}
-	}
-	for _, t := range nets {
-		if m.Dirty[t.net.ID] {
-			t.wact.OrInto(dirty)
 		}
 	}
 	// Prepare-phase divergence: materialize's conflict check reads other
 	// nets' cells, so an edit can flip a candidate's verdict — the net
 	// then writes (or stops writing) cells during prepare, before any
-	// clean check runs. Comparing each net's post-prepare candidate set
-	// against the parent's catches exactly the nets whose prepare
-	// writes changed; seeding both their parent and current write
-	// footprints makes those writes dirty from the start (the net also
-	// routes live — its pin cells sit in both footprints). Detection is
-	// outcome-based, so no fixpoint is needed: a flipped verdict further
-	// down the slot order shows up in that net's own comparison.
+	// clean check runs. Comparing each matched net's post-prepare
+	// candidate set against the parent's catches exactly the nets whose
+	// prepare writes changed; seeding both their parent and current
+	// write footprints makes those writes dirty from the start (the net
+	// also routes live — its pin cells sit in both footprints).
+	// Detection is outcome-based, so no fixpoint is needed: a flipped
+	// verdict further down the slot order shows up in that net's own
+	// comparison.
 	for _, t := range nets {
-		id := t.net.ID
-		if m.Dirty[id] {
+		ps := m.From.Parent(t.slot)
+		if ps >= 0 && slices.Equal(m.MatWires[ps], t.wires) {
 			continue
 		}
-		ps, ok := m.Slot[id]
-		if !ok || !slices.Equal(m.MatWires[ps], t.wires) {
-			if ok {
-				m.WActs.Nets[ps].OrInto(dirty)
-			}
-			t.wact.OrInto(dirty)
+		if ps >= 0 {
+			m.WActs.Nets[ps].OrInto(dirty)
 		}
+		t.wact.OrInto(dirty)
 	}
 	return dirty
 }
@@ -239,9 +239,8 @@ func (r *Router) loop(ctx context.Context, res *Result, order []*routeTask, m *M
 			r.routeOne(t, res)
 			continue
 		}
-		id := t.net.ID
-		ps, hasRec := m.Slot[id]
-		if !m.Dirty[id] && hasRec &&
+		ps := m.From.Parent(t.slot)
+		if ps >= 0 &&
 			!m.Acts.Nets[ps].Intersects(dirty) && !t.act.Intersects(dirty) &&
 			r.canReplay(t, m.Routes[ps]) {
 			// Failed parents replay too: empty geometry, cleared
@@ -264,15 +263,15 @@ func (r *Router) loop(ctx context.Context, res *Result, order []*routeTask, m *M
 			continue
 		}
 		r.routeOne(t, res)
-		// Divergence: dirty nets grow the region unconditionally (their
-		// commit timing may have moved); a key-stable net that ended in
-		// its recorded final state — same routes AND same retained pin
-		// reservations — changed no cell anyone else can observe. Only
-		// write footprints grow the region: a diverged net's reads
-		// cannot invalidate another net's state.
-		if m.Dirty[id] || !hasRec || !m.Routes[ps].Equal(res.Routes[t.slot]) ||
+		// Divergence: unmatched nets grow the region unconditionally
+		// (their commit timing may have moved); a matched net that
+		// ended in its recorded final state — same routes AND same
+		// retained pin reservations — changed no cell anyone else can
+		// observe. Only write footprints grow the region: a diverged
+		// net's reads cannot invalidate another net's state.
+		if ps < 0 || !m.Routes[ps].Equal(res.Routes[t.slot]) ||
 			!slices.Equal(m.FreedPins[ps], t.freedPins) {
-			if hasRec {
+			if ps >= 0 {
 				m.WActs.Nets[ps].OrInto(dirty)
 			}
 			res.WActs.Nets[t.slot].OrInto(dirty)

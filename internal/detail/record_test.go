@@ -15,6 +15,7 @@ import (
 	"stitchroute/internal/core"
 	"stitchroute/internal/global"
 	"stitchroute/internal/harness"
+	"stitchroute/internal/netlist"
 	"stitchroute/internal/plan"
 )
 
@@ -73,19 +74,20 @@ func checkPinned[T any](t *testing.T, file string, got []T, name func(T) string)
 // pinnedCircuits are the cold routes whose recordings are pinned.
 var pinnedCircuits = []string{"Primary1", "S9234"}
 
-// routeCold routes the named benchmark cold under the stitch-aware
-// config.
-func routeCold(t *testing.T, name string) *core.Result {
+// routeCold generates the named benchmark and routes it cold under the
+// stitch-aware config.
+func routeCold(t *testing.T, name string) (*netlist.Circuit, *core.Result) {
 	t.Helper()
 	spec, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Route(bench.Generate(spec), core.StitchAware())
+	c := bench.Generate(spec)
+	res, err := core.Route(c, core.StitchAware())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return c, res
 }
 
 // recordingHashes are one circuit's pinned footprint hashes.
@@ -103,7 +105,7 @@ type recordingHashes struct {
 func TestRecordingHash(t *testing.T) {
 	var got []recordingHashes
 	for _, name := range pinnedCircuits {
-		res := routeCold(t, name)
+		_, res := routeCold(t, name)
 		got = append(got, recordingHashes{name, footprintsHash(res.ECO.Acts), footprintsHash(res.ECO.WActs)})
 	}
 	checkPinned(t, "recording.json", got, func(h recordingHashes) string { return h.Circuit })
@@ -112,21 +114,22 @@ func TestRecordingHash(t *testing.T) {
 // globalTraceHash hashes the global trace net by net in ascending ID
 // order: the ID, the read-set as footprintsHash writes a footprint, then
 // the committed edges' count and tile coordinates, little-endian uint32.
-func globalTraceHash(tr *global.Trace) string {
-	ids := make([]int, 0, len(tr.Nets))
-	for id := range tr.Nets {
-		ids = append(ids, id)
+// The trace is indexed like c's nets.
+func globalTraceHash(c *netlist.Circuit, tr *global.Trace) string {
+	slots := make([]int, len(tr.Nets))
+	for i := range slots {
+		slots[i] = i
 	}
-	sort.Ints(ids)
+	sort.Slice(slots, func(i, j int) bool { return c.Nets[slots[i]].ID < c.Nets[slots[j]].ID })
 	h := sha256.New()
 	var b [4]byte
 	put := func(v int) {
 		binary.LittleEndian.PutUint32(b[:], uint32(v))
 		h.Write(b[:])
 	}
-	for _, id := range ids {
-		nt := tr.Nets[id]
-		put(id)
+	for _, slot := range slots {
+		nt := &tr.Nets[slot]
+		put(c.Nets[slot].ID)
 		hashFootprint(h, nt.ReadSet)
 		put(len(nt.Edges))
 		for _, e := range nt.Edges {
@@ -154,7 +157,8 @@ type traceHash struct {
 func TestGlobalTraceHash(t *testing.T) {
 	var got []traceHash
 	for _, name := range pinnedCircuits {
-		got = append(got, traceHash{name, globalTraceHash(routeCold(t, name).ECO.Global)})
+		c, res := routeCold(t, name)
+		got = append(got, traceHash{name, globalTraceHash(c, res.ECO.Global)})
 	}
 	checkPinned(t, "globaltrace.json", got, func(h traceHash) string { return h.Circuit })
 }

@@ -37,10 +37,7 @@ func TestCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := &detail.Memo{Slot: map[int]int{}, Routes: parent.Routes, Recording: parent.ECO.Recording}
-	for i, n := range c.Nets {
-		memo.Slot[n.ID] = i
-	}
+	memo := &detail.Memo{From: unedited(len(c.Nets)), Routes: parent.Routes, Recording: parent.ECO.Recording}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dr := func() *detail.Router { return detail.NewRouter(c.Fabric, cfg.Detail) }
@@ -55,7 +52,7 @@ func TestCancellation(t *testing.T) {
 			return res, err
 		}},
 		{"RunPatch", func() (*detail.Result, error) {
-			res, _, err := dr().RunPatch(ctx, c, parent.Plans, &detail.Patch{})
+			res, _, err := dr().RunPatch(ctx, c, parent.Plans, &detail.Memo{})
 			return res, err
 		}},
 		{"RouteAllContext", func() (*detail.Result, error) {
@@ -176,13 +173,9 @@ func TestArenaReuse(t *testing.T) {
 	p1, p1Res := routed("Primary1")
 	detail.NewRouter(p1.Fabric, cfg.Detail).Use(used).Run(p1, p1Res.Plans)
 	s13207, parent := routed("S13207")
-	p := &detail.Patch{
-		Dirty:     make([]bool, len(s13207.Nets)),
-		Keep:      parent.Routes,
-		FreedPins: parent.ECO.FreedPins,
-	}
-	for i := 0; i < len(p.Dirty); i += 50 {
-		p.Dirty[i] = true
+	p := &detail.Memo{From: unedited(len(s13207.Nets)), Routes: parent.Routes, Recording: parent.ECO.Recording}
+	for i := 0; i < len(p.From); i += 50 {
+		p.From[i] = -1
 	}
 	if _, _, err := detail.NewRouter(s13207.Fabric, cfg.Detail).Use(used).RunPatch(context.Background(), s13207, parent.Plans, p); err != nil {
 		t.Fatal(err)
@@ -192,10 +185,9 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
-// TestRunPatchReadOnly runs one Patch twice on fresh routers: the
-// results must be identical and the Patch must be left as it was,
-// including a slot beyond Keep, which is routed live without being
-// marked dirty in the caller's Patch.
+// TestRunPatchReadOnly runs one Memo twice through RunPatch on fresh
+// routers: the results must be identical and the Memo must be left as it
+// was, including a slot past the end of From, which is routed live.
 func TestRunPatchReadOnly(t *testing.T) {
 	spec := harness.ShortGrid()[0]
 	spec.Seed = 5
@@ -204,19 +196,15 @@ func TestRunPatchReadOnly(t *testing.T) {
 	parent := detail.NewRouter(c.Fabric, cfg).Run(c, nil)
 
 	n := len(c.Nets)
-	p := &detail.Patch{
-		Dirty:     make([]bool, n),
-		Keep:      append([]plan.NetRoute(nil), parent.Routes[:n-1]...),
-		FreedPins: append([][]detail.Cell(nil), parent.FreedPins[:n-1]...),
-	}
+	m := &detail.Memo{From: unedited(n - 1), Routes: parent.Routes, Recording: parent.Recording}
 	for i := 0; i < n; i += 5 {
-		p.Dirty[i] = true
+		m.From[i] = -1
 	}
-	before := clonePatch(p)
+	before := cloneMemo(m)
 
 	var results [2]*detail.Result
 	for k := range results {
-		res, grafted, err := detail.NewRouter(c.Fabric, cfg).RunPatch(context.Background(), c, nil, p)
+		res, grafted, err := detail.NewRouter(c.Fabric, cfg).RunPatch(context.Background(), c, nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,29 +212,40 @@ func TestRunPatchReadOnly(t *testing.T) {
 			t.Fatalf("grafted %d nets, want %d", grafted, want)
 		}
 		results[k] = res
-		if !reflect.DeepEqual(p, before) {
-			t.Fatalf("run %d changed its Patch", k)
+		if !reflect.DeepEqual(m, before) {
+			t.Fatalf("run %d changed its Memo", k)
 		}
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatal("two runs of one Patch differ")
+		t.Fatal("two runs of one Memo differ")
 	}
 }
 
-func clonePatch(p *detail.Patch) *detail.Patch {
-	q := &detail.Patch{
-		Dirty:     slices.Clone(p.Dirty),
-		Keep:      slices.Clone(p.Keep),
-		FreedPins: slices.Clone(p.FreedPins),
+// unedited returns the match of an unedited circuit of n nets: every
+// slot reuses its own parent slot.
+func unedited(n int) plan.Match {
+	from := make(plan.Match, n)
+	for i := range from {
+		from[i] = i
 	}
-	for i := range q.Keep {
-		q.Keep[i].Wires = slices.Clone(q.Keep[i].Wires)
-		q.Keep[i].Vias = slices.Clone(q.Keep[i].Vias)
+	return from
+}
+
+// cloneMemo deep-copies what RunPatch reads of a Memo: the match, the
+// routes and the freed-pin records.
+func cloneMemo(m *detail.Memo) *detail.Memo {
+	q := *m
+	q.From = slices.Clone(m.From)
+	q.Routes = slices.Clone(m.Routes)
+	for i := range q.Routes {
+		q.Routes[i].Wires = slices.Clone(q.Routes[i].Wires)
+		q.Routes[i].Vias = slices.Clone(q.Routes[i].Vias)
 	}
+	q.FreedPins = slices.Clone(m.FreedPins)
 	for i := range q.FreedPins {
 		q.FreedPins[i] = slices.Clone(q.FreedPins[i])
 	}
-	return q
+	return &q
 }
 
 // TestRunMemoMatchesCold replays harness circuits against their own
@@ -263,15 +262,8 @@ func TestRunMemoMatchesCold(t *testing.T) {
 			parent := detail.NewRouter(c.Fabric, cfg).Run(c, nil)
 			k := (gi + int(seed)) * len(c.Nets) / 7
 			edited := movePin(c, k)
-			m := &detail.Memo{
-				Dirty:     map[int]bool{c.Nets[k].ID: true},
-				Slot:      map[int]int{},
-				Routes:    parent.Routes,
-				Recording: parent.Recording,
-			}
-			for i, n := range c.Nets {
-				m.Slot[n.ID] = i
-			}
+			m := &detail.Memo{From: unedited(len(c.Nets)), Routes: parent.Routes, Recording: parent.Recording}
+			m.From[k] = -1
 			got, n, err := detail.NewRouter(c.Fabric, cfg).RunMemo(context.Background(), edited, nil, m)
 			if err != nil {
 				t.Fatal(err)

@@ -96,37 +96,29 @@ type Base struct {
 }
 
 // Update returns CheckSlots(c, routes), computed from base instead of
-// from every net. kept[i] is the base slot whose route and pins slot i
-// of c carries verbatim, or -1 when slot i is checked afresh. A net's
-// contribution to the report depends only on the fabric, its route and
-// its pins, so the counts are the base's, minus the base slots no slot
-// keeps, plus the fresh slots. SPSites are rebuilt in slot order from
-// the fresh slots and the kept slots in base.SPSlots, so the report
-// equals a full check's exactly. c must be on base's fabric.
-func Update(base Base, c *netlist.Circuit, routes []plan.NetRoute, kept []int) (Report, []int) {
+// from every net. from.Parent(i) is the base slot whose route and pins
+// slot i of c carries verbatim, or -1 when slot i is checked afresh. A
+// net's contribution to the report depends only on the fabric, its
+// route and its pins, so the counts are the base's, minus the stale
+// base slots (those no slot keeps), plus the fresh slots. SPSites are
+// rebuilt in slot order from the fresh slots and the kept slots in
+// base.SPSlots, so the report equals a full check's exactly. c must be
+// on base's fabric.
+func Update(base Base, c *netlist.Circuit, routes []plan.NetRoute, from plan.Match) (Report, []int) {
 	if base.SPSlots == nil {
 		return CheckSlots(c, routes)
 	}
-	const (
-		isKept = 1 << iota
-		hasSP
-	)
-	flags := make([]uint8, len(base.Routes))
-	for _, p := range kept {
-		if p >= 0 {
-			flags[p] |= isKept
-		}
-	}
+	hasSP := make([]bool, len(base.Routes))
 	for _, p := range base.SPSlots {
-		flags[p] |= hasSP
+		hasSP[p] = true
 	}
 
-	// What the dropped base slots contributed; their sites are not
+	// What the stale base slots contributed; their sites are not
 	// wanted.
 	var gone Report
 	var sc checkScratch
-	for p := range base.Routes {
-		if flags[p]&isKept == 0 {
+	for p, stale := range from.Stale(len(base.Routes)) {
+		if stale {
 			checkNet(base.Circuit.Fabric, &base.Routes[p], pinsAt(base.Circuit, p), &gone, &sc)
 		}
 	}
@@ -138,16 +130,13 @@ func Update(base Base, c *netlist.Circuit, routes []plan.NetRoute, kept []int) (
 	sc.siteCap = maxSPSites
 	slots := []int{}
 	for i := range routes {
-		p := -1
-		if i < len(kept) {
-			p = kept[i]
-		}
+		p := from.Parent(i)
 		switch {
 		case p < 0:
 			if checkNet(c.Fabric, &routes[i], pinsAt(c, i), &fresh, &sc) {
 				slots = append(slots, i)
 			}
-		case flags[p]&hasSP != 0:
+		case hasSP[p]:
 			if len(sc.sites) < sc.siteCap {
 				checkNet(c.Fabric, &routes[i], pinsAt(c, i), &again, &sc)
 			}

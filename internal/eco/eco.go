@@ -39,6 +39,7 @@ type Result struct {
 func canMemo(parent *core.Result, pc *netlist.Circuit, cfg core.Config) bool {
 	return parent != nil && parent.ECO != nil && parent.ECO.Global != nil &&
 		parent.ECO.Cfg == cfg &&
+		len(parent.ECO.Global.Nets) == len(pc.Nets) &&
 		len(parent.Routes) == len(pc.Nets) &&
 		len(parent.Plans) == len(pc.Nets) &&
 		parent.ECO.Complete(len(pc.Nets))
@@ -68,10 +69,10 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 	if err != nil {
 		return nil, err
 	}
-	dirty := s.DirtyIDs()
+	ids := s.DirtyIDs()
 
 	if !canMemo(parent, pc, cfg) {
-		return coldReroute(ctx, edited, cfg, len(dirty))
+		return coldReroute(ctx, edited, cfg, len(ids))
 	}
 
 	// Global: memoized first pass, live refinement. After the memoized
@@ -81,20 +82,28 @@ func RerouteContext(ctx context.Context, parent *core.Result, pc *netlist.Circui
 	// assignment are recomputed in full: they are pure deterministic
 	// functions of the circuit and the plans, and on the measured goldens
 	// they cost ~1% of a cold route. Detail replays against the parent
-	// recording; its dirty set is the edited nets plus every net whose
-	// fully assigned plan changed (layer/track cascades stay inside shared
-	// panels, and the plan comparison catches exactly them), and parent
-	// failures replay or re-search on their own footprints (see
-	// detail.Memo).
-	st := Stats{EditedNets: len(dirty)}
+	// recording through the same match, with every net whose fully
+	// assigned plan changed unmatched too (layer/track cascades stay
+	// inside shared panels, and the plan comparison catches exactly
+	// them); parent failures replay or re-search on their own footprints
+	// (see detail.Memo).
+	from := match(pc, edited, ids)
+	st := Stats{EditedNets: len(ids)}
 	res, err := core.RoutePasses(ctx, edited, cfg, core.Passes{
 		Global: func(ctx context.Context, gr *global.Router, c *netlist.Circuit) ([]*plan.NetPlan, error) {
-			plans, reused, err := gr.RouteAllMemo(ctx, c, parent.ECO.Global, dirty)
+			plans, reused, err := gr.RouteAllMemo(ctx, c, parent.ECO.Global, from)
 			st.GlobalReused, st.GlobalRouted = reused, len(c.Nets)-reused
 			return plans, err
 		},
 		Detail: func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
-			memo := buildDetailMemo(parent, pc, c, plans, dirty)
+			// The global pass is done with from, so it is narrowed in
+			// place.
+			for i, ps := range from {
+				if ps >= 0 && !parent.Plans[ps].Equal(plans[i]) {
+					from[i] = -1
+				}
+			}
+			memo := &detail.Memo{From: from, Routes: parent.Routes, Recording: parent.ECO.Recording}
 			dres, reused, err := dr.RunMemo(ctx, c, plans, memo)
 			st.DetailReused, st.DetailRouted = reused, len(c.Nets)-reused
 			return dres, err
@@ -116,33 +125,4 @@ func coldReroute(ctx context.Context, edited *netlist.Circuit, cfg core.Config, 
 	n := len(edited.Nets)
 	return &Result{Result: cold, Edited: edited,
 		Stats: Stats{Fallback: true, EditedNets: editedNets, GlobalRouted: n, DetailRouted: n}}, nil
-}
-
-// buildDetailMemo hands the parent recording to the detailed router,
-// footprints packed as they are, and computes the detail-stage dirty
-// set: the edited nets plus every net whose plan changed.
-func buildDetailMemo(parent *core.Result, pc, edited *netlist.Circuit, plans []*plan.NetPlan, dirty map[int]bool) *detail.Memo {
-	m := &detail.Memo{
-		Dirty:     make(map[int]bool, len(dirty)),
-		Slot:      make(map[int]int, len(pc.Nets)),
-		Routes:    parent.Routes,
-		Recording: parent.ECO.Recording,
-	}
-	for id := range dirty {
-		m.Dirty[id] = true
-	}
-	for i, n := range pc.Nets {
-		m.Slot[n.ID] = i
-	}
-	for i, n := range edited.Nets {
-		id := n.ID
-		if m.Dirty[id] {
-			continue
-		}
-		ps, ok := m.Slot[id]
-		if !ok || !parent.Plans[ps].Equal(plans[i]) {
-			m.Dirty[id] = true
-		}
-	}
-	return m
 }

@@ -3,6 +3,7 @@ package eco_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -390,4 +391,38 @@ func TestPatchReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("patch-of-patch", p2)
+}
+
+// TestPatchMarginClamped: a margin past the fabric's extent covers the
+// whole fabric, so math.MaxInt must rip up the same nets as
+// XTracks+YTracks instead of overflowing the inflated region into an
+// empty one that rips up nothing but the edited net.
+func TestPatchMarginClamped(t *testing.T) {
+	cfg := core.StitchAware()
+	c := genCircuit(t, 21)
+	parent, err := core.Route(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := freshPins(c)
+	patch := func(margin int) *eco.Result {
+		t.Helper()
+		s := &eco.Script{Margin: margin, Edits: []eco.Edit{{Op: eco.OpMovePin, ID: 4, Pin: 0, X: np[0].X, Y: np[0].Y}}}
+		er, err := eco.ReroutePatch(parent, c, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return er
+	}
+	whole := patch(c.Fabric.XTracks + c.Fabric.YTracks)
+	huge := patch(math.MaxInt)
+	if whole.Stats != huge.Stats {
+		t.Fatalf("margin MaxInt: %+v, margin XTracks+YTracks: %+v", huge.Stats, whole.Stats)
+	}
+	if whole.Stats.DetailRouted < 2 {
+		t.Fatalf("a whole-fabric margin rerouted %d nets", whole.Stats.DetailRouted)
+	}
+	if !reflect.DeepEqual(whole.Routes, huge.Routes) {
+		t.Fatal("margins MaxInt and XTracks+YTracks give different routes")
+	}
 }

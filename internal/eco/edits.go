@@ -13,6 +13,7 @@ import (
 
 	"stitchroute/internal/geom"
 	"stitchroute/internal/netlist"
+	"stitchroute/internal/plan"
 )
 
 // Edit ops.
@@ -48,9 +49,9 @@ type Edit struct {
 // Script is an ordered edit list; edits apply sequentially, so
 // delete-then-re-add of the same net ID is legal. Margin, when
 // positive, overrides the default patch-mode retry margin (PatchMargin)
-// around the edited nets' committed routes; replay-mode rerouting
-// ignores it (its dirty region is derived from recorded footprints, not
-// a margin).
+// around the edited nets' committed routes (a margin past the fabric's
+// extent is clamped to it); replay-mode rerouting ignores it (its dirty
+// region is derived from recorded footprints, not a margin).
 type Script struct {
 	Edits  []Edit `json:"edits"`
 	Margin int    `json:"margin,omitempty"`
@@ -199,6 +200,28 @@ func (s *Script) Apply(c *netlist.Circuit) (*netlist.Circuit, error) {
 		return nil, fmt.Errorf("eco: edited circuit invalid: %w", err)
 	}
 	return out, nil
+}
+
+// match pairs every slot of edited, Apply's output on pc, with the slot
+// of pc whose recorded state it may reuse: an unedited net's parent
+// slot, or -1 for a net whose ID is in ids (the script's DirtyIDs).
+// Apply keeps unedited nets in their parent order, so one forward walk
+// over the parent's slots finds each one. A net deleted and re-added
+// under its old ID is unmatched, so its old slot is stale.
+func match(pc, edited *netlist.Circuit, ids map[int]bool) plan.Match {
+	from := make(plan.Match, len(edited.Nets))
+	ps := 0
+	for i, n := range edited.Nets {
+		from[i] = -1
+		if ids[n.ID] {
+			continue
+		}
+		for pc.Nets[ps].ID != n.ID {
+			ps++
+		}
+		from[i] = ps
+	}
+	return from
 }
 
 // Validate reports whether the script applies cleanly to the circuit.

@@ -52,19 +52,23 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 	if err != nil {
 		return nil, err
 	}
-	editedIDs := s.DirtyIDs()
+	ids := s.DirtyIDs()
 
 	if !canPatch(parent, pc) {
-		return coldReroute(ctx, edited, cfg, len(editedIDs))
+		return coldReroute(ctx, edited, cfg, len(ids))
 	}
 
 	// Dirty region: the edited nets' committed geometry and old pin
-	// positions (the space they vacate) plus their new pin positions
-	// (the space they must newly reach), inflated by the retry margin.
+	// positions (the space they vacate: the stale parent slots) plus
+	// their new pin positions (the space they must newly reach: the
+	// unmatched slots), inflated by the retry margin. A margin past the
+	// fabric's extent covers no more of it, and is clamped so that
+	// Expand cannot overflow.
 	margin := s.Margin
 	if margin <= 0 {
 		margin = PatchMargin
 	}
+	margin = min(margin, pc.Fabric.XTracks+pc.Fabric.YTracks)
 	var region []geom.Rect
 	box := geom.Rect{X0: 1, Y0: 1} // region's bounding box; starts empty
 	addRect := func(rc geom.Rect) {
@@ -72,23 +76,24 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		box = box.Union(rc)
 		region = append(region, rc)
 	}
-	for i, n := range pc.Nets {
-		if !editedIDs[n.ID] {
-			continue
-		}
-		for _, w := range parent.Routes[i].Wires {
-			addRect(w.Bounds())
-		}
+	addPins := func(n *netlist.Net) {
 		for _, p := range n.Pins {
 			addRect(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y})
 		}
 	}
-	for _, n := range edited.Nets {
-		if !editedIDs[n.ID] {
+	from := match(pc, edited, ids)
+	for ps, stale := range from.Stale(len(pc.Nets)) {
+		if !stale {
 			continue
 		}
-		for _, p := range n.Pins {
-			addRect(geom.Rect{X0: p.X, Y0: p.Y, X1: p.X, Y1: p.Y})
+		for _, w := range parent.Routes[ps].Wires {
+			addRect(w.Bounds())
+		}
+		addPins(pc.Nets[ps])
+	}
+	for i, n := range edited.Nets {
+		if from[i] < 0 {
+			addPins(n)
 		}
 	}
 	intersects := func(rc geom.Rect) bool {
@@ -104,50 +109,25 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 	}
 
 	// Rip up the edited nets plus every kept net whose committed route
-	// crosses the region. Parent-failed nets have no route to cross it;
-	// they are retried only when edited (their pins moved). The patch
-	// is indexed by the edited circuit's slots. Apply keeps unedited
-	// nets in their parent order, so one forward walk over the parent's
-	// slots finds each one's parent slot.
-	n := len(edited.Nets)
-	patch := &detail.Patch{
-		Dirty:     make([]bool, n),
-		Keep:      make([]plan.NetRoute, n),
-		FreedPins: make([][]detail.Cell, n),
-	}
-	plans := make([]*plan.NetPlan, n)
-	// kept maps each grafted slot to its parent slot, -1 elsewhere: the
-	// DRC update re-checks only the other slots.
-	kept := make([]int, n)
-	pi := 0
-	for i, net := range edited.Nets {
-		id := net.ID
-		kept[i] = -1
-		if editedIDs[id] {
-			// Edited nets have no plan and route from pins alone.
-			patch.Dirty[i] = true
-			continue
-		}
-		for pc.Nets[pi].ID != id {
-			pi++
+	// crosses the region: those slots are unmatched, and RunPatch
+	// grafts the rest. Parent-failed nets have no route to cross it;
+	// they are retried only when edited (their pins moved). The DRC
+	// update reads the same match: it re-checks only the unmatched
+	// slots.
+	plans := make([]*plan.NetPlan, len(edited.Nets))
+	for i, ps := range from {
+		if ps < 0 {
+			continue // edited nets have no plan and route from pins alone
 		}
 		// Kept and ripped-neighbour nets reuse their parent plan (their
 		// pins are unchanged, so the plan is still valid guidance).
-		plans[i] = parent.Plans[pi]
-		hit := false
-		for _, w := range parent.Routes[pi].Wires {
+		plans[i] = parent.Plans[ps]
+		for _, w := range parent.Routes[ps].Wires {
 			if intersects(w.Bounds()) {
-				hit = true
+				from[i] = -1
 				break
 			}
 		}
-		if hit {
-			patch.Dirty[i] = true
-			continue
-		}
-		patch.Keep[i] = parent.Routes[pi]
-		patch.FreedPins[i] = parent.ECO.FreedPins[pi]
-		kept[i] = pi
 	}
 
 	// Global-stage metrics describe the carried-over plans.
@@ -159,18 +139,19 @@ func ReroutePatchContext(ctx context.Context, parent *core.Result, pc *netlist.C
 		EdgeOverflow: parent.EdgeOverflow,
 		TrackStats:   parent.TrackStats,
 	}
-	st := Stats{EditedNets: len(editedIDs), GlobalReused: len(edited.Nets)}
+	st := Stats{EditedNets: len(ids), GlobalReused: len(edited.Nets)}
 	base := drc.Base{Circuit: pc, Routes: parent.Routes, Report: parent.Report, SPSlots: parent.SPSlots}
 	dres, err := res.RouteDetail(ctx, edited, cfg.Detail, core.Passes{
 		Detail: func(ctx context.Context, dr *detail.Router, c *netlist.Circuit, plans []*plan.NetPlan) (*detail.Result, error) {
-			dres, grafted, err := dr.RunPatch(ctx, c, plans, patch)
+			memo := &detail.Memo{From: from, Routes: parent.Routes, Recording: parent.ECO.Recording}
+			dres, grafted, err := dr.RunPatch(ctx, c, plans, memo)
 			st.DetailReused, st.DetailRouted = grafted, len(c.Nets)-grafted
 			return dres, err
 		},
 		// A grafted net keeps its parent route and pins, so its share
 		// of the report is the parent's.
 		Check: func(c *netlist.Circuit, routes []plan.NetRoute) (drc.Report, []int) {
-			return drc.Update(base, c, routes, kept)
+			return drc.Update(base, c, routes, from)
 		},
 	})
 	if err != nil {

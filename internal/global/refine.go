@@ -26,10 +26,6 @@ func (r *Router) Refine(c *netlist.Circuit, plans []*plan.NetPlan, passes int) {
 // reroute of a net is atomic with respect to cancellation, so the plans
 // slice is always consistent when it returns.
 func (r *Router) RefineContext(ctx context.Context, c *netlist.Circuit, plans []*plan.NetPlan, passes int) error {
-	byID := make(map[int]*netlist.Net, len(c.Nets))
-	for _, n := range c.Nets {
-		byID[n.ID] = n
-	}
 	for pass := 0; pass < passes; pass++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -70,7 +66,7 @@ func (r *Router) RefineContext(ctx context.Context, c *netlist.Circuit, plans []
 			}
 			rerouted++
 			r.unroute(np)
-			plans[slot] = r.RouteNet(byID[np.NetID])
+			plans[slot] = r.RouteNet(c.Nets[slot])
 		}
 	}
 	return nil

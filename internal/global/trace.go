@@ -12,9 +12,10 @@ import (
 // ECO trace: the global router records, for every net of the first
 // bottom-up pass (RouteAll), the set of tiles its A* searches popped and
 // the route it committed. The incremental engine (internal/eco) replays
-// a recorded route on an edited circuit whenever the net is unedited and
-// its recorded read-set is disjoint from the dirty-tile set — the tiles
-// where edge or line-end demand can differ from the parent run.
+// a recorded route on an edited circuit whenever the net is matched to
+// its parent slot (see plan.Match) and its recorded read-set is
+// disjoint from the dirty-tile set — the tiles where edge or line-end
+// demand can differ from the parent run.
 //
 // Soundness of the read-set: the search reads graph state only through
 // edgeCost and endCost. edgeCost is evaluated for edges incident to a
@@ -22,12 +23,14 @@ import (
 // line-end charges in astar use the popped tile's index), so every
 // demand or history cell the search can observe belongs to a popped
 // tile or an edge with a popped endpoint. The dirty set marks *both*
-// endpoints of every differing route edge — and every line-end tile of
-// a route is an endpoint of one of its vertical edges — so a clean
-// intersection certifies the search would see byte-identical costs and,
-// with the deterministic tie-breaks, pop the same states and return the
-// same route. A cold pass (RouteAllContext) is RouteAllMemo with no
-// previous trace, so replay and cold run one loop.
+// endpoints of every differing route edge — the recorded routes of the
+// stale parent slots (deleted and edited nets) up front, then the old
+// and new routes of every net that routes live and diverges — and every
+// line-end tile of a route is an endpoint of one of its vertical edges,
+// so a clean intersection certifies the search would see byte-identical
+// costs and, with the deterministic tie-breaks, pop the same states and
+// return the same route. A cold pass (RouteAllContext) is RouteAllMemo
+// with no previous trace, so replay and cold run one loop.
 
 // NetTrace is one net's record of the first pass.
 type NetTrace struct {
@@ -38,10 +41,11 @@ type NetTrace struct {
 	Edges []plan.TileEdge
 }
 
-// Trace is the whole first pass's record, keyed by net ID.
+// Trace is the whole first pass's record, one NetTrace per net slot of
+// the routed circuit.
 type Trace struct {
 	TW, TH int
-	Nets   map[int]*NetTrace
+	Nets   []NetTrace
 }
 
 // Trace returns the record of the last RouteAll pass, or nil before
@@ -60,79 +64,77 @@ func (r *Router) markEdges(d []uint64, edges []plan.TileEdge) {
 
 // RouteAllMemo routes every net bottom-up, as RouteAll does, and records
 // the pass's trace, replaying what it can from a previous run's trace:
-// nets that are not in dirty and whose recorded read-set misses every
-// dirty tile replay their recorded route; everything else routes live.
-// Routes that change (and the old routes of dirty nets, seeded up front)
-// grow the dirty-tile set, so later nets observe the divergence. The
-// demand state after every net equals a cold run's on the edited
-// circuit, so the returned plans are byte-identical to a pass with no
-// previous trace, which is RouteAllContext: the two share this loop.
+// a net matched to a parent slot whose recorded read-set misses every
+// dirty tile replays that slot's recorded route; everything else routes
+// live. The old routes of the stale parent slots are seeded up front,
+// and routes that change grow the dirty-tile set, so later nets observe
+// the divergence. The demand state after every net equals a cold run's
+// on the edited circuit, so the returned plans are byte-identical to a
+// pass with no previous trace, which is RouteAllContext: the two share
+// this loop.
 //
 // prev must come from a router over the same fabric with the same
-// config (a trace of another fabric is ignored); dirty must contain
-// every net ID added, deleted, or edited (their schedule position may
+// config (a trace of another fabric is ignored); from must leave every
+// net added, deleted or edited unmatched (their schedule position may
 // have moved, so their demand-commit *timing* differs even when the
 // route does not). The second return is the number of nets replayed
 // without a search.
-func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Trace, dirty map[int]bool) ([]*plan.NetPlan, int, error) {
+func (r *Router) RouteAllMemo(ctx context.Context, c *netlist.Circuit, prev *Trace, from plan.Match) ([]*plan.NetPlan, int, error) {
 	words := (r.tw*r.th + 63) / 64
 	var dirtyTiles []uint64
 	if prev != nil && prev.TW == r.tw && prev.TH == r.th {
 		dirtyTiles = make([]uint64, words)
-		// Seed: the old routes of every edited/deleted net. Added nets
-		// have no old route; their new one is marked when they route
-		// live below.
-		for id := range dirty {
-			if nt := prev.Nets[id]; nt != nil {
-				r.markEdges(dirtyTiles, nt.Edges)
+		// Seed: the old routes of every deleted or edited net. Added
+		// nets have no old route; their new one is marked when they
+		// route live below.
+		for p, stale := range from.Stale(len(prev.Nets)) {
+			if stale {
+				r.markEdges(dirtyTiles, prev.Nets[p].Edges)
 			}
 		}
 	} else {
 		prev = nil
 	}
-	r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make(map[int]*NetTrace, len(c.Nets))}
+	r.trace = &Trace{TW: r.tw, TH: r.th, Nets: make([]NetTrace, len(c.Nets))}
 	plans := make([]*plan.NetPlan, len(c.Nets))
-	byID := make(map[int]int, len(c.Nets))
-	for i, n := range c.Nets {
-		byID[n.ID] = i
-	}
 	// rec is the dense read-set of the net routing live: its searches
 	// mark the tiles they pop, and it is packed into the net's record
 	// and cleared for the next net.
 	rec := make([]uint64, words)
 	reused := 0
-	for i, e := range mlevel.Schedule(c) {
+	for i, slot := range mlevel.Schedule(c) {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return plans, reused, err
 			}
 		}
-		id := e.Net.ID
+		net := c.Nets[slot]
 		var nt *NetTrace
-		if prev != nil {
-			nt = prev.Nets[id]
+		if p := from.Parent(slot); prev != nil && p >= 0 {
+			nt = &prev.Nets[p]
 		}
-		if nt != nil && !dirty[id] && !nt.ReadSet.Intersects(dirtyTiles) {
-			plans[byID[id]] = r.planNet(e.Net, nt)
-			r.trace.Nets[id] = nt // records are immutable; share
+		if nt != nil && !nt.ReadSet.Intersects(dirtyTiles) {
+			plans[slot] = r.planNet(net, nt)
+			r.trace.Nets[slot] = *nt // records are immutable; share
 			reused++
 			continue
 		}
 		r.rec = rec
-		np := r.RouteNet(e.Net)
+		np := r.RouteNet(net)
 		r.rec = nil
-		r.trace.Nets[id] = &NetTrace{ReadSet: plan.Pack(rec), Edges: plan.CopyEdges(np.Edges)}
+		r.trace.Nets[slot] = NetTrace{ReadSet: plan.Pack(rec), Edges: plan.CopyEdges(np.Edges)}
 		clear(rec)
-		// Divergence: an unedited net whose live route matches its record
-		// changed nothing. Dirty (edited) nets mark old + new
-		// unconditionally — their commit timing may have moved.
-		if prev != nil && (dirty[id] || nt == nil || !slices.Equal(nt.Edges, np.Edges)) {
+		// Divergence: a matched net whose live route equals its record
+		// changed nothing. An unmatched net's old route, if it had one,
+		// was seeded; its new route is marked unconditionally — its
+		// commit timing may have moved.
+		if prev != nil && (nt == nil || !slices.Equal(nt.Edges, np.Edges)) {
 			if nt != nil {
 				r.markEdges(dirtyTiles, nt.Edges)
 			}
 			r.markEdges(dirtyTiles, np.Edges)
 		}
-		plans[byID[id]] = np
+		plans[slot] = np
 	}
 	return plans, reused, nil
 }

@@ -14,30 +14,28 @@ import (
 	"stitchroute/internal/plan"
 )
 
-// Entry is one net with its coarsening level.
-type Entry struct {
-	Net   *netlist.Net
-	Level int
-}
-
-// Schedule returns the circuit's nets in bottom-up multilevel order:
-// ascending level, then ascending HPWL, then net ID (deterministic).
-func Schedule(c *netlist.Circuit) []Entry {
-	entries := make([]Entry, len(c.Nets))
+// Schedule returns the circuit's net slots in bottom-up multilevel
+// order: ascending level, then ascending HPWL, then net ID
+// (deterministic).
+func Schedule(c *netlist.Circuit) []int {
+	slots := make([]int, len(c.Nets))
+	levels := make([]int, len(c.Nets))
 	for i, n := range c.Nets {
-		entries[i] = Entry{Net: n, Level: plan.Level(n.BBox(), c.Fabric)}
+		slots[i] = i
+		levels[i] = plan.Level(n.BBox(), c.Fabric)
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Level != entries[j].Level {
-			return entries[i].Level < entries[j].Level
+	sort.SliceStable(slots, func(i, j int) bool {
+		a, b := slots[i], slots[j]
+		if levels[a] != levels[b] {
+			return levels[a] < levels[b]
 		}
-		hi, hj := entries[i].Net.HPWL(), entries[j].Net.HPWL()
-		if hi != hj {
-			return hi < hj
+		ha, hb := c.Nets[a].HPWL(), c.Nets[b].HPWL()
+		if ha != hb {
+			return ha < hb
 		}
-		return entries[i].Net.ID < entries[j].Net.ID
+		return c.Nets[a].ID < c.Nets[b].ID
 	})
-	return entries
+	return slots
 }
 
 // Levels returns the number of coarsening levels the circuit needs: the
@@ -58,14 +56,13 @@ func Levels(c *netlist.Circuit) int {
 // Histogram counts the nets that become local at each level.
 func Histogram(c *netlist.Circuit) []int {
 	h := make([]int, Levels(c))
-	for _, e := range Schedule(c) {
-		if e.Level < len(h) {
-			h[e.Level]++
-		} else {
+	for _, n := range c.Nets {
+		l := plan.Level(n.BBox(), c.Fabric)
+		if l >= len(h) {
 			// Ragged dies can push a net one level past Levels' estimate.
-			h = append(h, make([]int, e.Level-len(h)+1)...)
-			h[e.Level]++
+			h = append(h, make([]int, l-len(h)+1)...)
 		}
+		h[l]++
 	}
 	return h
 }

@@ -1,12 +1,14 @@
 package mlevel
 
 import (
+	"slices"
 	"testing"
 
 	"stitchroute/internal/bench"
 	"stitchroute/internal/geom"
 	"stitchroute/internal/grid"
 	"stitchroute/internal/netlist"
+	"stitchroute/internal/plan"
 )
 
 func mkCircuit() *netlist.Circuit {
@@ -22,15 +24,17 @@ func mkCircuit() *netlist.Circuit {
 }
 
 func TestScheduleOrder(t *testing.T) {
-	entries := Schedule(mkCircuit())
-	if entries[0].Net.ID != 1 {
-		t.Errorf("first net = %d, want the local net", entries[0].Net.ID)
+	c := mkCircuit()
+	slots := Schedule(c)
+	if id := c.Nets[slots[0]].ID; id != 1 {
+		t.Errorf("first net = %d, want the local net", id)
 	}
-	if entries[len(entries)-1].Net.ID != 0 {
-		t.Errorf("last net = %d, want the global net", entries[len(entries)-1].Net.ID)
+	if id := c.Nets[slots[len(slots)-1]].ID; id != 0 {
+		t.Errorf("last net = %d, want the global net", id)
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Level < entries[i-1].Level {
+	level := func(s int) int { return plan.Level(c.Nets[s].BBox(), c.Fabric) }
+	for i := 1; i < len(slots); i++ {
+		if level(slots[i]) < level(slots[i-1]) {
 			t.Error("levels not ascending")
 		}
 	}
@@ -77,12 +81,8 @@ func TestBenchmarkHistogramShape(t *testing.T) {
 
 func TestScheduleStableAcrossCalls(t *testing.T) {
 	c := mkCircuit()
-	a := Schedule(c)
-	b := Schedule(c)
-	for i := range a {
-		if a[i].Net.ID != b[i].Net.ID || a[i].Level != b[i].Level {
-			t.Fatal("schedule not deterministic")
-		}
+	if a, b := Schedule(c), Schedule(c); !slices.Equal(a, b) {
+		t.Fatalf("schedule not deterministic: %v then %v", a, b)
 	}
 }
 

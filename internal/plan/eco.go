@@ -4,7 +4,8 @@ package plan
 // (internal/eco). ECO replays recorded per-net state from a committed
 // routing result; the copies keep the parent result immutable, and the
 // equality predicates decide whether a net's recorded state is still
-// exact on the edited circuit.
+// exact on the edited circuit, and a Match says which parent record an
+// edited net is compared with.
 
 import "slices"
 
@@ -44,4 +45,37 @@ func (np *NetPlan) Equal(o *NetPlan) bool {
 func (r NetRoute) Equal(o NetRoute) bool {
 	return r.NetID == o.NetID && r.Routed == o.Routed &&
 		slices.Equal(r.Wires, o.Wires) && slices.Equal(r.Vias, o.Vias)
+}
+
+// Match pairs each net slot of an edited circuit with the slot of the
+// parent result whose per-net records it may reuse: Match[i] is that
+// parent slot, or -1 when slot i has no record to reuse and must route
+// live. Both ECO engines and the DRC update read their parent records
+// through one Match.
+type Match []int
+
+// Parent returns the parent slot that slot i reuses, or -1 when it
+// reuses none, a slot past the end of m included.
+func (m Match) Parent(i int) int {
+	if i < len(m) {
+		return m[i]
+	}
+	return -1
+}
+
+// Stale reports, for each of a parent's n slots, whether no slot of m
+// reuses it: the slot's net was deleted, edited or (for a stage that
+// unmatches them) replanned, so its recorded geometry is where the
+// edited run can differ from the parent's.
+func (m Match) Stale(n int) []bool {
+	stale := make([]bool, n)
+	for i := range stale {
+		stale[i] = true
+	}
+	for _, p := range m {
+		if p >= 0 {
+			stale[p] = false
+		}
+	}
+	return stale
 }
