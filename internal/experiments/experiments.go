@@ -201,7 +201,7 @@ func Table4(circuits []string) ([]Table4Row, error) {
 			t0 := time.Now()
 			r := global.NewRouter(c.Fabric, cfg)
 			plans := r.RouteAll(c)
-			r.Refine(c, plans, 4)
+			r.Refine(c, plans, core.StitchAware().RefinePasses)
 			elapsed := time.Since(t0)
 			tv, mv := r.Overflow()
 			gs := GlobalSummary{TVOF: tv, MVOF: mv, WL: r.Wirelength(), CPU: elapsed}

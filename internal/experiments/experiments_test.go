@@ -56,6 +56,33 @@ func TestTable3MatchesGoldens(t *testing.T) {
 	}
 }
 
+// TestTable9MatchesGoldens: Table IX's shot and stencil columns are
+// exactly the write-prep golden's on the circuits it pins.
+func TestTable9MatchesGoldens(t *testing.T) {
+	circuits := []string{"Primary1", "S5378", "S9234"}
+	rows, err := Table9(circuits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := harness.ReadGolden[harness.FractureMetrics](
+		filepath.Join("..", "harness", "testdata", "golden", "fracture.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		i := slices.IndexFunc(gs, func(g harness.FractureMetrics) bool { return g.Circuit == r.Circuit })
+		if i < 0 {
+			t.Fatalf("fracture golden has no %s entry", r.Circuit)
+		}
+		g := gs[i]
+		got := [5]int{r.RectShots, r.LShapeShots, r.LShots, r.Slivers, r.CPFlashes}
+		want := [5]int{g.RectShots, g.LShapeShot, g.LShots, g.Slivers, g.CPFlashes}
+		if got != want {
+			t.Errorf("%s: Table IX rect/lshape/L/slivers/CP flashes %v, golden %v", r.Circuit, got, want)
+		}
+	}
+}
+
 // TestTable7ILPMatchesGoldens: Table VII's ILP arm carries exactly the
 // harness golden's "ilp" record.
 func TestTable7ILPMatchesGoldens(t *testing.T) {

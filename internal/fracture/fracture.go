@@ -17,12 +17,9 @@
 //     the pairing graph merges each matched pair into a single two-
 //     rectangle L shot, strictly reducing the shot count.
 //
-// The pairing graph is solved exactly per connected component: bipartite
-// components through the Hungarian assignment (internal/matching), odd
-// components through the branch-and-bound solver (internal/ilp). Only
-// components beyond the exact-size caps fall back to a deterministic
-// greedy matching, and Result.GreedyComponents reports when that
-// happened.
+// The pairing graph is maximum-matched per connected component with
+// Edmonds' blossom algorithm, seeded by a greedy pass; there is no size
+// cap and no search budget, so every matching is a proven maximum.
 //
 // All input orderings are explicit and every tie is broken by geometry,
 // so fracturing the same routes twice yields byte-identical shot lists —
@@ -115,15 +112,8 @@ type Options struct{}
 // sliverLen is the sliver threshold: a shot whose union spans fewer than
 // sliverLen tracks in its longer dimension counts as a sliver (the
 // write-prep analog of the router's short polygons: tiny exposures whose
-// edge dose error is a large fraction of the feature). maxHungarian caps
-// the component size solved exactly with the Hungarian assignment, and
-// maxOddExact the (non-bipartite) component size solved exactly with
-// branch and bound.
-const (
-	sliverLen    = 3
-	maxHungarian = 256
-	maxOddExact  = 24
-)
+// edge dose error is a large fraction of the feature).
+const sliverLen = 3
 
 // Result is the fractured shot list with its statistics.
 type Result struct {
@@ -139,12 +129,6 @@ type Result struct {
 	LShots    int
 	Slivers   int
 	Area      int64
-
-	// GreedyComponents counts pairing components beyond the exact-size
-	// caps that were matched greedily; 0 means the matching is a proven
-	// maximum. MatchNodes is the total branch-and-bound node count.
-	GreedyComponents int
-	MatchNodes       int
 }
 
 // LShapeReduction returns the fractional shot-count reduction of the
@@ -168,8 +152,7 @@ func Fracture(routes []plan.NetRoute, layers int, mode Mode, opts Options) *Resu
 }
 
 // FractureContext is Fracture under a context: cancellation is observed
-// between layers and inside the branch-and-bound pairing search, and a
-// cancelled run returns the context's error.
+// between layers, and a cancelled run returns the context's error.
 func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mode Mode, _ Options) (*Result, error) {
 	res := &Result{Mode: mode}
 	// Sweep every layer into one rectangle list, then pair each layer's
@@ -200,9 +183,7 @@ func FractureContext(ctx context.Context, routes []plan.NetRoute, layers int, mo
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("fracture: %w", err)
 			}
-			if err := m.matchLPairs(ctx, rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi], res); err != nil {
-				return nil, err
-			}
+			m.matchLPairs(rects[lr.lo:lr.hi], pairing[lr.lo:lr.hi])
 		}
 	}
 	matched := 0

@@ -2,6 +2,8 @@ package fracture
 
 import (
 	"context"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"stitchroute/internal/geom"
@@ -217,9 +219,6 @@ func TestHShapeEvenCycle(t *testing.T) {
 	if res.ShotCount != 2 || res.LShots != 2 {
 		t.Fatalf("H: %d shots (%d L), want 2 (2 L)", res.ShotCount, res.LShots)
 	}
-	if res.GreedyComponents != 0 {
-		t.Errorf("H component fell back to greedy")
-	}
 	checkExact(t, routes, res, 1)
 }
 
@@ -233,47 +232,143 @@ func TestFractureContextCancelled(t *testing.T) {
 	}
 }
 
-// TestOddComponentBnB drives the branch-and-bound path with a forced
-// odd-cycle pairing graph via the internal matcher. The 5-cycle's
-// maximum matching has 2 pairs (5 shots -> 3).
-func TestOddComponentBnB(t *testing.T) {
-	adj := [][]int{
-		{1, 4},
-		{0, 2},
-		{1, 3},
-		{2, 4},
-		{3, 0},
+// matchEdges maximum-matches the graph on nodes 0..n-1 with the given
+// edges (i < j, in ascending order) through the layer matcher and
+// returns the pairing.
+func matchEdges(n int, edges [][2]int) []int {
+	m := &matcher{pairing: make([]int, n), edges: edges}
+	for i := range m.pairing {
+		m.pairing[i] = -1
 	}
-	m := &matcher{
-		pairing: []int{-1, -1, -1, -1, -1},
-		nodes:   []int{0, 1, 2, 3, 4},
-		pos:     make([]int, 5),
-		adjOff:  []int{0},
+	m.matchGraph(n)
+	return m.pairing
+}
+
+// bruteMaxPairs returns the size of a maximum matching by exhaustive
+// search: the lowest free node either stays single or pairs with each
+// free neighbor in turn.
+func bruteMaxPairs(adj [][]bool, free []bool) int {
+	v := slices.Index(free, true)
+	if v < 0 {
+		return 0
 	}
-	for _, nb := range adj {
-		m.adj = append(m.adj, nb...)
-		m.adjOff = append(m.adjOff, len(m.adj))
+	free[v] = false
+	best := bruteMaxPairs(adj, free)
+	for u := v + 1; u < len(adj); u++ {
+		if free[u] && adj[v][u] {
+			free[u] = false
+			best = max(best, 1+bruteMaxPairs(adj, free))
+			free[u] = true
+		}
 	}
-	res := &Result{}
-	if err := m.matchBnB(context.Background(), res); err != nil {
-		t.Fatal(err)
+	free[v] = true
+	return best
+}
+
+// TestMatchingIsMaximum: on small graphs the pairing is mutual, pairs
+// only along edges, and is as large as a brute-force maximum. The graphs
+// are a 5-cycle; two triangles (6,0,1) and (7,4,5) joined by the path
+// 0-2-3-4, numbered so the greedy pass leaves 6 and 7 single and each
+// search must leave its triangle blossom through the node it first
+// reached as odd; and 3,000 random graphs of up to 12 nodes, dense
+// enough that blossoms nest.
+func TestMatchingIsMaximum(t *testing.T) {
+	graphs := []struct {
+		n     int
+		edges [][2]int
+	}{
+		{5, [][2]int{{0, 1}, {0, 4}, {1, 2}, {2, 3}, {3, 4}}},
+		{8, [][2]int{{0, 1}, {0, 2}, {0, 6}, {1, 6}, {2, 3}, {3, 4}, {4, 5}, {4, 7}, {5, 7}}},
 	}
-	pairing := m.pairing
-	pairs := 0
-	for v, u := range pairing {
-		if u >= 0 {
-			if pairing[u] != v {
-				t.Fatalf("pairing not mutual: %v", pairing)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 3000 {
+		n := 1 + rng.IntN(12)
+		p := 0.1 + 0.5*rng.Float64()
+		var edges [][2]int
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() < p {
+					edges = append(edges, [2]int{i, j})
+				}
+			}
+		}
+		graphs = append(graphs, struct {
+			n     int
+			edges [][2]int
+		}{n, edges})
+	}
+	for gi, g := range graphs {
+		adj := make([][]bool, g.n)
+		for i := range adj {
+			adj[i] = make([]bool, g.n)
+		}
+		for _, e := range g.edges {
+			adj[e[0]][e[1]], adj[e[1]][e[0]] = true, true
+		}
+		pairing := matchEdges(g.n, g.edges)
+		pairs := 0
+		for v, u := range pairing {
+			if u < 0 {
+				continue
+			}
+			if pairing[u] != v || !adj[v][u] {
+				t.Fatalf("graph %d %v: pairing %v is not a matching", gi, g.edges, pairing)
 			}
 			pairs++
 		}
+		free := make([]bool, g.n)
+		for i := range free {
+			free[i] = true
+		}
+		if want := bruteMaxPairs(adj, free); pairs/2 != want {
+			t.Fatalf("graph %d %v: %d pairs (%v), maximum is %d", gi, g.edges, pairs/2, pairing, want)
+		}
 	}
-	if pairs != 4 { // 2 pairs, counted from both ends
-		t.Fatalf("odd 5-cycle matched %d endpoints, want 4 (pairing %v)", pairs, pairing)
+}
+
+// TestLargeOddComponentExact fractures one pairing component of 34
+// sweep rectangles that holds six 5-cycles, beyond any small exact-size
+// cap, on which the index-order greedy matching leaves two rectangles
+// single. On top, a bar (0) rests on a left arm (1) and a right stub
+// (2), and the left arm continues into a ledge (3): greedy pairs the bar
+// with the arm, stranding the stub. Below hang six copies of a 5-cycle
+// gadget, rows r..r+3: a bar A, a two-row left post B beside a stub E,
+// a ledge D under E, and a foot C under both B and D, so A-B-C-D-E-A is
+// an odd cycle; each foot carries the next gadget's bar, and the ledge
+// carries the first bar. The component has a perfect matching, so the
+// maximum fractures it into 17 L shots.
+func TestLargeOddComponentExact(t *testing.T) {
+	rects := []geom.Rect{
+		{X0: 0, Y0: 0, X1: 10, Y1: 0},
+		{X0: 0, Y0: 1, X1: 3, Y1: 1},
+		{X0: 7, Y0: 1, X1: 10, Y1: 1},
+		{X0: 0, Y0: 2, X1: 5, Y1: 2},
 	}
-	if res.MatchNodes == 0 {
-		t.Error("branch and bound expanded no nodes")
+	for k := range 6 {
+		r := 3 + 4*k
+		rects = append(rects,
+			geom.Rect{X0: 0, Y0: r, X1: 10, Y1: r},         // A
+			geom.Rect{X0: 0, Y0: r + 1, X1: 3, Y1: r + 2},  // B
+			geom.Rect{X0: 6, Y0: r + 1, X1: 10, Y1: r + 1}, // E
+			geom.Rect{X0: 6, Y0: r + 2, X1: 12, Y1: r + 2}, // D
+			geom.Rect{X0: 0, Y0: r + 3, X1: 12, Y1: r + 3}, // C
+		)
 	}
+	var wires []geom.Segment
+	for _, r := range rects {
+		for y := r.Y0; y <= r.Y1; y++ {
+			wires = append(wires, geom.HSeg(1, y, r.X0, r.X1))
+		}
+	}
+	routes := routesFromWires(wires)
+	res := Fracture(routes, 1, ModeLShape, Options{})
+	if res.RectShots != len(rects) {
+		t.Fatalf("sweep found %d rectangles, want %d", res.RectShots, len(rects))
+	}
+	if res.ShotCount != 17 || res.LShots != 17 {
+		t.Fatalf("%d shots (%d L), want 17 (17 L)", res.ShotCount, res.LShots)
+	}
+	checkExact(t, routes, res, 1)
 }
 
 // TestEmptyRoutes: no geometry, no shots, zero totals.

@@ -7,13 +7,9 @@ package fracture
 
 import (
 	"cmp"
-	"context"
-	"fmt"
 	"slices"
 
 	"stitchroute/internal/geom"
-	"stitchroute/internal/ilp"
-	"stitchroute/internal/matching"
 )
 
 // lMergeable reports whether the union of two sweep rectangles is an
@@ -44,15 +40,15 @@ type matcher struct {
 	adj      []int
 	fill     []int
 	seen     []bool
-	color    []int8 // two-coloring: 0 = unvisited, 1 or 2
-	pos      []int  // node -> position in its side or variable order
-	queue    []int
-	nodes    []int
-	sideA    []int
-	sideB    []int
-	cost     []int64
-	costRows [][]int64
-	nbrs     []int
+	nodes    []int // the component being matched, ascending
+
+	// Blossom search state, valid for the nodes of the current search.
+	base    []int  // base of the blossom holding the node (itself if none)
+	parent  []int  // tree parent of an odd or blossom node, -1 if none
+	even    []bool // node is an even (outer) node of the tree
+	inPath  []bool // commonBase scratch: bases on the path to the root
+	inBloom []bool // bases inside the blossom being contracted
+	queue   []int  // even nodes whose edges are still to scan
 }
 
 // grow returns buf resized to n elements, reusing its capacity.
@@ -66,16 +62,13 @@ func grow[T any](buf []T, n int) []T {
 func (m *matcher) neighbors(v int) []int { return m.adj[m.adjOff[v]:m.adjOff[v+1]] }
 
 // matchLPairs builds the pairing graph over the sweep rectangles and
-// records matched pairs in pairing (pairing[i] = j, mutual), which the
-// caller fills with -1. Components are solved exactly where the size
-// caps allow — bipartite ones with the Hungarian assignment, odd ones
-// with branch and bound — and greedily beyond the caps; res accumulates
-// the solver statistics.
-func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []int, res *Result) error {
+// records a maximum matching in pairing (pairing[i] = j, mutual), which
+// the caller fills with -1.
+func (m *matcher) matchLPairs(rects []geom.Rect, pairing []int) {
 	n := len(rects)
 	m.pairing = pairing
 	if n < 2 {
-		return nil
+		return
 	}
 
 	// Candidate edges: rects is sorted by (Y0, X0), so the rectangles
@@ -106,6 +99,12 @@ func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []
 			}
 		}
 	}
+	m.matchGraph(n)
+}
+
+// matchGraph maximum-matches the graph on nodes 0..n-1 with the edges
+// in m.edges into m.pairing, one connected component at a time.
+func (m *matcher) matchGraph(n int) {
 	// Adjacency in compressed form, filled in discovery order so each
 	// list comes out ascending: the lower neighbors (found while their
 	// own rows were probed) precede the higher ones.
@@ -131,9 +130,11 @@ func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []
 	// Connected components over the pairing graph, in index order.
 	m.seen = grow(m.seen, n)
 	clear(m.seen)
-	m.color = grow(m.color, n)
-	clear(m.color)
-	m.pos = grow(m.pos, n)
+	m.base = grow(m.base, n)
+	m.parent = grow(m.parent, n)
+	m.even = grow(m.even, n)
+	m.inPath = grow(m.inPath, n)
+	m.inBloom = grow(m.inBloom, n)
 	for i := 0; i < n; i++ {
 		if m.seen[i] || m.adjOff[i] == m.adjOff[i+1] {
 			continue
@@ -150,191 +151,16 @@ func (m *matcher) matchLPairs(ctx context.Context, rects []geom.Rect, pairing []
 			}
 		}
 		slices.Sort(m.nodes)
-		if err := m.matchComponent(ctx, res); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// matchComponent maximum-matches the component in m.nodes and writes
-// the result into m.pairing.
-func (m *matcher) matchComponent(ctx context.Context, res *Result) error {
-	nodes := m.nodes
-	if len(nodes) == 2 {
-		m.pairing[nodes[0]] = nodes[1]
-		m.pairing[nodes[1]] = nodes[0]
-		return nil
-	}
-	if m.twoColor() {
-		if len(nodes) <= maxHungarian {
-			m.matchBipartite()
-			return nil
-		}
-	} else if len(nodes) <= maxOddExact {
-		return m.matchBnB(ctx, res)
-	}
-	res.GreedyComponents++
-	m.matchGreedy()
-	return nil
-}
-
-// twoColor attempts to 2-color the component; on success m.sideA and
-// m.sideB hold the two color classes in ascending index order.
-func (m *matcher) twoColor() bool {
-	m.color[m.nodes[0]] = 1
-	m.queue = append(m.queue[:0], m.nodes[0])
-	for k := 0; k < len(m.queue); k++ {
-		v := m.queue[k]
-		for _, u := range m.neighbors(v) {
-			if m.color[u] != 0 {
-				if m.color[u] == m.color[v] {
-					return false
-				}
-				continue
-			}
-			m.color[u] = 3 - m.color[v]
-			m.queue = append(m.queue, u)
-		}
-	}
-	m.sideA, m.sideB = m.sideA[:0], m.sideB[:0]
-	for _, v := range m.nodes {
-		if m.color[v] == 1 {
-			m.sideA = append(m.sideA, v)
-		} else {
-			m.sideB = append(m.sideB, v)
-		}
-	}
-	return true
-}
-
-// matchBipartite solves maximum matching on a bipartite component as a
-// min-cost perfect assignment: pad both sides to equal size, charge 0
-// for a real mergeable pair and 1 for anything else; the Hungarian
-// minimum then uses as many real pairs as possible.
-func (m *matcher) matchBipartite() {
-	sideA, sideB := m.sideA, m.sideB
-	n := max(len(sideA), len(sideB))
-	for bi, v := range sideB {
-		m.pos[v] = bi
-	}
-	m.cost = grow(m.cost, n*n)
-	for i := range m.cost {
-		m.cost[i] = 1
-	}
-	m.costRows = grow(m.costRows, n)
-	for i := range m.costRows {
-		m.costRows[i] = m.cost[i*n : (i+1)*n]
-	}
-	for ai, v := range sideA {
-		for _, u := range m.neighbors(v) {
-			m.costRows[ai][m.pos[u]] = 0
-		}
-	}
-	assign, _ := matching.MinCostPerfect(m.costRows)
-	for ai, bi := range assign {
-		if ai < len(sideA) && bi < len(sideB) && m.costRows[ai][bi] == 0 {
-			a, b := sideA[ai], sideB[bi]
-			m.pairing[a] = b
-			m.pairing[b] = a
-		}
+		m.matchComponent()
 	}
 }
 
-// matchProblem is the branch-and-bound model for exact maximum matching
-// on a small odd component: variables are the component's rectangles in
-// index order; each is either covered by an earlier pair (cost 0), left
-// single (cost 1 — one shot), or paired with a later unmatched neighbor
-// (cost 1 — one shot for two rectangles). The minimum total cost is the
-// component's minimum shot count.
-type matchProblem struct {
-	nbrs    [][]int // per variable: neighbor variables, ascending
-	matched []bool  // by variable, maintained via Apply/Undo
-}
-
-// Candidate values: -2 = covered by an earlier pair, -1 = single,
-// >= 0 = the partner variable of a new pair.
-func (p *matchProblem) NumVars() int { return len(p.nbrs) }
-
-func (p *matchProblem) Candidates(v int, dst []ilp.Candidate) []ilp.Candidate {
-	if p.matched[v] {
-		return append(dst, ilp.Candidate{Value: -2, Cost: 0})
-	}
-	for _, u := range p.nbrs[v] {
-		if u > v && !p.matched[u] {
-			dst = append(dst, ilp.Candidate{Value: u, Cost: 1})
-		}
-	}
-	return append(dst, ilp.Candidate{Value: -1, Cost: 1})
-}
-
-func (p *matchProblem) Apply(v, val int) {
-	if val >= 0 {
-		p.matched[v] = true
-		p.matched[val] = true
-	}
-}
-
-func (p *matchProblem) Undo(v, val int) {
-	if val >= 0 {
-		p.matched[v] = false
-		p.matched[val] = false
-	}
-}
-
-// bnbNodeBudget bounds the branch-and-bound search per component. The
-// cap exists only as a backstop: components at maxOddExact size stay far
-// below it, so the matching remains exact in practice.
-const bnbNodeBudget = 1 << 20
-
-func (m *matcher) matchBnB(ctx context.Context, res *Result) error {
-	nodes := m.nodes
-	for vi, v := range nodes {
-		m.pos[v] = vi
-	}
-	// nodes is ascending, so pos is monotone and each neighbor list
-	// stays ascending when mapped to variables.
-	m.nbrs = m.nbrs[:0]
-	p := &matchProblem{
-		nbrs:    make([][]int, len(nodes)),
-		matched: make([]bool, len(nodes)),
-	}
-	for _, v := range nodes {
-		for _, u := range m.neighbors(v) {
-			m.nbrs = append(m.nbrs, m.pos[u])
-		}
-	}
-	off := 0
-	for vi, v := range nodes {
-		deg := len(m.neighbors(v))
-		p.nbrs[vi] = m.nbrs[off : off+deg]
-		off += deg
-	}
-	sol := ilp.Solve(ctx, p, bnbNodeBudget)
-	res.MatchNodes += sol.Nodes
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("fracture: %w", err)
-	}
-	if sol.Values == nil {
-		// Cannot happen — every variable always has the single candidate —
-		// but fall back to greedy rather than drop the component.
-		res.GreedyComponents++
-		m.matchGreedy()
-		return nil
-	}
-	for vi, val := range sol.Values {
-		if val >= 0 {
-			a, b := nodes[vi], nodes[val]
-			m.pairing[a] = b
-			m.pairing[b] = a
-		}
-	}
-	return nil
-}
-
-// matchGreedy is the deterministic fallback for oversized components:
-// scan rectangles in index order and take the first available neighbor.
-func (m *matcher) matchGreedy() {
+// matchComponent maximum-matches the component in m.nodes into
+// m.pairing: an index-order greedy pass, then Edmonds' blossom search
+// for an augmenting path from each node the greedy pass left single.
+// One search per single node suffices: a node with no augmenting path
+// gains none when the matching grows along another path.
+func (m *matcher) matchComponent() {
 	for _, v := range m.nodes {
 		if m.pairing[v] >= 0 {
 			continue
@@ -346,5 +172,107 @@ func (m *matcher) matchGreedy() {
 				break
 			}
 		}
+	}
+	for _, root := range m.nodes {
+		if m.pairing[root] >= 0 {
+			continue
+		}
+		// Flip the augmenting path ending at the single node v.
+		for v := m.augmentingPath(root); v >= 0; {
+			p := m.parent[v]
+			next := m.pairing[p]
+			m.pairing[v], m.pairing[p] = p, v
+			v = next
+		}
+	}
+}
+
+// augmentingPath grows an alternating tree from the single node root
+// and returns the single node at the far end of an augmenting path (its
+// path back to root runs through parent and pairing), or -1 if there is
+// none. An edge between two even nodes closes an odd cycle, which is
+// contracted into a blossom: every node in it becomes even.
+func (m *matcher) augmentingPath(root int) int {
+	for _, v := range m.nodes {
+		m.base[v] = v
+		m.parent[v] = -1
+		m.even[v] = false
+	}
+	m.even[root] = true
+	m.queue = append(m.queue[:0], root)
+	for k := 0; k < len(m.queue); k++ {
+		v := m.queue[k]
+		for _, u := range m.neighbors(v) {
+			switch {
+			case m.base[u] == m.base[v] || m.pairing[v] == u:
+				// Inside one blossom, or the matched edge into v.
+			case m.even[u]:
+				// Contract the odd cycle through v and u.
+				b := m.commonBase(v, u)
+				for _, w := range m.nodes {
+					m.inBloom[w] = false
+				}
+				m.markBlossom(v, b, u)
+				m.markBlossom(u, b, v)
+				for _, w := range m.nodes {
+					if m.inBloom[m.base[w]] {
+						m.base[w] = b
+						if !m.even[w] {
+							m.even[w] = true
+							m.queue = append(m.queue, w)
+						}
+					}
+				}
+			case m.parent[u] < 0:
+				// u is new and odd; its partner, if any, joins as even.
+				m.parent[u] = v
+				w := m.pairing[u]
+				if w < 0 {
+					return u
+				}
+				m.even[w] = true
+				m.queue = append(m.queue, w)
+			}
+		}
+	}
+	return -1
+}
+
+// commonBase returns the base of the nearest common even ancestor of
+// the even nodes a and b in the alternating tree.
+func (m *matcher) commonBase(a, b int) int {
+	for _, v := range m.nodes {
+		m.inPath[v] = false
+	}
+	for {
+		a = m.base[a]
+		m.inPath[a] = true
+		if m.pairing[a] < 0 {
+			break // the root
+		}
+		a = m.parent[m.pairing[a]]
+	}
+	for {
+		b = m.base[b]
+		if m.inPath[b] {
+			return b
+		}
+		b = m.parent[m.pairing[b]]
+	}
+}
+
+// markBlossom walks from the even node v up to the blossom base b,
+// marking the bases on the way as inside the blossom. It points each
+// even node's parent back toward child, the node across the closing
+// edge, so an augmenting path can leave the blossom through any of its
+// nodes.
+func (m *matcher) markBlossom(v, b, child int) {
+	for m.base[v] != b {
+		w := m.pairing[v]
+		m.inBloom[m.base[v]] = true
+		m.inBloom[m.base[w]] = true
+		m.parent[v] = child
+		child = w
+		v = m.parent[w]
 	}
 }
