@@ -2,109 +2,70 @@
 package stencil
 
 import (
-	"context"
-	"fmt"
-
-	"stitchroute/internal/ilp"
+	"cmp"
+	"slices"
 )
 
-// selectProblem is the branch-and-bound model for character selection:
-// one 0/1 variable per candidate, in saving-descending order. Skipping a
-// candidate costs its saving (write time not recovered); selecting costs
-// nothing but consumes plate capacity. The capacity model matches the
-// overlapping-aware packer: a character's footprint is (W+halo)×(H+halo)
-// — one shared halo per side — against a plate of
-// (w−halo)×(h−halo) usable area, so selection and packing
-// agree except for row fragmentation (which packing resolves by
-// deterministic drops).
-type selectProblem struct {
-	cands []Character
-	cap   int
-	used  int
+// footprint is the plate area a character takes under the overlapping-
+// aware packer: its pattern plus one shared halo per side.
+func footprint(c Character) int {
+	return (c.W + halo) * (c.H + halo)
 }
 
-func (p *selectProblem) footprint(i int) int {
-	return (p.cands[i].W + halo) * (p.cands[i].H + halo)
-}
-
-func (p *selectProblem) NumVars() int { return len(p.cands) }
-
-func (p *selectProblem) Candidates(v int, dst []ilp.Candidate) []ilp.Candidate {
-	if p.used+p.footprint(v) <= p.cap {
-		dst = append(dst, ilp.Candidate{Value: 1, Cost: 0})
+// selectCharacters picks characters by the plate's capacity: it visits
+// the candidates in order of saving per footprint unit and takes each
+// one whose footprint still fits the plate's (w−halo)×(h−halo) usable
+// area. The sort is stable, so equal densities keep candidate order
+// (saving descending, then hash). When every footprint fits, every
+// candidate is taken; otherwise the saving is within the largest single
+// saving of the fractional-knapsack bound. Selection and packing agree
+// except for shelf fragmentation, which packing resolves by
+// deterministic drops. The result keeps candidate order.
+func selectCharacters(cands []Character, pl plate) []Character {
+	order := make([]int, len(cands))
+	for i := range order {
+		order[i] = i
 	}
-	return append(dst, ilp.Candidate{Value: 0, Cost: p.cands[v].Saving})
-}
-
-func (p *selectProblem) Apply(v, val int) {
-	if val == 1 {
-		p.used += p.footprint(v)
-	}
-}
-
-func (p *selectProblem) Undo(v, val int) {
-	if val == 1 {
-		p.used -= p.footprint(v)
-	}
-}
-
-// selectNodeBudget bounds the selection search. maxCandidates variables
-// with two values each stay comfortably under it in practice; hitting it
-// degrades the plan to the incumbent (SelectionOptimal=false), never
-// breaks it.
-const selectNodeBudget = 1 << 18
-
-// selectCharacters picks the character subset maximizing total saving
-// under the capacity of plate pl.
-func selectCharacters(ctx context.Context, cands []Character, pl plate) ([]Character, bool, error) {
-	p := &selectProblem{
-		cands: cands,
-		cap:   (pl.w - halo) * (pl.h - halo),
-	}
-	sol := ilp.Solve(ctx, p, selectNodeBudget)
-	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("stencil: %w", err)
-	}
-	var selected []Character
-	if sol.Values == nil {
-		// Cannot happen — skipping everything is always feasible — but
-		// degrade to an empty stencil rather than fail.
-		return nil, false, nil
-	}
-	for i, v := range sol.Values {
-		if v == 1 {
-			selected = append(selected, cands[i])
+	// Density descending, compared by cross-multiplication: savings are
+	// half-units and footprints small integers, so the products are
+	// exact and equal densities compare equal.
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(cands[b].Saving*float64(footprint(cands[a])),
+			cands[a].Saving*float64(footprint(cands[b])))
+	})
+	free := (pl.w - halo) * (pl.h - halo)
+	take := make([]bool, len(cands))
+	for _, i := range order {
+		if fp := footprint(cands[i]); fp <= free {
+			take[i] = true
+			free -= fp
 		}
 	}
-	return selected, sol.Optimal, nil
+	var selected []Character
+	for i, c := range cands {
+		if take[i] {
+			selected = append(selected, c)
+		}
+	}
+	return selected
 }
 
 // pack shelf-packs the selected characters onto plate pl, sharing halos
 // between horizontal neighbors and between rows (E-BLOW's 1D
 // overlapping-aware packing, applied per shelf). Characters are placed
-// tallest-first; one that fits neither the open row nor a fresh row is
-// dropped — selection order is saving-descending, so drops sacrifice the
-// least valuable characters first. Returns the placements and the plate
-// area recovered versus naive per-character margins.
+// tallest-first, ties in selection order; one that fits neither the
+// open row nor a fresh row is dropped, so the drops are the characters,
+// in tallest-first order, that miss the last shelf. Returns the
+// placements and the plate area recovered versus naive per-character
+// margins.
 func pack(selected []Character, pl plate) ([]Placement, int) {
-	// Tallest-first keeps shelves dense; ties break by the candidate
-	// order (saving descending, then hash), which is already the slice
-	// order, so a stable criterion on height alone suffices.
-	order := make([]int, len(selected))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && selected[order[j]].H > selected[order[j-1]].H; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	order := slices.Clone(selected)
+	slices.SortStableFunc(order, func(a, b Character) int { return cmp.Compare(b.H, a.H) })
 
 	var placements []Placement
 	x, y, rowH := halo, halo, 0
 	shared := 0
-	for _, idx := range order {
-		ch := selected[idx]
+	for _, ch := range order {
 		if x+ch.W+halo > pl.w && rowH > 0 {
 			// Close the shelf; the next one shares this one's top halo.
 			y += rowH + halo

@@ -9,16 +9,16 @@
 //  1. clusters shots into aperture-sized windows and content-hashes each
 //     window's bbox-normalized pattern, so repeated patterns across the
 //     layout collapse into character candidates;
-//  2. selects the candidate set that maximizes write-time saving under
-//     the stencil area capacity, with the branch-and-bound solver
-//     (internal/ilp) — each repeated pattern saves
-//     count × (flashes × TVSB − TCP) when promoted to a character;
+//  2. lets the plate decide which candidates become characters: each
+//     repeated pattern saves count × (flashes × TVSB − TCP) when
+//     promoted, and candidates are taken greedily by saving per unit of
+//     plate footprint while their footprints fit the stencil area;
 //  3. packs the selected characters onto the stencil with E-BLOW-style
 //     overlapping-aware 1D row packing (arXiv 1502.00621): neighboring
 //     characters share their blank halos, so a row fits more characters
 //     than naive per-character margins would allow. Characters that
-//     still miss the stencil are dropped deterministically (lowest
-//     saving first) until the plan fits.
+//     still miss the stencil (tallest-first, those past the last shelf)
+//     are dropped deterministically and write as VSB.
 //
 // Every shot then writes either as its CP character (1 flash per cluster
 // occurrence) or as VSB rectangles, and the plan reports both write
@@ -51,18 +51,14 @@ type Options struct{}
 // bbox fits aperture². halo is the blank margin a character needs around
 // its pattern; overlapping-aware packing lets neighboring characters
 // share it. tVSB and tCP are the per-flash write times (arbitrary units)
-// of a VSB rectangle flash and a CP character flash. maxCandidates caps
-// how many candidates (by saving, descending) the exact selection
-// considers; the rest are never profitable enough to matter and are
-// skipped outright.
+// of a VSB rectangle flash and a CP character flash.
 const (
-	plateW        = 400
-	plateH        = 400
-	aperture      = 40
-	halo          = 2
-	tVSB          = 1.0
-	tCP           = 1.5
-	maxCandidates = 64
+	plateW   = 400
+	plateH   = 400
+	aperture = 40
+	halo     = 2
+	tVSB     = 1.0
+	tCP      = 1.5
 )
 
 // plate is a stencil plate's dimensions in track units: plateW × plateH
@@ -97,9 +93,10 @@ type Placement struct {
 type Plan struct {
 	// Placements is the packed character set, row-major on the plate.
 	Placements []Placement `json:"placements"`
-	// Candidates is how many repeated patterns were worth considering;
-	// Selected ≤ Candidates were chosen, Dropped of those missed the
-	// plate during packing and write as VSB after all.
+	// Candidates is how many profitable repeated patterns the layout
+	// has; Selected ≤ Candidates were chosen by plate capacity, Dropped
+	// of those missed the plate during packing and write as VSB after
+	// all.
 	Candidates int `json:"candidates"`
 	Selected   int `json:"selected"`
 	Dropped    int `json:"dropped"`
@@ -118,9 +115,6 @@ type Plan struct {
 	// SharedBlank is the plate area (track² units) the overlapping-aware
 	// packing recovered versus naive per-character halos.
 	SharedBlank int `json:"sharedBlank"`
-	// SelectionOptimal is false when the branch-and-bound selection hit
-	// its node budget and the character set is merely the incumbent.
-	SelectionOptimal bool `json:"selectionOptimal"`
 }
 
 // Reduction returns the fractional write-time reduction of the plan.
@@ -141,7 +135,7 @@ func Build(shots []fracture.Shot, opts Options) *Plan {
 }
 
 // BuildContext is Build under a context: cancellation is observed
-// between stages and inside the selection search.
+// between stages.
 func BuildContext(ctx context.Context, shots []fracture.Shot, _ Options) (*Plan, error) {
 	return build(ctx, shots, plate{w: plateW, h: plateH})
 }
@@ -151,37 +145,29 @@ func build(ctx context.Context, shots []fracture.Shot, pl plate) (*Plan, error) 
 	clusters := clusterShots(shots)
 	cands := characterCandidates(clusters)
 	plan := &Plan{
-		Candidates:       len(cands),
-		Clusters:         len(clusters),
-		SelectionOptimal: true,
+		Candidates: len(cands),
+		Clusters:   len(clusters),
 	}
 	for _, s := range shots {
 		plan.VSBTime += flashes(s) * tVSB
 	}
-	plan.CPTime = plan.VSBTime
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("stencil: %w", err)
 	}
-	if len(cands) > 0 {
-		selected, optimal, err := selectCharacters(ctx, cands, pl)
-		if err != nil {
-			return nil, err
-		}
-		plan.SelectionOptimal = optimal
-		packed, shared := pack(selected, pl)
-		plan.Placements = packed
-		plan.Selected = len(selected)
-		plan.Dropped = len(selected) - len(packed)
-		plan.SharedBlank = shared
+	selected := selectCharacters(cands, pl)
+	packed, shared := pack(selected, pl)
+	plan.Placements = packed
+	plan.Selected = len(selected)
+	plan.Dropped = len(selected) - len(packed)
+	plan.SharedBlank = shared
 
-		// Each packed character prints as one CP flash per cluster of its
-		// pattern, and Count is that cluster count.
-		for _, p := range packed {
-			plan.Saving += p.Char.Saving
-			plan.CPFlashes += p.Char.Count
-		}
-		plan.CPTime = plan.VSBTime - plan.Saving
+	// Each packed character prints as one CP flash per cluster of its
+	// pattern, and Count is that cluster count.
+	for _, p := range packed {
+		plan.Saving += p.Char.Saving
+		plan.CPFlashes += p.Char.Count
 	}
+	plan.CPTime = plan.VSBTime - plan.Saving
 	return plan, nil
 }
 
@@ -302,8 +288,5 @@ func characterCandidates(clusters []cluster) []Character {
 		}
 		return strings.Compare(a.Hash, b.Hash)
 	})
-	if len(cands) > maxCandidates {
-		cands = cands[:maxCandidates]
-	}
 	return cands
 }

@@ -1,7 +1,12 @@
 package stencil
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"stitchroute/internal/fracture"
@@ -44,9 +49,6 @@ func TestRepeatedPatternBecomesCharacter(t *testing.T) {
 	}
 	if p.CPFlashes != 5 {
 		t.Fatalf("CPFlashes = %d, want 5", p.CPFlashes)
-	}
-	if !p.SelectionOptimal {
-		t.Error("tiny selection not proven optimal")
 	}
 	if p.Reduction() <= 0 {
 		t.Errorf("reduction = %v, want > 0", p.Reduction())
@@ -156,6 +158,100 @@ func TestPackingRespectsPlate(t *testing.T) {
 	}
 	if p.SharedBlank <= 0 {
 		t.Errorf("overlapping-aware packing recovered no blank area")
+	}
+}
+
+// TestEveryCandidateFitsDefaultPlate: 70 distinct profitable patterns
+// all fit the default plate, so the plate keeps all 70; nothing caps
+// the candidate list.
+func TestEveryCandidateFitsDefaultPlate(t *testing.T) {
+	var wires []geom.Segment
+	x := 0
+	for w := 3; w < 10; w++ {
+		for h := 3; h < 13; h++ {
+			for i := 0; i < 2; i++ {
+				wires = append(wires, geom.HSeg(1, 0, x, x+w-1), geom.VSeg(1, x, 0, h-1))
+				x += 100
+			}
+		}
+	}
+	routes := []plan.NetRoute{{NetID: 1, Routed: true, Wires: wires}}
+	shots := fracture.Fracture(routes, 1, fracture.ModeLShape, fracture.Options{}).Shots
+	p := Build(shots, Options{})
+	if p.Candidates != 70 {
+		t.Fatalf("candidates = %d, want 70", p.Candidates)
+	}
+	if p.Selected != 70 || len(p.Placements) != 70 || p.Dropped != 0 {
+		t.Fatalf("selected %d, placed %d, dropped %d; want all 70 placed",
+			p.Selected, len(p.Placements), p.Dropped)
+	}
+}
+
+// knapsackBound is the fractional-knapsack upper bound on the saving of
+// any candidate subset whose footprints fit capacity: fill by density,
+// then take the fraction of the first candidate that does not fit.
+func knapsackBound(cands []Character, capacity int) float64 {
+	byDensity := slices.Clone(cands)
+	slices.SortFunc(byDensity, func(a, b Character) int {
+		return cmp.Compare(b.Saving*float64(footprint(a)), a.Saving*float64(footprint(b)))
+	})
+	bound := 0.0
+	for _, c := range byDensity {
+		fp := footprint(c)
+		if fp > capacity {
+			return bound + c.Saving*float64(capacity)/float64(fp)
+		}
+		bound += c.Saving
+		capacity -= fp
+	}
+	return bound
+}
+
+// TestSelectionByPlate holds selectCharacters on seeded random
+// candidate sets and small plates: the chosen footprints fit the usable
+// area, everything is chosen when everything fits, the output keeps
+// candidate order, and the saving is at least the fractional-knapsack
+// bound minus the largest single saving.
+func TestSelectionByPlate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		cands := make([]Character, 1+rng.Intn(40))
+		for i := range cands {
+			cands[i] = Character{
+				W:      1 + rng.Intn(aperture),
+				H:      1 + rng.Intn(aperture),
+				Saving: float64(1+rng.Intn(80)) / 2,
+			}
+		}
+		// Candidate order: saving descending, then hash.
+		slices.SortStableFunc(cands, func(a, b Character) int { return cmp.Compare(b.Saving, a.Saving) })
+		total, maxSaving := 0, 0.0
+		for i := range cands {
+			cands[i].Hash = fmt.Sprintf("%04d", i)
+			total += footprint(cands[i])
+			maxSaving = max(maxSaving, cands[i].Saving)
+		}
+		pl := plate{w: halo + 1 + rng.Intn(150), h: halo + 1 + rng.Intn(150)}
+		capacity := (pl.w - halo) * (pl.h - halo)
+
+		sel := selectCharacters(cands, pl)
+		used, saving := 0, 0.0
+		for _, c := range sel {
+			used += footprint(c)
+			saving += c.Saving
+		}
+		if used > capacity {
+			t.Fatalf("trial %d: footprints %d exceed capacity %d", trial, used, capacity)
+		}
+		if total <= capacity && len(sel) != len(cands) {
+			t.Fatalf("trial %d: all %d candidates fit, %d chosen", trial, len(cands), len(sel))
+		}
+		if !slices.IsSortedFunc(sel, func(a, b Character) int { return strings.Compare(a.Hash, b.Hash) }) {
+			t.Fatalf("trial %d: selection left candidate order", trial)
+		}
+		if bound := knapsackBound(cands, capacity); saving < bound-maxSaving-1e-9 {
+			t.Fatalf("trial %d: saving %v below bound %v minus largest saving %v", trial, saving, bound, maxSaving)
+		}
 	}
 }
 
